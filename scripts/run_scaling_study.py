@@ -13,19 +13,9 @@ import sys
 
 import numpy as np
 
+from dtraj.cli import _parse_int_list
 from dtraj.lattice import scaling_table, write_scaling_csv
 from dtraj.model import robot_from_dict
-
-
-def parse_range(text):
-    out = []
-    for chunk in text.split(","):
-        if "-" in chunk[1:]:
-            lo, hi = chunk.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
-    return out
 
 
 def fitted_slope(column, nodes):
@@ -48,7 +38,7 @@ def main():
         robot = robot_from_dict(json.load(fh))
     joint = robot.joints[0]
 
-    dofs = parse_range(args.dof)
+    dofs = _parse_int_list(args.dof, "--dof")
     rows = scaling_table(
         joint, dofs, args.max_steps, math.radians(args.separation_deg)
     )

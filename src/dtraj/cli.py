@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -267,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    workers_help = "accepted for interface stability; execution is single-process"
-
     t = sub.add_parser("transitions", help="discover atomic transitions by search")
     t.add_argument("--config", required=True, help="robot config JSON")
     t.add_argument("--start", default=None, help='start state "pos,vel" (default all-zero)')
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-sequences", type=int, default=DEFAULT_MAX_SEQUENCES)
     t.add_argument("--out", default=None, help="output JSONL path (default stdout)")
     t.add_argument("--dot", default=None, help="also write a DOT graph here")
-    t.add_argument("--workers", type=int, default=None, help=workers_help)
     t.set_defaults(func=_cmd_transitions)
 
     e = sub.add_parser("enumerate", help="enumerate or count fixed-length trajectories")
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--count-only", action="store_true")
     e.add_argument("--budget", type=int, default=10_000_000)
     e.add_argument("--out", default=None)
-    e.add_argument("--workers", type=int, default=None, help=workers_help)
     e.set_defaults(func=_cmd_enumerate)
 
     pl = sub.add_parser("plan", help="greedy action-sequence planning")
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--exact", action="store_true", help="use the exact DP oracle")
     cc.add_argument("--move-set", default="full1", help="only full1 is defined")
     cc.add_argument("--out", default=None)
-    cc.add_argument("--workers", type=int, default=None, help=workers_help)
     cc.set_defaults(func=_cmd_count_corridor)
 
     cn = csub.add_parser("ndim", help="n-D corridor count (closed form)")
@@ -321,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     cn.add_argument("--direct", action="store_true",
                     help="full frequency-grid sum instead of the factorized fast path")
     cn.add_argument("--out", default=None)
-    cn.add_argument("--workers", type=int, default=None, help=workers_help)
     cn.set_defaults(func=_cmd_count_ndim)
 
     cb = csub.add_parser("bounds", help="state/action counts and the |S|*|A|^m bound")
@@ -336,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--steps", required=True, help="step range starting at 1, e.g. 1-100")
     cs.add_argument("--separation-deg", type=float, required=True)
     cs.add_argument("--out", default=None)
-    cs.add_argument("--workers", type=int, default=None, help=workers_help)
     cs.set_defaults(func=_cmd_count_scaling)
 
     return p
@@ -354,10 +348,26 @@ def _emit_manifest(args, ctx, t0: float) -> None:
     print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Turn "--flag -3,0" into "--flag=-3,0".
+
+    argparse reads a separate token that starts with '-' as an option unless
+    it is a plain number, so a state whose first index is negative would be
+    refused; no dtraj option starts with '-' and a digit.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
 

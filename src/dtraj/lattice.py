@@ -37,7 +37,7 @@ _LOG_ACCUM_THRESHOLD = 280.0
 # direct n-D evaluation cap; sized to admit a 3-axis grid of height 135
 # (2*136 = 272 frequencies per axis) with a little headroom
 _DIRECT_TERM_BUDGET = 21_000_000
-_DP_CELL_BUDGET = 10 ** 7
+_DP_CELL_STEP_BUDGET = 10 ** 7
 _MOVE_SET_DIM_CAP = 12
 
 
@@ -149,7 +149,11 @@ class PathCount:
 
     @classmethod
     def from_float(cls, value: float, abs_err: float) -> "PathCount":
-        """Closed-form result: round to integer when small, clamp tiny negatives."""
+        """Closed-form result, clamping tiny negatives to zero.
+
+        The value rounds to an exact integer only when it is at most 2^63 and
+        its bound is below 0.5; otherwise it is an estimate.
+        """
         if not math.isfinite(value):
             raise DomainError("closed-form count is not finite")
         if value < 0:
@@ -159,7 +163,8 @@ class PathCount:
                            abs_err_log10=math.log10(abs_err) if abs_err > 0 else -math.inf)
             raise DomainError(f"closed-form count {value} negative beyond error bound {abs_err}")
         err_log = math.log10(abs_err) if abs_err > 0 else -math.inf
-        if value <= _EXACT_ROUND_LIMIT:
+        # rounding is only exact when the bound leaves one integer in reach
+        if value <= _EXACT_ROUND_LIMIT and abs_err < 0.5:
             nearest = math.floor(value + 0.5)
             residual = abs(value - nearest)
             err = max(abs_err, residual)
@@ -169,6 +174,8 @@ class PathCount:
                 log10=_log10_int(nearest) if nearest > 0 else -math.inf,
                 abs_err_log10=math.log10(err) if err > 0 else -math.inf,
             )
+        if value == 0.0:
+            return cls.from_log10(0, -math.inf, err_log)
         return cls(exact=None, sign=1, log10=math.log10(value), abs_err_log10=err_log)
 
     @classmethod
@@ -331,8 +338,11 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     cells = 1
     for dj in d:
         cells *= dj - 1
-    if cells > _DP_CELL_BUDGET:
-        raise ResourceLimit(f"DP needs {cells} cells, budget is {_DP_CELL_BUDGET}")
+    if cells * m > _DP_CELL_STEP_BUDGET:
+        raise ResourceLimit(
+            f"DP needs {cells} cells x {m} steps = {cells * m} cell-steps, "
+            f"budget is {_DP_CELL_STEP_BUDGET}"
+        )
 
     n = len(d)
     counts: dict[tuple[int, ...], int] = {tuple(a): 1}

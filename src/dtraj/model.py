@@ -350,4 +350,4 @@ def format_count(value) -> str:
     if mant >= 10.0:
         mant /= 10.0
         exp += 1
-    return f"{mant:.5f}e+{exp:02d}"
+    return f"{mant:.5f}e{exp:+03d}"

@@ -2,10 +2,10 @@
 
 Trajectories here are graph walks: each hop is one recorded transition, so a
 hop can cover several control ticks. Enumeration streams every walk of an
-exact hop count; the counter gets the same numbers by repeated adjacency
-application with arbitrary-precision integers. The planner greedily tracks a
-desired configuration path, matching transition durations to the time elapsed
-since it last moved.
+exact hop count; the counter gets the same numbers, exact at any size, by
+repeated adjacency application over the table's integer edge index. The
+planner greedily tracks a desired configuration path, matching transition
+durations to the time elapsed since it last moved.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
 from .model import ActionSequence, ContinuousState, QuantizedState, RobotSpec, quantize
 from .transitions import Transition, TransitionTable
 
 DEFAULT_ENUM_BUDGET = 10_000_000
+_INT64_MAX = 2 ** 63 - 1
 # a target counts as reached while the offset is below one resolution unit;
 # the epsilon absorbs float noise in degree -> radian -> grid arithmetic
 _MOVE_THRESHOLD = 1.0 - 1e-9
@@ -37,16 +40,30 @@ class Trajectory:
 
 
 def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedState, int]:
-    """Exact number of n_steps-hop walks out of every state (multi-edges counted)."""
+    """Exact number of n_steps-hop walks out of every state (multi-edges counted).
+
+    Each hop sums, per state, the counts at the destinations of its outgoing
+    transitions. The sums run in int64 while max(count) * max out-degree
+    cannot overflow it, and in Python integers from the first hop where it
+    could, so counts stay exact at any size.
+    """
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
-    counts = {s.key(): 1 for s in table.states}
+    edges = table.edge_index()
+    counts = np.ones(len(table.states), dtype=np.int64)
+    # a row's segment of dst starts at its row start; reduceat needs the
+    # nonempty rows only, and rows without transitions stay 0
+    rows = np.flatnonzero(np.diff(edges.row_start))
+    starts = edges.row_start[rows]
     for _ in range(n_steps):
-        nxt = {s.key(): 0 for s in table.states}
-        for t in table.transitions:
-            nxt[t.from_state.key()] += counts[t.to_state.key()]
+        if counts.dtype == np.int64 and (
+            int(counts.max(initial=0)) * edges.max_out_degree > _INT64_MAX
+        ):
+            counts = counts.astype(object)
+        nxt = np.zeros_like(counts)
+        nxt[rows] = np.add.reduceat(counts[edges.dst], starts)
         counts = nxt
-    return {s: counts[s.key()] for s in table.states}
+    return dict(zip(table.states, counts.tolist()))
 
 
 def enumerate_trajectories(

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable
+
+import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, OutOfRange, UnknownState
 from .dynamics import integrate_step
@@ -49,6 +52,19 @@ class Transition:
         return self.from_state == self.to_state
 
 
+@dataclass(frozen=True)
+class EdgeIndex:
+    """The transition graph over state indices, in compressed-row form.
+
+    Row i holds the transitions out of state i in table order, so
+    dst[row_start[i]:row_start[i + 1]] are their destination state indices.
+    """
+
+    dst: np.ndarray
+    row_start: np.ndarray
+    max_out_degree: int
+
+
 @dataclass
 class TransitionTable:
     """States in discovery order plus their outgoing transitions.
@@ -63,6 +79,7 @@ class TransitionTable:
     transitions: tuple[Transition, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _out: dict = field(default_factory=dict, repr=False, compare=False)
+    _edges: EdgeIndex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {s.key(): i for i, s in enumerate(self.states)}
@@ -79,6 +96,24 @@ class TransitionTable:
     def outgoing(self, state: QuantizedState) -> list[Transition]:
         self.state_index(state)
         return self._out[state.key()]
+
+    def edge_index(self) -> EdgeIndex:
+        """The integer edge index, built on first use (discovery never needs it)."""
+        if self._edges is None:
+            n = len(self.states)
+            src = np.fromiter((self._index[t.from_state.key()] for t in self.transitions),
+                              dtype=np.int64, count=len(self.transitions))
+            dst = np.fromiter((self._index[t.to_state.key()] for t in self.transitions),
+                              dtype=np.int64, count=len(self.transitions))
+            degree = np.bincount(src, minlength=n)
+            row_start = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(degree, out=row_start[1:])
+            self._edges = EdgeIndex(
+                dst=dst[np.argsort(src, kind="stable")],
+                row_start=row_start,
+                max_out_degree=int(degree.max(initial=0)),
+            )
+        return self._edges
 
     def restrict_to_first(self, k: int) -> "TransitionTable":
         """Subtable over the first k states; only edges staying inside survive."""
@@ -236,7 +271,39 @@ def _state_to_json(s: QuantizedState) -> dict:
 
 
 def _state_from_json(obj: dict) -> QuantizedState:
-    return QuantizedState(tuple(obj["pos"]), tuple(obj["vel"]))
+    pos, vel = tuple(obj["pos"]), tuple(obj["vel"])
+    if len(pos) != len(vel):
+        raise ValueError(f"state has {len(pos)} pos and {len(vel)} vel entries")
+    return QuantizedState(pos, vel)
+
+
+def _transition_from_json(obj: dict, n_joints: int | None) -> Transition:
+    """One JSONL line as a transition; ValueError says what is malformed.
+
+    n_joints is the joint count every state and action must have, or None
+    to take it from this line's from-state.
+    """
+    frm = _state_from_json(obj["from"])
+    to = _state_from_json(obj["to"])
+    n = len(frm.pos_idx) if n_joints is None else n_joints
+    if n < 1:
+        raise ValueError("state has no joints")
+    if len(frm.pos_idx) != n or len(to.pos_idx) != n:
+        raise ValueError(
+            f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} joints, expected {n}"
+        )
+    seq = tuple(tuple(int(x) for x in a) for a in obj["torque_idx_seq"])
+    if not seq:
+        raise ValueError("torque_idx_seq is empty")
+    for a in seq:
+        if len(a) != n:
+            raise ValueError(f"action {list(a)} has {len(a)} torque indices for {n} joints")
+        if min(a) < 0:
+            raise ValueError(f"action {list(a)} has a negative torque index")
+    dur = float(obj["duration_s"])
+    if not (math.isfinite(dur) and dur > 0):
+        raise ValueError(f"duration_s must be positive and finite, got {dur}")
+    return Transition(frm, seq, dur, to)
 
 
 def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
@@ -261,6 +328,9 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
 
     State order is first appearance in the stream (from before to per line),
     which coincides with discovery order for tables written by this module.
+    Every line must have a nonempty torque sequence of nonnegative indices,
+    one per joint, a positive finite duration, and states with the first
+    line's joint count; anything else is a ConfigError naming the line.
     """
     first = fh.readline()
     if not first:
@@ -284,21 +354,19 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             seen.add(s.key())
             states.append(s)
 
+    n_joints = None
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            obj = json.loads(raw)
-            frm = _state_from_json(obj["from"])
-            to = _state_from_json(obj["to"])
-            seq = tuple(tuple(int(x) for x in a) for a in obj["torque_idx_seq"])
-            dur = float(obj["duration_s"])
+            t = _transition_from_json(json.loads(raw), n_joints)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad transition on line {lineno}: {e}") from None
-        register(frm)
-        register(to)
-        transitions.append(Transition(frm, seq, dur, to))
+        n_joints = len(t.from_state.pos_idx)
+        register(t.from_state)
+        register(t.to_state)
+        transitions.append(t)
     return TransitionTable(robot_hash, tuple(states), tuple(transitions))
 
 

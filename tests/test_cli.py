@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -43,6 +44,21 @@ class TestCorridorCommands:
                    "--steps", "4"])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_closed_form_beyond_its_bound_is_not_printed_exact(self, capsys):
+        # the float sum is 5 off the true 12159131877715993 here
+        rc = main(["count", "corridor", "--d", "136", "--from", "68", "--to", "68",
+                   "--steps", "36"])
+        assert rc == 0
+        assert capsys.readouterr().out == "1.21591e+16\n"
+
+    def test_exact_oracle_step_budget(self, capsys):
+        t0 = time.monotonic()
+        rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
+                   "--steps", "1000000000", "--exact"])
+        assert rc == 4
+        assert time.monotonic() - t0 < 1.0
+        assert "cell-steps" in capsys.readouterr().err
 
     def test_unknown_move_set(self, capsys):
         rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
@@ -123,6 +139,15 @@ class TestTransitionsCommand:
         assert rc == 4
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_negative_start_as_separate_argument(self, capsys, tmp_path):
+        texts = []
+        for k, start in enumerate((["--start", "-3,0"], ["--start=-3,0"])):
+            out = tmp_path / f"t{k}.jsonl"
+            assert main(["transitions", "--config", CFG, "--out", str(out)] + start) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert '{"from": {"pos": [-3], "vel": [0]}' in texts[0].splitlines()[1]
+
     def test_bad_start_state(self, capsys):
         rc = main(["transitions", "--config", CFG, "--start", "zero"])
         assert rc == 2
@@ -154,6 +179,28 @@ class TestEnumerateCommand:
         rc = main(["enumerate", "--transitions", str(table_file),
                    "--steps", "3", "--budget", "1000"])
         assert rc == 4
+
+    def test_negative_start_as_separate_argument(self, capsys, table_file):
+        outs = []
+        for start in (["--start", "-3,0"], ["--start=-3,0"]):
+            rc = main(["enumerate", "--transitions", str(table_file), "--steps", "2"] + start)
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("-3,0\t")
+
+    def test_malformed_table_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"format":"dtraj-transitions","version":1,"robot_hash":""}\n'
+            '{"from":{"pos":[1],"vel":[2,0]},"torque_idx_seq":[],"duration_s":NaN,'
+            '"to":{"pos":[1],"vel":[2,0]}}\n'
+        )
+        rc = main(["enumerate", "--transitions", str(path), "--steps", "1", "--count-only"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "line 2" in out.err
 
     def test_missing_file(self, capsys):
         rc = main(["enumerate", "--transitions", "/no/such/file.jsonl",
@@ -193,6 +240,10 @@ class TestPlanCommand:
 class TestHarness:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_workers_flag_removed(self, capsys):
+        assert main(["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3",
+                     "--steps", "5", "--workers", "2"]) == 2
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

@@ -181,6 +181,12 @@ class TestCorridorDp:
         with pytest.raises(ResourceLimit):
             corridor_count_dp(spec, (1, 1, 1, 1), (1, 1, 1, 1), 1)
 
+    def test_budget_counts_steps(self):
+        # four cells are cheap per step but not for a billion steps
+        spec = CorridorSpec(d=(5,), move_set=full_move_set(1))
+        with pytest.raises(ResourceLimit, match="4 cells x 1000000000 steps"):
+            corridor_count_dp(spec, (2,), (3,), 10 ** 9)
+
     def test_restricted_move_set(self):
         # without the zero move, parity forbids odd/even mismatches
         ms = MoveSet(n=1, moves=((-1,), (1,)))
@@ -300,6 +306,25 @@ class TestPathCount:
         pc = PathCount.from_float(15.9999999998, 1e-12)
         assert pc.exact == 16
         assert pc.rel_err < 1e-9
+
+    def test_wide_bound_is_not_exact(self):
+        # a bound of 0.5 or more leaves more than one integer in reach
+        pc = PathCount.from_float(12159131877715988.0, 3.0)
+        assert pc.exact is None
+        assert pc.rel_err == pytest.approx(3.0 / 12159131877715988.0)
+        assert PathCount.from_float(0.0, 2.0).sign == 0
+        assert PathCount.from_float(0.3, 2.0).display() == "3.00000e-01"
+
+    def test_closed_forms_certify_only_what_they_know(self):
+        # the exact counts are 12159131877715993 and 133319471093; the float
+        # sums land a few units off, inside bounds above 0.5
+        one = corridor_count_1d(136, 68, 68, 36)
+        assert one.exact is None
+        assert abs(10.0 ** one.log10 - 12159131877715993) <= 10.0 ** one.abs_err_log10
+        spec = CorridorSpec(d=(18, 23), move_set=full_move_set(2))
+        direct = corridor_count_nd(spec, (13, 21), (6, 6), 19, method="direct")
+        assert direct.exact is None
+        assert corridor_count_dp(spec, (13, 21), (6, 6), 19).exact == 133319471093
 
     def test_negative_residual_clamps_to_zero(self):
         assert PathCount.from_float(-1e-9, 1e-7).exact == 0

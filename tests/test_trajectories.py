@@ -73,6 +73,47 @@ class TestCounting:
             count_trajectories(COMPLETE3, -1)
 
 
+def reference_counts(table: TransitionTable, n_steps: int) -> dict:
+    """The per-hop dict loop over every transition that the indexed counter replaced."""
+    counts = {s.key(): 1 for s in table.states}
+    for _ in range(n_steps):
+        nxt = {s.key(): 0 for s in table.states}
+        for t in table.transitions:
+            nxt[t.from_state.key()] += counts[t.to_state.key()]
+        counts = nxt
+    return {s: counts[s.key()] for s in table.states}
+
+
+class TestCountingMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        # multi-edges, self-loops, states with no outgoing edges and the empty
+        # transition set all come up; the dense case crosses int64 by 40 hops
+        n_states = data.draw(st.integers(1, 6))
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n_states - 1), st.integers(0, n_states - 1)),
+            max_size=30,
+        ))
+        table = mk_table(n_states, edges)
+        n = data.draw(st.integers(0, 40))
+        got = count_trajectories(table, n)
+        assert got == reference_counts(table, n)
+        assert all(type(c) is int for c in got.values())
+
+    def test_int64_crossing_is_exact(self):
+        two = mk_table(1, [(0, 0), (0, 0)])
+        for n in (62, 63, 64):
+            assert count_trajectories(two, n)[mk_state(0)] == 2 ** n
+        three = mk_table(1, [(0, 0)] * 3)
+        for n in range(61):
+            assert count_trajectories(three, n)[mk_state(0)] == 3 ** n
+
+    def test_demo_table(self, pendulum_table):
+        for n in range(26):
+            assert count_trajectories(pendulum_table, n) == reference_counts(pendulum_table, n)
+
+
 class TestEnumeration:
     def test_zero_steps_singletons(self):
         walks = list(enumerate_trajectories(COMPLETE3, [mk_state(1)], 0))

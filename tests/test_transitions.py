@@ -189,6 +189,19 @@ class TestTableApi:
             assert t.from_state.key() in keys and t.to_state.key() in keys
 
 
+    def test_edge_index(self):
+        s = [QuantizedState((i,), (0,)) for i in range(3)]
+        edges = [(1, 0), (0, 2), (1, 1), (0, 0), (1, 0)]
+        table = TransitionTable("sha256:x", tuple(s), tuple(
+            Transition(s[a], ((0,),), 0.04, s[b]) for a, b in edges))
+        idx = table.edge_index()
+        assert idx is table.edge_index()
+        # grouped by source, table order kept inside each group; state 2 has none
+        assert idx.dst.tolist() == [2, 0, 0, 1, 0]
+        assert idx.row_start.tolist() == [0, 2, 5, 5]
+        assert idx.max_out_degree == 3
+
+
 class TestDotExport:
     def test_single_selfloop_graph(self):
         table = find_transitions(null_only_robot(), nal=2)
@@ -231,6 +244,30 @@ class TestJsonl:
             '{"from":{"pos":[0],"vel":[0]}}\n'
         )
         with pytest.raises(ConfigError, match="line 2"):
+            read_jsonl(io.StringIO(text))
+
+    @pytest.mark.parametrize("line, reason", [
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[],"duration_s":0.04', "empty"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":NaN', "duration"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":Infinity', "duration"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0', "duration"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":-0.04', "duration"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[-1]],"duration_s":0.04', "negative"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2,2]],"duration_s":0.04', "2 torque"),
+        ('"from":{"pos":[1],"vel":[2,0]},"torque_idx_seq":[[2]],"duration_s":0.04',
+         "1 pos and 2 vel"),
+        ('"from":{"pos":[0,0],"vel":[0,0]},"torque_idx_seq":[[2,2]],"duration_s":0.04',
+         "expected 1"),
+    ])
+    def test_malformed_line_rejected(self, line, reason):
+        good = '{"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04,' \
+               '"to":{"pos":[1],"vel":[0]}}\n'
+        text = (
+            '{"format":"dtraj-transitions","version":1,"robot_hash":"sha256:x"}\n'
+            + good
+            + "{" + line + ',"to":{"pos":[1],"vel":[0]}}\n'
+        )
+        with pytest.raises(ConfigError, match=f"line 3: .*{reason}"):
             read_jsonl(io.StringIO(text))
 
     def test_byte_determinism(self, pendulum, pendulum_table):
