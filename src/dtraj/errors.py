@@ -41,4 +41,4 @@ class ResourceLimit(DtrajError):
 
 
 class NumericalOverflow(DtrajError):
-    """A numeric computation produced a non-finite value (CLI exit 5)."""
+    """Numerical failure: a non-finite value, or closed forms that disagree (CLI exit 5)."""

@@ -5,16 +5,20 @@ A corridor is a grid whose axis j admits interior positions 1..d_j-1; touching
 vectors with components in {-1, 0, +1}. Three routes to the same number are
 provided and cross-checked:
 
-  * an exact big-integer dynamic program (the oracle),
+  * an exact dynamic program (the oracle): a numpy stencil over the interior
+    cells, in int64 while that cannot overflow and in Python integers after,
   * a closed-form spectral sum per axis (1-D) or over the full frequency grid
     (n-D), evaluated with compensated summation and explicit error bounds,
   * for move sets that factor per axis, the product of 1-D closed forms
     (the fast path, exact up to per-axis float error).
 
-The n-D closed form diagonalizes the transfer stencil in a product sine basis;
-that diagonalization is exact precisely when the move set is the full diagonal
-set (every vector over {-1,0,1}^n), which is also the only move set the fast
-path accepts.
+The n-D closed form diagonalizes the transfer stencil in a product sine basis.
+That holds for move sets closed under flipping the sign of any one axis; the
+full diagonal set (every vector over {-1,0,1}^n) is the only one that also
+factors per axis, so it is the only move set the fast path accepts. Other move
+sets are counted by the DP. An end farther from the start than the step count
+on some axis is counted as exactly 0 by every route, since a walk moves at most
+one cell per step.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimit
+from .errors import DomainError, NumericalOverflow, ResourceLimit
 from .model import JointSpec, format_count
 
 _EPS = 2.0 ** -52
 _EXACT_ROUND_LIMIT = 2 ** 63
+_INT64_MAX = 2 ** 63 - 1
 # switch the 1-D sum to sign/log10 per-term accumulation when the kernel power
 # alone could approach float range
 _LOG_ACCUM_THRESHOLD = 280.0
@@ -69,6 +74,19 @@ class MoveSet:
 
     def is_full(self) -> bool:
         return len(self.moves) == 3 ** self.n
+
+    def is_sign_symmetric(self) -> bool:
+        """True when flipping the sign of any one axis maps the set onto itself.
+
+        The product sine basis diagonalizes the stencil of these sets; for
+        any other set the spectral sums give wrong counts.
+        """
+        moves = set(self.moves)
+        return all(
+            mv[:j] + (-mv[j],) + mv[j + 1:] in moves
+            for mv in self.moves
+            for j in range(self.n)
+        )
 
 
 def full_move_set(n: int) -> MoveSet:
@@ -258,6 +276,9 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     _check_interior((d,), (b,), "position")
     if m < 0:
         raise DomainError("m must be >= 0")
+    if abs(b - a) > m:
+        # a walk moves at most one cell per step
+        return PathCount.from_int(0)
 
     if m * math.log10(3.0) > _LOG_ACCUM_THRESHOLD:
         return _corridor_1d_log_accum(d, a, b, m)
@@ -329,7 +350,15 @@ def _corridor_1d_log_accum(d: int, a: int, b: int, m: int) -> PathCount:
 
 
 def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m: int) -> PathCount:
-    """Exact count by m applications of the move-set stencil with absorbing walls."""
+    """Exact count by m applications of the move-set stencil with absorbing walls.
+
+    The counts live in a dense array over the interior cells within reach of
+    the start. Each step adds, per move, the shifted slice of the cells whose
+    target stays inside, so walks that would land on a wall are dropped. The
+    sums run in int64 while max(count) * number of moves cannot overflow it,
+    and in Python integers from the first step where it could, so counts stay
+    exact at any size.
+    """
     d = spec.d
     _check_interior(d, a, "start")
     _check_interior(d, b, "target")
@@ -344,24 +373,34 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
             f"budget is {_DP_CELL_STEP_BUDGET}"
         )
 
-    n = len(d)
-    counts: dict[tuple[int, ...], int] = {tuple(a): 1}
+    # no walk gets farther than m cells from a on any axis, so the box is the
+    # interior clipped to that reach; a move that leaves it either hits a wall
+    # or could only happen after step m
+    lo = [max(1, aj - m) for aj in a]
+    hi = [min(dj - 1, aj + m) for dj, aj in zip(d, a)]
+    if any(not (l <= bj <= h) for l, bj, h in zip(lo, b, hi)):
+        return PathCount.from_int(0)
+    size = [h - l + 1 for l, h in zip(lo, hi)]
+    # per move, the slice of cells it keeps in the box and where they land
+    shifts = [
+        (tuple(slice(max(0, -c), s - max(0, c)) for c, s in zip(mv, size)),
+         tuple(slice(max(0, c), s - max(0, -c)) for c, s in zip(mv, size)))
+        for mv in spec.move_set.moves
+    ]
+    cur = np.zeros(size, dtype=np.int64)
+    cur[tuple(aj - l for aj, l in zip(a, lo))] = 1
     for _ in range(m):
-        nxt: dict[tuple[int, ...], int] = {}
-        for pos, c in counts.items():
-            for mv in spec.move_set.moves:
-                tgt = tuple(pos[j] + mv[j] for j in range(n))
-                ok = True
-                for j in range(n):
-                    if not (1 <= tgt[j] <= d[j] - 1):
-                        ok = False
-                        break
-                if ok:
-                    nxt[tgt] = nxt.get(tgt, 0) + c
-        counts = nxt
-        if not counts:
-            break
-    return PathCount.from_int(counts.get(tuple(b), 0))
+        if cur.dtype == np.int64:
+            top = int(cur.max())
+            if top == 0:  # every walk has died
+                break
+            if top * len(shifts) > _INT64_MAX:
+                cur = cur.astype(object)
+        nxt = np.zeros_like(cur)
+        for src, dst in shifts:
+            nxt[dst] += cur[src]
+        cur = nxt
+    return PathCount.from_int(int(cur[tuple(bj - l for bj, l in zip(b, lo))]))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +524,18 @@ def corridor_count_nd(
     m: int,
     method: str = "auto",
 ) -> PathCount:
-    """Closed-form n-D count.
+    """n-D count, by a closed form wherever the move set admits one.
 
     method:
       "factorized"  product of per-axis 1-D sums (full move set only; any n)
-      "direct"      full frequency-grid sum (n <= 3, term budget applies)
-      "auto"        factorized when the move set factors, direct otherwise;
-                    small instances evaluate both and cross-check
+      "direct"      full frequency-grid sum (sign-symmetric move sets only;
+                    n <= 3, term budget applies)
+      "auto"        factorized when the move set factors, direct for other
+                    sign-symmetric sets, the exact DP for the rest; small
+                    full-set instances evaluate both sums and cross-check
+
+    An end more than m cells from the start on some axis is out of reach:
+    the count is exactly 0 and no sum is evaluated.
 
     The parity branch follows the spectral derivation: cosine b-term with
     prefactor (-1)^(n/2) for even n, sine b-term with prefactor (-1)^((n-1)/2)
@@ -507,14 +551,23 @@ def corridor_count_nd(
     _check_interior(spec.d, b, "target")
     if m < 0:
         raise DomainError("m must be >= 0")
+    if method not in ("auto", "direct", "factorized"):
+        raise DomainError(f"unknown method {method!r}")
+    if method == "factorized":
+        return corridor_count_factorized(spec, a, b, m)
+    if not spec.move_set.is_sign_symmetric():
+        if method == "direct":
+            raise DomainError(
+                "the direct sum requires a move set closed under per-axis sign flips"
+            )
+        return corridor_count_dp(spec, a, b, m)
+    if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
+        return PathCount.from_int(0)
     full = spec.move_set.is_full()
     n = len(spec.d)
     terms = 1
     for dj in spec.d:
         terms *= 2 * dj
-
-    if method == "factorized":
-        return corridor_count_factorized(spec, a, b, m)
 
     if method == "direct":
         value, abs_sum = _direct_spectral_sum(spec.d, a, b, m, spec.move_set)
@@ -523,9 +576,6 @@ def corridor_count_nd(
             fact = corridor_count_factorized(spec, a, b, m)
             _cross_check(direct, fact)
         return direct
-
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
 
     if full:
         fact = corridor_count_factorized(spec, a, b, m)
@@ -541,7 +591,7 @@ def corridor_count_nd(
 def _cross_check(direct: PathCount, fact: PathCount) -> None:
     tol = max(1e-6, direct.rel_err + fact.rel_err)
     if not direct.agrees_with(fact, tol):
-        raise RuntimeError(
+        raise NumericalOverflow(
             "direct and factorized corridor counts disagree beyond "
             f"tolerance {tol:.3e}: {direct.display()} vs {fact.display()}"
         )

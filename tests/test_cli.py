@@ -60,6 +60,31 @@ class TestCorridorCommands:
         assert time.monotonic() - t0 < 1.0
         assert "cell-steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["corridor", "--d", "136", "--from", "1", "--to", "135", "--steps", "40"],
+        ["corridor", "--d", "136", "--from", "1", "--to", "135", "--steps", "40", "--exact"],
+        ["ndim", "--d", "136", "--from", "1", "--to", "135", "--steps", "40"],
+        ["ndim", "--d", "136", "--from", "1", "--to", "135", "--steps", "40", "--direct"],
+    ])
+    def test_beyond_reach_prints_zero(self, capsys, argv):
+        # a walk moves at most one cell per step, so 134 cells need 134 steps
+        rc = main(["count"] + argv)
+        assert rc == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_cross_check_disagreement_exits_5(self, capsys, monkeypatch):
+        import dtraj.lattice as lattice
+        from dtraj.lattice import PathCount
+        monkeypatch.setattr(lattice, "corridor_count_factorized",
+                            lambda *args: PathCount.from_int(1))
+        rc = main(["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3",
+                   "--steps", "5", "--direct"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "error: direct and factorized corridor counts disagree" in err
+        manifest = json.loads([ln for ln in err.splitlines() if ln.startswith("{")][-1])
+        assert manifest["subcommand"] == "count ndim"
+
     def test_unknown_move_set(self, capsys):
         rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
                    "--steps", "4", "--move-set", "diag"])

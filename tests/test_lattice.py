@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 
@@ -38,6 +39,40 @@ AXIS_COUNTS_50 = {
 }
 
 
+def reference_dp(d, moves, a, b, m):
+    """Walk count by a dict of occupied cells, one move at a time: the oracle
+    the stencil DP in corridor_count_dp replaced."""
+    n = len(d)
+    counts = {tuple(a): 1}
+    for _ in range(m):
+        nxt = {}
+        for pos, c in counts.items():
+            for mv in moves:
+                tgt = tuple(pos[j] + mv[j] for j in range(n))
+                if all(1 <= tgt[j] <= d[j] - 1 for j in range(n)):
+                    nxt[tgt] = nxt.get(tgt, 0) + c
+        counts = nxt
+        if not counts:
+            break
+    return counts.get(tuple(b), 0)
+
+
+def random_move_set(rng, n):
+    """A random subset of {-1,0,1}^n, from empty to full."""
+    keep = rng.random()
+    return MoveSet(n=n, moves=tuple(
+        mv for mv in itertools.product((-1, 0, 1), repeat=n) if rng.random() < keep
+    ))
+
+
+def sign_closure(ms):
+    """The smallest set holding ms that is closed under per-axis sign flips."""
+    out = set()
+    for mv in ms.moves:
+        out.update(itertools.product(*[{c, -c} for c in mv]))
+    return MoveSet(n=ms.n, moves=tuple(out))
+
+
 class TestMoveSets:
     def test_full_sizes(self):
         assert len(full_move_set(1).moves) == 3
@@ -70,6 +105,20 @@ class TestMoveSets:
         # subset semantics: dropping the zero move drops it from the subset too
         no_zero = MoveSet(n=1, moves=((-1,), (1,)))
         assert nonnegative_subset(no_zero).moves == ((1,),)
+
+    def test_sign_symmetry(self):
+        assert full_move_set(3).is_sign_symmetric()
+        assert MoveSet(n=1, moves=()).is_sign_symmetric()
+        assert MoveSet(n=1, moves=((-1,), (1,))).is_sign_symmetric()
+        assert not MoveSet(n=1, moves=((1,),)).is_sign_symmetric()
+        # the diagonals, closed under flipping either axis alone
+        diag = MoveSet(n=2, moves=((0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)))
+        assert diag.is_sign_symmetric()
+        # closed under flipping both axes at once, not one at a time
+        assert not MoveSet(n=2, moves=((1, 1), (-1, -1))).is_sign_symmetric()
+        no_corner = MoveSet(n=2, moves=tuple(
+            mv for mv in full_move_set(2).moves if mv != (1, 1)))
+        assert not no_corner.is_sign_symmetric()
 
 
 class TestCorridor1d:
@@ -149,6 +198,13 @@ class TestCorridor1d:
         if abs(a - b) > m:
             assert base == 0
 
+    def test_beyond_reach_is_exactly_zero(self):
+        # the spectral sum leaves noise of about 88 with a bound of 7x that
+        pc = corridor_count_1d(136, 1, 135, 40)
+        assert pc.exact == 0 and pc.abs_err_log10 == -math.inf
+        assert corridor_count_1d(136, 1, 135, 133).exact == 0
+        assert corridor_count_1d(8, 7, 1, 5).exact == 0
+
 
 class TestCorridorDp:
     def test_zero_steps(self):
@@ -186,6 +242,46 @@ class TestCorridorDp:
         spec = CorridorSpec(d=(5,), move_set=full_move_set(1))
         with pytest.raises(ResourceLimit, match="4 cells x 1000000000 steps"):
             corridor_count_dp(spec, (2,), (3,), 10 ** 9)
+
+    def test_matches_reference_on_random_move_sets(self):
+        rng = random.Random(20261018)
+        for case in range(300):
+            n = rng.randint(1, 3)
+            ms = random_move_set(rng, n)
+            d = tuple(rng.randint(2, (12, 8, 6)[n - 1]) for _ in range(n))
+            a = tuple(rng.randint(1, dj - 1) for dj in d)
+            b = tuple(rng.randint(1, dj - 1) for dj in d)
+            m = rng.randint(0, 14)
+            got = corridor_count_dp(CorridorSpec(d=d, move_set=ms), a, b, m).exact
+            assert type(got) is int
+            assert got == reference_dp(d, ms.moves, a, b, m), (case, d, ms.moves, a, b, m)
+
+    @pytest.mark.parametrize("moves", [(), ((1,),)])
+    def test_every_walk_dies(self, moves):
+        spec = CorridorSpec(d=(9,), move_set=MoveSet(n=1, moves=moves))
+        for m in (0, 1, 7, 8, 100):
+            for b in range(1, 9):
+                got = corridor_count_dp(spec, (1,), (b,), m).exact
+                assert got == reference_dp((9,), moves, (1,), (b,), m), (moves, m, b)
+        # only the lone +1 move walks 1 -> 8, in exactly 7 steps
+        assert corridor_count_dp(spec, (1,), (8,), 7).exact == (len(moves) == 1)
+
+    def test_zero_steps_on_a_huge_corridor(self):
+        spec = CorridorSpec(d=(10 ** 9,) * 3, move_set=full_move_set(3))
+        assert corridor_count_dp(spec, (5, 5, 5), (5, 5, 5), 0).exact == 1
+        assert corridor_count_dp(spec, (5, 5, 5), (5, 6, 5), 0).exact == 0
+
+    @pytest.mark.parametrize("d,a,b,m", [
+        ((40,), (20,), (21,), 60),
+        ((6, 6, 6), (3, 3, 3), (2, 4, 3), 20),
+        ((5, 9), (1, 4), (4, 8), 40),
+    ])
+    def test_exact_past_int64(self, d, a, b, m):
+        spec = CorridorSpec(d=d, move_set=full_move_set(len(d)))
+        got = corridor_count_dp(spec, a, b, m).exact
+        assert type(got) is int
+        want = reference_dp(d, spec.move_set.moves, a, b, m)
+        assert got == want > 2 ** 63
 
     def test_restricted_move_set(self):
         # without the zero move, parity forbids odd/even mismatches
@@ -285,6 +381,46 @@ class TestCorridorNd:
         spec_part = CorridorSpec(d=(6, 6), move_set=ms)
         pc = corridor_count_nd(spec_part, (2, 3), (2, 3), 0)
         assert pc.exact == 1
+
+    def test_sign_asymmetric_sets_go_to_the_dp(self):
+        # the sine basis does not diagonalize this stencil: the direct sum
+        # gives 6992 here, the true count is 88800
+        ms = MoveSet(n=2, moves=tuple(
+            mv for mv in full_move_set(2).moves if mv != (1, 1)))
+        spec = CorridorSpec(d=(4, 7), move_set=ms)
+        assert corridor_count_nd(spec, (1, 3), (1, 4), 8).exact == 88800
+        with pytest.raises(DomainError, match="sign flips"):
+            corridor_count_nd(spec, (1, 3), (1, 4), 8, method="direct")
+
+    def test_random_move_sets_against_dp(self):
+        # half the sets are closed under sign flips first, so both the
+        # direct sum and the DP route of "auto" are exercised
+        rng = random.Random(7)
+        routed = {True: 0, False: 0}
+        for case in range(120):
+            n = rng.choice((2, 3))
+            ms = random_move_set(rng, n)
+            if case % 2:
+                ms = sign_closure(ms)
+            d = tuple(rng.randint(2, (8, 5)[n - 2]) for _ in range(n))
+            a = tuple(rng.randint(1, dj - 1) for dj in d)
+            b = tuple(rng.randint(1, dj - 1) for dj in d)
+            m = rng.randint(0, (8, 6)[n - 2])
+            spec = CorridorSpec(d=d, move_set=ms)
+            want = reference_dp(d, ms.moves, a, b, m)
+            got = corridor_count_nd(spec, a, b, m)
+            assert got.exact == want, (case, d, ms.moves, a, b, m)
+            routed[ms.is_sign_symmetric()] += 1
+        assert min(routed.values()) >= 30
+
+    def test_beyond_reach_direct_is_zero(self):
+        # both sums leave float noise here, about 88 on the factorized route;
+        # the reach check answers before either sum
+        spec = CorridorSpec(d=(136,), move_set=full_move_set(1))
+        assert corridor_count_nd(spec, (1,), (135,), 40, method="direct").exact == 0
+        spec3 = CorridorSpec(d=(9, 9, 9), move_set=full_move_set(3))
+        for method in ("auto", "direct", "factorized"):
+            assert corridor_count_nd(spec3, (1, 4, 4), (4, 8, 4), 3, method=method).exact == 0
 
     def test_unknown_method(self):
         spec = CorridorSpec(d=(6,), move_set=full_move_set(1))
