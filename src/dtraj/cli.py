@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--from", dest="from_", type=int, required=True)
     cc.add_argument("--to", type=int, required=True)
     cc.add_argument("--steps", type=int, required=True)
-    cc.add_argument("--exact", action="store_true", help="use the exact DP oracle")
+    cc.add_argument("--exact", action="store_true", help="count by the DP oracle")
     cc.add_argument("--move-set", default="full1", help="only full1 is defined")
     cc.add_argument("--out", default=None)
     cc.set_defaults(func=_cmd_count_corridor)

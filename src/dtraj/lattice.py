@@ -7,18 +7,18 @@ provided and cross-checked:
 
   * an exact dynamic program (the oracle): a numpy stencil over the interior
     cells, in int64 while that cannot overflow and in Python integers after,
-  * a closed-form spectral sum per axis (1-D) or over the full frequency grid
-    (n-D), evaluated with compensated summation and explicit error bounds,
-  * for move sets that factor per axis, the product of 1-D closed forms
-    (the fast path, exact up to per-axis float error).
+  * an exact 1-D count by the method of images, in Python integers; for the
+    full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
+    the product of these per-axis counts (the fast path),
+  * the paper's spectral sum over the full frequency grid (n-D, with n = 1
+    the 1-D sine formula), a float estimate with an explicit error bound.
 
-The n-D closed form diagonalizes the transfer stencil in a product sine basis.
+The spectral sum diagonalizes the transfer stencil in a product sine basis.
 That holds for move sets closed under flipping the sign of any one axis; the
-full diagonal set (every vector over {-1,0,1}^n) is the only one that also
-factors per axis, so it is the only move set the fast path accepts. Other move
-sets are counted by the DP. An end farther from the start than the step count
-on some axis is counted as exactly 0 by every route, since a walk moves at most
-one cell per step.
+full diagonal set is the only one that also factors per axis, so it is the
+only move set the fast path accepts. Other move sets are counted by the DP. An
+end farther from the start than the step count on some axis is counted as
+exactly 0 by every route, since a walk moves at most one cell per step.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .model import JointSpec, format_count
 _EPS = 2.0 ** -52
 _EXACT_ROUND_LIMIT = 2 ** 63
 _INT64_MAX = 2 ** 63 - 1
-# switch the 1-D sum to sign/log10 per-term accumulation when the kernel power
-# alone could approach float range
-_LOG_ACCUM_THRESHOLD = 280.0
+# the 1-D images pass costs time growing as m^2: about 1.5 s at the cap
+_IMAGES_STEP_CAP = 50_000
 # direct n-D evaluation cap; sized to admit a 3-axis grid of height 135
 # (2*136 = 272 frequencies per axis) with a little headroom
 _DIRECT_TERM_BUDGET = 21_000_000
@@ -133,21 +132,11 @@ def _check_interior(d: Sequence[int], p: Sequence[int], label: str) -> None:
 # counts
 
 
-def _log10_int(x: int) -> float:
-    if x <= 0:
-        raise ValueError("log10 of nonpositive count")
-    try:
-        return math.log10(x)
-    except OverflowError:
-        s = str(x)
-        return math.log10(int(s[:17])) + (len(s) - 17)
-
-
 @dataclass(frozen=True)
 class PathCount:
     """A walk count: exact integer when available, else sign and log10 magnitude.
 
-    Closed-form evaluations carry an estimated absolute error bound, kept as
+    Float estimates (the direct n-D sum) carry an absolute error bound, kept as
     log10 so it is representable at any scale. Exact counts have sign 1 (or 0
     for zero) and an error of -inf.
     """
@@ -163,11 +152,11 @@ class PathCount:
             raise DomainError("counts are nonnegative")
         if x == 0:
             return cls(exact=0, sign=0, log10=-math.inf, abs_err_log10=-math.inf)
-        return cls(exact=x, sign=1, log10=_log10_int(x), abs_err_log10=-math.inf)
+        return cls(exact=x, sign=1, log10=math.log10(x), abs_err_log10=-math.inf)
 
     @classmethod
     def from_float(cls, value: float, abs_err: float) -> "PathCount":
-        """Closed-form result, clamping tiny negatives to zero.
+        """Float estimate with its error bound, clamping tiny negatives to zero.
 
         The value rounds to an exact integer only when it is at most 2^63 and
         its bound is below 0.5; otherwise it is an estimate.
@@ -189,7 +178,7 @@ class PathCount:
             return cls(
                 exact=nearest,
                 sign=0 if nearest == 0 else 1,
-                log10=_log10_int(nearest) if nearest > 0 else -math.inf,
+                log10=math.log10(nearest) if nearest > 0 else -math.inf,
                 abs_err_log10=math.log10(err) if err > 0 else -math.inf,
             )
         if value == 0.0:
@@ -217,28 +206,6 @@ class PathCount:
             return float(self.exact) if self.log10 < 300 else math.inf
         return 0.0 if self.sign == 0 else 10.0 ** self.log10
 
-    def __mul__(self, other: "PathCount") -> "PathCount":
-        if self.sign == 0 or other.sign == 0:
-            return PathCount.from_int(0)
-        log10 = self.log10 + other.log10
-        rel = self.rel_err + other.rel_err
-        err_log = math.log10(rel) + log10 if rel > 0 else -math.inf
-        if self.exact is not None and other.exact is not None:
-            # both factors were rounded to integers; the product stays exact
-            # as long as each rounding was correct, which the propagated
-            # error estimate continues to track
-            ex = self.exact * other.exact
-            return PathCount(exact=ex, sign=1, log10=_log10_int(ex), abs_err_log10=err_log)
-        return PathCount.from_log10(1, log10, err_log)
-
-    def __pow__(self, k: int) -> "PathCount":
-        if k < 0:
-            raise DomainError("negative power of a count")
-        out = PathCount.from_int(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def display(self) -> str:
         if self.exact is not None:
             return format_count(self.exact)
@@ -259,15 +226,29 @@ class PathCount:
 
 
 # ---------------------------------------------------------------------------
-# 1-D closed form
+# 1-D count by the method of images
 
 
 def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
-    """Closed-form count of m-step 3-way walks a -> b between walls 0 and d.
+    """Exact count of m-step 3-way walks a -> b between walls 0 and d.
 
-    Spectral sum over the d-1 sine modes of the corridor; each mode carries
-    kernel eigenvalue (1 + 2 cos(pi w / d))^m. Compensated summation, with a
-    sign/log10 accumulation fallback when the kernel power could overflow.
+    Method of images (the reflection principle): no step jumps over a wall,
+    so summing the unbounded counts to the images of b under reflection in
+    the walls 0 and d, with alternating signs, cancels exactly the walks that
+    touch a wall:
+
+        N = sum_k [T(m, b - a + 2kd) - T(m, b + a + 2kd)],
+
+    where T(m, j) = [x^j] (1/x + 1 + x)^m counts unbounded walks of net
+    displacement j (Mohanty, Lattice Path Counting and Applications, 1979).
+    Only |j| <= m contribute. The coefficients c_i = T(m, i - m) of
+    (1 + x + x^2)^m come from one pass of the recurrence
+
+        (i + 1) c_{i+1} = (m - i) c_i + (2m - i + 1) c_{i-1},
+
+    which follows from (1 + x + x^2) f' = m (1 + 2x) f. The pass holds two
+    Python integers of up to about 1.6 m bits, so its cost grows as m^2;
+    counts above _IMAGES_STEP_CAP steps are refused with ResourceLimit.
     """
     d = int(d)
     if d < 2:
@@ -279,70 +260,26 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     if abs(b - a) > m:
         # a walk moves at most one cell per step
         return PathCount.from_int(0)
-
-    if m * math.log10(3.0) > _LOG_ACCUM_THRESHOLD:
-        return _corridor_1d_log_accum(d, a, b, m)
-
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    for w in range(1, d):
-        ang = math.pi * w / d
-        term = (
-            math.sin(ang * b)
-            * (1.0 + 2.0 * math.cos(ang)) ** m
-            * math.sin(ang * a)
+    if m > _IMAGES_STEP_CAP:
+        raise ResourceLimit(
+            f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}"
         )
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_total += abs(term)
-    value = 2.0 / d * total
-    # per-term relative error ~ (m+2) ulp from the kernel power and trig,
-    # amplified by cancellation in the sum; bound via the absolute-value sum
-    abs_err = (m + 2) * _EPS * (2.0 / d) * abs_total
-    return PathCount.from_float(value, abs_err)
 
-
-def _corridor_1d_log_accum(d: int, a: int, b: int, m: int) -> PathCount:
-    # overflow-guard path: represent each term as sign * 10^log10
-    logs: list[tuple[int, float]] = []
-    for w in range(1, d):
-        ang = math.pi * w / d
-        sa = math.sin(ang * a)
-        sb = math.sin(ang * b)
-        kern = 1.0 + 2.0 * math.cos(ang)
-        if sa == 0.0 or sb == 0.0 or kern == 0.0:
-            continue
-        sign = (1 if sa > 0 else -1) * (1 if sb > 0 else -1)
-        if kern < 0 and m % 2 == 1:
-            sign = -sign
-        lg = (
-            math.log10(abs(sb))
-            + m * math.log10(abs(kern))
-            + math.log10(abs(sa))
-        )
-        logs.append((sign, lg))
-    if not logs:
-        return PathCount.from_int(0)
-    peak = max(lg for _, lg in logs)
-    shifted = 0.0
-    shifted_abs = 0.0
-    for sign, lg in logs:
-        contrib = sign * 10.0 ** (lg - peak)
-        shifted += contrib
-        shifted_abs += abs(contrib)
-    pref_log = math.log10(2.0 / d)
-    err_log = math.log10((m + 2) * _EPS * shifted_abs) + peak + pref_log
-    if shifted == 0.0:
-        return PathCount.from_log10(0, -math.inf, err_log)
-    if shifted < 0:
-        # counts are nonnegative; a tiny negative here is cancellation noise
-        if math.log10(-shifted) + peak + pref_log <= err_log:
-            return PathCount.from_log10(0, -math.inf, err_log)
-        raise DomainError("closed-form count negative beyond error bound")
-    return PathCount.from_log10(1, math.log10(shifted) + peak + pref_log, err_log)
+    # net sign of the images at each coefficient index i = m - |j|, using
+    # T(m, j) = T(m, -j); an image in reach has |2kd| <= m + 2d - 2, so
+    # |k| <= m // (2d) + 1
+    weight: dict[int, int] = {}
+    span = m // (2 * d) + 1
+    for k in range(-span, span + 1):
+        for j, sign in ((b - a + 2 * k * d, 1), (b + a + 2 * k * d, -1)):
+            if abs(j) <= m:
+                weight[m - abs(j)] = weight.get(m - abs(j), 0) + sign
+    total = 0
+    prev, c = 0, 1  # c_{-1}, c_0
+    for i in range(max(weight) + 1):
+        total += weight.get(i, 0) * c
+        prev, c = c, ((m - i) * c + (2 * m - i + 1) * prev) // (i + 1)
+    return PathCount.from_int(total)
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +441,17 @@ def _direct_spectral_sum(
 def corridor_count_factorized(
     spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m: int
 ) -> PathCount:
-    """Fast path: product of per-axis 1-D closed forms. Full move set only."""
+    """Exact count as the product of per-axis 1-D counts. Full move set only."""
     if not spec.move_set.is_full():
         raise DomainError("the factorized fast path requires the full move set")
     _check_interior(spec.d, a, "start")
     _check_interior(spec.d, b, "target")
     if m < 0:
         raise DomainError("m must be >= 0")
-    out = PathCount.from_int(1)
+    count = 1
     for dj, aj, bj in zip(spec.d, a, b):
-        out = out * corridor_count_1d(dj, aj, bj, m)
-    return out
+        count *= corridor_count_1d(dj, aj, bj, m).exact
+    return PathCount.from_int(count)
 
 
 def corridor_count_nd(
@@ -527,12 +464,14 @@ def corridor_count_nd(
     """n-D count, by a closed form wherever the move set admits one.
 
     method:
-      "factorized"  product of per-axis 1-D sums (full move set only; any n)
-      "direct"      full frequency-grid sum (sign-symmetric move sets only;
-                    n <= 3, term budget applies)
-      "auto"        factorized when the move set factors, direct for other
-                    sign-symmetric sets, the exact DP for the rest; small
-                    full-set instances evaluate both sums and cross-check
+      "factorized"  exact product of per-axis 1-D counts (full move set only;
+                    any n)
+      "direct"      full frequency-grid sum, a float estimate with an error
+                    bound (sign-symmetric move sets only; n <= 3, term budget
+                    applies); full-set results are cross-checked against the
+                    exact factorized count
+      "auto"        factorized for the full move set, direct for other
+                    sign-symmetric sets, the exact DP for the rest
 
     An end more than m cells from the start on some axis is out of reach:
     the count is exactly 0 and no sum is evaluated.
@@ -543,9 +482,9 @@ def corridor_count_nd(
     1-D formula with its positive 2/d prefactor; the exact DP oracle confirms
     both branches.
 
-    When both routes are computed they must agree within relative 1e-6,
-    loosened only by the evaluations' own roundoff bounds (large kernel powers
-    cancel catastrophically in float64; the bounds track exactly when).
+    The cross-check requires agreement within relative 1e-6, loosened only
+    by the direct sum's own roundoff bound (large kernel powers cancel
+    catastrophically in float64; the bound tracks exactly when).
     """
     _check_interior(spec.d, a, "start")
     _check_interior(spec.d, b, "target")
@@ -564,36 +503,21 @@ def corridor_count_nd(
     if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
         return PathCount.from_int(0)
     full = spec.move_set.is_full()
-    n = len(spec.d)
-    terms = 1
-    for dj in spec.d:
-        terms *= 2 * dj
-
-    if method == "direct":
-        value, abs_sum = _direct_spectral_sum(spec.d, a, b, m, spec.move_set)
-        direct = PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
-        if full:
-            fact = corridor_count_factorized(spec, a, b, m)
-            _cross_check(direct, fact)
-        return direct
-
-    if full:
-        fact = corridor_count_factorized(spec, a, b, m)
-        if n <= 3 and terms <= 200_000:
-            value, abs_sum = _direct_spectral_sum(spec.d, a, b, m, spec.move_set)
-            direct = PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
-            _cross_check(direct, fact)
-        return fact
+    if method == "auto" and full:
+        return corridor_count_factorized(spec, a, b, m)
     value, abs_sum = _direct_spectral_sum(spec.d, a, b, m, spec.move_set)
-    return PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
+    direct = PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
+    if full:
+        _cross_check(direct, corridor_count_factorized(spec, a, b, m))
+    return direct
 
 
-def _cross_check(direct: PathCount, fact: PathCount) -> None:
-    tol = max(1e-6, direct.rel_err + fact.rel_err)
-    if not direct.agrees_with(fact, tol):
+def _cross_check(direct: PathCount, exact: PathCount) -> None:
+    tol = max(1e-6, direct.rel_err)
+    if not direct.agrees_with(exact, tol):
         raise NumericalOverflow(
             "direct and factorized corridor counts disagree beyond "
-            f"tolerance {tol:.3e}: {direct.display()} vs {fact.display()}"
+            f"tolerance {tol:.3e}: {direct.display()} vs {exact.display()}"
         )
 
 
@@ -659,7 +583,8 @@ def scaling_table(
 
     Axes are identical copies of the joint's corridor; the start is angle 0 and
     the target sits `separation` away on every axis. Columns with n <= 3 use
-    the per-axis closed form; larger n uses the endpoint-averaged estimate,
+    the exact per-axis count, n times its log10, computed once per m and
+    shared by those columns; larger n uses the endpoint-averaged estimate,
     except at the minimum feasible step count where the count is exactly 1
     (every axis is forced to move one cell per step) and below it where it is
     exactly 0 (a cell per step is the speed limit). Reference rows: the
@@ -677,6 +602,7 @@ def scaling_table(
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
 
+    per_axis: dict[int, PathCount] = {}
     rows: list[ScalingRow] = []
     for n in n_range:
         if n < 1:
@@ -688,11 +614,12 @@ def scaling_table(
                 # unique forced path on every axis regardless of n
                 rows.append(ScalingRow(str(n), str(m), 0.0, "exact"))
             elif n <= 3:
-                per_axis = corridor_count_1d(d, a_idx, b_idx, m)
-                if per_axis.sign == 0:
+                if m not in per_axis:
+                    per_axis[m] = corridor_count_1d(d, a_idx, b_idx, m)
+                if per_axis[m].sign == 0:
                     rows.append(ScalingRow(str(n), str(m), None, "closed"))
                 else:
-                    rows.append(ScalingRow(str(n), str(m), n * per_axis.log10, "closed"))
+                    rows.append(ScalingRow(str(n), str(m), n * per_axis[m].log10, "closed"))
             else:
                 val = approx_count_log10([3] * n, m, n)
                 rows.append(ScalingRow(str(n), str(m), val, "approx"))

@@ -45,12 +45,27 @@ class TestCorridorCommands:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_closed_form_beyond_its_bound_is_not_printed_exact(self, capsys):
-        # the float sum is 5 off the true 12159131877715993 here
-        rc = main(["count", "corridor", "--d", "136", "--from", "68", "--to", "68",
-                   "--steps", "36"])
+    @pytest.mark.parametrize("frm, to, steps, want", [
+        # past 2^53, beyond float precision
+        ("68", "68", "36", "12159131877715993"),
+        # at and just past the reach limit, where the images cancel hardest
+        ("1", "135", "134", "1"),
+        ("1", "135", "140", "11525622990"),
+    ])
+    def test_closed_form_prints_exact_count(self, capsys, frm, to, steps, want):
+        rc = main(["count", "corridor", "--d", "136", "--from", frm, "--to", to,
+                   "--steps", steps])
         assert rc == 0
-        assert capsys.readouterr().out == "1.21591e+16\n"
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_closed_form_step_cap(self, capsys):
+        t0 = time.monotonic()
+        rc = main(["count", "corridor", "--d", "136", "--from", "68", "--to", "78",
+                   "--steps", "1000000000"])
+        assert rc == 4
+        assert time.monotonic() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "m = 1000000000" in err and "cap is 50000" in err
 
     def test_exact_oracle_step_budget(self, capsys):
         t0 = time.monotonic()

@@ -23,20 +23,20 @@ from dtraj.lattice import (
     nonnegative_subset,
     scaling_table,
     write_scaling_csv,
-    _corridor_1d_log_accum,
 )
 from dtraj.model import JointSpec
 from conftest import DEG, demo_joint
 
 
 # exact counts for the tall-corridor instance (d=136, 50 steps), computed by
-# the arbitrary-precision DP and locked here; the closed form must stay inside
-# its own error bound of these
+# the arbitrary-precision DP and locked here
 AXIS_COUNTS_50 = {
     (68, 88): 111266251835865569100,
     (68, 58): 11152843844517873604890,
     (68, 108): 51590216930,
 }
+# their product: the 136^3 headline instance from (68, 68, 68) to (88, 58, 108)
+HEADLINE_COUNT_50 = 64020112650274036323921763695686899486133281580070000
 
 
 def reference_dp(d, moves, a, b, m):
@@ -153,25 +153,58 @@ class TestCorridor1d:
                         cf = corridor_count_1d(d, a, b, m)
                         dp = corridor_count_dp(spec, (a,), (b,), m)
                         assert cf.exact == dp.exact, (d, a, b, m)
-                        assert cf.rel_err <= 1e-6
+                        assert cf.rel_err == 0.0
 
     def test_tall_corridor_against_frozen_dp(self):
         spec = CorridorSpec(d=(136,), move_set=full_move_set(1))
         for (a, b), want in AXIS_COUNTS_50.items():
             assert corridor_count_dp(spec, (a,), (b,), 50).exact == want
-            cf = corridor_count_1d(136, a, b, 50)
-            got = cf.exact if cf.exact is not None else 10.0 ** cf.log10
-            # far-tail cancellation is real; the error bound must cover it
-            assert abs(got - want) / want <= max(cf.rel_err, 1e-9)
+            assert corridor_count_1d(136, a, b, 50).exact == want
 
-    def test_log_accumulation_branch_continuity(self):
-        # same instance through both summation strategies
-        normal = corridor_count_1d(136, 68, 78, 500)
-        logged = _corridor_1d_log_accum(136, 68, 78, 500)
-        assert normal.exact is None and logged.exact is None
-        assert abs(normal.log10 - logged.log10) < 1e-9
+    @pytest.mark.parametrize("a, b, m, want", [
+        # past 2^53, beyond float precision
+        (68, 68, 36, 12159131877715993),
+        # at the reach limit only the forced walk is left, and a few steps
+        # more give a count far below the largest image terms it cancels
+        (1, 135, 134, 1),
+        (1, 135, 140, 11525622990),
+    ])
+    def test_pinned_exact_counts(self, a, b, m, want):
+        assert corridor_count_1d(136, a, b, m).exact == want
+        spec = CorridorSpec(d=(136,), move_set=full_move_set(1))
+        assert corridor_count_dp(spec, (a,), (b,), m).exact == want
 
-    def test_log_accumulation_deep(self):
+    @given(
+        d=st.integers(2, 8),
+        m=st.integers(0, 60),
+        at_reach=st.booleans(),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_images_match_both_dps(self, d, m, at_reach, data):
+        # m up to 60 on walls 2..8 apart sums dozens of images; the reach
+        # draws put the ends one step inside, at, or just past the limit
+        a = data.draw(st.integers(1, d - 1))
+        b = data.draw(st.integers(1, d - 1))
+        if at_reach:
+            m = abs(b - a) + data.draw(st.integers(-1, 1))
+        m = max(m, 0)
+        spec = CorridorSpec(d=(d,), move_set=full_move_set(1))
+        want = reference_dp((d,), full_move_set(1).moves, (a,), (b,), m)
+        assert corridor_count_1d(d, a, b, m).exact == want
+        assert corridor_count_dp(spec, (a,), (b,), m).exact == want
+
+    def test_step_cap(self):
+        # the cap bounds the time of one pass
+        with pytest.raises(ResourceLimit, match=r"m = 50001 steps, cap is 50000"):
+            corridor_count_1d(136, 68, 78, 50_001)
+        spec = CorridorSpec(d=(136, 136), move_set=full_move_set(2))
+        with pytest.raises(ResourceLimit):
+            corridor_count_factorized(spec, (68, 68), (78, 78), 10 ** 9)
+        # an end out of reach is still exactly 0, whatever the step count
+        assert corridor_count_1d(10 ** 9, 1, 10 ** 9 - 1, 10 ** 6).exact == 0
+
+    def test_deep_growth_rate(self):
         pc = corridor_count_1d(136, 68, 78, 2000)
         # dominated by the slowest-decaying mode: growth rate just under 3 per step
         lam = 1.0 + 2.0 * math.cos(math.pi / 136)
@@ -199,7 +232,6 @@ class TestCorridor1d:
             assert base == 0
 
     def test_beyond_reach_is_exactly_zero(self):
-        # the spectral sum leaves noise of about 88 with a bound of 7x that
         pc = corridor_count_1d(136, 1, 135, 40)
         assert pc.exact == 0 and pc.abs_err_log10 == -math.inf
         assert corridor_count_1d(136, 1, 135, 133).exact == 0
@@ -326,16 +358,19 @@ class TestCorridorNd:
         assert nd.exact == dp.exact == 2244
 
     def test_n1_reduces_to_1d(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            d = rng.randint(3, 12)
-            a = rng.randint(1, d - 1)
-            b = rng.randint(1, d - 1)
-            m = rng.randint(0, 10)
+        # the one-axis direct sum is the paper's 1-D sine formula; it must
+        # round to the exact count on criterion 2's whole sweep
+        checked = 0
+        for d in range(3, 13):
             spec = CorridorSpec(d=(d,), move_set=full_move_set(1))
-            nd = corridor_count_nd(spec, (a,), (b,), m, method="direct")
-            one = corridor_count_1d(d, a, b, m)
-            assert nd.exact == one.exact
+            for a in range(1, d):
+                for b in range(1, d):
+                    for m in range(0, 13):
+                        nd = corridor_count_nd(spec, (a,), (b,), m, method="direct")
+                        one = corridor_count_1d(d, a, b, m)
+                        assert nd.exact == one.exact, (d, a, b, m)
+                        checked += 1
+        assert checked == 6565
 
     def test_odd_and_even_parity_branches_match_dp(self):
         # the parity prefactor is the subtle part; DP arbitrates both branches
@@ -429,12 +464,14 @@ class TestCorridorNd:
 
     def test_big_instance_fast_path(self):
         spec = CorridorSpec(d=(136, 136, 136), move_set=full_move_set(3))
-        pc = corridor_count_nd(spec, (68, 68, 68), (88, 58, 108), 50, method="factorized")
         exact = 1
         for v in AXIS_COUNTS_50.values():
             exact *= v
-        got = 10.0 ** pc.log10
-        assert abs(got - float(exact)) / float(exact) <= max(pc.rel_err, 1e-9)
+        assert exact == HEADLINE_COUNT_50
+        for method in ("factorized", "auto"):
+            pc = corridor_count_nd(spec, (68, 68, 68), (88, 58, 108), 50, method=method)
+            assert pc.exact == HEADLINE_COUNT_50
+            assert pc.display() == "6.40201e+52"
 
 
 class TestPathCount:
@@ -452,11 +489,11 @@ class TestPathCount:
         assert PathCount.from_float(0.3, 2.0).display() == "3.00000e-01"
 
     def test_closed_forms_certify_only_what_they_know(self):
-        # the exact counts are 12159131877715993 and 133319471093; the float
-        # sums land a few units off, inside bounds above 0.5
+        # the 1-D count is exact integer arithmetic; the direct float sum
+        # lands a few units off 133319471093, inside a bound above 0.5
         one = corridor_count_1d(136, 68, 68, 36)
-        assert one.exact is None
-        assert abs(10.0 ** one.log10 - 12159131877715993) <= 10.0 ** one.abs_err_log10
+        assert one.exact == 12159131877715993
+        assert one.abs_err_log10 == -math.inf
         spec = CorridorSpec(d=(18, 23), move_set=full_move_set(2))
         direct = corridor_count_nd(spec, (13, 21), (6, 6), 19, method="direct")
         assert direct.exact is None
@@ -470,24 +507,10 @@ class TestPathCount:
         with pytest.raises(DomainError):
             PathCount.from_float(-5.0, 1e-9)
 
-    def test_product_keeps_exactness_and_error(self):
-        a = PathCount.from_int(7)
-        b = PathCount.from_float(10.0, 1e-6)
-        c = a * b
-        assert c.exact == 70
-        assert c.rel_err == pytest.approx(1e-7, rel=1e-3)
-
-    def test_zero_absorbs(self):
-        z = PathCount.from_int(0)
-        assert (z * PathCount.from_int(5)).exact == 0
-
     def test_display(self):
         assert PathCount.from_int(16).display() == "16"
         assert PathCount.from_log10(1, 52.806316, 40.0).display().endswith("e+52")
         assert PathCount.from_int(0).display() == "0"
-
-    def test_pow(self):
-        assert (PathCount.from_int(3) ** 4).exact == 81
 
 
 class TestJointMapping:
