@@ -35,33 +35,36 @@ class PendulumParams:
     gravity: float
 
 
-def pendulum_accel(q: float, v: float, u: float, p: PendulumParams) -> float:
-    """Angular acceleration of the pendulum: gravity restoring term plus torque."""
-    return -(p.gravity / p.length) * math.sin(q) + u / (p.mass * p.length * p.length)
+def pendulum_accel(q, v, u, p: PendulumParams, sin=math.sin):
+    """Angular acceleration of the pendulum: gravity restoring term plus torque.
+
+    Floats with `math.sin`, or equal-length float64 arrays with `np.sin`; the
+    operations run in the same order either way, so each array element is
+    bitwise the scalar result wherever the two sines agree.
+    """
+    return -(p.gravity / p.length) * sin(q) + u / (p.mass * p.length * p.length)
 
 
-def _rk4_step(q: float, v: float, u: float, h: float, p: PendulumParams) -> tuple[float, float]:
+def _rk4_step(q, v, u, h: float, p: PendulumParams, sin=math.sin):
     k1q = v
-    k1v = pendulum_accel(q, v, u, p)
+    k1v = pendulum_accel(q, v, u, p, sin)
     k2q = v + 0.5 * h * k1v
-    k2v = pendulum_accel(q + 0.5 * h * k1q, v + 0.5 * h * k1v, u, p)
+    k2v = pendulum_accel(q + 0.5 * h * k1q, v + 0.5 * h * k1v, u, p, sin)
     k3q = v + 0.5 * h * k2v
-    k3v = pendulum_accel(q + 0.5 * h * k2q, v + 0.5 * h * k2v, u, p)
+    k3v = pendulum_accel(q + 0.5 * h * k2q, v + 0.5 * h * k2v, u, p, sin)
     k4q = v + h * k3v
-    k4v = pendulum_accel(q + h * k3q, v + h * k3v, u, p)
+    k4v = pendulum_accel(q + h * k3q, v + h * k3v, u, p, sin)
     return (
         q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
         v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v),
     )
 
 
-def integrate_joint(
-    q: float, v: float, u: float, p: PendulumParams, dt: float, substeps: int = SUBSTEPS
-) -> tuple[float, float]:
-    """Advance one joint by dt under constant torque u."""
+def integrate_joint(q, v, u, p: PendulumParams, dt: float, substeps: int = SUBSTEPS, sin=math.sin):
+    """Advance one joint by dt under constant torque u (floats, or arrays with np.sin)."""
     h = dt / substeps
     for _ in range(substeps):
-        q, v = _rk4_step(q, v, u, h, p)
+        q, v = _rk4_step(q, v, u, h, p, sin)
     return q, v
 
 

@@ -3,9 +3,11 @@
 A transition is the shortest torque sequence that moves the robot from one
 grid state to a different one, plus "static" self-loops for sequences that
 sit still for the full exploration horizon and keep sitting still when
-replayed. Discovery is a work-list over states: each state is expanded
-exactly once, and sequences grow breadth-first so the first recording per
-outcome is the shortest.
+replayed. Each state's sequences grow breadth-first, so the first recording
+per outcome is the shortest. Discovery runs every state's sequence tree at
+once as one frontier of numpy arrays, one tick per step, then orders the
+table as a state-by-state search would, so tables and their bytes do not
+depend on how the search was scheduled.
 """
 
 from __future__ import annotations
@@ -13,15 +15,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, OutOfRange, UnknownState
-from .dynamics import integrate_step
+from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
+from .dynamics import integrate_joint, integrate_step, joint_params
 from .model import (
+    _GRID_FIT_TOL,
     Action,
     ActionSequence,
     ContinuousState,
@@ -158,6 +160,27 @@ def _static_hold(
     return True
 
 
+def _quantize_columns(qs: list, vs: list, robot: RobotSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`quantize` over the states held as per-joint columns qs[i], vs[i].
+
+    Returns (on_grid, cells): the mask of states whose grid point lies within
+    the limits, and a (states, 2 * joints) float array of their position then
+    velocity indices (meaningless off the grid). Rounding and tolerance are
+    `quantize`'s, elementwise.
+    """
+    n = robot.n_joints
+    on_grid = np.ones(len(qs[0]), dtype=bool)
+    cells = np.empty((len(qs[0]), 2 * n))
+    for i, j in enumerate(robot.joints):
+        for col, x, step, lo, hi in ((i, qs[i], j.delta_q, j.q_min, j.q_max),
+                                     (n + i, vs[i], robot.delta_v(i), j.v_min, j.v_max)):
+            x = x / step
+            idx = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+            on_grid &= (lo - _GRID_FIT_TOL <= idx * step) & (idx * step <= hi + _GRID_FIT_TOL)
+            cells[:, col] = idx
+    return on_grid, cells
+
+
 def find_transitions(
     robot: RobotSpec,
     start: QuantizedState | None = None,
@@ -177,8 +200,19 @@ def find_transitions(
     the full kinematic state, so a velocity-only change also terminates a
     sequence as a transition.
 
+    Every state's sequence tree grows at once: one frontier holds the pending
+    sequences of every state found so far, and each tick integrates all of
+    them as arrays through `integrate_joint`, one joint column at a time. A
+    state's tree starts on the tick after the state is first reached. The
+    table is then put in the order a state-by-state search would give: states
+    in order of first discovery when each state's tree is searched in turn,
+    each state's transitions by sequence length, then breadth-first position.
+
     dedup: "all" records every sequence per (from, to) outcome; "shortest"
     keeps only the first (breadth-first order makes it a shortest one).
+    max_sequences bounds the sequences simulated (each tick of each one
+    counts once) and is checked before a tick runs; max_states bounds the
+    states found. Either raises BudgetExceeded with the progress so far.
     """
     robot.validate()
     if nal < 1:
@@ -191,70 +225,128 @@ def find_transitions(
     # reject starts off the grid
     quantize(representative(start, robot), robot)
 
+    n = robot.n_joints
     actions = _action_space(robot)
-    states: list[QuantizedState] = [start]
-    seen: set = {start.key()}
-    transitions: list[Transition] = []
+    n_act = len(actions)
+    torque = [np.array(j.torques)[[a[i] for a in actions]] for i, j in enumerate(robot.joints)]
+    params = [joint_params(robot, i) for i in range(n)]
+
+    # states by id in the order the frontier first reached them
+    states: list[QuantizedState] = []
+    ids: dict = {}
+    records: list[list] = []     # per state id: (sequence, destination id), per-tree BFS order
     seen_pairs: set = set()
     simulated = 0
 
-    def record(frm: QuantizedState, seq: ActionSequence, to: QuantizedState) -> None:
-        if dedup == "shortest":
-            pair = (frm.key(), to.key())
-            if pair in seen_pairs:
-                return
-            seen_pairs.add(pair)
-        transitions.append(
-            Transition(frm, seq, len(seq) * robot.delta_t, to)
-        )
+    def progress() -> str:
+        return f"{simulated} sequences simulated, {len(states)} states found so far"
 
-    i = 0
-    while i < len(states):
-        s = states[i]
-        i += 1
-        root = representative(s, robot)
-        # queue entries: (sequence so far, continuous state before its last action)
-        queue: deque[tuple[ActionSequence, ContinuousState]] = deque(
-            ((a,), root) for a in actions
-        )
-        while queue:
-            seq, prev = queue.popleft()
-            simulated += 1
-            if simulated > max_sequences:
-                raise BudgetExceeded(
-                    f"simulated sequences exceeded budget {max_sequences}"
-                )
-            cont = integrate_step(prev, seq[-1], robot)
-            ok = True
-            for k, j in enumerate(robot.joints):
-                if not (j.q_min <= cont.q[k] <= j.q_max):
-                    ok = False
-                    break
-                if not (j.v_min <= cont.v[k] <= j.v_max):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            try:
-                q = quantize(cont, robot)
-            except OutOfRange:
-                continue
-            if q != s:
-                record(s, seq, q)
-                if q.key() not in seen:
-                    if len(states) + 1 > max_states:
-                        raise BudgetExceeded(
-                            f"discovered states exceeded budget {max_states}"
-                        )
-                    seen.add(q.key())
-                    states.append(q)
-            elif len(seq) < nal:
-                for a in actions:
-                    queue.append((seq + (a,), cont))
-            elif _static_hold(s, seq, cont, robot):
-                record(s, seq, s)
+    def add_state(s: QuantizedState) -> int:
+        if len(states) + 1 > max_states:
+            raise BudgetExceeded(f"discovered states exceeded budget {max_states} ({progress()})")
+        ids[s.key()] = len(states)
+        states.append(s)
+        records.append([])
+        return len(states) - 1
 
-    return TransitionTable(robot.content_hash(), tuple(states), tuple(transitions))
+    # the frontier: one row per pending sequence, holding its tree (state id),
+    # length, last action, the continuous state before that action, and the
+    # index of its prefix in `prefixes` (the last entry is the empty prefix)
+    new_ids = [add_state(start)]
+    tree = depth = act = parent = np.empty(0, dtype=np.int64)
+    q0 = [np.empty(0)] * n
+    v0 = [np.empty(0)] * n
+    prefixes: list[ActionSequence] = [()]
+    while True:
+        if new_ids:
+            roots = [representative(states[k], robot) for k in new_ids]
+            k_new = len(new_ids) * n_act
+            tree = np.concatenate([tree, np.repeat(new_ids, n_act)])
+            depth = np.concatenate([depth, np.ones(k_new, dtype=np.int64)])
+            act = np.concatenate([act, np.tile(np.arange(n_act), len(new_ids))])
+            parent = np.concatenate([parent, np.full(k_new, len(prefixes) - 1)])
+            q0 = [np.concatenate([q0[i], np.repeat([r.q[i] for r in roots], n_act)]) for i in range(n)]
+            v0 = [np.concatenate([v0[i], np.repeat([r.v[i] for r in roots], n_act)]) for i in range(n)]
+            home = np.array([s.pos_idx + s.vel_idx for s in states], dtype=np.float64)
+        if len(tree) == 0:
+            break
+        if simulated + len(tree) > max_sequences:
+            raise BudgetExceeded(
+                f"simulated sequences would exceed budget {max_sequences} ({progress()})"
+            )
+        simulated += len(tree)
+
+        qs, vs = [], []
+        with np.errstate(all="ignore"):
+            for i, j in enumerate(robot.joints):
+                q, v = integrate_joint(q0[i], v0[i], torque[i][act], params[i], robot.delta_t,
+                                       sin=np.sin)
+                if not (np.isfinite(q).all() and np.isfinite(v).all()):
+                    raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
+                qs.append(q)
+                vs.append(v)
+        ok = np.ones(len(tree), dtype=bool)
+        for i, j in enumerate(robot.joints):
+            ok &= (j.q_min <= qs[i]) & (qs[i] <= j.q_max) & (j.v_min <= vs[i]) & (vs[i] <= j.v_max)
+        on_grid, cells = _quantize_columns(qs, vs, robot)
+        ok &= on_grid
+        moved = ok & (cells != home[tree]).any(axis=1)
+        grow = ok & ~moved & (depth < nal)
+        settled = np.flatnonzero(moved | (ok & (depth >= nal)))
+
+        par, last = parent.tolist(), act.tolist()
+
+        def sequence(p: int) -> ActionSequence:
+            return prefixes[par[p]] + (actions[last[p]],)
+
+        new_ids = []
+        trees, moves = tree[settled].tolist(), moved[settled].tolist()
+        for p, frm, is_move, cell in zip(settled.tolist(), trees, moves,
+                                         cells[settled].astype(np.int64).tolist()):
+            seq = sequence(p)
+            if is_move:
+                key = (tuple(cell[:n]), tuple(cell[n:]))
+                to = ids.get(key)
+                if to is None:
+                    to = add_state(QuantizedState(*key))
+                    new_ids.append(to)
+            else:
+                cont = ContinuousState(tuple(float(q[p]) for q in qs),
+                                       tuple(float(v[p]) for v in vs))
+                if not _static_hold(states[frm], seq, cont, robot):
+                    continue
+                to = frm
+            if dedup == "shortest":
+                if (frm, to) in seen_pairs:
+                    continue
+                seen_pairs.add((frm, to))
+            records[frm].append((seq, to))
+
+        kept = np.flatnonzero(grow)
+        prefixes = [sequence(p) for p in kept.tolist()] + [()]
+        tree = np.repeat(tree[kept], n_act)
+        depth = np.repeat(depth[kept] + 1, n_act)
+        act = np.tile(np.arange(n_act), len(kept))
+        parent = np.repeat(np.arange(len(kept)), n_act)
+        q0 = [np.repeat(q[kept], n_act) for q in qs]
+        v0 = [np.repeat(v[kept], n_act) for v in vs]
+
+    # replay the state-by-state order: searching the trees in turn, a state
+    # joins the table when it is first reached
+    order = [0]
+    placed = [False] * len(states)
+    placed[0] = True
+    for frm in order:
+        for _, to in records[frm]:
+            if not placed[to]:
+                placed[to] = True
+                order.append(to)
+    ordered = tuple(states[k] for k in order)
+    transitions = tuple(
+        Transition(states[frm], seq, len(seq) * robot.delta_t, states[to])
+        for frm in order for seq, to in records[frm]
+    )
+    return TransitionTable(robot.content_hash(), ordered, transitions)
 
 
 def atomic_action_count(table: TransitionTable, state: QuantizedState) -> int:
@@ -277,11 +369,11 @@ def _state_from_json(obj: dict) -> QuantizedState:
     return QuantizedState(pos, vel)
 
 
-def _transition_from_json(obj: dict, n_joints: int | None) -> Transition:
+def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -> Transition:
     """One JSONL line as a transition; ValueError says what is malformed.
 
-    n_joints is the joint count every state and action must have, or None
-    to take it from this line's from-state.
+    n_joints is the joint count every state and action must have, and tick
+    the duration of one action, or None to take them from this line.
     """
     frm = _state_from_json(obj["from"])
     to = _state_from_json(obj["to"])
@@ -303,6 +395,8 @@ def _transition_from_json(obj: dict, n_joints: int | None) -> Transition:
     dur = float(obj["duration_s"])
     if not (math.isfinite(dur) and dur > 0):
         raise ValueError(f"duration_s must be positive and finite, got {dur}")
+    if tick is not None and abs(dur - len(seq) * tick) > 1e-9 * len(seq) * tick:
+        raise ValueError(f"duration_s {dur} is not {len(seq)} ticks of {tick} s")
     return Transition(frm, seq, dur, to)
 
 
@@ -329,8 +423,9 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     State order is first appearance in the stream (from before to per line),
     which coincides with discovery order for tables written by this module.
     Every line must have a nonempty torque sequence of nonnegative indices,
-    one per joint, a positive finite duration, and states with the first
-    line's joint count; anything else is a ConfigError naming the line.
+    one per joint, a positive finite duration that is its length times the
+    first line's per-action duration (to a relative 1e-9), and states with the
+    first line's joint count; anything else is a ConfigError naming the line.
     """
     first = fh.readline()
     if not first:
@@ -354,16 +449,17 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             seen.add(s.key())
             states.append(s)
 
-    n_joints = None
+    n_joints = tick = None
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            t = _transition_from_json(json.loads(raw), n_joints)
+            t = _transition_from_json(json.loads(raw), n_joints, tick)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad transition on line {lineno}: {e}") from None
-        n_joints = len(t.from_state.pos_idx)
+        if tick is None:
+            n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
         register(t.from_state)
         register(t.to_state)
         transitions.append(t)

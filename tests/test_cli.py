@@ -179,6 +179,19 @@ class TestTransitionsCommand:
         assert rc == 4
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_overflow_exit_code(self, capsys, tmp_path):
+        with open(CFG) as fh:
+            cfg = json.load(fh)
+        cfg["joints"][0]["mass_kg"] = 1e-308
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "t.jsonl"
+        rc = main(["transitions", "--config", str(path), "--out", str(out)])
+        assert rc == 5
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "RuntimeWarning" not in err
+
     def test_negative_start_as_separate_argument(self, capsys, tmp_path):
         texts = []
         for k, start in enumerate((["--start", "-3,0"], ["--start=-3,0"])):
@@ -241,6 +254,21 @@ class TestEnumerateCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert "line 2" in out.err
+
+    def test_inconsistent_duration_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"format":"dtraj-transitions","version":1,"robot_hash":""}\n'
+            '{"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04,'
+            '"to":{"pos":[1],"vel":[0]}}\n'
+            '{"from":{"pos":[1],"vel":[0]},"torque_idx_seq":[[2],[2]],"duration_s":0.04,'
+            '"to":{"pos":[0],"vel":[0]}}\n'
+        )
+        rc = main(["enumerate", "--transitions", str(path), "--steps", "1", "--count-only"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "line 3" in out.err and "duration_s" in out.err
 
     def test_missing_file(self, capsys):
         rc = main(["enumerate", "--transitions", "/no/such/file.jsonl",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +57,20 @@ def test_overflow_raises():
     robot = RobotSpec(delta_t=0.04, gravity=9.81, joints=(tiny,))
     with pytest.raises(NumericalOverflow):
         integrate_step(ContinuousState((0.0,), (0.0,)), (0,), robot)
+
+
+def test_array_integration_is_bitwise_scalar():
+    # seeded states inside the demo limits under torques across its menu range
+    rng = np.random.default_rng(20201)
+    q = rng.uniform(-135 * DEG, 135 * DEG, 4000)
+    v = rng.uniform(-180 * DEG, 180 * DEG, 4000)
+    u = np.concatenate([rng.choice([-50.0, -25.0, 0.0, 25.0, 50.0], 2000),
+                        rng.uniform(-50.0, 50.0, 2000)])
+    qa, va = integrate_joint(q, v, u, P, 0.04, sin=np.sin)
+    scalar = [integrate_joint(*args, P, 0.04) for args in zip(q.tolist(), v.tolist(), u.tolist())]
+    qs, vs = np.array(scalar).T
+    assert qa.view(np.int64).tolist() == qs.view(np.int64).tolist()
+    assert va.view(np.int64).tolist() == vs.view(np.int64).tolist()
 
 
 def test_act_is_one_step_sequence(pendulum):

@@ -1,14 +1,43 @@
+import contextlib
 import io
 import math
+import re
+import warnings
+from collections import deque
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dtraj.transitions as trn
 from dtraj.dynamics import act_sequence, integrate_step, validation_check
-from dtraj.errors import BudgetExceeded, ConfigError, OutOfRange, UnknownState
-from dtraj.model import ContinuousState, JointSpec, QuantizedState, RobotSpec, quantize, representative
+from dtraj.errors import (
+    BudgetExceeded,
+    ConfigError,
+    DomainError,
+    NumericalOverflow,
+    OutOfRange,
+    UnknownState,
+)
+from dtraj.model import (
+    ActionSequence,
+    ContinuousState,
+    JointSpec,
+    QuantizedState,
+    RobotSpec,
+    quantize,
+    representative,
+    robot_from_dict,
+)
 from dtraj.transitions import (
+    DEFAULT_MAX_SEQUENCES,
+    DEFAULT_MAX_STATES,
+    DEFAULT_NAL,
     Transition,
     TransitionTable,
+    _action_space,
+    _static_hold,
     atomic_action_count,
     export_dot,
     find_transitions,
@@ -29,6 +58,129 @@ def null_only_robot() -> RobotSpec:
         torques=(0.0,),
     )
     return RobotSpec(delta_t=0.04, gravity=9.81, joints=(j,))
+
+
+def reference_find_transitions(
+    robot: RobotSpec,
+    start: QuantizedState | None = None,
+    nal: int = DEFAULT_NAL,
+    dedup: str = "all",
+    max_states: int = DEFAULT_MAX_STATES,
+    max_sequences: int = DEFAULT_MAX_SEQUENCES,
+    stats: dict | None = None,
+) -> TransitionTable:
+    """The state-by-state search `find_transitions` replaced, kept as its oracle.
+
+    One state at a time in discovery order, one sequence at a time off a
+    breadth-first queue, through the scalar `integrate_step`. If given, `stats`
+    receives the number of sequences simulated.
+    """
+    robot.validate()
+    if nal < 1:
+        raise ConfigError("nal must be >= 1")
+    if dedup not in ("all", "shortest"):
+        raise ConfigError(f"unknown dedup mode {dedup!r}")
+    if start is None:
+        z = (0,) * robot.n_joints
+        start = QuantizedState(z, z)
+    # reject starts off the grid
+    quantize(representative(start, robot), robot)
+
+    actions = _action_space(robot)
+    states: list[QuantizedState] = [start]
+    seen: set = {start.key()}
+    transitions: list[Transition] = []
+    seen_pairs: set = set()
+    simulated = 0
+
+    def record(frm: QuantizedState, seq: ActionSequence, to: QuantizedState) -> None:
+        if dedup == "shortest":
+            pair = (frm.key(), to.key())
+            if pair in seen_pairs:
+                return
+            seen_pairs.add(pair)
+        transitions.append(
+            Transition(frm, seq, len(seq) * robot.delta_t, to)
+        )
+
+    i = 0
+    while i < len(states):
+        s = states[i]
+        i += 1
+        root = representative(s, robot)
+        # queue entries: (sequence so far, continuous state before its last action)
+        queue: deque[tuple[ActionSequence, ContinuousState]] = deque(
+            ((a,), root) for a in actions
+        )
+        while queue:
+            seq, prev = queue.popleft()
+            simulated += 1
+            if simulated > max_sequences:
+                raise BudgetExceeded(
+                    f"simulated sequences exceeded budget {max_sequences}"
+                )
+            cont = integrate_step(prev, seq[-1], robot)
+            ok = True
+            for k, j in enumerate(robot.joints):
+                if not (j.q_min <= cont.q[k] <= j.q_max):
+                    ok = False
+                    break
+                if not (j.v_min <= cont.v[k] <= j.v_max):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            try:
+                q = quantize(cont, robot)
+            except OutOfRange:
+                continue
+            if q != s:
+                record(s, seq, q)
+                if q.key() not in seen:
+                    if len(states) + 1 > max_states:
+                        raise BudgetExceeded(
+                            f"discovered states exceeded budget {max_states}"
+                        )
+                    seen.add(q.key())
+                    states.append(q)
+            elif len(seq) < nal:
+                for a in actions:
+                    queue.append((seq + (a,), cont))
+            elif _static_hold(s, seq, cont, robot):
+                record(s, seq, s)
+
+    if stats is not None:
+        stats["simulated"] = simulated
+    return TransitionTable(robot.content_hash(), tuple(states), tuple(transitions))
+
+
+# A literal copy of the benchmark's two-joint robot: +-12 deg in 6 deg cells,
+# +-150 deg/s, torques -50/0/50 N*m (225 states, 1,745 transitions).
+TWO_JOINT = {
+    "delta_t_ms": 40,
+    "gravity": 9.81,
+    "joints": [
+        {"name": f"j{i}", "q_min_deg": -12.0, "q_max_deg": 12.0, "delta_q_deg": 6.0,
+         "v_min_deg_s": -150.0, "v_max_deg_s": 150.0, "mass_kg": 1.0, "length_m": 1.0,
+         "torques_nm": [-50.0, 0.0, 50.0]}
+        for i in (1, 2)
+    ],
+}
+
+
+def serialised(table: TransitionTable) -> tuple[str, str]:
+    buf = io.StringIO()
+    write_jsonl(table, buf)
+    return buf.getvalue(), export_dot(table)
+
+
+def outcome(search, robot, **kw):
+    """The table and its JSONL and DOT bytes, or BudgetExceeded if one was raised."""
+    try:
+        table = search(robot, **kw)
+    except BudgetExceeded:
+        return BudgetExceeded
+    return table, serialised(table)
 
 
 class TestSearchGauge:
@@ -258,6 +410,10 @@ class TestJsonl:
          "1 pos and 2 vel"),
         ('"from":{"pos":[0,0],"vel":[0,0]},"torque_idx_seq":[[2,2]],"duration_s":0.04',
          "expected 1"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2],[2]],"duration_s":0.04',
+         "duration_s 0.04 is not 2 ticks of 0.04"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.0400001',
+         "duration"),
     ])
     def test_malformed_line_rejected(self, line, reason):
         good = '{"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04,' \
@@ -270,9 +426,157 @@ class TestJsonl:
         with pytest.raises(ConfigError, match=f"line 3: .*{reason}"):
             read_jsonl(io.StringIO(text))
 
+    def test_duration_within_relative_tolerance(self):
+        # 3 * 0.04 is 0.12000000000000001 in floats; a writer that rounds is fine
+        text = (
+            '{"format":"dtraj-transitions","version":1,"robot_hash":"sha256:x"}\n'
+            '{"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04,'
+            '"to":{"pos":[1],"vel":[0]}}\n'
+            '{"from":{"pos":[1],"vel":[0]},"torque_idx_seq":[[2],[2],[2]],"duration_s":0.12,'
+            '"to":{"pos":[0],"vel":[0]}}\n'
+        )
+        assert len(read_jsonl(io.StringIO(text)).transitions) == 2
+
     def test_byte_determinism(self, pendulum, pendulum_table):
         again = find_transitions(pendulum)
         a, b = io.StringIO(), io.StringIO()
         write_jsonl(pendulum_table, a)
         write_jsonl(again, b)
         assert a.getvalue() == b.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the frontier search against the state-by-state oracle
+
+
+@st.composite
+def small_robots(draw):
+    """1-2 joints of 1-3 cells either side of 0, 2-4 torques, and a grid start.
+
+    Menus are drawn from strong torques so that trees close well inside the
+    sequence budget; half of them lack a zero torque.
+    """
+    joints, pos, vel = [], [], []
+    for i in range(draw(st.integers(1, 2))):
+        dq = draw(st.sampled_from([4.0, 6.0, 8.0])) * DEG
+        cells = draw(st.integers(1, 3))
+        v_cells = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        zero = draw(st.booleans())
+        menu = draw(st.lists(st.sampled_from([-90.0, -70.0, -50.0, 50.0, 70.0, 90.0]),
+                             min_size=2 - zero, max_size=4 - zero, unique=True))
+        menu += [0.0] * zero
+        joints.append(JointSpec(
+            name=f"j{i}", q_min=-cells * dq, q_max=cells * dq, delta_q=dq,
+            v_min=-v_cells[0] * dq / 0.04, v_max=v_cells[1] * dq / 0.04,
+            mass=1.0, length=1.0, torques=tuple(sorted(menu)),
+        ))
+        pos.append(draw(st.integers(-cells, cells)))
+        vel.append(draw(st.integers(-v_cells[0], v_cells[1])))
+    robot = RobotSpec(delta_t=0.04, gravity=9.81, joints=tuple(joints))
+    return robot, QuantizedState(tuple(pos), tuple(vel))
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    def test_demo(self, pendulum, pendulum_table, dedup):
+        want = reference_find_transitions(pendulum, dedup=dedup)
+        got = pendulum_table if dedup == "all" else find_transitions(pendulum, dedup=dedup)
+        assert got == want
+        assert serialised(got) == serialised(want)
+
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    def test_two_joint(self, dedup):
+        robot = robot_from_dict(TWO_JOINT)
+        want = reference_find_transitions(robot, dedup=dedup)
+        got = find_transitions(robot, dedup=dedup)
+        assert (len(got.states), len(got.transitions)) == (
+            (225, 1745) if dedup == "all" else (225, 833))
+        assert got == want
+        assert serialised(got) == serialised(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_robots(), st.integers(1, 25), st.sampled_from(["all", "shortest"]))
+    def test_small_robots(self, robot_and_start, nal, dedup):
+        robot, start = robot_and_start
+        kw = dict(start=start, nal=nal, dedup=dedup, max_sequences=20_000)
+        if all(0.0 in j.torques for j in robot.joints):
+            check = contextlib.nullcontext()
+        else:
+            # validation refuses a menu without a zero torque; the search does
+            # not depend on one, so such menus are compared with it switched off
+            with pytest.raises(DomainError, match="must contain 0"):
+                robot.validate()
+            check = mock.patch.object(JointSpec, "validate", lambda self: None)
+        with check:
+            assert outcome(find_transitions, robot, **kw) == outcome(
+                reference_find_transitions, robot, **kw)
+
+
+class TestBudgetUnit:
+    def test_exact_budgets(self, pendulum, pendulum_table):
+        stats = {}
+        want = reference_find_transitions(pendulum, stats=stats)
+        n, s = stats["simulated"], len(want.states)
+        assert find_transitions(pendulum, max_sequences=n) == pendulum_table
+        assert find_transitions(pendulum, max_states=s) == pendulum_table
+        with pytest.raises(BudgetExceeded, match="sequence"):
+            find_transitions(pendulum, max_sequences=n - 1)
+        with pytest.raises(BudgetExceeded, match="states exceeded"):
+            find_transitions(pendulum, max_states=s - 1)
+
+    @pytest.mark.parametrize("budget", [1, 5, 6, 50, 1_000, 8_074])
+    def test_never_simulates_past_the_budget(self, pendulum, monkeypatch, budget):
+        rows = []
+        real = trn.integrate_joint
+
+        def counted(q, *args, **kw):
+            rows.append(len(q))
+            return real(q, *args, **kw)
+
+        monkeypatch.setattr(trn, "integrate_joint", counted)
+        with pytest.raises(BudgetExceeded) as err:
+            find_transitions(pendulum, max_sequences=budget)
+        done, found = map(int, re.search(r"(\d+) sequences simulated, (\d+) states found",
+                                         str(err.value)).groups())
+        assert sum(rows) == done <= budget      # one joint: one row per sequence
+        assert found >= 1
+
+    def test_state_budget_reports_progress(self, pendulum):
+        with pytest.raises(BudgetExceeded, match=r"budget 10 \(\d+ sequences simulated, 10 states"):
+            find_transitions(pendulum, max_states=10)
+
+
+def test_column_quantize_matches_scalar(pendulum):
+    # half-cell points, the limits and just past them, and seeded states
+    j = pendulum.joints[0]
+    dv = pendulum.delta_v(0)
+    half = [k + 0.5 for k in range(-70, 70)]
+    rng = np.random.default_rng(7)
+    q = np.concatenate([np.array(half) * j.delta_q, [j.q_min, j.q_max, j.q_min - 0.6 * j.delta_q,
+                                                      j.q_max + 0.6 * j.delta_q],
+                        rng.uniform(-140 * DEG, 140 * DEG, 500), np.zeros(144)])
+    v = np.concatenate([np.zeros(144), rng.uniform(-190 * DEG, 190 * DEG, 500),
+                        np.array(half) * dv, [j.v_min, j.v_max, j.v_min - 0.6 * dv,
+                                              j.v_max + 0.6 * dv]])
+    on_grid, cells = trn._quantize_columns([q], [v], pendulum)
+    for k, (qk, vk) in enumerate(zip(q.tolist(), v.tolist())):
+        try:
+            want = quantize(ContinuousState((qk,), (vk,)), pendulum)
+        except OutOfRange:
+            assert not on_grid[k]
+            continue
+        assert on_grid[k]
+        assert (want.pos_idx[0], want.vel_idx[0]) == tuple(cells[k].astype(int).tolist())
+
+
+def test_overflow_is_an_error_not_a_table():
+    tiny = JointSpec(
+        name="j", q_min=-135 * DEG, q_max=135 * DEG, delta_q=2 * DEG,
+        v_min=-180 * DEG, v_max=180 * DEG, mass=1e-308, length=1.0,
+        torques=(-50.0, 0.0, 50.0),
+    )
+    robot = RobotSpec(delta_t=0.04, gravity=9.81, joints=(tiny,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match="joint j: non-finite"):
+            find_transitions(robot)
