@@ -52,6 +52,7 @@ from .trajectories import (
     write_plan_json,
 )
 from .transitions import (
+    check_torque_menu,
     export_dot,
     find_transitions,
     read_jsonl,
@@ -202,6 +203,7 @@ def _cmd_plan(args, ctx) -> None:
             "warning: transition table was built from a different robot config",
             file=sys.stderr,
         )
+    check_torque_menu(table, robot)
     try:
         fh = open(args.desired)
     except OSError as e:

@@ -36,7 +36,8 @@ from .model import JointSpec, format_count
 _EPS = 2.0 ** -52
 _EXACT_ROUND_LIMIT = 2 ** 63
 _INT64_MAX = 2 ** 63 - 1
-# the 1-D images pass costs time growing as m^2: about 1.5 s at the cap
+# the 1-D images pass costs time growing as m^2: about 1.5 s at the cap;
+# the scaling table's walk vector is held to the same step count
 _IMAGES_STEP_CAP = 50_000
 # direct n-D evaluation cap; sized to admit a 3-axis grid of height 135
 # (2*136 = 272 frequencies per axis) with a little headroom
@@ -583,12 +584,16 @@ def scaling_table(
 
     Axes are identical copies of the joint's corridor; the start is angle 0 and
     the target sits `separation` away on every axis. Columns with n <= 3 use
-    the exact per-axis count, n times its log10, computed once per m and
-    shared by those columns; larger n uses the endpoint-averaged estimate,
-    except at the minimum feasible step count where the count is exactly 1
-    (every axis is forced to move one cell per step) and below it where it is
-    exactly 0 (a cell per step is the speed limit). Reference rows: the
-    361^m game-tree bound and the 10^80 atom count.
+    the exact per-axis count, n times its log10, shared by those columns; larger
+    n uses the endpoint-averaged estimate, except at the minimum feasible step
+    count where the count is exactly 1 (every axis is forced to move one cell
+    per step) and below it where it is exactly 0 (a cell per step is the speed
+    limit). Reference rows: the 361^m game-tree bound and the 10^80 atom count.
+
+    The per-axis counts come from one exact walk vector over the corridor's
+    cells, advanced a step at a time in Python integers, so the table costs
+    time growing as m_max * d; they equal corridor_count_1d's and share its
+    step cap, checked before any work.
     """
     d, index = joint_to_corridor(joint)
     steps = separation / joint.delta_q
@@ -601,12 +606,25 @@ def scaling_table(
     b_idx = index(separation)
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
+    if any(n < 1 for n in n_range):
+        raise DomainError("dof counts must be >= 1")
 
-    per_axis: dict[int, PathCount] = {}
+    # per_axis[m]: log10 of the 1-D count at m steps, or None where it is 0
+    per_axis: list[float | None] = [None]
+    if any(n <= 3 for n in n_range):
+        if m_max > max(min_steps, _IMAGES_STEP_CAP):
+            raise ResourceLimit(
+                f"the exact 1-D counts need up to m = {m_max} steps, cap is {_IMAGES_STEP_CAP}"
+            )
+        # walks per cell 0..d; the walls stay 0, which drops walks that touch them
+        walks = [0] * (d + 1)
+        walks[a_idx] = 1
+        for _ in range(m_max):
+            walks = [0, *(x + y + z for x, y, z in zip(walks, walks[1:], walks[2:])), 0]
+            per_axis.append(math.log10(walks[b_idx]) if walks[b_idx] else None)
+
     rows: list[ScalingRow] = []
     for n in n_range:
-        if n < 1:
-            raise DomainError("dof counts must be >= 1")
         for m in range(1, m_max + 1):
             if m < min_steps:
                 rows.append(ScalingRow(str(n), str(m), None, "exact"))
@@ -614,12 +632,9 @@ def scaling_table(
                 # unique forced path on every axis regardless of n
                 rows.append(ScalingRow(str(n), str(m), 0.0, "exact"))
             elif n <= 3:
-                if m not in per_axis:
-                    per_axis[m] = corridor_count_1d(d, a_idx, b_idx, m)
-                if per_axis[m].sign == 0:
-                    rows.append(ScalingRow(str(n), str(m), None, "closed"))
-                else:
-                    rows.append(ScalingRow(str(n), str(m), n * per_axis[m].log10, "closed"))
+                log10 = per_axis[m]
+                rows.append(ScalingRow(str(n), str(m), None if log10 is None else n * log10,
+                                       "closed"))
             else:
                 val = approx_count_log10([3] * n, m, n)
                 rows.append(ScalingRow(str(n), str(m), val, "approx"))

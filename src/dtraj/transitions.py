@@ -362,8 +362,16 @@ def _state_to_json(s: QuantizedState) -> dict:
     return {"pos": list(s.pos_idx), "vel": list(s.vel_idx)}
 
 
+def _require_ints(values: tuple, what: str) -> None:
+    """ValueError naming the first entry of `values` that is not an int."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+
+
 def _state_from_json(obj: dict) -> QuantizedState:
     pos, vel = tuple(obj["pos"]), tuple(obj["vel"])
+    _require_ints(pos + vel, "state index")
     if len(pos) != len(vel):
         raise ValueError(f"state has {len(pos)} pos and {len(vel)} vel entries")
     return QuantizedState(pos, vel)
@@ -384,7 +392,8 @@ def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -
         raise ValueError(
             f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} joints, expected {n}"
         )
-    seq = tuple(tuple(int(x) for x in a) for a in obj["torque_idx_seq"])
+    seq = tuple(map(tuple, obj["torque_idx_seq"]))
+    _require_ints(tuple(itertools.chain.from_iterable(seq)), "torque index")
     if not seq:
         raise ValueError("torque_idx_seq is empty")
     for a in seq:
@@ -400,21 +409,42 @@ def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -
     return Transition(frm, seq, dur, to)
 
 
+class _Rendered(dict):
+    """Text of each key, rendered by `render` on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
+    """Write the header line, then one line per transition in table order.
+
+    A line is json.dumps of the transition's dict. Each distinct state, torque
+    sequence and duration is rendered by json.dumps once per call, and a line
+    joins those fragments with json.dumps's default separators. States and
+    sequences are keyed by value, as their indices are ints in every table
+    this package builds; a duration is keyed with its type, so 1 and 1.0 keep
+    their own texts, and a zero (where 0.0 and -0.0 differ) is not cached.
+    """
     header = {
         "format": JSONL_FORMAT,
         "version": JSONL_VERSION,
         "robot_hash": table.robot_hash,
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
+    states = _Rendered(lambda s: json.dumps(_state_to_json(s)))
+    seqs = _Rendered(lambda seq: json.dumps([list(a) for a in seq]))
+    durations = _Rendered(lambda key: json.dumps(key[1]))
     for t in table.transitions:
-        line = {
-            "from": _state_to_json(t.from_state),
-            "torque_idx_seq": [list(a) for a in t.actions],
-            "duration_s": t.duration,
-            "to": _state_to_json(t.to_state),
-        }
-        fh.write(json.dumps(line) + "\n")
+        d = t.duration
+        dur = durations[type(d), d] if d else json.dumps(d)
+        fh.write(f'{{"from": {states[t.from_state]}, "torque_idx_seq": {seqs[t.actions]}, '
+                 f'"duration_s": {dur}, "to": {states[t.to_state]}}}\n')
 
 
 def read_jsonl(fh: IO[str]) -> TransitionTable:
@@ -425,7 +455,8 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     Every line must have a nonempty torque sequence of nonnegative indices,
     one per joint, a positive finite duration that is its length times the
     first line's per-action duration (to a relative 1e-9), and states with the
-    first line's joint count; anything else is a ConfigError naming the line.
+    first line's joint count; every index must be a JSON integer. Anything
+    else is a ConfigError naming the line.
     """
     first = fh.readline()
     if not first:
@@ -466,6 +497,18 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     return TransitionTable(robot_hash, tuple(states), tuple(transitions))
 
 
+def check_torque_menu(table: TransitionTable, robot: RobotSpec) -> None:
+    """ConfigError if a transition uses a torque index past its joint's menu."""
+    used = {a for t in table.transitions for a in t.actions}
+    for j, column in zip(robot.joints, zip(*used)):
+        top = max(column)
+        if top >= len(j.torques):
+            raise ConfigError(
+                f"joint {j.name}: torque index {top} is outside its menu of "
+                f"{len(j.torques)} torques"
+            )
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 
@@ -485,12 +528,21 @@ def _rle_actions(seq: ActionSequence) -> str:
 
 
 def export_dot(table: TransitionTable) -> str:
+    """The table as a DOT digraph: node n<i> is table.states[i], one edge per transition.
+
+    Each distinct torque sequence's label is rendered once per call; a
+    transition whose state is not in the table raises UnknownState.
+    """
+    nodes = {s.key(): f"n{i}" for i, s in enumerate(table.states)}
+    labels = _Rendered(_rle_actions)
     lines = ["digraph transitions {"]
     for i, s in enumerate(table.states):
         lines.append(f'  n{i} [label="{state_label(s)}"];')
     for t in table.transitions:
-        a = table.state_index(t.from_state)
-        b = table.state_index(t.to_state)
-        lines.append(f'  n{a} -> n{b} [label="{_rle_actions(t.actions)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        try:
+            a, b = nodes[t.from_state.key()], nodes[t.to_state.key()]
+        except KeyError as e:
+            raise UnknownState(f"state {QuantizedState(*e.args[0])} not in table") from None
+        lines.append(f'  {a} -> {b} [label="{labels[t.actions]}"];')
+    lines.append("}\n")  # ends the text with a newline without copying it
+    return "\n".join(lines)

@@ -143,6 +143,23 @@ class TestScalingCommand:
         # header + 4 dof columns x 12 steps + go x 12 + atoms
         assert len(lines) == 1 + 4 * 12 + 12 + 1
 
+    def test_step_cap_refused_before_any_work(self, capsys):
+        t0 = time.monotonic()
+        rc = main(["count", "scaling", "--config", CFG, "--dof", "1-6",
+                   "--steps", "1-50001", "--separation-deg", "20"])
+        assert rc == 4
+        assert time.monotonic() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "cap is 50000" in out.err
+
+    def test_estimate_columns_have_no_step_cap(self, capsys):
+        rc = main(["count", "scaling", "--config", CFG, "--dof", "6",
+                   "--steps", "1-50001", "--separation-deg", "20"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[50001].startswith("6,50001,") and lines[50001].endswith(",approx")
+
     def test_steps_must_start_at_one(self, capsys):
         rc = main(["count", "scaling", "--config", CFG, "--dof", "1",
                    "--steps", "5-10", "--separation-deg", "20"])
@@ -303,6 +320,26 @@ class TestPlanCommand:
                    "--desired", str(desired)])
         assert rc == 0
         assert "different robot config" in capsys.readouterr().err
+
+
+    def test_torque_outside_menu_is_config_error(self, capsys, table_file, tmp_path):
+        # every torque index set to 9, where the demo menu has 5 torques
+        lines = table_file.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        with bad.open("w") as fh:
+            fh.write(lines[0])
+            for line in lines[1:]:
+                obj = json.loads(line)
+                obj["torque_idx_seq"] = [[9] for _ in obj["torque_idx_seq"]]
+                fh.write(json.dumps(obj) + "\n")
+        desired = tmp_path / "d.csv"
+        desired.write_text("t_s,q1_deg\n" + "".join(f"{k * 0.04},{2 * k}\n" for k in range(6)))
+        rc = main(["plan", "--transitions", str(bad), "--config", CFG,
+                   "--desired", str(desired)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: joint joint1: torque index 9 is outside its menu of 5 torques" in out.err
 
 
 class TestHarness:

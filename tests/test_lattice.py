@@ -11,6 +11,7 @@ from dtraj.lattice import (
     CorridorSpec,
     MoveSet,
     PathCount,
+    ScalingRow,
     approx_count_log10,
     corridor_convention,
     corridor_count_1d,
@@ -644,3 +645,22 @@ class TestScalingTable:
             scaling_table(demo_joint(), [1], 10, 3.0 * DEG)
         with pytest.raises(DomainError):
             scaling_table(demo_joint(), [1], 10, 0.0)
+
+    @pytest.mark.parametrize("separation_deg", [20, 130])
+    def test_closed_columns_are_the_1d_count_at_every_m(self, separation_deg):
+        # 130 degrees puts the target two cells from a wall
+        rows = scaling_table(demo_joint(), [1, 2, 3], 300, separation_deg * DEG)
+        byk = self.by_key(rows)
+        d, index = joint_to_corridor(demo_joint())
+        a, b = index(0.0), index(separation_deg * DEG)
+        for m in range(abs(b - a) + 1, 301):
+            log10 = corridor_count_1d(d, a, b, m).log10
+            for n in (1, 2, 3):
+                assert byk[(str(n), str(m))] == ScalingRow(str(n), str(m), n * log10, "closed")
+
+    def test_step_cap(self):
+        with pytest.raises(ResourceLimit, match="cap is 50000"):
+            scaling_table(demo_joint(), [6, 3], 50_001, 20 * DEG)
+        with pytest.raises(DomainError, match="dof counts"):
+            scaling_table(demo_joint(), [3, 0], 50_001, 20 * DEG)
+        assert len(scaling_table(demo_joint(), [4], 50_001, 20 * DEG)) == 2 * 50_001 + 1

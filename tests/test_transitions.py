@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import re
 import warnings
@@ -152,6 +153,37 @@ def reference_find_transitions(
     if stats is not None:
         stats["simulated"] = simulated
     return TransitionTable(robot.content_hash(), tuple(states), tuple(transitions))
+
+
+def reference_write_jsonl(table: TransitionTable, fh) -> None:
+    """The per-line json.dumps writer `write_jsonl` replaced, kept as its oracle."""
+    header = {
+        "format": trn.JSONL_FORMAT,
+        "version": trn.JSONL_VERSION,
+        "robot_hash": table.robot_hash,
+    }
+    fh.write(json.dumps(header, sort_keys=True) + "\n")
+    for t in table.transitions:
+        line = {
+            "from": trn._state_to_json(t.from_state),
+            "torque_idx_seq": [list(a) for a in t.actions],
+            "duration_s": t.duration,
+            "to": trn._state_to_json(t.to_state),
+        }
+        fh.write(json.dumps(line) + "\n")
+
+
+def reference_export_dot(table: TransitionTable) -> str:
+    """The per-edge DOT writer `export_dot` replaced, kept as its oracle."""
+    lines = ["digraph transitions {"]
+    for i, s in enumerate(table.states):
+        lines.append(f'  n{i} [label="{state_label(s)}"];')
+    for t in table.transitions:
+        a = table.state_index(t.from_state)
+        b = table.state_index(t.to_state)
+        lines.append(f'  n{a} -> n{b} [label="{trn._rle_actions(t.actions)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # A literal copy of the benchmark's two-joint robot: +-12 deg in 6 deg cells,
@@ -354,6 +386,20 @@ class TestTableApi:
         assert idx.max_out_degree == 3
 
 
+    def test_torque_menu(self):
+        robot = robot_from_dict(TWO_JOINT)
+        s = QuantizedState((0, 0), (0, 0))
+
+        def table(*actions):
+            return TransitionTable("sha256:x", (s,), tuple(
+                Transition(s, (a,), 0.04, s) for a in actions))
+
+        trn.check_torque_menu(table((2, 0), (0, 2)), robot)
+        trn.check_torque_menu(table(), robot)
+        with pytest.raises(ConfigError, match="joint j2: torque index 4 is outside its menu of 3"):
+            trn.check_torque_menu(table((2, 0), (0, 3), (0, 4)), robot)
+
+
 class TestDotExport:
     def test_single_selfloop_graph(self):
         table = find_transitions(null_only_robot(), nal=2)
@@ -414,6 +460,24 @@ class TestJsonl:
          "duration_s 0.04 is not 2 ticks of 0.04"),
         ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.0400001',
          "duration"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[["2"]],"duration_s":0.04',
+         "torque index '2' is not an integer"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[1.5]],"duration_s":0.04',
+         "torque index 1.5 is not an integer"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2.0]],"duration_s":0.04',
+         "torque index 2.0 is not an integer"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[true]],"duration_s":0.04',
+         "torque index True is not an integer"),
+        ('"from":{"pos":[1.5],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04',
+         "state index 1.5 is not an integer"),
+        ('"from":{"pos":[true],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04',
+         "state index True is not an integer"),
+        ('"from":{"pos":[0],"vel":[1.5]},"torque_idx_seq":[[2]],"duration_s":0.04',
+         "state index 1.5 is not an integer"),
+        ('"from":{"pos":[0],"vel":[true]},"torque_idx_seq":[[2]],"duration_s":0.04',
+         "state index True is not an integer"),
+        ('"from":{"pos":[0],"vel":[null]},"torque_idx_seq":[[2]],"duration_s":0.04',
+         "state index None is not an integer"),
     ])
     def test_malformed_line_rejected(self, line, reason):
         good = '{"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.04,' \
@@ -580,3 +644,68 @@ def test_overflow_is_an_error_not_a_table():
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match="joint j: non-finite"):
             find_transitions(robot)
+
+
+# ---------------------------------------------------------------------------
+# the writers against the per-line writers they replaced
+
+
+def reference_serialised(table: TransitionTable) -> tuple[str, str]:
+    buf = io.StringIO()
+    reference_write_jsonl(table, buf)
+    return buf.getvalue(), reference_export_dot(table)
+
+
+@st.composite
+def drawn_tables(draw):
+    """Tables over 1-3 joints that repeat states and torque sequences.
+
+    Sequences are runs of held actions, so their labels are run-length
+    coded; a transition may be a static loop, may hold a fresh copy of its
+    states rather than the table's objects, and has a duration from a pool
+    whose texts differ in length and in type (1, 1.0 and True, 0.0 and -0.0).
+    """
+    n = draw(st.integers(1, 3))
+    idx = st.tuples(*[st.integers(-3, 3)] * n)
+    states = draw(st.lists(st.builds(QuantizedState, idx, idx), min_size=1, max_size=6,
+                           unique_by=QuantizedState.key))
+    run = st.tuples(st.tuples(*[st.integers(0, 4)] * n), st.integers(1, 4))
+    seqs = draw(st.lists(st.lists(run, min_size=1, max_size=3).map(
+        lambda runs: sum(((a,) * k for a, k in runs), ())), min_size=1, max_size=4))
+    durations = st.sampled_from([0.04, 0.08, 0.12000000000000001, 2.5e-05, 1e22,
+                                 1, 1.0, True, 3, 0, 0.0, -0.0])
+    edges = draw(st.lists(st.tuples(
+        st.sampled_from(states), st.sampled_from(seqs), durations,
+        st.one_of(st.none(), st.sampled_from(states)), st.booleans()), max_size=30))
+    transitions = []
+    for frm, seq, dur, to, copy in edges:
+        to = frm if to is None else to
+        if copy:
+            frm, to = QuantizedState(*frm.key()), QuantizedState(*to.key())
+        transitions.append(Transition(frm, tuple(seq), dur, to))
+    return TransitionTable("sha256:x", tuple(states), tuple(transitions))
+
+
+class TestWritersAgainstReference:
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize("robot", ["demo", "two-joint"])
+    def test_built_tables_and_read_backs(self, pendulum, robot, dedup):
+        table = find_transitions(pendulum if robot == "demo" else robot_from_dict(TWO_JOINT),
+                                 dedup=dedup)
+        want = reference_serialised(table)
+        assert serialised(table) == want
+        back = read_jsonl(io.StringIO(want[0]))
+        assert serialised(back) == reference_serialised(back) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_tables())
+    def test_drawn_tables(self, table):
+        assert serialised(table) == reference_serialised(table)
+
+    def test_missing_to_state(self):
+        here, lost = QuantizedState((0,), (0,)), QuantizedState((5,), (0,))
+        table = TransitionTable("sha256:x", (here,), (
+            Transition(here, ((1,),), 0.04, here), Transition(here, ((1,),), 0.04, lost)))
+        for dot in (export_dot, reference_export_dot):
+            with pytest.raises(UnknownState, match=re.escape(f"state {lost} not in table")):
+                dot(table)
