@@ -46,20 +46,23 @@ def main():
         write_scaling_csv(rows, fh)
     print(f"wrote {len(rows)} rows to {args.out}")
 
+    # the forced-path row (exactly 1 walk) and the rows below it are "exact"
+    # rows of the step limit, not of the growth, so no fit goes through them
+    forced = max(int(r.m) for r in rows if r.method == "exact")
     columns = {}
     for r in rows:
-        if r.log10_count is not None and r.m != "*":
+        if r.log10_count is not None and r.m != "*" and int(r.m) > forced:
             columns.setdefault(r.n, {})[int(r.m)] = r.log10_count
 
     hi = args.max_steps
-    nodes = (hi // 2, (hi // 2 + hi) // 2, hi)
-    if len(set(nodes)) < 3:
-        print("step range too short for slope fits", file=sys.stderr)
-        return
+    lo = max(hi // 2, forced + 1)
+    nodes = (lo, (lo + hi) // 2, hi)
     print(f"fitted log10-count slopes at steps {nodes}:")
     for tag in [str(n) for n in dofs] + ["go"]:
-        col = columns.get(tag)
-        if not col or any(m not in col for m in nodes):
+        col = columns.get(tag, {})
+        if len(set(nodes)) < 3 or any(m not in col for m in nodes):
+            print(f"  n={tag:>2}: skipped, needs three steps above the forced row "
+                  f"m = {forced}", file=sys.stderr)
             continue
         slope = fitted_slope(col, nodes)
         print(f"  n={tag:>2}: {slope:.6f}")

@@ -27,41 +27,16 @@ from .errors import (
     NumericalOverflow,
     ResourceLimit,
 )
-from .lattice import (
-    CorridorSpec,
-    corridor_count_1d,
-    corridor_count_dp,
-    corridor_count_nd,
-    full_move_set,
-    scaling_table,
-    write_scaling_csv,
-)
 from .model import (
-    QuantizedState,
-    action_space_size,
-    format_count,
-    load_robot,
-    state_space_size,
-    trajectory_upper_bound,
-)
-from .trajectories import (
-    count_trajectories,
-    enumerate_trajectories,
-    load_desired_csv,
-    plan_action_sequence,
-    write_plan_json,
-)
-from .transitions import (
-    check_torque_menu,
-    export_dot,
-    find_transitions,
-    read_jsonl,
-    state_label,
-    write_jsonl,
     DEFAULT_MAX_SEQUENCES,
     DEFAULT_MAX_STATES,
     DEFAULT_NAL,
+    QuantizedState,
 )
+
+# Each handler imports its layer when it runs, so a subcommand loads only the
+# modules it uses (the corridor, bounds and scaling counts and the planner
+# never load numpy), and a name patched on a layer module is the one called.
 
 
 def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:
@@ -145,6 +120,9 @@ def _parse_csv_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _cmd_transitions(args, ctx) -> None:
+    from .model import load_robot
+    from .transitions import export_dot, find_transitions, write_jsonl
+
     robot = load_robot(args.config)
     ctx["config_hash"] = robot.content_hash()
     start = _parse_state(args.start, robot.n_joints) if args.start else None
@@ -162,6 +140,8 @@ def _cmd_transitions(args, ctx) -> None:
 
 
 def _load_table(path: str):
+    from .transitions import read_jsonl
+
     try:
         fh = open(path)
     except OSError as e:
@@ -171,6 +151,10 @@ def _load_table(path: str):
 
 
 def _cmd_enumerate(args, ctx) -> None:
+    from .model import format_count
+    from .trajectories import count_trajectories, enumerate_trajectories
+    from .transitions import state_label
+
     table = _load_table(args.transitions)
     if args.start:
         starts = [_parse_state(args.start, len(table.states[0].pos_idx))]
@@ -195,6 +179,10 @@ def _cmd_enumerate(args, ctx) -> None:
 
 
 def _cmd_plan(args, ctx) -> None:
+    from .model import load_robot
+    from .trajectories import load_desired_csv, plan_action_sequence, write_plan_json
+    from .transitions import check_torque_menu
+
     robot = load_robot(args.config)
     ctx["config_hash"] = robot.content_hash()
     table = _load_table(args.transitions)
@@ -215,6 +203,8 @@ def _cmd_plan(args, ctx) -> None:
 
 
 def _cmd_count_corridor(args, ctx) -> None:
+    from .lattice import CorridorSpec, corridor_count_1d, corridor_count_dp, full_move_set
+
     if args.move_set != "full1":
         raise ConfigError(f"unsupported move set {args.move_set!r}")
     if args.exact:
@@ -226,6 +216,8 @@ def _cmd_count_corridor(args, ctx) -> None:
 
 
 def _cmd_count_ndim(args, ctx) -> None:
+    from .lattice import CorridorSpec, corridor_count_nd, full_move_set
+
     d = _parse_csv_ints(args.d, "--d")
     a = _parse_csv_ints(args.from_, "--from")
     b = _parse_csv_ints(args.to, "--to")
@@ -236,6 +228,14 @@ def _cmd_count_ndim(args, ctx) -> None:
 
 
 def _cmd_count_bounds(args, ctx) -> None:
+    from .model import (
+        action_space_size,
+        format_count,
+        load_robot,
+        state_space_size,
+        trajectory_upper_bound,
+    )
+
     robot = load_robot(args.config)
     ctx["config_hash"] = robot.content_hash()
     lines = [
@@ -247,6 +247,9 @@ def _cmd_count_bounds(args, ctx) -> None:
 
 
 def _cmd_count_scaling(args, ctx) -> None:
+    from .lattice import scaling_table, write_scaling_csv
+    from .model import load_robot
+
     robot = load_robot(args.config)
     ctx["config_hash"] = robot.content_hash()
     dofs = _parse_int_list(args.dof, "--dof")

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, NumericalOverflow, ResourceLimit
 from .model import JointSpec, format_count
 
@@ -297,6 +295,8 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     and in Python integers from the first step where it could, so counts stay
     exact at any size.
     """
+    import numpy as np
+
     d = spec.d
     _check_interior(d, a, "start")
     _check_interior(d, b, "target")
@@ -370,6 +370,8 @@ def _direct_spectral_sum(
     d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int, ms: MoveSet
 ) -> tuple[float, float]:
     """Evaluate the full frequency-grid sum; returns (value, sum of |contributions|)."""
+    import numpy as np
+
     n = len(d)
     terms = 1
     for dj in d:

@@ -28,6 +28,13 @@ ActionSequence = tuple[Action, ...]
 
 _GRID_FIT_TOL = 1e-9
 
+# transition discovery's defaults (transitions.find_transitions): the horizon in
+# ticks after which a quiescent sequence is static, and the state and sequence
+# budgets; here, so the CLI parser can show them without loading discovery
+DEFAULT_NAL = 25
+DEFAULT_MAX_STATES = 1_000_000
+DEFAULT_MAX_SEQUENCES = 10_000_000
+
 
 @dataclass(frozen=True)
 class JointSpec:

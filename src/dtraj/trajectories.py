@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
 from .model import ActionSequence, ContinuousState, QuantizedState, RobotSpec, quantize
 from .transitions import Transition, TransitionTable
@@ -47,6 +45,8 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     cannot overflow it, and in Python integers from the first hop where it
     could, so counts stay exact at any size.
     """
+    import numpy as np
+
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
     edges = table.edge_index()

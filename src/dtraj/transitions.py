@@ -16,14 +16,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
 from .dynamics import integrate_joint, integrate_step, joint_params
 from .model import (
     _GRID_FIT_TOL,
+    DEFAULT_MAX_SEQUENCES,
+    DEFAULT_MAX_STATES,
+    DEFAULT_NAL,
     Action,
     ActionSequence,
     ContinuousState,
@@ -33,9 +34,9 @@ from .model import (
     quantize,
 )
 
-DEFAULT_NAL = 25
-DEFAULT_MAX_STATES = 1_000_000
-DEFAULT_MAX_SEQUENCES = 10_000_000
+if TYPE_CHECKING:
+    import numpy as np
+
 # total replays a static candidate must survive before it is recorded
 STATIC_HOLD_REPS = 5
 
@@ -73,7 +74,8 @@ class TransitionTable:
 
     The ordering is canonical: states appear in the order the search first
     reached them, transitions in the order the search recorded them. Two runs
-    over the same robot produce byte-identical tables.
+    over the same robot produce byte-identical tables. A transition from or to
+    a state outside `states` raises UnknownState when the table is built.
     """
 
     robot_hash: str
@@ -84,10 +86,15 @@ class TransitionTable:
     _edges: EdgeIndex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = {s.key(): i for i, s in enumerate(self.states)}
-        self._out = {s.key(): [] for s in self.states}
-        for t in self.transitions:
-            self._out[t.from_state.key()].append(t)
+        index = self._index = {s.key(): i for i, s in enumerate(self.states)}
+        out = self._out = {s.key(): [] for s in self.states}
+        for k, t in enumerate(self.transitions):
+            try:
+                out[t.from_state.key()].append(t)
+                index[t.to_state.key()]  # a destination must be a table state too
+            except KeyError:
+                lost = t.to_state if t.from_state.key() in index else t.from_state
+                raise UnknownState(f"transition {k}: state {lost} not in table") from None
 
     def state_index(self, state: QuantizedState) -> int:
         try:
@@ -102,6 +109,8 @@ class TransitionTable:
     def edge_index(self) -> EdgeIndex:
         """The integer edge index, built on first use (discovery never needs it)."""
         if self._edges is None:
+            import numpy as np
+
             n = len(self.states)
             src = np.fromiter((self._index[t.from_state.key()] for t in self.transitions),
                               dtype=np.int64, count=len(self.transitions))
@@ -168,6 +177,8 @@ def _quantize_columns(qs: list, vs: list, robot: RobotSpec) -> tuple[np.ndarray,
     velocity indices (meaningless off the grid). Rounding and tolerance are
     `quantize`'s, elementwise.
     """
+    import numpy as np
+
     n = robot.n_joints
     on_grid = np.ones(len(qs[0]), dtype=bool)
     cells = np.empty((len(qs[0]), 2 * n))
@@ -214,6 +225,8 @@ def find_transitions(
     counts once) and is checked before a tick runs; max_states bounds the
     states found. Either raises BudgetExceeded with the progress so far.
     """
+    import numpy as np
+
     robot.validate()
     if nal < 1:
         raise ConfigError("nal must be >= 1")
@@ -530,8 +543,7 @@ def _rle_actions(seq: ActionSequence) -> str:
 def export_dot(table: TransitionTable) -> str:
     """The table as a DOT digraph: node n<i> is table.states[i], one edge per transition.
 
-    Each distinct torque sequence's label is rendered once per call; a
-    transition whose state is not in the table raises UnknownState.
+    Each distinct torque sequence's label is rendered once per call.
     """
     nodes = {s.key(): f"n{i}" for i, s in enumerate(table.states)}
     labels = _Rendered(_rle_actions)
@@ -539,10 +551,7 @@ def export_dot(table: TransitionTable) -> str:
     for i, s in enumerate(table.states):
         lines.append(f'  n{i} [label="{state_label(s)}"];')
     for t in table.transitions:
-        try:
-            a, b = nodes[t.from_state.key()], nodes[t.to_state.key()]
-        except KeyError as e:
-            raise UnknownState(f"state {QuantizedState(*e.args[0])} not in table") from None
+        a, b = nodes[t.from_state.key()], nodes[t.to_state.key()]
         lines.append(f'  {a} -> {b} [label="{labels[t.actions]}"];')
     lines.append("}\n")  # ends the text with a newline without copying it
     return "\n".join(lines)

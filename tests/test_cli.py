@@ -1,7 +1,10 @@
-"""End-to-end command tests; everything runs in-process through main()."""
+"""End-to-end command tests, in-process through main(); the import tests run
+in child processes, so what a command loads is seen from a fresh interpreter."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -389,3 +392,118 @@ class TestHarness:
         line = [ln for ln in err.strip().splitlines() if ln.startswith("{")][-1]
         obj = json.loads(line)
         assert line == json.dumps(obj, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# what a command loads
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+# `python -m dtraj.cli ARGS` that reports the modules it loaded as the last
+# line of stderr, after the manifest
+RUN_CLI = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+    "runpy.run_module('dtraj.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def cli_modules(*argv: str) -> set[str]:
+    done = run_child(RUN_CLI, *argv)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+def dtraj_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "dtraj" or m.startswith("dtraj.")}
+
+
+@pytest.fixture(scope="module")
+def desired_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "desired.csv"
+    path.write_text("t_s,q1_deg\n" + "".join(f"{k * 0.04},{2 * k}\n" for k in range(6)))
+    return path
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"],
+        ["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5"],
+        ["count", "bounds", "--config", CFG, "--steps", "50"],
+        ["count", "scaling", "--config", CFG, "--dof", "1-6", "--steps", "1-20",
+         "--separation-deg", "20"],
+        ["--version"],
+        ["--help"],
+    ], ids=["corridor", "ndim", "bounds", "scaling", "version", "help"])
+    def test_command_does_not_load_numpy(self, argv):
+        assert "numpy" not in cli_modules(*argv)
+
+    def test_plan_does_not_load_numpy(self, table_file, desired_file):
+        loaded = cli_modules("plan", "--transitions", str(table_file), "--config", CFG,
+                             "--desired", str(desired_file))
+        assert "numpy" not in loaded
+        assert "dtraj.lattice" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4", "--exact"],
+        ["ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5", "--direct"],
+    ], ids=["exact", "direct"])
+    def test_array_routes_load_numpy_and_their_layer_only(self, argv):
+        loaded = cli_modules("count", *argv)
+        assert "numpy" in loaded
+        # the CLI itself runs as __main__
+        assert dtraj_modules(loaded) == {"dtraj", "dtraj.errors", "dtraj.lattice", "dtraj.model"}
+
+    def test_bare_import_loads_no_layer(self):
+        done = run_child("import json, sys, dtraj; print(json.dumps(sorted(sys.modules)))")
+        loaded = set(json.loads(done.stdout))
+        assert dtraj_modules(loaded) == {"dtraj"}
+        assert "numpy" not in loaded
+
+    def test_every_export_and_submodule_resolves(self):
+        code = (
+            "import importlib, json, pkgutil, dtraj\n"
+            "subs = [m.name for m in pkgutil.iter_modules(dtraj.__path__)]\n"
+            "wrong = [n for n in subs\n"
+            "         if getattr(dtraj, n) is not importlib.import_module('dtraj.' + n)]\n"
+            "wrong += [n for n in dtraj.__all__ if getattr(dtraj, n, None) is None]\n"
+            "print(json.dumps([subs, wrong]))\n"
+        )
+        subs, wrong = json.loads(run_child(code).stdout)
+        assert set(subs) == {"cli", "dynamics", "errors", "lattice", "model", "trajectories",
+                             "transitions"}
+        assert wrong == []
+
+    def test_exports_are_the_layer_objects(self):
+        import dtraj
+        for name in dtraj.__all__[1:]:
+            assert getattr(dtraj, name) is getattr(getattr(dtraj, dtraj._HOME[name]), name)
+        with pytest.raises(AttributeError):
+            dtraj.no_such_name
+
+    def test_star_import_binds_all(self):
+        code = (
+            "import json\n"
+            "from dtraj import *\n"
+            "import dtraj\n"
+            "print(json.dumps([n for n in dtraj.__all__ if n not in globals()]))\n"
+        )
+        assert json.loads(run_child(code).stdout) == []
+
+    def test_handler_calls_the_layer_name(self, capsys, monkeypatch):
+        # handlers look their layer's functions up when they run, so a name
+        # patched on the layer module (as a tracer does) is the one called
+        import dtraj.lattice as lattice
+        monkeypatch.setattr(lattice, "corridor_count_1d",
+                            lambda *args: lattice.PathCount.from_int(7))
+        assert main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
+                     "--steps", "4"]) == 0
+        assert capsys.readouterr().out == "7\n"

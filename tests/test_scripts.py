@@ -15,14 +15,14 @@ from conftest import CONFIG_PATH
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
-def run_script(name: str, *args: str) -> str:
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done
 
 
 def demo_robot():
@@ -32,7 +32,7 @@ def demo_robot():
 
 def test_explore_pendulum_writes_the_library_bytes(tmp_path):
     jsonl, dot = tmp_path / "a.jsonl", tmp_path / "b.dot"
-    out = run_script("explore_pendulum.py", "--jsonl", str(jsonl), "--dot", str(dot))
+    out = run_script("explore_pendulum.py", "--jsonl", str(jsonl), "--dot", str(dot)).stdout
     assert "transitions       6353" in out
     table = find_transitions(demo_robot())
     buf = io.StringIO()
@@ -41,12 +41,37 @@ def test_explore_pendulum_writes_the_library_bytes(tmp_path):
     assert dot.read_text() == export_dot(table)
 
 
+def slopes(stdout: str) -> dict[str, float]:
+    lines = [line.split(":") for line in stdout.splitlines() if line.startswith("  n=")]
+    return {tag.strip(): float(value) for tag, value in lines}
+
+
 def test_run_scaling_study_writes_the_library_csv(tmp_path):
     csv = tmp_path / "scaling.csv"
-    out = run_script("run_scaling_study.py", "--max-steps", "20", "--out", str(csv))
+    done = run_script("run_scaling_study.py", "--max-steps", "20", "--out", str(csv))
     rows = scaling_table(demo_robot().joints[0], range(1, 7), 20, math.radians(20.0))
     buf = io.StringIO()
     write_scaling_csv(rows, buf)
     assert csv.read_text() == buf.getvalue()
-    assert f"wrote {len(rows)} rows to {csv}" in out
-    assert "n= 1:" in out and "n=go:" in out
+    assert f"wrote {len(rows)} rows to {csv}" in done.stdout
+    # 20 deg is 10 demo cells, so m = 10 is the forced row (log10 0) and
+    # m < 10 are the empty rows; the fit starts above them
+    assert "fitted log10-count slopes at steps (11, 15, 20):" in done.stdout
+    got = slopes(done.stdout)
+    assert list(got) == ["n= 1", "n= 2", "n= 3", "n= 4", "n= 5", "n= 6", "n=go"]
+    assert all(v > 0 for v in got.values())
+    # the estimate's -n log10(2m+1) term is fitted out, leaving n log10(3)
+    for n in (4, 5, 6):
+        assert math.isclose(got[f"n= {n}"], n * math.log10(3), abs_tol=1e-6)
+    assert math.isclose(got["n=go"], math.log10(361), abs_tol=1e-6)
+    assert "skipped" not in done.stderr
+
+
+def test_run_scaling_study_skips_columns_without_three_nodes(tmp_path):
+    # steps 11 and 12 alone lie above the forced row: no column gets a slope
+    done = run_script("run_scaling_study.py", "--max-steps", "12", "--out",
+                      str(tmp_path / "scaling.csv"))
+    assert slopes(done.stdout) == {}
+    skipped = [line for line in done.stderr.splitlines() if "skipped" in line]
+    assert len(skipped) == 7
+    assert all("forced row m = 10" in line for line in skipped)
