@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "dynamics": ("act", "act_sequence", "integrate_step", "validation_check"),
     "transitions": (
-        "Transition", "TransitionTable", "atomic_action_count", "export_dot",
-        "find_transitions", "read_jsonl", "write_jsonl",
+        "Transition", "TransitionTable", "export_dot", "find_transitions",
+        "read_jsonl", "write_jsonl",
     ),
     "trajectories": (
         "DesiredTrajectory", "PlanResult", "Trajectory", "count_trajectories",
@@ -35,8 +35,8 @@ _EXPORTS = {
     "lattice": (
         "CorridorSpec", "MoveSet", "PathCount", "approx_count_log10",
         "corridor_count_1d", "corridor_count_dp", "corridor_count_nd",
-        "full_move_set", "joint_to_corridor", "move_kernel",
-        "nonnegative_subset", "scaling_table",
+        "full_move_set", "joint_to_corridor", "nonnegative_subset",
+        "scaling_table",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

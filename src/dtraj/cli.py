@@ -205,8 +205,6 @@ def _cmd_plan(args, ctx) -> None:
 def _cmd_count_corridor(args, ctx) -> None:
     from .lattice import CorridorSpec, corridor_count_1d, corridor_count_dp, full_move_set
 
-    if args.move_set != "full1":
-        raise ConfigError(f"unsupported move set {args.move_set!r}")
     if args.exact:
         spec = CorridorSpec(d=(args.d,), move_set=full_move_set(1))
         pc = corridor_count_dp(spec, (args.from_,), (args.to,), args.steps)
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--to", type=int, required=True)
     cc.add_argument("--steps", type=int, required=True)
     cc.add_argument("--exact", action="store_true", help="count by the DP oracle")
-    cc.add_argument("--move-set", default="full1", help="only full1 is defined")
     cc.add_argument("--out", default=None)
     cc.set_defaults(func=_cmd_count_corridor)
 

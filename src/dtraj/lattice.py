@@ -10,8 +10,9 @@ provided and cross-checked:
   * an exact 1-D count by the method of images, in Python integers; for the
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
     the product of these per-axis counts (the fast path),
-  * the paper's spectral sum over the full frequency grid (n-D, with n = 1
-    the 1-D sine formula), a float estimate with an explicit error bound.
+  * the paper's spectral sum over the full frequency grid (n <= 3, with
+    n = 1 the 1-D sine formula), a float estimate with an explicit error
+    bound, evaluated by one code path for every n.
 
 The spectral sum diagonalizes the transfer stencil in a product sine basis.
 That holds for move sets closed under flipping the sign of any one axis; the
@@ -23,13 +24,15 @@ exactly 0 by every route, since a walk moves at most one cell per step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
-from .model import JointSpec, format_count
+from .model import JointSpec, _round_half_away, format_count
 
 _EPS = 2.0 ** -52
 _EXACT_ROUND_LIMIT = 2 ** 63
@@ -117,14 +120,18 @@ class CorridorSpec:
             raise DomainError("every wall parameter d_j must be >= 2")
 
 
-def _check_interior(d: Sequence[int], p: Sequence[int], label: str) -> None:
-    if len(p) != len(d):
-        raise DomainError(f"{label} has dimension {len(p)}, corridor has {len(d)}")
-    for j, (dj, pj) in enumerate(zip(d, p)):
-        if not (1 <= pj <= dj - 1):
-            raise DomainError(
-                f"{label}[{j}] = {pj} is on or outside a wall (interior is 1..{dj - 1})"
-            )
+def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> None:
+    """DomainError unless both ends are interior cells of the corridor and m >= 0."""
+    for label, p in (("start", a), ("target", b)):
+        if len(p) != len(d):
+            raise DomainError(f"{label} has dimension {len(p)}, corridor has {len(d)}")
+        for j, (dj, pj) in enumerate(zip(d, p)):
+            if not (1 <= pj <= dj - 1):
+                raise DomainError(
+                    f"{label}[{j}] = {pj} is on or outside a wall (interior is 1..{dj - 1})"
+                )
+    if m < 0:
+        raise DomainError("m must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +169,12 @@ class PathCount:
         """
         if not math.isfinite(value):
             raise DomainError("closed-form count is not finite")
-        if value < 0:
-            if -value <= max(abs_err, 0.5):
-                # negative residual within tolerance; counts are nonnegative
-                return cls(exact=0, sign=0, log10=-math.inf,
-                           abs_err_log10=math.log10(abs_err) if abs_err > 0 else -math.inf)
+        if value < 0 and not -value <= max(abs_err, 0.5):
             raise DomainError(f"closed-form count {value} negative beyond error bound {abs_err}")
         err_log = math.log10(abs_err) if abs_err > 0 else -math.inf
+        if value <= 0:
+            # zero, or a negative residual within tolerance; counts are nonnegative
+            return cls(exact=0, sign=0, log10=-math.inf, abs_err_log10=err_log)
         # rounding is only exact when the bound leaves one integer in reach
         if value <= _EXACT_ROUND_LIMIT and abs_err < 0.5:
             nearest = math.floor(value + 0.5)
@@ -180,17 +186,7 @@ class PathCount:
                 log10=math.log10(nearest) if nearest > 0 else -math.inf,
                 abs_err_log10=math.log10(err) if err > 0 else -math.inf,
             )
-        if value == 0.0:
-            return cls.from_log10(0, -math.inf, err_log)
         return cls(exact=None, sign=1, log10=math.log10(value), abs_err_log10=err_log)
-
-    @classmethod
-    def from_log10(cls, sign: int, log10_mag: float, abs_err_log10: float) -> "PathCount":
-        if sign < 0:
-            raise DomainError("counts are nonnegative")
-        if sign == 0:
-            return cls(exact=0, sign=0, log10=-math.inf, abs_err_log10=abs_err_log10)
-        return cls(exact=None, sign=1, log10=log10_mag, abs_err_log10=abs_err_log10)
 
     @property
     def rel_err(self) -> float:
@@ -199,11 +195,6 @@ class PathCount:
         if self.abs_err_log10 == -math.inf:
             return 0.0
         return 10.0 ** (self.abs_err_log10 - self.log10)
-
-    def to_float(self) -> float:
-        if self.exact is not None:
-            return float(self.exact) if self.log10 < 300 else math.inf
-        return 0.0 if self.sign == 0 else 10.0 ** self.log10
 
     def display(self) -> str:
         if self.exact is not None:
@@ -252,10 +243,7 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     d = int(d)
     if d < 2:
         raise DomainError("d must be >= 2")
-    _check_interior((d,), (a,), "position")
-    _check_interior((d,), (b,), "position")
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_walk((d,), (a,), (b,), m)
     if abs(b - a) > m:
         # a walk moves at most one cell per step
         return PathCount.from_int(0)
@@ -298,10 +286,7 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     import numpy as np
 
     d = spec.d
-    _check_interior(d, a, "start")
-    _check_interior(d, b, "target")
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_walk(d, a, b, m)
     cells = 1
     for dj in d:
         cells *= dj - 1
@@ -345,37 +330,20 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
 # spectral kernel and the n-D closed form
 
 
-def move_kernel(omega: Sequence[int], d: Sequence[int], ms: MoveSet) -> float:
-    """Frequency response of one stencil application.
-
-    Sum over the nonnegative-component moves of the product over axes of
-    (2 cos(pi w_j / d_j))^mu_j. For the full move set this factors into
-    prod_j (1 + 2 cos(pi w_j / d_j)), which is used as fast path elsewhere
-    and asserted equal in the tests.
-    """
-    if len(omega) != ms.n or len(d) != ms.n:
-        raise DomainError("kernel arguments must match the move-set dimension")
-    plus = nonnegative_subset(ms)
-    total = 0.0
-    for mv in plus.moves:
-        prod = 1.0
-        for j, mu in enumerate(mv):
-            if mu:
-                prod *= (2.0 * math.cos(math.pi * omega[j] / d[j])) ** mu
-        total += prod
-    return total
-
-
 def _direct_spectral_sum(
     d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int, ms: MoveSet
 ) -> tuple[float, float]:
-    """Evaluate the full frequency-grid sum; returns (value, sum of |contributions|)."""
+    """Evaluate the full frequency-grid sum; returns (value, sum of |contributions|).
+
+    One path for every n: the trailing (at most two) axes are broadcast as
+    arrays and the leading n - 2 axes are looped over one frequency tuple at a
+    time, so memory stays that of one 2-D slice. Each distinct trailing kernel
+    factor is built once.
+    """
     import numpy as np
 
     n = len(d)
-    terms = 1
-    for dj in d:
-        terms *= 2 * dj
+    terms = math.prod(2 * dj for dj in d)
     if n > 3:
         raise ResourceLimit("direct evaluation supports at most 3 axes")
     if terms > _DIRECT_TERM_BUDGET:
@@ -383,62 +351,45 @@ def _direct_spectral_sum(
             f"direct evaluation needs {terms} terms, budget is {_DIRECT_TERM_BUDGET}"
         )
 
-    plus = nonnegative_subset(ms)
+    plus = nonnegative_subset(ms).moves
     ws = [np.arange(1 - dj, dj + 1, dtype=np.float64) for dj in d]
     cosines = [2.0 * np.cos(np.pi * w / dj) for w, dj in zip(ws, d)]
     sin_a = [np.sin(np.pi * w * aj / dj) for w, aj, dj in zip(ws, a, d)]
     phase_b = [np.pi * w * bj / dj for w, bj, dj in zip(ws, b, d)]
+    wave = np.cos if n % 2 == 0 else np.sin
 
-    def axis_factor(j: int, mu: int) -> np.ndarray:
-        return cosines[j] ** mu if mu else np.ones_like(cosines[j])
+    lead = max(n - 2, 0)
 
-    even = n % 2 == 0
-    wave = np.cos if even else np.sin
-    pref_sign = (-1.0) ** (n // 2) if even else (-1.0) ** ((n - 1) // 2)
+    def tail(per_axis):
+        # the trailing axes' arrays as broadcastable views, of shapes (k, 1) and (k,)
+        return [x.reshape((-1,) + (1,) * (n - 1 - j)) for j, x in enumerate(per_axis)][lead:]
 
-    if n == 1:
-        kern = np.zeros_like(ws[0])
-        for mv in plus.moves:
-            kern += axis_factor(0, mv[0])
-        contrib = wave(phase_b[0]) * kern ** m * sin_a[0]
-        total = float(contrib.sum())
-        abs_total = float(np.abs(contrib).sum())
-    elif n == 2:
-        kern = np.zeros((len(ws[0]), len(ws[1])))
-        for mv in plus.moves:
-            kern += np.outer(axis_factor(0, mv[0]), axis_factor(1, mv[1]))
-        phase = phase_b[0][:, None] + phase_b[1][None, :]
-        contrib = wave(phase) * kern ** m * np.outer(sin_a[0], sin_a[1])
-        total = float(contrib.sum())
-        abs_total = float(np.abs(contrib).sum())
-    else:
-        total = 0.0
-        abs_total = 0.0
-        sin_outer = np.outer(sin_a[1], sin_a[2])
-        phase_inner = phase_b[1][:, None] + phase_b[2][None, :]
-        factors12 = {}
-        for mv in plus.moves:
-            key = (mv[1], mv[2])
-            if key not in factors12:
-                factors12[key] = np.outer(axis_factor(1, mv[1]), axis_factor(2, mv[2]))
-        for i0 in range(len(ws[0])):
-            kern = np.zeros_like(phase_inner)
-            for mv in plus.moves:
-                f0 = float(cosines[0][i0]) ** mv[0] if mv[0] else 1.0
-                kern += f0 * factors12[(mv[1], mv[2])]
-            contrib = (
-                wave(phase_b[0][i0] + phase_inner)
-                * kern ** m
-                * (float(sin_a[0][i0]) * sin_outer)
-            )
-            total += float(contrib.sum())
-            abs_total += float(np.abs(contrib).sum())
+    sin_tail = functools.reduce(operator.mul, tail(sin_a))
+    phase_tail = functools.reduce(operator.add, tail(phase_b))
+    cos_tail = tail(cosines)
+    # the nonnegative moves have components 0 and 1, so a kernel term is the
+    # product of the 2 cos factors of the axes the move steps along
+    factors = {}
+    for mv in plus:
+        if mv[lead:] not in factors:
+            factors[mv[lead:]] = math.prod(itertools.compress(cos_tail, mv[lead:]))
+    total = 0.0
+    abs_total = 0.0
+    # one (cosines, sines, phases) triple of scalars per leading frequency tuple
+    leading = (
+        itertools.product(*(x.tolist() for x in per_axis[:lead]))
+        for per_axis in (cosines, sin_a, phase_b)
+    )
+    for cos_at, sin_at, phase_at in zip(*leading):
+        kern = np.zeros(phase_tail.shape)
+        for mv in plus:
+            kern += math.prod(itertools.compress(cos_at, mv), start=factors[mv[lead:]])
+        contrib = wave(sum(phase_at, phase_tail)) * kern ** m * math.prod(sin_at, start=sin_tail)
+        total += float(contrib.sum())
+        abs_total += float(np.abs(contrib).sum())
 
-    denom = 1.0
-    for dj in d:
-        denom *= dj
-    value = pref_sign * total / denom
-    return value, abs_total / denom
+    denom = math.prod(d)
+    return (-1.0) ** (n // 2) * total / denom, abs_total / denom
 
 
 def corridor_count_factorized(
@@ -447,10 +398,7 @@ def corridor_count_factorized(
     """Exact count as the product of per-axis 1-D counts. Full move set only."""
     if not spec.move_set.is_full():
         raise DomainError("the factorized fast path requires the full move set")
-    _check_interior(spec.d, a, "start")
-    _check_interior(spec.d, b, "target")
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_walk(spec.d, a, b, m)
     count = 1
     for dj, aj, bj in zip(spec.d, a, b):
         count *= corridor_count_1d(dj, aj, bj, m).exact
@@ -479,20 +427,17 @@ def corridor_count_nd(
     An end more than m cells from the start on some axis is out of reach:
     the count is exactly 0 and no sum is evaluated.
 
-    The parity branch follows the spectral derivation: cosine b-term with
-    prefactor (-1)^(n/2) for even n, sine b-term with prefactor (-1)^((n-1)/2)
-    for odd n. The odd sign is fixed so that one axis reduces exactly to the
-    1-D formula with its positive 2/d prefactor; the exact DP oracle confirms
-    both branches.
+    The sum follows the spectral derivation: a cosine b-term for even n and
+    a sine b-term for odd n, both with the prefactor (-1)^floor(n/2). For odd
+    n this is the sign that makes one axis reduce exactly to the 1-D formula
+    with its positive 2/d prefactor; the exact DP oracle confirms both
+    parities.
 
     The cross-check requires agreement within relative 1e-6, loosened only
     by the direct sum's own roundoff bound (large kernel powers cancel
     catastrophically in float64; the bound tracks exactly when).
     """
-    _check_interior(spec.d, a, "start")
-    _check_interior(spec.d, b, "target")
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_walk(spec.d, a, b, m)
     if method not in ("auto", "direct", "factorized"):
         raise DomainError(f"unknown method {method!r}")
     if method == "factorized":
@@ -544,19 +489,12 @@ def joint_to_corridor(joint: JointSpec) -> tuple[int, Callable[[float], int]]:
         offset = (d - 1) // 2 + 1
 
     def index(q: float) -> int:
-        x = q / joint.delta_q
-        i = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-        idx = i + offset
+        idx = _round_half_away(q / joint.delta_q) + offset
         if not (1 <= idx <= d - 1):
             raise DomainError(f"angle {q} rad maps to wall or beyond (index {idx}, d={d})")
         return idx
 
     return d, index
-
-
-def corridor_convention(d: int) -> str:
-    """Human-readable tag for the anchoring convention, stamped into outputs."""
-    return "center-even" if d % 2 == 0 else "center-odd-upper"
 
 
 def approx_count_log10(torque_counts: Sequence[int], m: int, n: int) -> float:
@@ -597,6 +535,8 @@ def scaling_table(
     time growing as m_max * d; they equal corridor_count_1d's and share its
     step cap, checked before any work.
     """
+    if not math.isfinite(separation):
+        raise DomainError(f"separation must be finite (got {separation})")
     d, index = joint_to_corridor(joint)
     steps = separation / joint.delta_q
     if abs(steps - round(steps)) > 1e-9:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, DomainError, OutOfRange
+from .errors import ConfigError, DomainError, OutOfRange, ResourceLimit
 
 # An action is one torque index per joint, applied for exactly delta_t.
 # A sequence of actions is the package's unit of actuation.
@@ -27,6 +27,9 @@ Action = tuple[int, ...]
 ActionSequence = tuple[Action, ...]
 
 _GRID_FIT_TOL = 1e-9
+# printing a count exactly costs time growing as its digit count squared:
+# about 1 s at the cap
+_BOUND_DIGIT_CAP = 200_000
 
 # transition discovery's defaults (transitions.find_transitions): the horizon in
 # ticks after which a quiescent sequence is static, and the state and sequence
@@ -182,13 +185,6 @@ def representative(state: QuantizedState, robot: RobotSpec) -> ContinuousState:
     return ContinuousState(q, v)
 
 
-def _grid_count(lo: float, hi: float, step: float) -> int:
-    # number of multiples of step inside [lo, hi], tolerant at the boundaries
-    hi_idx = math.floor(hi / step + _GRID_FIT_TOL)
-    lo_idx = math.ceil(lo / step - _GRID_FIT_TOL)
-    return hi_idx - lo_idx + 1
-
-
 def position_grid_range(joint: JointSpec) -> tuple[int, int]:
     """Inclusive (lowest, highest) position index representable within the limits."""
     lo = math.ceil(joint.q_min / joint.delta_q - _GRID_FIT_TOL)
@@ -207,9 +203,8 @@ def state_space_size(robot: RobotSpec) -> int:
     robot.validate()
     total = 1
     for i, j in enumerate(robot.joints):
-        n_pos = _grid_count(j.q_min, j.q_max, j.delta_q)
-        n_vel = _grid_count(j.v_min, j.v_max, robot.delta_v(i))
-        total *= n_pos * n_vel
+        for lo, hi in (position_grid_range(j), velocity_grid_range(j, robot.delta_v(i))):
+            total *= hi - lo + 1
     return total
 
 
@@ -223,10 +218,19 @@ def action_space_size(robot: RobotSpec) -> int:
 
 
 def trajectory_upper_bound(robot: RobotSpec, m: int) -> int:
-    """Bound on m-tick trajectories: every state times every torque string of length m."""
+    """Bound on m-tick trajectories: every state times every torque string of length m.
+
+    A bound of more than _BOUND_DIGIT_CAP decimal digits is refused with
+    ResourceLimit before it is built.
+    """
     if m < 0:
         raise DomainError("m must be >= 0")
-    return state_space_size(robot) * action_space_size(robot) ** m
+    states, actions = state_space_size(robot), action_space_size(robot)
+    if actions > 1 and m > (_BOUND_DIGIT_CAP - math.log10(states)) / math.log10(actions):
+        raise ResourceLimit(
+            f"the bound at m = {m} steps has more than {_BOUND_DIGIT_CAP} digits"
+        )
+    return states * actions ** m
 
 
 # ---------------------------------------------------------------------------

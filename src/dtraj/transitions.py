@@ -362,11 +362,6 @@ def find_transitions(
     return TransitionTable(robot.content_hash(), ordered, transitions)
 
 
-def atomic_action_count(table: TransitionTable, state: QuantizedState) -> int:
-    """Outgoing-transition count; measures how state-dependent the action set is."""
-    return len(table.outgoing(state))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -129,6 +129,16 @@ class TestCorridorCommands:
         out = capsys.readouterr().out.splitlines()
         assert out == ["states 945", "actions 5", "upper_bound 8.39329e+37"]
 
+    @pytest.mark.parametrize("steps", ["286132", "10000000", str(10 ** 400)])
+    def test_bounds_digit_cap_refused_before_any_work(self, capsys, steps):
+        t0 = time.monotonic()
+        rc = main(["count", "bounds", "--config", CFG, "--steps", steps])
+        assert rc == 4
+        assert time.monotonic() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "more than 200000 digits" in out.err
+
 
 class TestScalingCommand:
     def test_csv_shape_and_rows(self, capsys, tmp_path):
@@ -162,6 +172,15 @@ class TestScalingCommand:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[50001].startswith("6,50001,") and lines[50001].endswith(",approx")
+
+    @pytest.mark.parametrize("separation", ["nan", "inf", "-inf"])
+    def test_separation_not_finite_is_domain_error(self, capsys, separation):
+        rc = main(["count", "scaling", "--config", CFG, "--dof", "1", "--steps", "1-3",
+                   f"--separation-deg={separation}"])
+        assert rc == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "separation must be finite" in out.err
 
     def test_steps_must_start_at_one(self, capsys):
         rc = main(["count", "scaling", "--config", CFG, "--dof", "1",

@@ -12,15 +12,14 @@ from dtraj.lattice import (
     MoveSet,
     PathCount,
     ScalingRow,
+    _direct_spectral_sum,
     approx_count_log10,
-    corridor_convention,
     corridor_count_1d,
     corridor_count_dp,
     corridor_count_factorized,
     corridor_count_nd,
     full_move_set,
     joint_to_corridor,
-    move_kernel,
     nonnegative_subset,
     scaling_table,
     write_scaling_csv,
@@ -324,39 +323,29 @@ class TestCorridorDp:
         assert corridor_count_dp(spec, (2,), (3,), 3).exact > 0
 
 
-class TestMoveKernel:
-    def test_zero_frequency(self):
-        for n in (1, 2, 3):
-            assert move_kernel((0,) * n, (5,) * n, full_move_set(n)) == pytest.approx(3.0**n)
-
-    def test_one_dimensional_form(self):
-        for w, d in ((1, 5), (3, 7), (6, 13)):
-            c = math.cos(math.pi * w / d)
-            assert move_kernel((w,), (d,), full_move_set(1)) == pytest.approx(1 + 2 * c)
-
-    def test_factorization_identity(self):
-        rng = random.Random(20260819)
-        ms = full_move_set(2)
-        for _ in range(100):
-            d = (rng.randint(2, 30), rng.randint(2, 30))
-            w = (rng.randint(-d[0] + 1, d[0]), rng.randint(-d[1] + 1, d[1]))
-            direct = move_kernel(w, d, ms)
-            prod = 1.0
-            for wj, dj in zip(w, d):
-                prod *= 1.0 + 2.0 * math.cos(math.pi * wj / dj)
-            assert direct == pytest.approx(prod, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            move_kernel((1, 2), (5,), full_move_set(1))
-
-
 class TestCorridorNd:
     def test_pinned_2d_example(self):
         spec = CorridorSpec(d=(6, 6), move_set=full_move_set(2))
         nd = corridor_count_nd(spec, (2, 3), (3, 3), 5, method="direct")
         dp = corridor_count_dp(spec, (2, 3), (3, 3), 5)
         assert nd.exact == dp.exact == 2244
+
+    @pytest.mark.parametrize("d, a, b, m, moves, value, abs_sum", [
+        ((13,), (4,), (9,), 11, None,
+         "0x1.3350000000009p+12", "0x1.8c887e33ecc2fp+14"),
+        ((18, 23), (13, 21), (6, 6), 19, None,
+         "0x1.f0a75aff12c0ep+36", "0x1.236e8f1087589p+53"),
+        ((7, 5, 9), (3, 2, 4), (2, 3, 7), 12, None,
+         "0x1.1f853489dffffp+46", "0x1.d4f86e84aaf62p+46"),
+        ((8, 7), (2, 3), (5, 4), 9, ((0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)),
+         "0x1.2b40000000000p+15", "0x1.c11249baaba30p+15"),
+    ])
+    def test_direct_sum_bits_pinned(self, d, a, b, m, moves, value, abs_sum):
+        # float.hex of (value, abs_sum), recorded from separate n = 1, 2, 3
+        # branches; evaluation order must not change the sum by even one ulp
+        ms = full_move_set(len(d)) if moves is None else MoveSet(n=len(d), moves=moves)
+        got = _direct_spectral_sum(d, a, b, m, ms)
+        assert (got[0].hex(), got[1].hex()) == (value, abs_sum)
 
     def test_n1_reduces_to_1d(self):
         # the one-axis direct sum is the paper's 1-D sine formula; it must
@@ -510,7 +499,7 @@ class TestPathCount:
 
     def test_display(self):
         assert PathCount.from_int(16).display() == "16"
-        assert PathCount.from_log10(1, 52.806316, 40.0).display().endswith("e+52")
+        assert PathCount.from_float(10.0 ** 52.806316, 1e40).display().endswith("e+52")
         assert PathCount.from_int(0).display() == "0"
 
 
@@ -522,7 +511,6 @@ class TestJointMapping:
         assert index(40 * DEG) == 88
         assert index(-20 * DEG) == 58
         assert index(80 * DEG) == 108
-        assert corridor_convention(d) == "center-even"
 
     def test_walls_rejected(self):
         _, index = joint_to_corridor(demo_joint())
@@ -545,7 +533,6 @@ class TestJointMapping:
         )
         d, index = joint_to_corridor(j)
         assert d == 135
-        assert corridor_convention(d) == "center-odd-upper"
         assert index(0.0) == 68
         # the upper-anchored convention sacrifices the top grid point
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from dtraj.errors import ConfigError, DomainError, OutOfRange
+from dtraj.errors import ConfigError, DomainError, OutOfRange, ResourceLimit
 from dtraj.model import (
     ContinuousState,
     JointSpec,
@@ -94,6 +94,12 @@ class TestSizes:
         assert trajectory_upper_bound(pendulum, 0) == 945
         assert trajectory_upper_bound(pendulum, 3) == 945 * 125
         assert trajectory_upper_bound(pendulum, 50) == 945 * 5**50
+
+    def test_upper_bound_digit_cap(self, pendulum):
+        # 945 * 5^m has 200000 digits at m = 286131 and 200001 at m = 286132
+        assert 10 ** 199999 <= trajectory_upper_bound(pendulum, 286131) < 10 ** 200000
+        with pytest.raises(ResourceLimit, match="more than 200000 digits"):
+            trajectory_upper_bound(pendulum, 286132)
 
 
 class TestJointValidation:

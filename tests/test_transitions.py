@@ -39,7 +39,6 @@ from dtraj.transitions import (
     TransitionTable,
     _action_space,
     _static_hold,
-    atomic_action_count,
     export_dot,
     find_transitions,
     read_jsonl,
@@ -235,7 +234,7 @@ class TestSearchGauge:
         assert loop.duration == pytest.approx(1.0)
 
     def test_out_degree_at_equilibrium(self, pendulum_table):
-        assert atomic_action_count(pendulum_table, ZERO) == 101
+        assert len(pendulum_table.outgoing(ZERO)) == 101
 
     def test_sequence_length_range(self, pendulum_table):
         lens = [len(t.actions) for t in pendulum_table.transitions]
@@ -250,9 +249,7 @@ class TestSearchGauge:
         keys = {s.key() for s in pendulum_table.states}
         assert all(t.to_state.key() in keys for t in pendulum_table.transitions)
         assert all(t.from_state.key() in keys for t in pendulum_table.transitions)
-        total = sum(
-            atomic_action_count(pendulum_table, s) for s in pendulum_table.states
-        )
+        total = sum(len(pendulum_table.outgoing(s)) for s in pendulum_table.states)
         assert total == len(pendulum_table.transitions)
 
 
@@ -303,7 +300,7 @@ class TestDegenerateRobots:
         t = table.transitions[0]
         assert t.is_static()
         assert t.duration == pytest.approx(25 * 0.04)
-        assert atomic_action_count(table, ZERO) == 1
+        assert len(table.outgoing(ZERO)) == 1
 
     def test_custom_nal(self):
         table = find_transitions(null_only_robot(), nal=3)
@@ -359,7 +356,7 @@ class TestTableApi:
         # (67, -3) is on the grid but unreachable: nothing arrives at the
         # upper position limit moving at the negative velocity limit
         with pytest.raises(UnknownState):
-            atomic_action_count(pendulum_table, QuantizedState((67,), (-3,)))
+            pendulum_table.outgoing(QuantizedState((67,), (-3,)))
         with pytest.raises(UnknownState):
             pendulum_table.state_index(QuantizedState((999,), (0,)))
 
