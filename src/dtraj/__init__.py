@@ -22,7 +22,7 @@ _EXPORTS = {
         "representative", "robot_from_dict", "state_space_size",
         "trajectory_upper_bound",
     ),
-    "dynamics": ("act", "act_sequence", "integrate_step", "validation_check"),
+    "dynamics": ("act_sequence", "integrate_step", "validation_check"),
     "transitions": (
         "Transition", "TransitionTable", "export_dot", "find_transitions",
         "read_jsonl", "write_jsonl",

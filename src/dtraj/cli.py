@@ -9,6 +9,7 @@ tool version, config hash, subcommand, flags, and wall-clock duration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,20 +20,17 @@ import time
 from typing import IO, Callable
 
 from . import __version__
-from .errors import (
-    BudgetExceeded,
-    ConfigError,
-    DomainError,
-    DtrajError,
-    NumericalOverflow,
-    ResourceLimit,
-)
+from .errors import ConfigError, DtrajError, ResourceLimit
 from .model import (
     DEFAULT_MAX_SEQUENCES,
     DEFAULT_MAX_STATES,
     DEFAULT_NAL,
     QuantizedState,
 )
+
+# count scaling's row cap, checked before any range is expanded; a column of
+# n axes also sums n logarithms, and about 1000 of those cost one row
+_SCALING_ROW_CAP = 400_000
 
 # Each handler imports its layer when it runs, so a subcommand loads only the
 # modules it uses (the corridor, bounds and scaling counts and the planner
@@ -45,26 +43,18 @@ def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:
         emit(sys.stdout)
         return
     target = os.path.abspath(path)
-    directory = os.path.dirname(target)
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dtraj-", suffix=".tmp")
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e}") from None
-    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dtraj-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             emit(fh)
         os.replace(tmp, target)
-    except OSError as e:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise ConfigError(f"cannot write {path}: {e}") from None
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as e:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise ConfigError(f"cannot write {path}: {e}") from None
         raise
 
 
@@ -85,8 +75,9 @@ def _parse_state(text: str, n_joints: int) -> QuantizedState:
     return QuantizedState(pos, vel)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    out: list[int] = []
+def _parse_ranges(text: str, flag: str) -> list[range]:
+    """A list like "1-3,6" as its ranges, unexpanded."""
+    out: list[range] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "-" in chunk[1:]:
@@ -97,15 +88,17 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
                 raise ConfigError(f"{flag}: bad range {chunk!r}") from None
             if hi < lo:
                 raise ConfigError(f"{flag}: empty range {chunk!r}")
-            out.extend(range(lo, hi + 1))
         else:
             try:
-                out.append(int(chunk))
+                lo = hi = int(chunk)
             except ValueError:
                 raise ConfigError(f"{flag}: bad integer {chunk!r}") from None
-    if not out:
-        raise ConfigError(f"{flag}: empty list")
+        out.append(range(lo, hi + 1))
     return out
+
+
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    return [k for r in _parse_ranges(text, flag) for k in r]
 
 
 def _parse_csv_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -139,14 +132,17 @@ def _cmd_transitions(args, ctx) -> None:
         _write_output(args.dot, lambda fh: fh.write(export_dot(table)))
 
 
+def _open(path: str) -> IO[str]:
+    try:
+        return open(path)
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
+
+
 def _load_table(path: str):
     from .transitions import read_jsonl
 
-    try:
-        fh = open(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
-    with fh:
+    with _open(path) as fh:
         return read_jsonl(fh)
 
 
@@ -158,8 +154,7 @@ def _cmd_enumerate(args, ctx) -> None:
     table = _load_table(args.transitions)
     if args.start:
         starts = [_parse_state(args.start, len(table.states[0].pos_idx))]
-        for s in starts:
-            table.state_index(s)
+        table.state_index(starts[0])
     else:
         starts = list(table.states)
     if args.count_only:
@@ -168,14 +163,11 @@ def _cmd_enumerate(args, ctx) -> None:
         def emit(fh: IO[str]) -> None:
             for s in starts:
                 fh.write(f"{state_label(s)}\t{format_count(counts[s])}\n")
-
-        _write_output(args.out, emit)
     else:
         def emit(fh: IO[str]) -> None:
             for traj in enumerate_trajectories(table, starts, args.steps, budget=args.budget):
                 fh.write("\t".join(state_label(s) for s in traj.states()) + "\n")
-
-        _write_output(args.out, emit)
+    _write_output(args.out, emit)
 
 
 def _cmd_plan(args, ctx) -> None:
@@ -192,11 +184,7 @@ def _cmd_plan(args, ctx) -> None:
             file=sys.stderr,
         )
     check_torque_menu(table, robot)
-    try:
-        fh = open(args.desired)
-    except OSError as e:
-        raise ConfigError(f"cannot read {args.desired}: {e}") from None
-    with fh:
+    with _open(args.desired) as fh:
         desired = load_desired_csv(fh)
     result = plan_action_sequence(table, desired, robot)
     _write_output(args.out, lambda fh: write_plan_json(result, fh))
@@ -250,8 +238,16 @@ def _cmd_count_scaling(args, ctx) -> None:
 
     robot = load_robot(args.config)
     ctx["config_hash"] = robot.content_hash()
-    dofs = _parse_int_list(args.dof, "--dof")
-    steps = _parse_int_list(args.steps, "--steps")
+    dof_ranges = _parse_ranges(args.dof, "--dof")
+    step_ranges = _parse_ranges(args.steps, "--steps")
+    # len() of a range is capped at sys.maxsize, so the sizes are counted here
+    n_dofs, n_steps = (sum(r.stop - r.start for r in rs) for rs in (dof_ranges, step_ranges))
+    widest = max(abs(k) for r in dof_ranges for k in (r.start, r.stop - 1))
+    if n_dofs * (n_steps + widest // 1000) > _SCALING_ROW_CAP:
+        raise ResourceLimit(f"--dof and --steps ask for {n_dofs} x {n_steps} rows of up to "
+                            f"{widest} axes, more than the table's cap of {_SCALING_ROW_CAP} rows")
+    dofs = [k for r in dof_ranges for k in r]
+    steps = [k for r in step_ranges for k in r]
     if steps[0] != 1 or steps != list(range(1, len(steps) + 1)):
         raise ConfigError("--steps must be a contiguous range starting at 1, e.g. 1-100")
     separation = math.radians(args.separation_deg)
@@ -381,21 +377,9 @@ def main(argv=None) -> int:
     try:
         args.func(args, ctx)
         rc = 0
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        rc = 2
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        rc = 3
-    except (BudgetExceeded, ResourceLimit) as e:
-        print(f"error: {e}", file=sys.stderr)
-        rc = 4
-    except NumericalOverflow as e:
-        print(f"error: {e}", file=sys.stderr)
-        rc = 5
     except DtrajError as e:
         print(f"error: {e}", file=sys.stderr)
-        rc = 3
+        rc = e.exit_code
     finally:
         _emit_manifest(args, ctx, t0)
     return rc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NumericalOverflow
 from .model import (
@@ -91,11 +91,6 @@ def integrate_step(s: ContinuousState, a: Action, robot: RobotSpec) -> Continuou
     return ContinuousState(tuple(qs), tuple(vs))
 
 
-def act(s: QuantizedState, a: Action, robot: RobotSpec) -> QuantizedState:
-    """Grid-level actuation: simulate one tick from the cell center, snap back."""
-    return quantize(integrate_step(representative(s, robot), a, robot), robot)
-
-
 def act_sequence(
     s0: QuantizedState, seq: ActionSequence, robot: RobotSpec
 ) -> tuple[QuantizedState, list[ContinuousState]]:
@@ -118,13 +113,8 @@ def act_sequence(
 
 def validation_check(trace: Iterable[ContinuousState], robot: RobotSpec) -> bool:
     """True iff every traced state respects the joint limits at every tick."""
-    for st in trace:
-        for i, j in enumerate(robot.joints):
-            if not (j.q_min <= st.q[i] <= j.q_max):
-                return False
-            if not (j.v_min <= st.v[i] <= j.v_max):
-                return False
-    return True
+    return all(j.within_limits(q, v)
+               for st in trace for j, q, v in zip(robot.joints, st.q, st.v))
 
 
 def total_energy(q: float, v: float, p: PendulumParams) -> float:

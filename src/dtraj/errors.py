@@ -1,19 +1,22 @@
 """Error taxonomy shared by every module.
 
-The CLI maps these onto process exit codes; library callers catch them directly.
+Each class carries the CLI's exit code for it as `exit_code`; library callers catch them directly.
 """
 
 
 class DtrajError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 3
 
 
 class ConfigError(DtrajError):
-    """Malformed robot configuration or other bad input file (CLI exit 2)."""
+    """Malformed robot configuration or other bad input file."""
+    exit_code = 2
 
 
 class DomainError(DtrajError):
-    """Input outside the mathematical domain of an operation (CLI exit 3)."""
+    """Input outside the mathematical domain of an operation."""
+    exit_code = 3
 
 
 class OutOfRange(DomainError):
@@ -33,12 +36,15 @@ class NoFeasibleTransition(DomainError):
 
 
 class BudgetExceeded(DtrajError):
-    """A configurable exploration/enumeration budget was exhausted (CLI exit 4)."""
+    """A configurable exploration/enumeration budget was exhausted."""
+    exit_code = 4
 
 
 class ResourceLimit(DtrajError):
-    """A hard memory/term cap would be exceeded (CLI exit 4)."""
+    """A hard memory/term cap would be exceeded."""
+    exit_code = 4
 
 
 class NumericalOverflow(DtrajError):
-    """Numerical failure: a non-finite value, or closed forms that disagree (CLI exit 5)."""
+    """Numerical failure: a non-finite value, or closed forms that disagree."""
+    exit_code = 5

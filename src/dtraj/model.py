@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConfigError, DomainError, OutOfRange, ResourceLimit
 
@@ -71,13 +72,14 @@ class JointSpec:
         # the limit span must be an integer number of cells, else the grid
         # cannot represent the limits
         span = (self.q_max - self.q_min) / self.delta_q
-        if abs(span - round(span)) > _GRID_FIT_TOL:
+        if not math.isfinite(span) or abs(span - round(span)) > _GRID_FIT_TOL:
             raise DomainError(
                 f"joint {self.name}: (q_max - q_min)/delta_q = {span} is not an integer"
             )
 
-    def null_torque_idx(self) -> int:
-        return self.torques.index(0.0)
+    def within_limits(self, q, v):
+        """Whether (q, v) lies inside the joint's limits; floats, or arrays elementwise."""
+        return (self.q_min <= q) & (q <= self.q_max) & (self.v_min <= v) & (v <= self.v_max)
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,11 @@ class RobotSpec:
             raise DomainError("robot needs at least one joint")
         if not (self.delta_t > 0):
             raise DomainError("delta_t must be positive")
-        for j in self.joints:
+        for i, j in enumerate(self.joints):
             j.validate()
+            for lo, hi, step in self.grids(i):
+                if not (step > 0 and math.isfinite(lo / step) and math.isfinite(hi / step)):
+                    raise DomainError(f"joint {j.name}: a limit is too many cells from 0")
 
     @property
     def n_joints(self) -> int:
@@ -104,8 +109,10 @@ class RobotSpec:
         """Velocity resolution of joint i, the grid-step position change per tick."""
         return self.joints[i].delta_q / self.delta_t
 
-    def null_action(self) -> Action:
-        return tuple(j.null_torque_idx() for j in self.joints)
+    def grids(self, i: int) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """Joint i's position and velocity grids, each as grid_range's (lo, hi, step)."""
+        j = self.joints[i]
+        return (j.q_min, j.q_max, j.delta_q), (j.v_min, j.v_max, self.delta_v(i))
 
     def canonical_dict(self) -> dict:
         """Stable plain-data form of the internal state, used for hashing."""
@@ -159,22 +166,16 @@ def _round_half_away(x: float) -> int:
 
 def quantize(state: ContinuousState, robot: RobotSpec) -> QuantizedState:
     """Snap a continuous state to the grid; reject grid points beyond the limits."""
-    pos = []
-    vel = []
+    pos: list[int] = []
+    vel: list[int] = []
     for i, j in enumerate(robot.joints):
-        pi = _round_half_away(state.q[i] / j.delta_q)
-        vi = _round_half_away(state.v[i] / robot.delta_v(i))
-        if not (j.q_min - _GRID_FIT_TOL <= pi * j.delta_q <= j.q_max + _GRID_FIT_TOL):
-            raise OutOfRange(
-                f"joint {j.name}: position grid point {pi} outside limits"
-            )
-        dv = robot.delta_v(i)
-        if not (j.v_min - _GRID_FIT_TOL <= vi * dv <= j.v_max + _GRID_FIT_TOL):
-            raise OutOfRange(
-                f"joint {j.name}: velocity grid point {vi} outside limits"
-            )
-        pos.append(pi)
-        vel.append(vi)
+        for x, (lo, hi, step), kind, out in zip((state.q[i], state.v[i]), robot.grids(i),
+                                                ("position", "velocity"), (pos, vel)):
+            k = _round_half_away(x / step)
+            first, last = grid_range(lo, hi, step)
+            if not first <= k <= last:
+                raise OutOfRange(f"joint {j.name}: {kind} grid point {k} outside limits")
+            out.append(k)
     return QuantizedState(tuple(pos), tuple(vel))
 
 
@@ -185,36 +186,26 @@ def representative(state: QuantizedState, robot: RobotSpec) -> ContinuousState:
     return ContinuousState(q, v)
 
 
-def position_grid_range(joint: JointSpec) -> tuple[int, int]:
-    """Inclusive (lowest, highest) position index representable within the limits."""
-    lo = math.ceil(joint.q_min / joint.delta_q - _GRID_FIT_TOL)
-    hi = math.floor(joint.q_max / joint.delta_q + _GRID_FIT_TOL)
-    return lo, hi
+def grid_range(lo: float, hi: float, step: float) -> tuple[int, int]:
+    """Inclusive (first, last) index k of the grid points k * step within [lo, hi].
 
-
-def velocity_grid_range(joint: JointSpec, delta_v: float) -> tuple[int, int]:
-    lo = math.ceil(joint.v_min / delta_v - _GRID_FIT_TOL)
-    hi = math.floor(joint.v_max / delta_v + _GRID_FIT_TOL)
-    return lo, hi
+    The one grid rule: quantize, discovery and state_space_size all admit
+    exactly these indices. A point within 1e-9 cells of a limit counts as on it.
+    """
+    return math.ceil(lo / step - _GRID_FIT_TOL), math.floor(hi / step + _GRID_FIT_TOL)
 
 
 def state_space_size(robot: RobotSpec) -> int:
     """Number of representable kinematic states: product of per-joint grid sizes."""
     robot.validate()
-    total = 1
-    for i, j in enumerate(robot.joints):
-        for lo, hi in (position_grid_range(j), velocity_grid_range(j, robot.delta_v(i))):
-            total *= hi - lo + 1
-    return total
+    ranges = [grid_range(*grid) for i in range(robot.n_joints) for grid in robot.grids(i)]
+    return math.prod(last - first + 1 for first, last in ranges)
 
 
 def action_space_size(robot: RobotSpec) -> int:
     """Number of distinct one-tick torque vectors."""
     robot.validate()
-    total = 1
-    for j in robot.joints:
-        total *= len(j.torques)
-    return total
+    return math.prod(len(j.torques) for j in robot.joints)
 
 
 def trajectory_upper_bound(robot: RobotSpec, m: int) -> int:
@@ -252,9 +243,16 @@ _JOINT_KEYS = {
 _DEG = math.pi / 180.0
 
 
+def _is_finite_number(val) -> bool:
+    # a bool is an int to Python; NaN, the infinities and ints past the float
+    # range all fail the comparison
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 def _require_finite_number(obj: Mapping, key: str, where: str) -> float:
     val = obj.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    if not _is_finite_number(val):
         raise ConfigError(f"{where}: {key!r} must be a finite number")
     return float(val)
 
@@ -295,10 +293,7 @@ def robot_from_dict(cfg: Mapping) -> RobotSpec:
             not isinstance(torques, Sequence)
             or isinstance(torques, (str, bytes))
             or not torques
-            or any(
-                not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t)
-                for t in torques
-            )
+            or not all(map(_is_finite_number, torques))
         ):
             raise ConfigError(f"{where}: 'torques_nm' must be a list of finite numbers")
         joints.append(

@@ -16,12 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
-from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
+from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition, ResourceLimit
 from .model import ActionSequence, ContinuousState, QuantizedState, RobotSpec, quantize
 from .transitions import Transition, TransitionTable
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 _INT64_MAX = 2 ** 63 - 1
+# walk counting's cost cap in hops x edges x 64-bit words of the largest
+# count; 1,734 hops on the demo table reach it, in about 1.7 s
+_COUNT_WORK_BUDGET = 2 * 10 ** 9
 # a target counts as reached while the offset is below one resolution unit;
 # the epsilon absorbs float noise in degree -> radian -> grid arithmetic
 _MOVE_THRESHOLD = 1.0 - 1e-9
@@ -43,13 +46,21 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     Each hop sums, per state, the counts at the destinations of its outgoing
     transitions. The sums run in int64 while max(count) * max out-degree
     cannot overflow it, and in Python integers from the first hop where it
-    could, so counts stay exact at any size.
+    could, so counts stay exact at any size. Work past _COUNT_WORK_BUDGET is
+    refused before it starts, bounding each count by max out-degree ** n_steps.
     """
     import numpy as np
 
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
     edges = table.edge_index()
+    hops = min(n_steps, _COUNT_WORK_BUDGET + 1)    # past the budget either way
+    words = 1 + hops * math.log2(max(edges.max_out_degree, 1)) / 64
+    if hops * max(len(edges.dst), 1) * words > _COUNT_WORK_BUDGET:
+        raise ResourceLimit(
+            f"counting {n_steps}-hop walks over {len(edges.dst)} transitions exceeds the "
+            f"work budget of {_COUNT_WORK_BUDGET} edge-hop words"
+        )
     counts = np.ones(len(table.states), dtype=np.int64)
     # a row's segment of dst starts at its row start; reduceat needs the
     # nonempty rows only, and rows without transitions stay 0

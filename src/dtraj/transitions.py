@@ -16,12 +16,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import IO, TYPE_CHECKING
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
 from .dynamics import integrate_joint, integrate_step, joint_params
 from .model import (
-    _GRID_FIT_TOL,
     DEFAULT_MAX_SEQUENCES,
     DEFAULT_MAX_STATES,
     DEFAULT_NAL,
@@ -30,6 +29,7 @@ from .model import (
     ContinuousState,
     QuantizedState,
     RobotSpec,
+    grid_range,
     representative,
     quantize,
 )
@@ -138,8 +138,7 @@ class TransitionTable:
 
 
 def _action_space(robot: RobotSpec) -> list[Action]:
-    ranges = [range(len(j.torques)) for j in robot.joints]
-    return [tuple(a) for a in itertools.product(*ranges)]
+    return list(itertools.product(*(range(len(j.torques)) for j in robot.joints)))
 
 
 def _static_hold(
@@ -158,11 +157,8 @@ def _static_hold(
     for _ in range(STATIC_HOLD_REPS - 1):
         for a in seq:
             state = integrate_step(state, a, robot)
-            for k, j in enumerate(robot.joints):
-                if not (j.q_min <= state.q[k] <= j.q_max):
-                    return False
-                if not (j.v_min <= state.v[k] <= j.v_max):
-                    return False
+            if not all(j.within_limits(q, v) for j, q, v in zip(robot.joints, state.q, state.v)):
+                return False
         for k, j in enumerate(robot.joints):
             if abs(state.q[k] - anchor.q[k]) >= j.delta_q:
                 return False
@@ -173,21 +169,21 @@ def _quantize_columns(qs: list, vs: list, robot: RobotSpec) -> tuple[np.ndarray,
     """`quantize` over the states held as per-joint columns qs[i], vs[i].
 
     Returns (on_grid, cells): the mask of states whose grid point lies within
-    the limits, and a (states, 2 * joints) float array of their position then
-    velocity indices (meaningless off the grid). Rounding and tolerance are
-    `quantize`'s, elementwise.
+    `grid_range`, and a (states, 2 * joints) float array of their position
+    then velocity indices (meaningless off the grid). Rounding and the grid
+    are `quantize`'s, elementwise.
     """
     import numpy as np
 
     n = robot.n_joints
     on_grid = np.ones(len(qs[0]), dtype=bool)
     cells = np.empty((len(qs[0]), 2 * n))
-    for i, j in enumerate(robot.joints):
-        for col, x, step, lo, hi in ((i, qs[i], j.delta_q, j.q_min, j.q_max),
-                                     (n + i, vs[i], robot.delta_v(i), j.v_min, j.v_max)):
+    for i in range(n):
+        for col, x, (lo, hi, step) in zip((i, n + i), (qs[i], vs[i]), robot.grids(i)):
             x = x / step
             idx = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-            on_grid &= (lo - _GRID_FIT_TOL <= idx * step) & (idx * step <= hi + _GRID_FIT_TOL)
+            first, last = grid_range(lo, hi, step)
+            on_grid &= (first <= idx) & (idx <= last)
             cells[:, col] = idx
     return on_grid, cells
 
@@ -262,55 +258,51 @@ def find_transitions(
         records.append([])
         return len(states) - 1
 
-    # the frontier: one row per pending sequence, holding its tree (state id),
-    # length, last action, the continuous state before that action, and the
-    # index of its prefix in `prefixes` (the last entry is the empty prefix)
+    # a tick's parents: the tree (state id) of each pending sequence, the
+    # sequence so far and the continuous state it ends in; a state found on
+    # a tick joins the next tick's parents with the empty sequence at its
+    # cell centre, after the growing sequences. One row per parent and action.
     new_ids = [add_state(start)]
-    tree = depth = act = parent = np.empty(0, dtype=np.int64)
-    q0 = [np.empty(0)] * n
-    v0 = [np.empty(0)] * n
-    prefixes: list[ActionSequence] = [()]
+    prefixes: list[ActionSequence] = []
+    p_tree = np.empty(0, dtype=np.int64)
+    p_ends = [np.empty(0)] * (2 * n)       # per-joint positions, then velocities
     while True:
         if new_ids:
-            roots = [representative(states[k], robot) for k in new_ids]
-            k_new = len(new_ids) * n_act
-            tree = np.concatenate([tree, np.repeat(new_ids, n_act)])
-            depth = np.concatenate([depth, np.ones(k_new, dtype=np.int64)])
-            act = np.concatenate([act, np.tile(np.arange(n_act), len(new_ids))])
-            parent = np.concatenate([parent, np.full(k_new, len(prefixes) - 1)])
-            q0 = [np.concatenate([q0[i], np.repeat([r.q[i] for r in roots], n_act)]) for i in range(n)]
-            v0 = [np.concatenate([v0[i], np.repeat([r.v[i] for r in roots], n_act)]) for i in range(n)]
+            roots = [r.q + r.v for r in (representative(states[k], robot) for k in new_ids)]
+            prefixes += [()] * len(new_ids)
+            p_tree = np.concatenate([p_tree, new_ids])
+            p_ends = [np.concatenate([x, [r[c] for r in roots]]) for c, x in enumerate(p_ends)]
             home = np.array([s.pos_idx + s.vel_idx for s in states], dtype=np.float64)
-        if len(tree) == 0:
+        if not prefixes:
             break
-        if simulated + len(tree) > max_sequences:
+        rows = len(prefixes) * n_act
+        if simulated + rows > max_sequences:
             raise BudgetExceeded(
                 f"simulated sequences would exceed budget {max_sequences} ({progress()})"
             )
-        simulated += len(tree)
+        simulated += rows
+        tree = np.repeat(p_tree, n_act)
+        act = np.tile(np.arange(n_act), len(prefixes))
+        depth = np.repeat([len(seq) + 1 for seq in prefixes], n_act)
 
         qs, vs = [], []
         with np.errstate(all="ignore"):
             for i, j in enumerate(robot.joints):
-                q, v = integrate_joint(q0[i], v0[i], torque[i][act], params[i], robot.delta_t,
-                                       sin=np.sin)
+                q, v = integrate_joint(np.repeat(p_ends[i], n_act), np.repeat(p_ends[n + i], n_act),
+                                       torque[i][act], params[i], robot.delta_t, sin=np.sin)
                 if not (np.isfinite(q).all() and np.isfinite(v).all()):
                     raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
                 qs.append(q)
                 vs.append(v)
-        ok = np.ones(len(tree), dtype=bool)
-        for i, j in enumerate(robot.joints):
-            ok &= (j.q_min <= qs[i]) & (qs[i] <= j.q_max) & (j.v_min <= vs[i]) & (vs[i] <= j.v_max)
-        on_grid, cells = _quantize_columns(qs, vs, robot)
-        ok &= on_grid
+        ok, cells = _quantize_columns(qs, vs, robot)
+        for j, q, v in zip(robot.joints, qs, vs):
+            ok &= j.within_limits(q, v)
         moved = ok & (cells != home[tree]).any(axis=1)
         grow = ok & ~moved & (depth < nal)
         settled = np.flatnonzero(moved | (ok & (depth >= nal)))
 
-        par, last = parent.tolist(), act.tolist()
-
         def sequence(p: int) -> ActionSequence:
-            return prefixes[par[p]] + (actions[last[p]],)
+            return prefixes[p // n_act] + (actions[p % n_act],)
 
         new_ids = []
         trees, moves = tree[settled].tolist(), moved[settled].tolist()
@@ -336,13 +328,9 @@ def find_transitions(
             records[frm].append((seq, to))
 
         kept = np.flatnonzero(grow)
-        prefixes = [sequence(p) for p in kept.tolist()] + [()]
-        tree = np.repeat(tree[kept], n_act)
-        depth = np.repeat(depth[kept] + 1, n_act)
-        act = np.tile(np.arange(n_act), len(kept))
-        parent = np.repeat(np.arange(len(kept)), n_act)
-        q0 = [np.repeat(q[kept], n_act) for q in qs]
-        v0 = [np.repeat(v[kept], n_act) for v in vs]
+        prefixes = [sequence(p) for p in kept.tolist()]
+        p_tree = tree[kept]
+        p_ends = [x[kept] for x in qs + vs]
 
     # replay the state-by-state order: searching the trees in turn, a state
     # joins the table when it is first reached
@@ -479,15 +467,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         raise ConfigError(f"unsupported transitions version {header.get('version')!r}")
     robot_hash = header.get("robot_hash", "")
 
-    states: list[QuantizedState] = []
-    seen: set = set()
     transitions: list[Transition] = []
-
-    def register(s: QuantizedState) -> None:
-        if s.key() not in seen:
-            seen.add(s.key())
-            states.append(s)
-
     n_joints = tick = None
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()
@@ -495,13 +475,12 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             continue
         try:
             t = _transition_from_json(json.loads(raw), n_joints, tick)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"bad transition on line {lineno}: {e}") from None
         if tick is None:
             n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
-        register(t.from_state)
-        register(t.to_state)
         transitions.append(t)
+    states = dict.fromkeys(s for t in transitions for s in (t.from_state, t.to_state))
     return TransitionTable(robot_hash, tuple(states), tuple(transitions))
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -103,6 +104,18 @@ class TestCorridorCommands:
         manifest = json.loads([ln for ln in err.splitlines() if ln.startswith("{")][-1])
         assert manifest["subcommand"] == "count ndim"
 
+    def test_direct_sum_overflow_exits_5(self, capsys):
+        # kern ** 1000 overflows float64: one error line, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["count", "ndim", "--d", "136", "--from", "68", "--to", "68",
+                       "--steps", "1000", "--direct"])
+        assert rc == 5
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = [ln for ln in out.err.splitlines() if not ln.startswith("{")]
+        assert lines == ["error: closed-form count is not finite"]
+
     def test_unknown_move_set(self, capsys):
         rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
                    "--steps", "4", "--move-set", "diag"])
@@ -182,6 +195,32 @@ class TestScalingCommand:
         assert out.out == ""
         assert "separation must be finite" in out.err
 
+    @pytest.mark.parametrize("dof, steps", [
+        ("1-1000000000", "1-20"), ("1-20", "1-1000000000"), ("1000000000", "1-20"),
+        ("1-13000", "1-20"), ("4", "1-400001"),
+    ])
+    def test_oversized_table_refused_before_any_work(self, capsys, dof, steps):
+        t0 = time.monotonic()
+        rc = main(["count", "scaling", "--config", CFG, "--dof", dof, "--steps", steps,
+                   "--separation-deg", "20"])
+        assert rc == 4
+        assert time.monotonic() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "more than the table's cap of 400000 rows" in out.err
+
+    def test_estimate_rows_equal_the_estimate(self, capsys):
+        from dtraj.lattice import approx_count_log10
+
+        rc = main(["count", "scaling", "--config", CFG, "--dof", "4,5,37,1000",
+                   "--steps", "1-20", "--separation-deg", "20"])
+        assert rc == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()]
+        approx = [(int(n), int(m), val) for n, m, val, method in rows if method == "approx"]
+        assert len(approx) == 4 * 10
+        for n, m, val in approx:
+            assert val == f"{approx_count_log10([3] * n, m, n):.6f}"
+
     def test_steps_must_start_at_one(self, capsys):
         rc = main(["count", "scaling", "--config", CFG, "--dof", "1",
                    "--steps", "5-10", "--separation-deg", "20"])
@@ -253,6 +292,18 @@ class TestTransitionsCommand:
 
 
 class TestEnumerateCommand:
+    @pytest.mark.parametrize("steps", ["1735", str(2 ** 63)])
+    def test_count_work_cap_refused_before_any_work(self, capsys, table_file, steps):
+        # 1,734 hops is the most the demo table's counts fit in the work budget
+        t0 = time.monotonic()
+        rc = main(["enumerate", "--transitions", str(table_file), "--steps", steps,
+                   "--count-only"])
+        assert rc == 4
+        assert time.monotonic() - t0 < 2.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "exceeds the work budget of 2000000000 edge-hop words" in out.err
+
     def test_count_only_from_origin(self, capsys, table_file):
         rc = main(["enumerate", "--transitions", str(table_file),
                    "--steps", "2", "--start", "0,0", "--count-only"])

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from dtraj.dynamics import (
     PendulumParams,
-    act,
     act_sequence,
     integrate_joint,
     integrate_step,
@@ -16,7 +15,14 @@ from dtraj.dynamics import (
     validation_check,
 )
 from dtraj.errors import NumericalOverflow
-from dtraj.model import ContinuousState, JointSpec, QuantizedState, RobotSpec, representative
+from dtraj.model import (
+    ContinuousState,
+    JointSpec,
+    QuantizedState,
+    RobotSpec,
+    quantize,
+    representative,
+)
 from conftest import DEG
 
 
@@ -77,7 +83,8 @@ def test_act_is_one_step_sequence(pendulum):
     s = QuantizedState((0,), (0,))
     for a in range(5):
         end, trace = act_sequence(s, ((a,),), pendulum)
-        assert act(s, (a,), pendulum) == end
+        step = integrate_step(representative(s, pendulum), (a,), pendulum)
+        assert quantize(step, pendulum) == end
         assert len(trace) == 1
 
 

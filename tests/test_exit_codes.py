@@ -1,0 +1,135 @@
+"""The exit-code contract as a property: whatever a subcommand is given, it
+succeeds or fails with a documented exit code (2, 3, 4 or 5), lets no
+exception escape, and finishes within a wall-clock cap.
+
+Flag values are drawn at the edges: 0, negatives, huge integers, NaN and
+infinities, non-integers, and points on or past a corridor wall. Input files
+are a valid robot config or transition table with one field replaced by such
+a value, or removed.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from dtraj.cli import main
+from conftest import CONFIG_PATH
+
+WALL_CAP_S = 10.0
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+EDGE_INTS = ["0", "1", "2", "3", "-1", "-2", "5", "136", "10000",
+             str(2 ** 63), str(10 ** 100), str(-10 ** 100)]
+EDGE_OTHERS = ["nan", "inf", "-inf", "1.5", "1e3", "", "x", "0x10", " 7"]
+edge = st.sampled_from(EDGE_INTS + EDGE_OTHERS) | st.integers(-300, 300).map(str)
+edge_list = st.lists(edge, min_size=1, max_size=3).map(",".join)
+
+DELETE = object()
+EDGE_JSON = [0, 1, -1, 2 ** 63, 10 ** 100, 10 ** 400, 1.5, 2.0, -0.0, 1e-310, 5e-324,
+             1e300, -1e300, float("nan"), float("inf"), float("-inf"),
+             "2", "", True, None, [], {}, DELETE]
+
+with open(CONFIG_PATH) as fh:
+    CONFIG = json.load(fh)
+
+# three states, a move each way and a static loop
+TABLE = [
+    {"format": "dtraj-transitions", "version": 1, "robot_hash": ""},
+    {"from": {"pos": [0], "vel": [0]}, "torque_idx_seq": [[2]], "duration_s": 0.04,
+     "to": {"pos": [1], "vel": [0]}},
+    {"from": {"pos": [1], "vel": [0]}, "torque_idx_seq": [[0], [0]], "duration_s": 0.08,
+     "to": {"pos": [0], "vel": [1]}},
+    {"from": {"pos": [0], "vel": [1]}, "torque_idx_seq": [[1]], "duration_s": 0.04,
+     "to": {"pos": [0], "vel": [1]}},
+]
+
+
+def paths(obj, prefix=()):
+    """Every position in a JSON value, the value itself first."""
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from paths(value, prefix + (key,))
+
+
+def mutated(obj, path, value):
+    """A copy of obj with the value at path replaced, or removed for DELETE."""
+    if not path:
+        return {} if value is DELETE else value
+    out = copy.deepcopy(obj)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+@st.composite
+def one_field_mutation(draw, obj):
+    path = draw(st.sampled_from(list(paths(obj))))
+    return mutated(obj, path, draw(st.sampled_from(EDGE_JSON)))
+
+
+def run(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    elapsed = time.monotonic() - t0
+    assert rc in EXIT_CODES, (rc, argv, err.getvalue()[-500:])
+    assert elapsed < WALL_CAP_S, (elapsed, argv)
+    if rc:
+        assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue(), argv
+
+
+def flags(**values) -> list[str]:
+    # "--flag=value", so a value that starts with '-' is never read as a flag
+    return [f"--{name.replace('_', '-')}={v}" for name, v in values.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=edge, frm=edge, to=edge, steps=edge, exact=st.booleans())
+def test_count_corridor(d, frm, to, steps, exact):
+    run(["count", "corridor", *flags(d=d, steps=steps, to=to), f"--from={frm}"]
+        + ["--exact"] * exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=edge_list, frm=edge_list, to=edge_list, steps=edge, direct=st.booleans())
+def test_count_ndim(d, frm, to, steps, direct):
+    run(["count", "ndim", *flags(d=d, steps=steps, to=to), f"--from={frm}"]
+        + ["--direct"] * direct)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=one_field_mutation(CONFIG) | st.just(CONFIG), steps=edge)
+def test_count_bounds(tmp_path_factory, config, steps):
+    path = tmp_path_factory.mktemp("bounds") / "robot.json"
+    path.write_text(json.dumps(config))
+    run(["count", "bounds", "--config", str(path), f"--steps={steps}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dof=edge | st.tuples(edge, edge).map("-".join), steps=edge | edge.map("1-{}".format),
+       separation=edge | st.sampled_from(["2", "20", "-20", "270", "1e308"]))
+def test_count_scaling(dof, steps, separation):
+    run(["count", "scaling", "--config", str(CONFIG_PATH),
+         *flags(dof=dof, steps=steps, separation_deg=separation)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), steps=edge, start=st.none() | st.sampled_from(["0,0", "0,1", "7,0", "x"]))
+def test_enumerate_count_only(tmp_path_factory, data, steps, start):
+    k = data.draw(st.integers(0, len(TABLE) - 1))
+    lines = TABLE[:k] + [data.draw(one_field_mutation(TABLE[k]))] + TABLE[k + 1:]
+    path = tmp_path_factory.mktemp("table") / "table.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    run(["enumerate", "--transitions", str(path), "--count-only", f"--steps={steps}"]
+        + ([f"--start={start}"] if start else []))

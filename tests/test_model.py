@@ -12,13 +12,12 @@ from dtraj.model import (
     RobotSpec,
     action_space_size,
     format_count,
-    position_grid_range,
+    grid_range,
     quantize,
     representative,
     robot_from_dict,
     state_space_size,
     trajectory_upper_bound,
-    velocity_grid_range,
 )
 from conftest import DEG, demo_joint
 
@@ -58,6 +57,18 @@ class TestQuantize:
         with pytest.raises(OutOfRange):
             quantize(ContinuousState((0.0,), (176.0 * DEG,)), pendulum)
 
+    def test_admits_exactly_the_counted_grid(self):
+        # the limits sit 3e-8 deg past the grid points -5 and 5: within 1e-9
+        # rad of -5 but 1.5e-8 cells from it, so the grid is -4..5
+        robot = make_robot(q_min=(-10 + 3e-8) * DEG, q_max=(10 + 3e-8) * DEG,
+                           v_min=-150 * DEG, v_max=150 * DEG)
+        assert state_space_size(robot) == 10 * 7
+        for pos in (-4, 5):
+            s = QuantizedState((pos,), (0,))
+            assert quantize(representative(s, robot), robot) == s
+        with pytest.raises(OutOfRange, match="position grid point -5 outside limits"):
+            quantize(representative(QuantizedState((-5,), (0,)), robot), robot)
+
     @given(pos=st.integers(-67, 67), vel=st.integers(-3, 3))
     def test_round_trip_on_grid(self, pos, vel):
         robot = make_robot()
@@ -79,10 +90,8 @@ class TestQuantize:
 class TestSizes:
     def test_demo_grid(self, pendulum):
         j = pendulum.joints[0]
-        lo, hi = position_grid_range(j)
-        assert (lo, hi) == (-67, 67)
-        vlo, vhi = velocity_grid_range(j, pendulum.delta_v(0))
-        assert (vlo, vhi) == (-3, 3)
+        assert grid_range(j.q_min, j.q_max, j.delta_q) == (-67, 67)
+        assert grid_range(j.v_min, j.v_max, pendulum.delta_v(0)) == (-3, 3)
         assert state_space_size(pendulum) == 945
         assert action_space_size(pendulum) == 5
 
@@ -125,6 +134,12 @@ class TestJointValidation:
     def test_limits_must_sit_on_grid(self):
         with pytest.raises(DomainError):
             make_robot(q_max=134.3 * DEG).validate()
+        # grids whose limits are more cells from 0 than a float can count
+        with pytest.raises(DomainError, match="is not an integer"):
+            make_robot(delta_q=1e-310).validate()
+        slow = RobotSpec(delta_t=1e308, gravity=9.81, joints=make_robot().joints)
+        with pytest.raises(DomainError, match="too many cells"):
+            slow.validate()
 
 
 class TestConfigIngestion:
@@ -175,6 +190,15 @@ class TestConfigIngestion:
         cfg = self.good()
         cfg["joints"][0]["torques_nm"] = [-50.0, 25.0]
         with pytest.raises((ConfigError, DomainError)):
+            robot_from_dict(cfg)
+        # integers past the float range
+        cfg = self.good()
+        cfg["joints"][0]["length_m"] = 10 ** 400
+        with pytest.raises(ConfigError, match="'length_m' must be a finite number"):
+            robot_from_dict(cfg)
+        cfg = self.good()
+        cfg["joints"][0]["torques_nm"] = [0, 10 ** 400]
+        with pytest.raises(ConfigError, match="'torques_nm' must be a list of finite numbers"):
             robot_from_dict(cfg)
 
     def test_gravity_defaults(self):

@@ -27,9 +27,11 @@ from dtraj.model import (
     JointSpec,
     QuantizedState,
     RobotSpec,
+    grid_range,
     quantize,
     representative,
     robot_from_dict,
+    state_space_size,
 )
 from dtraj.transitions import (
     DEFAULT_MAX_SEQUENCES,
@@ -45,7 +47,7 @@ from dtraj.transitions import (
     state_label,
     write_jsonl,
 )
-from conftest import DEG
+from conftest import DEG, demo_joint
 
 
 ZERO = QuantizedState((0,), (0,))
@@ -607,27 +609,57 @@ class TestBudgetUnit:
             find_transitions(pendulum, max_states=10)
 
 
-def test_column_quantize_matches_scalar(pendulum):
-    # half-cell points, the limits and just past them, and seeded states
-    j = pendulum.joints[0]
-    dv = pendulum.delta_v(0)
-    half = [k + 0.5 for k in range(-70, 70)]
+def off_grid_robot() -> RobotSpec:
+    # the limits sit 3e-8 deg past the grid points -5 and 5: within 1e-9 rad of
+    # -5 * delta_q but 1.5e-8 cells from it, so the grid is -4..5, not -5..5
+    return robot_from_dict({"delta_t_ms": 40, "joints": [{
+        "name": "j", "q_min_deg": -10 + 3e-8, "q_max_deg": 10 + 3e-8, "delta_q_deg": 2,
+        "v_min_deg_s": -150, "v_max_deg_s": 150, "mass_kg": 1, "length_m": 1,
+        "torques_nm": [-50, 0, 50]}]})
+
+
+@pytest.mark.parametrize("robot", [
+    RobotSpec(delta_t=0.04, gravity=9.81, joints=(demo_joint(),)), off_grid_robot(),
+], ids=["demo", "off_grid"])
+def test_column_quantize_matches_scalar(robot):
+    # per axis: grid points and half-cell points past both ends, the limits
+    # and just past them, and seeded points, each paired with a zero
+    j = robot.joints[0]
     rng = np.random.default_rng(7)
-    q = np.concatenate([np.array(half) * j.delta_q, [j.q_min, j.q_max, j.q_min - 0.6 * j.delta_q,
-                                                      j.q_max + 0.6 * j.delta_q],
-                        rng.uniform(-140 * DEG, 140 * DEG, 500), np.zeros(144)])
-    v = np.concatenate([np.zeros(144), rng.uniform(-190 * DEG, 190 * DEG, 500),
-                        np.array(half) * dv, [j.v_min, j.v_max, j.v_min - 0.6 * dv,
-                                              j.v_max + 0.6 * dv]])
-    on_grid, cells = trn._quantize_columns([q], [v], pendulum)
+
+    def probes(lo, hi, step):
+        k = np.arange(math.floor(lo / step) - 2, math.ceil(hi / step) + 3)
+        return np.concatenate([k * step, (k + 0.5) * step,
+                               [lo, hi, lo - 0.6 * step, hi + 0.6 * step],
+                               rng.uniform(1.05 * lo, 1.05 * hi, 500)])
+
+    qp = probes(j.q_min, j.q_max, j.delta_q)
+    vp = probes(j.v_min, j.v_max, robot.delta_v(0))
+    q = np.concatenate([qp, np.zeros(len(vp))])
+    v = np.concatenate([np.zeros(len(qp)), vp])
+    on_grid, cells = trn._quantize_columns([q], [v], robot)
     for k, (qk, vk) in enumerate(zip(q.tolist(), v.tolist())):
         try:
-            want = quantize(ContinuousState((qk,), (vk,)), pendulum)
+            want = quantize(ContinuousState((qk,), (vk,)), robot)
         except OutOfRange:
             assert not on_grid[k]
             continue
         assert on_grid[k]
         assert (want.pos_idx[0], want.vel_idx[0]) == tuple(cells[k].astype(int).tolist())
+
+
+def test_discovered_states_lie_on_the_counted_grid():
+    # discovery, quantize and state_space_size share grid_range: the 70
+    # counted states are pos -4..5 by vel -3..3, and no state off them is found
+    robot = off_grid_robot()
+    j = robot.joints[0]
+    pos = grid_range(j.q_min, j.q_max, j.delta_q)
+    vel = grid_range(j.v_min, j.v_max, robot.delta_v(0))
+    assert (pos, vel, state_space_size(robot)) == ((-4, 5), (-3, 3), 70)
+    table = find_transitions(robot)
+    for s in table.states:
+        assert pos[0] <= s.pos_idx[0] <= pos[1] and vel[0] <= s.vel_idx[0] <= vel[1], s
+    assert len(table.states) == 57
 
 
 def test_overflow_is_an_error_not_a_table():
