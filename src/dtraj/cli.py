@@ -58,7 +58,8 @@ def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:
         raise
 
 
-def _parse_state(text: str, n_joints: int) -> QuantizedState:
+def _parse_state(text: str, n_joints: int | None) -> QuantizedState:
+    """A "pos,vel" state of n_joints joints, or of as many as `pos` has for None."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"state must look like 'pos,vel' (got {text!r})")
@@ -67,6 +68,7 @@ def _parse_state(text: str, n_joints: int) -> QuantizedState:
         vel = tuple(int(x) for x in parts[1].split())
     except ValueError:
         raise ConfigError(f"state indices must be integers (got {text!r})") from None
+    n_joints = len(pos) if n_joints is None else n_joints
     if len(pos) != n_joints or len(vel) != n_joints:
         raise ConfigError(
             f"state has {len(pos)} position / {len(vel)} velocity entries, "
@@ -153,7 +155,9 @@ def _cmd_enumerate(args, ctx) -> None:
 
     table = _load_table(args.transitions)
     if args.start:
-        starts = [_parse_state(args.start, len(table.states[0].pos_idx))]
+        # a table without states holds no start of any width
+        width = len(table.states[0].pos_idx) if table.states else None
+        starts = [_parse_state(args.start, width)]
         table.state_index(starts[0])
     else:
         starts = list(table.states)

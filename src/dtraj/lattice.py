@@ -32,13 +32,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
-from .model import JointSpec, _round_half_away, format_count
+from .model import JointSpec, _round_half_away, check_count_work, format_count
 
 _EPS = 2.0 ** -52
 _EXACT_ROUND_LIMIT = 2 ** 63
 _INT64_MAX = 2 ** 63 - 1
 # the 1-D images pass costs time growing as m^2: about 1.5 s at the cap;
-# the scaling table's walk vector is held to the same step count
+# the scaling table's walk vector is held to the same step count, and to
+# the exact loops' work budget
 _IMAGES_STEP_CAP = 50_000
 # direct n-D evaluation cap; sized to admit a 3-axis grid of height 135
 # (2*136 = 272 frequencies per axis) with a little headroom
@@ -190,9 +191,7 @@ class PathCount:
 
     @property
     def rel_err(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.abs_err_log10 == -math.inf:
+        if self.sign == 0 or self.abs_err_log10 == -math.inf:
             return 0.0
         return 10.0 ** (self.abs_err_log10 - self.log10)
 
@@ -281,7 +280,8 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     target stays inside, so walks that would land on a wall are dropped. The
     sums run in int64 while max(count) * number of moves cannot overflow it,
     and in Python integers from the first step where it could, so counts stay
-    exact at any size.
+    exact at any size. More than _DP_CELL_STEP_BUDGET interior cell-steps, or
+    work past model.check_count_work's budget, is refused before any step.
     """
     import numpy as np
 
@@ -301,14 +301,17 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     # or could only happen after step m
     lo = [max(1, aj - m) for aj in a]
     hi = [min(dj - 1, aj + m) for dj, aj in zip(d, a)]
+    size = [h - l + 1 for l, h in zip(lo, hi)]
+    moves, reach = spec.move_set.moves, math.prod(size)
+    check_count_work(f"DP over {reach} cells x {len(moves)} moves x {m} steps",
+                     m, reach * len(moves), len(moves))
     if any(not (l <= bj <= h) for l, bj, h in zip(lo, b, hi)):
         return PathCount.from_int(0)
-    size = [h - l + 1 for l, h in zip(lo, hi)]
     # per move, the slice of cells it keeps in the box and where they land
     shifts = [
         (tuple(slice(max(0, -c), s - max(0, c)) for c, s in zip(mv, size)),
          tuple(slice(max(0, c), s - max(0, -c)) for c, s in zip(mv, size)))
-        for mv in spec.move_set.moves
+        for mv in moves
     ]
     cur = np.zeros(size, dtype=np.int64)
     cur[tuple(aj - l for aj, l in zip(a, lo))] = 1
@@ -486,10 +489,7 @@ def joint_to_corridor(joint: JointSpec) -> tuple[int, Callable[[float], int]]:
     joint.validate()
     span = (joint.q_max - joint.q_min) / joint.delta_q
     d = int(round(span)) + 1
-    if d % 2 == 0:
-        offset = d // 2
-    else:
-        offset = (d - 1) // 2 + 1
+    offset = (d + 1) // 2
 
     def index(q: float) -> int:
         idx = _round_half_away(q / joint.delta_q) + offset
@@ -539,8 +539,8 @@ def scaling_table(
 
     The per-axis counts come from one exact walk vector over the corridor's
     cells, advanced a step at a time in Python integers, so the table costs
-    time growing as m_max * d; they equal corridor_count_1d's and share its
-    step cap, checked before any work.
+    time growing as m_max^2 * d; they equal corridor_count_1d's. Its step cap
+    and model.check_count_work's budget are checked before any work.
     """
     if not math.isfinite(separation):
         raise DomainError(f"separation must be finite (got {separation})")
@@ -565,6 +565,8 @@ def scaling_table(
             raise ResourceLimit(
                 f"the exact 1-D counts need up to m = {m_max} steps, cap is {_IMAGES_STEP_CAP}"
             )
+        check_count_work(f"the 1-D walk vector over {d - 1} cells x {m_max} steps",
+                         m_max, 3 * (d - 1), 3)
         # walks per cell 0..d; the walls stay 0, which drops walks that touch them
         walks = [0] * (d + 1)
         walks[a_idx] = 1

@@ -32,6 +32,13 @@ _GRID_FIT_TOL = 1e-9
 # about 1 s at the cap
 _BOUND_DIGIT_CAP = 200_000
 
+# the exact counting loops (walk counts, the corridor DP, the scaling table's
+# walk vector) add counts along every edge of a graph once per step; a step
+# costs a fixed charge for numpy's overhead of about 10 us, plus one unit per
+# edge and 64-bit word of the largest count (check_count_work)
+_COUNT_WORK_BUDGET = 2 * 10 ** 9
+_STEP_CHARGE = 10_000
+
 # transition discovery's defaults (transitions.find_transitions): the horizon in
 # ticks after which a quiescent sequence is static, and the state and sequence
 # budgets; here, so the CLI parser can show them without loading discovery
@@ -206,6 +213,20 @@ def action_space_size(robot: RobotSpec) -> int:
     """Number of distinct one-tick torque vectors."""
     robot.validate()
     return math.prod(len(j.torques) for j in robot.joints)
+
+
+def check_count_work(what: str, steps: int, edges: int, fan_out: int) -> None:
+    """ResourceLimit, before any work, if `steps` steps over `edges` edges cost too much.
+
+    After s steps a count is at most fan_out ** s; every step is priced at the
+    words of the last step's bound.
+    """
+    steps = min(steps, _COUNT_WORK_BUDGET + 1)    # past the budget either way
+    words = 1 + steps * math.log2(max(fan_out, 1)) / 64
+    if steps * (_STEP_CHARGE + edges * words) > _COUNT_WORK_BUDGET:
+        raise ResourceLimit(
+            f"{what} exceeds the work budget of {_COUNT_WORK_BUDGET} edge-hop words"
+        )
 
 
 def trajectory_upper_bound(robot: RobotSpec, m: int) -> int:

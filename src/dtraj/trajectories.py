@@ -16,15 +16,19 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
-from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition, ResourceLimit
-from .model import ActionSequence, ContinuousState, QuantizedState, RobotSpec, quantize
-from .transitions import Transition, TransitionTable
+from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
+from .model import (
+    ActionSequence,
+    ContinuousState,
+    QuantizedState,
+    RobotSpec,
+    check_count_work,
+    quantize,
+)
+from .transitions import TransitionTable
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 _INT64_MAX = 2 ** 63 - 1
-# walk counting's cost cap in hops x edges x 64-bit words of the largest
-# count; 1,734 hops on the demo table reach it, in about 1.7 s
-_COUNT_WORK_BUDGET = 2 * 10 ** 9
 # a target counts as reached while the offset is below one resolution unit;
 # the epsilon absorbs float noise in degree -> radian -> grid arithmetic
 _MOVE_THRESHOLD = 1.0 - 1e-9
@@ -46,33 +50,31 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     Each hop sums, per state, the counts at the destinations of its outgoing
     transitions. The sums run in int64 while max(count) * max out-degree
     cannot overflow it, and in Python integers from the first hop where it
-    could, so counts stay exact at any size. Work past _COUNT_WORK_BUDGET is
-    refused before it starts, bounding each count by max out-degree ** n_steps.
+    could, so counts stay exact at any size. Work past model.check_count_work's
+    budget, pricing each count at max out-degree ** n_steps, is refused before
+    it starts.
     """
     import numpy as np
 
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
-    edges = table.edge_index()
-    hops = min(n_steps, _COUNT_WORK_BUDGET + 1)    # past the budget either way
-    words = 1 + hops * math.log2(max(edges.max_out_degree, 1)) / 64
-    if hops * max(len(edges.dst), 1) * words > _COUNT_WORK_BUDGET:
-        raise ResourceLimit(
-            f"counting {n_steps}-hop walks over {len(edges.dst)} transitions exceeds the "
-            f"work budget of {_COUNT_WORK_BUDGET} edge-hop words"
-        )
+    dst, row_start = table.edge_index()
+    degree = np.diff(row_start)
+    max_degree = int(degree.max(initial=0))
+    check_count_work(f"counting {n_steps}-hop walks over {len(dst)} transitions",
+                     n_steps, len(dst), max_degree)
     counts = np.ones(len(table.states), dtype=np.int64)
     # a row's segment of dst starts at its row start; reduceat needs the
     # nonempty rows only, and rows without transitions stay 0
-    rows = np.flatnonzero(np.diff(edges.row_start))
-    starts = edges.row_start[rows]
+    rows = np.flatnonzero(degree)
+    starts = row_start[rows]
     for _ in range(n_steps):
         if counts.dtype == np.int64 and (
-            int(counts.max(initial=0)) * edges.max_out_degree > _INT64_MAX
+            int(counts.max(initial=0)) * max_degree > _INT64_MAX
         ):
             counts = counts.astype(object)
         nxt = np.zeros_like(counts)
-        nxt[rows] = np.add.reduceat(counts[edges.dst], starts)
+        nxt[rows] = np.add.reduceat(counts[dst], starts)
         counts = nxt
     return dict(zip(table.states, counts.tolist()))
 
@@ -101,17 +103,23 @@ def enumerate_trajectories(
             f"enumeration would yield {planned} trajectories, budget is {budget}"
         )
 
-    def walk(state: QuantizedState, prefix: list) -> Iterator[Trajectory]:
-        if len(prefix) == n_steps + 1:
-            yield Trajectory(tuple((s, i) for i, s in enumerate(prefix)))
-            return
-        for t in table.outgoing(state):
-            prefix.append(t.to_state)
-            yield from walk(t.to_state, prefix)
-            prefix.pop()
-
+    if n_steps == 0:
+        yield from (Trajectory(((s, 0),)) for s in starts)
+        return
     for s in starts:
-        yield from walk(s, [s])
+        # depth-first with an explicit stack, as a walk may outgrow the recursion
+        # limit: branches[k] holds the transitions out of path[k] not yet taken
+        path, branches = [s], [iter(table.outgoing(s))]
+        while branches:
+            t = next(branches[-1], None)
+            if t is None:
+                path.pop()
+                branches.pop()
+            elif len(path) == n_steps:
+                yield Trajectory(tuple((p, i) for i, p in enumerate(path + [t.to_state])))
+            else:
+                path.append(t.to_state)
+                branches.append(iter(table.outgoing(t.to_state)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +137,15 @@ class DesiredTrajectory:
             raise DomainError("desired trajectory is empty")
         if abs(self.waypoints[0][1]) > 1e-12:
             raise DomainError("desired trajectory must start at t = 0")
-        last = -1.0
-        width = len(self.waypoints[0][0])
-        for q, t in self.waypoints:
-            if len(q) != width:
-                raise DomainError("inconsistent joint count in desired trajectory")
-            if t <= last:
-                raise DomainError("desired trajectory times must strictly increase")
-            last = t
+        wp = self.waypoints
+        if any(len(q) != len(wp[0][0]) for q, _ in wp):
+            raise DomainError("inconsistent joint count in desired trajectory")
+        if any(t1 <= t0 for (_, t0), (_, t1) in zip(wp, wp[1:])):
+            raise DomainError("desired trajectory times must strictly increase")
 
 
 def load_desired_csv(fh: IO[str]) -> DesiredTrajectory:
-    """Read `t_s,q1_deg[,q2_deg,...]` rows; angles converted to radians."""
+    """Read `t_s,q1_deg[,q2_deg,...]` rows of finite numbers; angles converted to radians."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -161,11 +166,12 @@ def load_desired_csv(fh: IO[str]) -> DesiredTrajectory:
         if len(row) != len(header):
             raise ConfigError(f"line {lineno}: expected {len(header)} fields")
         try:
-            t = float(row[0])
-            q = tuple(math.radians(float(c)) for c in row[1:])
+            t, *q_deg = map(float, row)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: {e}") from None
-        rows.append((q, t))
+        if not all(map(math.isfinite, (t, *q_deg))):
+            raise ConfigError(f"line {lineno}: t_s and every angle must be finite")
+        rows.append((tuple(map(math.radians, q_deg)), t))
     return DesiredTrajectory(tuple(rows))
 
 
@@ -182,10 +188,8 @@ def _offset_units(
     pos_idx: Sequence[int], target: Sequence[float], robot: RobotSpec
 ) -> float:
     # worst joint's distance to target, in units of that joint's resolution
-    worst = 0.0
-    for i, j in enumerate(robot.joints):
-        worst = max(worst, abs(pos_idx[i] * j.delta_q - target[i]) / j.delta_q)
-    return worst
+    return max(abs(p * j.delta_q - q) / j.delta_q
+               for p, j, q in zip(pos_idx, robot.joints, target))
 
 
 def plan_action_sequence(
@@ -227,43 +231,25 @@ def plan_action_sequence(
         if _offset_units(current.pos_idx, target, robot) < _MOVE_THRESHOLD:
             pass_counter += 1
             continue
-        best: Transition | None = None
-        best_offset = math.inf
-        for t in table.outgoing(current):
-            if len(t.actions) != pass_counter:
-                continue
-            off = _offset_units(t.to_state.pos_idx, target, robot)
-            if off < best_offset:
-                best = t
-                best_offset = off
-        if best is None:
+        window = [t for t in table.outgoing(current) if len(t.actions) == pass_counter]
+        if not window:
             raise NoFeasibleTransition(
                 f"no outgoing transition of {pass_counter} steps at waypoint {step}",
                 step=step,
             )
+        # the nearest endpoint; min keeps the first in table order on a tie
+        best = min(window, key=lambda t: _offset_units(t.to_state.pos_idx, target, robot))
         chosen.append(best.actions)
         visited.append(best.to_state)
         current = best.to_state
         pass_counter = 1
 
-    final_target = desired.waypoints[-1][0]
-    miss = tuple(
-        math.degrees(current.pos_idx[i] * robot.joints[i].delta_q - final_target[i])
-        for i in range(n)
-    )
-    warnings = []
-    for i, j in enumerate(robot.joints):
-        if abs(current.pos_idx[i] * j.delta_q - final_target[i]) > j.delta_q:
-            warnings.append(
-                f"joint {j.name}: final target missed by {miss[i]:.3f} deg"
-            )
-    return PlanResult(
-        sequences=tuple(chosen),
-        visited=tuple(visited),
-        final_state=current,
-        miss_deg=miss,
-        warnings=tuple(warnings),
-    )
+    offsets = [p * j.delta_q - q
+               for p, j, q in zip(current.pos_idx, robot.joints, desired.waypoints[-1][0])]
+    miss = tuple(map(math.degrees, offsets))
+    warnings = tuple(f"joint {j.name}: final target missed by {m:.3f} deg"
+                     for j, off, m in zip(robot.joints, offsets, miss) if abs(off) > j.delta_q)
+    return PlanResult(tuple(chosen), tuple(visited), current, miss, warnings)
 
 
 def write_plan_json(result: PlanResult, fh: IO[str]) -> None:

@@ -55,19 +55,6 @@ class Transition:
         return self.from_state == self.to_state
 
 
-@dataclass(frozen=True)
-class EdgeIndex:
-    """The transition graph over state indices, in compressed-row form.
-
-    Row i holds the transitions out of state i in table order, so
-    dst[row_start[i]:row_start[i + 1]] are their destination state indices.
-    """
-
-    dst: np.ndarray
-    row_start: np.ndarray
-    max_out_degree: int
-
-
 @dataclass
 class TransitionTable:
     """States in discovery order plus their outgoing transitions.
@@ -82,19 +69,23 @@ class TransitionTable:
     states: tuple[QuantizedState, ...]
     transitions: tuple[Transition, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _out: dict = field(default_factory=dict, repr=False, compare=False)
-    _edges: EdgeIndex | None = field(default=None, repr=False, compare=False)
+    _out: list = field(default_factory=list, repr=False, compare=False)
+    _dst: list = field(default_factory=list, repr=False, compare=False)
+    _edges: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         index = self._index = {s.key(): i for i, s in enumerate(self.states)}
-        out = self._out = {s.key(): [] for s in self.states}
+        # per state id, its transitions and their destination ids, in table order
+        out = self._out = [[] for _ in self.states]
+        dst = self._dst = [[] for _ in self.states]
         for k, t in enumerate(self.transitions):
             try:
-                out[t.from_state.key()].append(t)
-                index[t.to_state.key()]  # a destination must be a table state too
+                i = index[t.from_state.key()]
+                dst[i].append(index[t.to_state.key()])
             except KeyError:
                 lost = t.to_state if t.from_state.key() in index else t.from_state
                 raise UnknownState(f"transition {k}: state {lost} not in table") from None
+            out[i].append(t)
 
     def state_index(self, state: QuantizedState) -> int:
         try:
@@ -103,38 +94,28 @@ class TransitionTable:
             raise UnknownState(f"state {state} not in table") from None
 
     def outgoing(self, state: QuantizedState) -> list[Transition]:
-        self.state_index(state)
-        return self._out[state.key()]
+        return self._out[self.state_index(state)]
 
-    def edge_index(self) -> EdgeIndex:
-        """The integer edge index, built on first use (discovery never needs it)."""
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The graph over state ids in compressed-row form, built on first use.
+
+        (dst, row_start): dst[row_start[i]:row_start[i + 1]] are the
+        destination ids of state i's transitions, in table order.
+        """
         if self._edges is None:
             import numpy as np
 
-            n = len(self.states)
-            src = np.fromiter((self._index[t.from_state.key()] for t in self.transitions),
-                              dtype=np.int64, count=len(self.transitions))
-            dst = np.fromiter((self._index[t.to_state.key()] for t in self.transitions),
-                              dtype=np.int64, count=len(self.transitions))
-            degree = np.bincount(src, minlength=n)
-            row_start = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(degree, out=row_start[1:])
-            self._edges = EdgeIndex(
-                dst=dst[np.argsort(src, kind="stable")],
-                row_start=row_start,
-                max_out_degree=int(degree.max(initial=0)),
-            )
+            dst = np.array(list(itertools.chain.from_iterable(self._dst)), dtype=np.int64)
+            row_start = np.array([0, *itertools.accumulate(map(len, self._dst))], dtype=np.int64)
+            self._edges = dst, row_start
         return self._edges
 
     def restrict_to_first(self, k: int) -> "TransitionTable":
-        """Subtable over the first k states; only edges staying inside survive."""
-        keep = self.states[:k]
-        keys = {s.key() for s in keep}
-        kept = tuple(
-            t for t in self.transitions
-            if t.from_state.key() in keys and t.to_state.key() in keys
-        )
-        return TransitionTable(self.robot_hash, keep, kept)
+        """Subtable over the first k >= 0 states; only edges staying inside survive."""
+        index = self._index    # the first k states are ids 0..k-1
+        kept = tuple(t for t in self.transitions
+                     if index[t.from_state.key()] < k and index[t.to_state.key()] < k)
+        return TransitionTable(self.robot_hash, self.states[:k], kept)
 
 
 def _action_space(robot: RobotSpec) -> list[Action]:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -7,6 +8,23 @@ from dtraj.model import JointSpec, RobotSpec
 
 DEG = math.pi / 180.0
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum.json")
+
+# a transitions file of three states, a move each way and a static loop
+THREE_STATE_TABLE = [
+    {"format": "dtraj-transitions", "version": 1, "robot_hash": ""},
+    {"from": {"pos": [0], "vel": [0]}, "torque_idx_seq": [[2]], "duration_s": 0.04,
+     "to": {"pos": [1], "vel": [0]}},
+    {"from": {"pos": [1], "vel": [0]}, "torque_idx_seq": [[0], [0]], "duration_s": 0.08,
+     "to": {"pos": [0], "vel": [1]}},
+    {"from": {"pos": [0], "vel": [1]}, "torque_idx_seq": [[1]], "duration_s": 0.04,
+     "to": {"pos": [0], "vel": [1]}},
+]
+
+
+def write_table(path, lines) -> str:
+    """Write JSON values one per line to path; returns the path as a string."""
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return str(path)
 
 
 def demo_joint() -> JointSpec:

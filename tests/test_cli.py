@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from dtraj.cli import main
-from conftest import CONFIG_PATH
+from conftest import CONFIG_PATH, THREE_STATE_TABLE, write_table
 
 CFG = str(CONFIG_PATH)
 
@@ -28,6 +28,23 @@ def last_manifest(capsys):
     err = capsys.readouterr().err
     lines = [ln for ln in err.strip().splitlines() if ln.startswith("{")]
     return json.loads(lines[-1])
+
+
+def refused_fast(capsys, argv, code=4) -> str:
+    """Run argv, expecting `code` within 1 s, no output and one error line; returns it."""
+    t0 = time.monotonic()
+    rc = main(argv)
+    assert rc == code
+    assert time.monotonic() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [ln for ln in out.err.splitlines() if ln.startswith("error: ")]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def three_state_table(tmp_path, transitions=3) -> str:
+    return write_table(tmp_path / "three.jsonl", THREE_STATE_TABLE[:1 + transitions])
 
 
 class TestCorridorCommands:
@@ -78,6 +95,12 @@ class TestCorridorCommands:
         assert rc == 4
         assert time.monotonic() - t0 < 1.0
         assert "cell-steps" in capsys.readouterr().err
+
+    def test_exact_oracle_work_budget(self, capsys):
+        # inside the cell-step budget, but its counts grow to 10^6 * log2(3) bits
+        err = refused_fast(capsys, ["count", "corridor", "--d", "5", "--from", "2", "--to", "2",
+                                    "--steps", "1000000", "--exact"])
+        assert "DP over 4 cells x 3 moves x 1000000 steps exceeds the work budget" in err
 
     @pytest.mark.parametrize("argv", [
         ["corridor", "--d", "136", "--from", "1", "--to", "135", "--steps", "40"],
@@ -178,6 +201,12 @@ class TestScalingCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert "cap is 50000" in out.err
+
+    def test_walk_vector_work_budget(self, capsys):
+        # inside the step cap, but 50,000 steps of 135 cells of growing counts
+        err = refused_fast(capsys, ["count", "scaling", "--config", CFG, "--dof", "1",
+                                    "--steps", "1-50000", "--separation-deg", "20"])
+        assert "walk vector over 135 cells x 50000 steps exceeds the work budget" in err
 
     def test_estimate_columns_have_no_step_cap(self, capsys):
         rc = main(["count", "scaling", "--config", CFG, "--dof", "6",
@@ -304,6 +333,18 @@ class TestEnumerateCommand:
         assert out.out == ""
         assert "exceeds the work budget of 2000000000 edge-hop words" in out.err
 
+    def test_count_work_prices_each_hop(self, capsys, tmp_path):
+        # three transitions and counts of one word, but ten million hops
+        err = refused_fast(capsys, ["enumerate", "--transitions", three_state_table(tmp_path),
+                                    "--steps", "10000000", "--count-only"])
+        assert "counting 10000000-hop walks over 3 transitions exceeds" in err
+
+    def test_start_on_a_table_without_states(self, capsys, tmp_path):
+        err = refused_fast(capsys, ["enumerate", "--transitions",
+                                    three_state_table(tmp_path, transitions=0),
+                                    "--steps", "2", "--start", "0,0"], code=3)
+        assert "not in table" in err
+
     def test_count_only_from_origin(self, capsys, table_file):
         rc = main(["enumerate", "--transitions", str(table_file),
                    "--steps", "2", "--start", "0,0", "--count-only"])
@@ -413,6 +454,17 @@ class TestPlanCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert "error: joint joint1: torque index 9 is outside its menu of 5 torques" in out.err
+
+    @pytest.mark.parametrize("field", ["t_s", "q1_deg"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_value_not_finite_is_config_error(self, capsys, tmp_path, field, value):
+        rows = [["0", "0"], ["0.04", "2"], ["0.08", "2"]]
+        rows[1][["t_s", "q1_deg"].index(field)] = value
+        desired = tmp_path / "d.csv"
+        desired.write_text("t_s,q1_deg\n" + "".join(",".join(r) + "\n" for r in rows))
+        err = refused_fast(capsys, ["plan", "--transitions", three_state_table(tmp_path),
+                                    "--config", CFG, "--desired", str(desired)], code=2)
+        assert err == "error: line 3: t_s and every angle must be finite"
 
 
 class TestHarness:

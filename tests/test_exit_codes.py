@@ -4,8 +4,11 @@ exception escape, and finishes within a wall-clock cap.
 
 Flag values are drawn at the edges: 0, negatives, huge integers, NaN and
 infinities, non-integers, and points on or past a corridor wall. Input files
-are a valid robot config or transition table with one field replaced by such
-a value, or removed.
+are a valid robot config, transition table or desired path with one field
+replaced by such a value, or removed, and a table with no transitions. Every
+subcommand that takes steps also runs a small valid input at each step count
+between 10^4 and 10^7, where a loop's cost, not the size of its answer, has
+to be capped.
 """
 
 import contextlib
@@ -14,10 +17,11 @@ import io
 import json
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtraj.cli import main
-from conftest import CONFIG_PATH
+from conftest import CONFIG_PATH, THREE_STATE_TABLE as TABLE, write_table
 
 WALL_CAP_S = 10.0
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -36,16 +40,23 @@ EDGE_JSON = [0, 1, -1, 2 ** 63, 10 ** 100, 10 ** 400, 1.5, 2.0, -0.0, 1e-310, 5e
 with open(CONFIG_PATH) as fh:
     CONFIG = json.load(fh)
 
-# three states, a move each way and a static loop
-TABLE = [
-    {"format": "dtraj-transitions", "version": 1, "robot_hash": ""},
-    {"from": {"pos": [0], "vel": [0]}, "torque_idx_seq": [[2]], "duration_s": 0.04,
-     "to": {"pos": [1], "vel": [0]}},
-    {"from": {"pos": [1], "vel": [0]}, "torque_idx_seq": [[0], [0]], "duration_s": 0.08,
-     "to": {"pos": [0], "vel": [1]}},
-    {"from": {"pos": [0], "vel": [1]}, "torque_idx_seq": [[1]], "duration_s": 0.04,
-     "to": {"pos": [0], "vel": [1]}},
-]
+# one cell up on the first tick of the demo config, then a wait
+DESIRED = [["t_s", "q1_deg"], ["0", "0"], ["0.04", "2"], ["0.08", "2"]]
+EDGE_CSV = ["nan", "inf", "-inf", "1e400", "", "x", DELETE]
+
+MID_STEPS = [20_000, 50_000, 100_000, 1_000_000, 10_000_000]
+# a valid run of each subcommand that takes steps, for each of MID_STEPS
+MID_RUNS = {
+    "corridor": "count corridor --d=136 --from=68 --to=78 --steps={m}",
+    "corridor-exact-narrow": "count corridor --d=5 --from=2 --to=2 --steps={m} --exact",
+    "corridor-exact-wide": "count corridor --d=136 --from=68 --to=78 --steps={m} --exact",
+    "ndim": "count ndim --d=136,136,136 --from=68,68,68 --to=88,58,108 --steps={m}",
+    "ndim-direct": "count ndim --d=6,6 --from=2,3 --to=3,3 --steps={m} --direct",
+    "bounds": "count bounds --config={config} --steps={m}",
+    "scaling": "count scaling --config={config} --dof=1-6 --steps=1-{m} --separation-deg=20",
+    "enumerate": "enumerate --transitions={table} --steps={m}",
+    "enumerate-count": "enumerate --transitions={table} --steps={m} --count-only",
+}
 
 
 def paths(obj, prefix=()):
@@ -77,7 +88,8 @@ def one_field_mutation(draw, obj):
     return mutated(obj, path, draw(st.sampled_from(EDGE_JSON)))
 
 
-def run(argv) -> None:
+def run(argv) -> str:
+    """Run argv in-process under the contract; returns its stdout."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -87,6 +99,7 @@ def run(argv) -> None:
     assert elapsed < WALL_CAP_S, (elapsed, argv)
     if rc:
         assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue(), argv
+    return out.getvalue()
 
 
 def flags(**values) -> list[str]:
@@ -133,3 +146,38 @@ def test_enumerate_count_only(tmp_path_factory, data, steps, start):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     run(["enumerate", "--transitions", str(path), "--count-only", f"--steps={steps}"]
         + ([f"--start={start}"] if start else []))
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=edge, start=st.sampled_from(["0,0", "0 0,0 0", "0,1 2", "x"]),
+       count_only=st.booleans())
+def test_enumerate_table_without_states(tmp_path_factory, steps, start, count_only):
+    path = write_table(tmp_path_factory.mktemp("table") / "table.jsonl", TABLE[:1])
+    run(["enumerate", "--transitions", path, f"--steps={steps}", f"--start={start}"]
+        + ["--count-only"] * count_only)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plan(tmp_path_factory, data):
+    rows = copy.deepcopy(DESIRED)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.integers(0, len(rows[r]) - 1))
+    value = data.draw(st.sampled_from(EDGE_CSV))
+    if value is DELETE:
+        del rows[r][c]
+    else:
+        rows[r][c] = value
+    tmp = tmp_path_factory.mktemp("plan")
+    desired = tmp / "desired.csv"
+    desired.write_text("".join(",".join(row) + "\n" for row in rows))
+    out = run(["plan", "--transitions", write_table(tmp / "table.jsonl", TABLE),
+               "--config", str(CONFIG_PATH), "--desired", str(desired)])
+    assert "NaN" not in out and "Infinity" not in out, out
+
+
+@pytest.mark.parametrize("steps", MID_STEPS)
+@pytest.mark.parametrize("name", MID_RUNS)
+def test_mid_step_counts(tmp_path, name, steps):
+    table = write_table(tmp_path / "table.jsonl", TABLE)
+    run([arg.format(m=steps, config=CONFIG_PATH, table=table) for arg in MID_RUNS[name].split()])
