@@ -35,8 +35,7 @@ _EXPORTS = {
     "lattice": (
         "CorridorSpec", "MoveSet", "PathCount", "approx_count_log10",
         "corridor_count_1d", "corridor_count_dp", "corridor_count_nd",
-        "full_move_set", "joint_to_corridor", "nonnegative_subset",
-        "scaling_table",
+        "full_move_set", "joint_to_corridor", "scaling_table",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,6 +22,7 @@ from typing import IO, Callable
 from . import __version__
 from .errors import ConfigError, DtrajError, ResourceLimit
 from .model import (
+    DEFAULT_ENUM_BUDGET,
     DEFAULT_MAX_SEQUENCES,
     DEFAULT_MAX_STATES,
     DEFAULT_NAL,
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--steps", type=int, required=True)
     e.add_argument("--start", default=None, help='restrict to one start state "pos,vel"')
     e.add_argument("--count-only", action="store_true")
-    e.add_argument("--budget", type=int, default=10_000_000)
+    e.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_enumerate)
 

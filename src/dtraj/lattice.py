@@ -6,20 +6,20 @@ vectors with components in {-1, 0, +1}. Three routes to the same number are
 provided and cross-checked:
 
   * an exact dynamic program (the oracle): a numpy stencil over the interior
-    cells, in int64 while that cannot overflow and in Python integers after,
+    cells, in int64 while that cannot overflow and in Python integers after;
+    it counts any move set,
   * an exact 1-D count by the method of images, in Python integers; for the
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
     the product of these per-axis counts (the fast path),
   * the paper's spectral sum over the full frequency grid (n <= 3, with
     n = 1 the 1-D sine formula), a float estimate with an explicit error
-    bound, evaluated by one code path for every n.
+    bound, evaluated by one code path for every n and always cross-checked
+    against the exact product.
 
-The spectral sum diagonalizes the transfer stencil in a product sine basis.
-That holds for move sets closed under flipping the sign of any one axis; the
-full diagonal set is the only one that also factors per axis, so it is the
-only move set the fast path accepts. Other move sets are counted by the DP. An
-end farther from the start than the step count on some axis is counted as
-exactly 0 by every route, since a walk moves at most one cell per step.
+Both closed forms take the full move set only, whose stencil factors per axis;
+other move sets are counted by the DP. An end farther from the start than the
+step count on some axis is counted as exactly 0 by every route, since a walk
+moves at most one cell per step.
 """
 
 from __future__ import annotations
@@ -77,19 +77,6 @@ class MoveSet:
     def is_full(self) -> bool:
         return len(self.moves) == 3 ** self.n
 
-    def is_sign_symmetric(self) -> bool:
-        """True when flipping the sign of any one axis maps the set onto itself.
-
-        The product sine basis diagonalizes the stencil of these sets; for
-        any other set the spectral sums give wrong counts.
-        """
-        moves = set(self.moves)
-        return all(
-            mv[:j] + (-mv[j],) + mv[j + 1:] in moves
-            for mv in self.moves
-            for j in range(self.n)
-        )
-
 
 def full_move_set(n: int) -> MoveSet:
     """Every vector over {-1,0,1}^n, lexicographically ordered."""
@@ -99,12 +86,6 @@ def full_move_set(n: int) -> MoveSet:
         raise DomainError(f"dimension capped at {_MOVE_SET_DIM_CAP}")
     moves = tuple(itertools.product((-1, 0, 1), repeat=n))
     return MoveSet(n=n, moves=moves)
-
-
-def nonnegative_subset(ms: MoveSet) -> MoveSet:
-    """The moves with every component >= 0 (2^n of them for the full set)."""
-    keep = tuple(mv for mv in ms.moves if all(c >= 0 for c in mv))
-    return MoveSet(n=ms.n, moves=keep)
 
 
 @dataclass(frozen=True)
@@ -334,7 +315,7 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
 
 
 def _direct_spectral_sum(
-    d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int, ms: MoveSet
+    d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int
 ) -> tuple[float, float]:
     """Evaluate the full frequency-grid sum; returns (value, sum of |contributions|).
 
@@ -354,7 +335,8 @@ def _direct_spectral_sum(
             f"direct evaluation needs {terms} terms, budget is {_DIRECT_TERM_BUDGET}"
         )
 
-    plus = nonnegative_subset(ms).moves
+    # the full move set's nonnegative half, {0,1}^n in lexicographic order
+    plus = tuple(itertools.product((0, 1), repeat=n))
     ws = [np.arange(1 - dj, dj + 1, dtype=np.float64) for dj in d]
     cosines = [2.0 * np.cos(np.pi * w / dj) for w, dj in zip(ws, d)]
     sin_a = [np.sin(np.pi * w * aj / dj) for w, aj, dj in zip(ws, a, d)]
@@ -416,19 +398,17 @@ def corridor_count_nd(
     a: Sequence[int],
     b: Sequence[int],
     m: int,
-    method: str = "auto",
+    method: str = "factorized",
 ) -> PathCount:
-    """n-D count, by a closed form wherever the move set admits one.
+    """n-D count over the full move set, by a closed form.
 
     method:
-      "factorized"  exact product of per-axis 1-D counts (full move set only;
-                    any n)
+      "factorized"  exact product of per-axis 1-D counts (any n)
       "direct"      full frequency-grid sum, a float estimate with an error
-                    bound (sign-symmetric move sets only; n <= 3, term budget
-                    applies); full-set results are cross-checked against the
-                    exact factorized count
-      "auto"        factorized for the full move set, direct for other
-                    sign-symmetric sets, the exact DP for the rest
+                    bound (n <= 3, term budget applies), cross-checked
+                    against the exact factorized count
+
+    Any other move set raises DomainError; corridor_count_dp counts it.
 
     An end more than m cells from the start on some axis is out of reach:
     the count is exactly 0 and no sum is evaluated.
@@ -444,25 +424,17 @@ def corridor_count_nd(
     catastrophically in float64; the bound tracks exactly when).
     """
     _check_walk(spec.d, a, b, m)
-    if method not in ("auto", "direct", "factorized"):
+    if method not in ("direct", "factorized"):
         raise DomainError(f"unknown method {method!r}")
     if method == "factorized":
         return corridor_count_factorized(spec, a, b, m)
-    if not spec.move_set.is_sign_symmetric():
-        if method == "direct":
-            raise DomainError(
-                "the direct sum requires a move set closed under per-axis sign flips"
-            )
-        return corridor_count_dp(spec, a, b, m)
+    if not spec.move_set.is_full():
+        raise DomainError("the direct sum requires the full move set")
     if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
         return PathCount.from_int(0)
-    full = spec.move_set.is_full()
-    if method == "auto" and full:
-        return corridor_count_factorized(spec, a, b, m)
-    value, abs_sum = _direct_spectral_sum(spec.d, a, b, m, spec.move_set)
+    value, abs_sum = _direct_spectral_sum(spec.d, a, b, m)
     direct = PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
-    if full:
-        _cross_check(direct, corridor_count_factorized(spec, a, b, m))
+    _cross_check(direct, corridor_count_factorized(spec, a, b, m))
     return direct
 
 
@@ -542,10 +514,10 @@ def scaling_table(
     time growing as m_max^2 * d; they equal corridor_count_1d's. Its step cap
     and model.check_count_work's budget are checked before any work.
     """
-    if not math.isfinite(separation):
-        raise DomainError(f"separation must be finite (got {separation})")
     d, index = joint_to_corridor(joint)
     steps = separation / joint.delta_q
+    if not math.isfinite(steps):
+        raise DomainError(f"separation must be finite (got {separation} rad, {steps} cells)")
     if abs(steps - round(steps)) > 1e-9:
         raise DomainError("separation must be a multiple of delta_q")
     min_steps = int(round(steps))

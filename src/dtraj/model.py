@@ -28,6 +28,8 @@ Action = tuple[int, ...]
 ActionSequence = tuple[Action, ...]
 
 _GRID_FIT_TOL = 1e-9
+# float64 tells adjacent grid cells apart up to 2^53 cells from 0
+_MAX_CELLS_FROM_0 = 2 ** 53
 # printing a count exactly costs time growing as its digit count squared:
 # about 1 s at the cap
 _BOUND_DIGIT_CAP = 200_000
@@ -39,12 +41,14 @@ _BOUND_DIGIT_CAP = 200_000
 _COUNT_WORK_BUDGET = 2 * 10 ** 9
 _STEP_CHARGE = 10_000
 
-# transition discovery's defaults (transitions.find_transitions): the horizon in
-# ticks after which a quiescent sequence is static, and the state and sequence
-# budgets; here, so the CLI parser can show them without loading discovery
+# defaults the CLI parser shows, here so it can show them without loading a
+# layer. Discovery's (transitions.find_transitions): the horizon in ticks after
+# which a quiescent sequence is static, and the state and sequence budgets.
+# Enumeration's (trajectories.enumerate_trajectories): the walks it may list.
 DEFAULT_NAL = 25
 DEFAULT_MAX_STATES = 1_000_000
 DEFAULT_MAX_SEQUENCES = 10_000_000
+DEFAULT_ENUM_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class RobotSpec:
         for i, j in enumerate(self.joints):
             j.validate()
             for lo, hi, step in self.grids(i):
-                if not (step > 0 and math.isfinite(lo / step) and math.isfinite(hi / step)):
+                if not (step > 0 and max(abs(lo), abs(hi)) / step <= _MAX_CELLS_FROM_0):
                     raise DomainError(f"joint {j.name}: a limit is too many cells from 0")
 
     @property
@@ -173,17 +177,26 @@ def _round_half_away(x: float) -> int:
 
 def quantize(state: ContinuousState, robot: RobotSpec) -> QuantizedState:
     """Snap a continuous state to the grid; reject grid points beyond the limits."""
-    pos: list[int] = []
-    vel: list[int] = []
+    def snap(x: float, step: float):
+        k = x / step
+        # a quotient past the float range lies beyond every limit
+        return _round_half_away(k) if math.isfinite(k) else k
+
+    n = robot.n_joints
+    pos = tuple(snap(state.q[i], robot.joints[i].delta_q) for i in range(n))
+    vel = tuple(snap(state.v[i], robot.delta_v(i)) for i in range(n))
+    return check_on_grid(QuantizedState(pos, vel), robot)
+
+
+def check_on_grid(state: QuantizedState, robot: RobotSpec) -> QuantizedState:
+    """`state` itself; OutOfRange naming the first index outside its joint's grid_range."""
     for i, j in enumerate(robot.joints):
-        for x, (lo, hi, step), kind, out in zip((state.q[i], state.v[i]), robot.grids(i),
-                                                ("position", "velocity"), (pos, vel)):
-            k = _round_half_away(x / step)
-            first, last = grid_range(lo, hi, step)
+        for k, grid, kind in zip((state.pos_idx[i], state.vel_idx[i]), robot.grids(i),
+                                 ("position", "velocity")):
+            first, last = grid_range(*grid)
             if not first <= k <= last:
                 raise OutOfRange(f"joint {j.name}: {kind} grid point {k} outside limits")
-            out.append(k)
-    return QuantizedState(tuple(pos), tuple(vel))
+    return state
 
 
 def representative(state: QuantizedState, robot: RobotSpec) -> ContinuousState:

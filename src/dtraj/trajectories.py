@@ -18,6 +18,7 @@ from typing import IO, Iterator, Sequence
 
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
 from .model import (
+    DEFAULT_ENUM_BUDGET,
     ActionSequence,
     ContinuousState,
     QuantizedState,
@@ -27,7 +28,6 @@ from .model import (
 )
 from .transitions import TransitionTable
 
-DEFAULT_ENUM_BUDGET = 10_000_000
 _INT64_MAX = 2 ** 63 - 1
 # a target counts as reached while the offset is below one resolution unit;
 # the epsilon absorbs float noise in degree -> radian -> grid arithmetic

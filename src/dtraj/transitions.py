@@ -29,9 +29,9 @@ from .model import (
     ContinuousState,
     QuantizedState,
     RobotSpec,
+    check_on_grid,
     grid_range,
     representative,
-    quantize,
 )
 
 if TYPE_CHECKING:
@@ -212,8 +212,7 @@ def find_transitions(
     if start is None:
         z = (0,) * robot.n_joints
         start = QuantizedState(z, z)
-    # reject starts off the grid
-    quantize(representative(start, robot), robot)
+    check_on_grid(start, robot)
 
     n = robot.n_joints
     actions = _action_space(robot)

@@ -47,6 +47,20 @@ def three_state_table(tmp_path, transitions=3) -> str:
     return write_table(tmp_path / "three.jsonl", THREE_STATE_TABLE[:1 + transitions])
 
 
+def demo_config_with(tmp_path, **joint) -> str:
+    """The demo config with the first joint's fields updated, as a file path."""
+    with open(CFG) as fh:
+        cfg = json.load(fh)
+    cfg["joints"][0].update(joint)
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# a thousandth of a degree per cell: 1e308 deg is past the float range in cells
+FINE_CELLS = dict(q_min_deg=-1.0, q_max_deg=1.0, delta_q_deg=0.001)
+
+
 class TestCorridorCommands:
     def test_closed_form(self, capsys):
         rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
@@ -250,6 +264,13 @@ class TestScalingCommand:
         for n, m, val in approx:
             assert val == f"{approx_count_log10([3] * n, m, n):.6f}"
 
+    @pytest.mark.parametrize("separation", ["1e308", "-1e308"])
+    def test_separation_past_the_float_range_in_cells(self, capsys, tmp_path, separation):
+        err = refused_fast(capsys, ["count", "scaling", "--config",
+                                    demo_config_with(tmp_path, **FINE_CELLS), "--dof", "1",
+                                    "--steps", "1-3", f"--separation-deg={separation}"], code=3)
+        assert err.startswith("error: separation must be finite")
+
     def test_steps_must_start_at_one(self, capsys):
         rc = main(["count", "scaling", "--config", CFG, "--dof", "1",
                    "--steps", "5-10", "--separation-deg", "20"])
@@ -307,6 +328,21 @@ class TestTransitionsCommand:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
         assert '{"from": {"pos": [-3], "vel": [0]}' in texts[0].splitlines()[1]
+
+    @pytest.mark.parametrize("pos", ["1" + "0" * 400, "99999999999999999999999"],
+                             ids=["10^400", "10^23-1"])
+    def test_start_past_the_float_range(self, capsys, pos):
+        err = refused_fast(capsys, ["transitions", "--config", CFG, "--start", f"{pos},0"],
+                           code=3)
+        assert err == f"error: joint joint1: position grid point {pos} outside limits"
+
+    def test_grid_too_fine_for_floats(self, capsys, tmp_path):
+        # 135 deg is 1.35e21 cells of 1e-19 deg: no numpy warning, no search
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = refused_fast(capsys, ["transitions", "--config",
+                                        demo_config_with(tmp_path, delta_q_deg=1e-19)], code=3)
+        assert err == "error: joint joint1: a limit is too many cells from 0"
 
     def test_bad_start_state(self, capsys):
         rc = main(["transitions", "--config", CFG, "--start", "zero"])
@@ -454,6 +490,15 @@ class TestPlanCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert "error: joint joint1: torque index 9 is outside its menu of 5 torques" in out.err
+
+    @pytest.mark.parametrize("angle, k", [("1e308", "inf"), ("-1e308", "-inf")])
+    def test_start_past_the_float_range_in_cells(self, capsys, tmp_path, angle, k):
+        desired = tmp_path / "d.csv"
+        desired.write_text(f"t_s,q1_deg\n0,{angle}\n0.04,0\n")
+        err = refused_fast(capsys, ["plan", "--transitions", three_state_table(tmp_path),
+                                    "--config", demo_config_with(tmp_path, **FINE_CELLS),
+                                    "--desired", str(desired)], code=3)
+        assert err == f"error: joint joint1: position grid point {k} outside limits"
 
     @pytest.mark.parametrize("field", ["t_s", "q1_deg"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

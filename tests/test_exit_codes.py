@@ -5,10 +5,12 @@ exception escape, and finishes within a wall-clock cap.
 Flag values are drawn at the edges: 0, negatives, huge integers, NaN and
 infinities, non-integers, and points on or past a corridor wall. Input files
 are a valid robot config, transition table or desired path with one field
-replaced by such a value, or removed, and a table with no transitions. Every
+replaced by such a value, or removed, and a table with no transitions. The
+robot config may also be a fine-cell one, whose cells are so small that a
+finite angle or separation is more cells from 0 than a float can hold. Every
 subcommand that takes steps also runs a small valid input at each step count
 between 10^4 and 10^7, where a loop's cost, not the size of its answer, has
-to be capped.
+to be capped. No run may raise a warning.
 """
 
 import contextlib
@@ -16,9 +18,10 @@ import copy
 import io
 import json
 import time
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtraj.cli import main
 from conftest import CONFIG_PATH, THREE_STATE_TABLE as TABLE, write_table
@@ -39,10 +42,18 @@ EDGE_JSON = [0, 1, -1, 2 ** 63, 10 ** 100, 10 ** 400, 1.5, 2.0, -0.0, 1e-310, 5e
 
 with open(CONFIG_PATH) as fh:
     CONFIG = json.load(fh)
+# the demo config with a thousandth of a degree per cell over +-1 degree
+FINE_CONFIG = copy.deepcopy(CONFIG)
+FINE_CONFIG["joints"][0].update(q_min_deg=-1.0, q_max_deg=1.0, delta_q_deg=0.001)
+configs = st.sampled_from([CONFIG, FINE_CONFIG])
 
 # one cell up on the first tick of the demo config, then a wait
 DESIRED = [["t_s", "q1_deg"], ["0", "0"], ["0.04", "2"], ["0.08", "2"]]
-EDGE_CSV = ["nan", "inf", "-inf", "1e400", "", "x", DELETE]
+EDGE_CSV = ["nan", "inf", "-inf", "1e400", "1e308", "-1e308", "", "x", DELETE]
+# --start states: on, beside and past the demo grid, past the float range,
+# and of the wrong width
+EDGE_STARTS = ["0,0", "67,0", "68,0", "-67,0", "0,3", "0,4", "99999999999999999999999,0",
+               f"{10 ** 400},0", f"-{10 ** 400},0", "0 0,0 0", "0,", "x"]
 
 MID_STEPS = [20_000, 50_000, 100_000, 1_000_000, 10_000_000]
 # a valid run of each subcommand that takes steps, for each of MID_STEPS
@@ -92,10 +103,13 @@ def run(argv) -> str:
     """Run argv in-process under the contract; returns its stdout."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.monotonic()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(argv)
     elapsed = time.monotonic() - t0
     assert rc in EXIT_CODES, (rc, argv, err.getvalue()[-500:])
+    assert not caught, ([str(w.message) for w in caught], argv)
     assert elapsed < WALL_CAP_S, (elapsed, argv)
     if rc:
         assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue(), argv
@@ -105,6 +119,12 @@ def run(argv) -> str:
 def flags(**values) -> list[str]:
     # "--flag=value", so a value that starts with '-' is never read as a flag
     return [f"--{name.replace('_', '-')}={v}" for name, v in values.items()]
+
+
+def config_file(tmp_path_factory, config) -> str:
+    path = tmp_path_factory.mktemp("config") / "robot.json"
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,17 +144,28 @@ def test_count_ndim(d, frm, to, steps, direct):
 @settings(max_examples=150, deadline=None)
 @given(config=one_field_mutation(CONFIG) | st.just(CONFIG), steps=edge)
 def test_count_bounds(tmp_path_factory, config, steps):
-    path = tmp_path_factory.mktemp("bounds") / "robot.json"
-    path.write_text(json.dumps(config))
-    run(["count", "bounds", "--config", str(path), f"--steps={steps}"])
+    run(["count", "bounds", "--config", config_file(tmp_path_factory, config),
+         f"--steps={steps}"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(dof=edge | st.tuples(edge, edge).map("-".join), steps=edge | edge.map("1-{}".format),
-       separation=edge | st.sampled_from(["2", "20", "-20", "270", "1e308"]))
-def test_count_scaling(dof, steps, separation):
-    run(["count", "scaling", "--config", str(CONFIG_PATH),
+@given(config=configs, dof=edge | st.tuples(edge, edge).map("-".join),
+       steps=edge | edge.map("1-{}".format),
+       separation=edge | st.sampled_from(["2", "20", "-20", "270", "1e308", "-1e308"]))
+@example(config=FINE_CONFIG, dof="1", steps="1-3", separation="1e308")
+def test_count_scaling(tmp_path_factory, config, dof, steps, separation):
+    run(["count", "scaling", "--config", config_file(tmp_path_factory, config),
          *flags(dof=dof, steps=steps, separation_deg=separation)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=one_field_mutation(CONFIG) | st.just(CONFIG),
+       start=st.none() | st.sampled_from(EDGE_STARTS))
+@example(config=CONFIG, start=f"{10 ** 400},0")
+@example(config=mutated(CONFIG, ("joints", 0, "delta_q_deg"), 1e-19), start=None)
+def test_transitions(tmp_path_factory, config, start):
+    run(["transitions", "--config", config_file(tmp_path_factory, config),
+         "--max-sequences=20000"] + ([f"--start={start}"] if start else []))
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,12 +189,12 @@ def test_enumerate_table_without_states(tmp_path_factory, steps, start, count_on
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_plan(tmp_path_factory, data):
+@given(config=configs, r=st.integers(0, len(DESIRED) - 1), c=st.integers(0, 1),
+       value=st.sampled_from(EDGE_CSV))
+@example(config=FINE_CONFIG, r=1, c=1, value="1e308")
+def test_plan(tmp_path_factory, config, r, c, value):
+    # every row of DESIRED has two fields
     rows = copy.deepcopy(DESIRED)
-    r = data.draw(st.integers(0, len(rows) - 1))
-    c = data.draw(st.integers(0, len(rows[r]) - 1))
-    value = data.draw(st.sampled_from(EDGE_CSV))
     if value is DELETE:
         del rows[r][c]
     else:
@@ -172,7 +203,7 @@ def test_plan(tmp_path_factory, data):
     desired = tmp / "desired.csv"
     desired.write_text("".join(",".join(row) + "\n" for row in rows))
     out = run(["plan", "--transitions", write_table(tmp / "table.jsonl", TABLE),
-               "--config", str(CONFIG_PATH), "--desired", str(desired)])
+               "--config", config_file(tmp_path_factory, config), "--desired", str(desired)])
     assert "NaN" not in out and "Infinity" not in out, out
 
 

@@ -20,7 +20,6 @@ from dtraj.lattice import (
     corridor_count_nd,
     full_move_set,
     joint_to_corridor,
-    nonnegative_subset,
     scaling_table,
     write_scaling_csv,
 )
@@ -65,14 +64,6 @@ def random_move_set(rng, n):
     ))
 
 
-def sign_closure(ms):
-    """The smallest set holding ms that is closed under per-axis sign flips."""
-    out = set()
-    for mv in ms.moves:
-        out.update(itertools.product(*[{c, -c} for c in mv]))
-    return MoveSet(n=ms.n, moves=tuple(out))
-
-
 class TestMoveSets:
     def test_full_sizes(self):
         assert len(full_move_set(1).moves) == 3
@@ -96,29 +87,6 @@ class TestMoveSets:
             MoveSet(n=2, moves=((0, 0), (0, 0)))
         with pytest.raises(DomainError):
             MoveSet(n=2, moves=((0,),))
-
-    def test_nonnegative_subset(self):
-        assert nonnegative_subset(full_move_set(1)).moves == ((0,), (1,))
-        ms2 = nonnegative_subset(full_move_set(2))
-        assert set(ms2.moves) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert len(nonnegative_subset(full_move_set(3)).moves) == 8
-        # subset semantics: dropping the zero move drops it from the subset too
-        no_zero = MoveSet(n=1, moves=((-1,), (1,)))
-        assert nonnegative_subset(no_zero).moves == ((1,),)
-
-    def test_sign_symmetry(self):
-        assert full_move_set(3).is_sign_symmetric()
-        assert MoveSet(n=1, moves=()).is_sign_symmetric()
-        assert MoveSet(n=1, moves=((-1,), (1,))).is_sign_symmetric()
-        assert not MoveSet(n=1, moves=((1,),)).is_sign_symmetric()
-        # the diagonals, closed under flipping either axis alone
-        diag = MoveSet(n=2, moves=((0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)))
-        assert diag.is_sign_symmetric()
-        # closed under flipping both axes at once, not one at a time
-        assert not MoveSet(n=2, moves=((1, 1), (-1, -1))).is_sign_symmetric()
-        no_corner = MoveSet(n=2, moves=tuple(
-            mv for mv in full_move_set(2).moves if mv != (1, 1)))
-        assert not no_corner.is_sign_symmetric()
 
 
 class TestCorridor1d:
@@ -330,21 +298,15 @@ class TestCorridorNd:
         dp = corridor_count_dp(spec, (2, 3), (3, 3), 5)
         assert nd.exact == dp.exact == 2244
 
-    @pytest.mark.parametrize("d, a, b, m, moves, value, abs_sum", [
-        ((13,), (4,), (9,), 11, None,
-         "0x1.3350000000009p+12", "0x1.8c887e33ecc2fp+14"),
-        ((18, 23), (13, 21), (6, 6), 19, None,
-         "0x1.f0a75aff12c0ep+36", "0x1.236e8f1087589p+53"),
-        ((7, 5, 9), (3, 2, 4), (2, 3, 7), 12, None,
-         "0x1.1f853489dffffp+46", "0x1.d4f86e84aaf62p+46"),
-        ((8, 7), (2, 3), (5, 4), 9, ((0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)),
-         "0x1.2b40000000000p+15", "0x1.c11249baaba30p+15"),
+    @pytest.mark.parametrize("d, a, b, m, value, abs_sum", [
+        ((13,), (4,), (9,), 11, "0x1.3350000000009p+12", "0x1.8c887e33ecc2fp+14"),
+        ((18, 23), (13, 21), (6, 6), 19, "0x1.f0a75aff12c0ep+36", "0x1.236e8f1087589p+53"),
+        ((7, 5, 9), (3, 2, 4), (2, 3, 7), 12, "0x1.1f853489dffffp+46", "0x1.d4f86e84aaf62p+46"),
     ])
-    def test_direct_sum_bits_pinned(self, d, a, b, m, moves, value, abs_sum):
+    def test_direct_sum_bits_pinned(self, d, a, b, m, value, abs_sum):
         # float.hex of (value, abs_sum), recorded from separate n = 1, 2, 3
         # branches; evaluation order must not change the sum by even one ulp
-        ms = full_move_set(len(d)) if moves is None else MoveSet(n=len(d), moves=moves)
-        got = _direct_spectral_sum(d, a, b, m, ms)
+        got = _direct_spectral_sum(d, a, b, m)
         assert (got[0].hex(), got[1].hex()) == (value, abs_sum)
 
     def test_n1_reduces_to_1d(self):
@@ -387,6 +349,9 @@ class TestCorridorNd:
         spec = CorridorSpec(d=(5, 5), move_set=ms)
         with pytest.raises(DomainError):
             corridor_count_factorized(spec, (2, 2), (2, 2), 2)
+        for method in ("direct", "factorized"):
+            with pytest.raises(DomainError, match="full move set"):
+                corridor_count_nd(spec, (2, 2), (2, 2), 2, method=method)
 
     def test_direct_dimension_and_term_caps(self):
         spec4 = CorridorSpec(d=(5,) * 4, move_set=full_move_set(4))
@@ -396,55 +361,13 @@ class TestCorridorNd:
         with pytest.raises(ResourceLimit):
             corridor_count_nd(spec_big, (1, 1, 1), (1, 1, 1), 2, method="direct")
 
-    def test_auto_picks_a_route(self):
-        spec = CorridorSpec(d=(6, 6), move_set=full_move_set(2))
-        assert corridor_count_nd(spec, (2, 3), (3, 3), 5).exact == 2244
-        # non-full sets can only go through the direct sum
-        ms = MoveSet(n=2, moves=tuple(
-            mv for mv in full_move_set(2).moves if mv != (1, 1)
-        ))
-        spec_part = CorridorSpec(d=(6, 6), move_set=ms)
-        pc = corridor_count_nd(spec_part, (2, 3), (2, 3), 0)
-        assert pc.exact == 1
-
-    def test_sign_asymmetric_sets_go_to_the_dp(self):
-        # the sine basis does not diagonalize this stencil: the direct sum
-        # gives 6992 here, the true count is 88800
-        ms = MoveSet(n=2, moves=tuple(
-            mv for mv in full_move_set(2).moves if mv != (1, 1)))
-        spec = CorridorSpec(d=(4, 7), move_set=ms)
-        assert corridor_count_nd(spec, (1, 3), (1, 4), 8).exact == 88800
-        with pytest.raises(DomainError, match="sign flips"):
-            corridor_count_nd(spec, (1, 3), (1, 4), 8, method="direct")
-
-    def test_random_move_sets_against_dp(self):
-        # half the sets are closed under sign flips first, so both the
-        # direct sum and the DP route of "auto" are exercised
-        rng = random.Random(7)
-        routed = {True: 0, False: 0}
-        for case in range(120):
-            n = rng.choice((2, 3))
-            ms = random_move_set(rng, n)
-            if case % 2:
-                ms = sign_closure(ms)
-            d = tuple(rng.randint(2, (8, 5)[n - 2]) for _ in range(n))
-            a = tuple(rng.randint(1, dj - 1) for dj in d)
-            b = tuple(rng.randint(1, dj - 1) for dj in d)
-            m = rng.randint(0, (8, 6)[n - 2])
-            spec = CorridorSpec(d=d, move_set=ms)
-            want = reference_dp(d, ms.moves, a, b, m)
-            got = corridor_count_nd(spec, a, b, m)
-            assert got.exact == want, (case, d, ms.moves, a, b, m)
-            routed[ms.is_sign_symmetric()] += 1
-        assert min(routed.values()) >= 30
-
     def test_beyond_reach_direct_is_zero(self):
         # both sums leave float noise here, about 88 on the factorized route;
         # the reach check answers before either sum
         spec = CorridorSpec(d=(136,), move_set=full_move_set(1))
         assert corridor_count_nd(spec, (1,), (135,), 40, method="direct").exact == 0
         spec3 = CorridorSpec(d=(9, 9, 9), move_set=full_move_set(3))
-        for method in ("auto", "direct", "factorized"):
+        for method in ("direct", "factorized"):
             assert corridor_count_nd(spec3, (1, 4, 4), (4, 8, 4), 3, method=method).exact == 0
 
     def test_unknown_method(self):
@@ -458,8 +381,9 @@ class TestCorridorNd:
         for v in AXIS_COUNTS_50.values():
             exact *= v
         assert exact == HEADLINE_COUNT_50
-        for method in ("factorized", "auto"):
-            pc = corridor_count_nd(spec, (68, 68, 68), (88, 58, 108), 50, method=method)
+        # factorized is the default method
+        for kwargs in ({"method": "factorized"}, {}):
+            pc = corridor_count_nd(spec, (68, 68, 68), (88, 58, 108), 50, **kwargs)
             assert pc.exact == HEADLINE_COUNT_50
             assert pc.display() == "6.40201e+52"
 

@@ -11,6 +11,7 @@ from dtraj.model import (
     QuantizedState,
     RobotSpec,
     action_space_size,
+    check_on_grid,
     format_count,
     grid_range,
     quantize,
@@ -68,6 +69,22 @@ class TestQuantize:
             assert quantize(representative(s, robot), robot) == s
         with pytest.raises(OutOfRange, match="position grid point -5 outside limits"):
             quantize(representative(QuantizedState((-5,), (0,)), robot), robot)
+
+    def test_quotient_past_the_float_range_is_out_of_range(self):
+        # 1e308 deg is about 1e311 cells of a thousandth of a degree
+        robot = make_robot(q_min=-1 * DEG, q_max=1 * DEG, delta_q=0.001 * DEG)
+        for q, k in ((1e308, "inf"), (-1e308, "-inf")):
+            with pytest.raises(OutOfRange, match=f"position grid point {k} outside limits"):
+                quantize(ContinuousState((q * DEG,), (0.0,)), robot)
+
+    def test_check_on_grid_names_the_given_index(self, pendulum):
+        s = QuantizedState((67,), (-3,))
+        assert check_on_grid(s, pendulum) is s
+        for pos in (10 ** 400, 99999999999999999999999, -68):
+            with pytest.raises(OutOfRange, match=f"position grid point {pos} outside limits"):
+                check_on_grid(QuantizedState((pos,), (0,)), pendulum)
+        with pytest.raises(OutOfRange, match="velocity grid point 4 outside limits"):
+            check_on_grid(QuantizedState((0,), (4,)), pendulum)
 
     @given(pos=st.integers(-67, 67), vel=st.integers(-3, 3))
     def test_round_trip_on_grid(self, pos, vel):
@@ -140,6 +157,15 @@ class TestJointValidation:
         slow = RobotSpec(delta_t=1e308, gravity=9.81, joints=make_robot().joints)
         with pytest.raises(DomainError, match="too many cells"):
             slow.validate()
+
+    def test_limits_within_2_53_cells_of_0(self):
+        # past 2^53 cells, float64 no longer tells adjacent cells apart
+        make_robot(q_min=-2.0 ** 53, q_max=2.0 ** 53, delta_q=1.0).validate()
+        for q_max in (2.0 ** 53 + 2, 2.0 ** 60):
+            with pytest.raises(DomainError, match="too many cells"):
+                make_robot(q_min=-2.0 ** 53, q_max=q_max, delta_q=1.0).validate()
+        with pytest.raises(DomainError, match="too many cells"):
+            make_robot(delta_q=1e-19 * DEG).validate()
 
 
 class TestConfigIngestion:

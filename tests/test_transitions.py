@@ -316,6 +316,13 @@ class TestDegenerateRobots:
         with pytest.raises(OutOfRange):
             find_transitions(pendulum, start=QuantizedState((500,), (0,)))
 
+    @pytest.mark.parametrize("pos", [10 ** 400, -10 ** 400, 99999999999999999999999],
+                             ids=["10^400", "-10^400", "10^23-1"])
+    def test_start_past_the_float_range(self, pendulum, pos):
+        # checked as the integers given, not through floats
+        with pytest.raises(OutOfRange, match=f"position grid point {pos} outside limits"):
+            find_transitions(pendulum, start=QuantizedState((pos,), (0,)))
+
 
 class TestBudgets:
     def test_sequence_budget(self, pendulum):
