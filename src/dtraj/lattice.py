@@ -10,16 +10,18 @@ provided and cross-checked:
     it counts any move set,
   * an exact 1-D count by the method of images, in Python integers; for the
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
-    the product of these per-axis counts (the fast path),
+    the product of these per-axis counts (the fast path), all taken from
+    one shared pass of the coefficient recurrence,
   * the paper's spectral sum over the full frequency grid (n <= 3, with
-    n = 1 the 1-D sine formula), a float estimate with an explicit error
+    n = 1 the 1-D sine formula), a float estimate with an absolute error
     bound, evaluated by one code path for every n and always cross-checked
     against the exact product.
 
-Both closed forms take the full move set only, whose stencil factors per axis;
-other move sets are counted by the DP. An end farther from the start than the
-step count on some axis is counted as exactly 0 by every route, since a walk
-moves at most one cell per step.
+Every route returns a PathCount: an exact int, or the spectral sum's float
+and its bound. Both closed forms take the full move set only, whose stencil
+factors per axis; other move sets are counted by the DP. An end farther from
+the start than the step count on some axis is counted as exactly 0 by every
+route, since a walk moves at most one cell per step.
 """
 
 from __future__ import annotations
@@ -122,25 +124,20 @@ def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) ->
 
 @dataclass(frozen=True)
 class PathCount:
-    """A walk count: exact integer when available, else sign and log10 magnitude.
+    """A walk count: an exact int, or the direct n-D sum's float estimate.
 
-    Float estimates (the direct n-D sum) carry an absolute error bound, kept as
-    log10 so it is representable at any scale. Exact counts have sign 1 (or 0
-    for zero) and an error of -inf.
+    abs_err bounds |value - true count|. It is 0 for a count computed in
+    integers; a float sum rounded to an integer keeps its bound.
     """
 
-    exact: int | None
-    sign: int
-    log10: float
-    abs_err_log10: float
+    value: int | float
+    abs_err: float
 
     @classmethod
     def from_int(cls, x: int) -> "PathCount":
         if x < 0:
             raise DomainError("counts are nonnegative")
-        if x == 0:
-            return cls(exact=0, sign=0, log10=-math.inf, abs_err_log10=-math.inf)
-        return cls(exact=x, sign=1, log10=math.log10(x), abs_err_log10=-math.inf)
+        return cls(x, 0.0)
 
     @classmethod
     def from_float(cls, value: float, abs_err: float) -> "PathCount":
@@ -153,46 +150,43 @@ class PathCount:
             raise NumericalOverflow("closed-form count is not finite")
         if value < 0 and not -value <= max(abs_err, 0.5):
             raise DomainError(f"closed-form count {value} negative beyond error bound {abs_err}")
-        err_log = math.log10(abs_err) if abs_err > 0 else -math.inf
         if value <= 0:
             # zero, or a negative residual within tolerance; counts are nonnegative
-            return cls(exact=0, sign=0, log10=-math.inf, abs_err_log10=err_log)
+            return cls(0, abs_err)
         # rounding is only exact when the bound leaves one integer in reach
         if value <= _EXACT_ROUND_LIMIT and abs_err < 0.5:
             nearest = math.floor(value + 0.5)
-            residual = abs(value - nearest)
-            err = max(abs_err, residual)
-            return cls(
-                exact=nearest,
-                sign=0 if nearest == 0 else 1,
-                log10=math.log10(nearest) if nearest > 0 else -math.inf,
-                abs_err_log10=math.log10(err) if err > 0 else -math.inf,
-            )
-        return cls(exact=None, sign=1, log10=math.log10(value), abs_err_log10=err_log)
+            return cls(nearest, max(abs_err, abs(value - nearest)))
+        return cls(value, abs_err)
+
+    @property
+    def exact(self) -> int | None:
+        return self.value if isinstance(self.value, int) else None
+
+    @property
+    def log10(self) -> float:
+        return math.log10(self.value) if self.value > 0 else -math.inf
+
+    @property
+    def abs_err_log10(self) -> float:
+        return math.log10(self.abs_err) if self.abs_err > 0 else -math.inf
 
     @property
     def rel_err(self) -> float:
-        if self.sign == 0 or self.abs_err_log10 == -math.inf:
-            return 0.0
-        return 10.0 ** (self.abs_err_log10 - self.log10)
+        # only a float sum has a bound, and its value is within float range
+        return self.abs_err / self.value if self.abs_err and self.value else 0.0
 
     def display(self) -> str:
         if self.exact is not None:
             return format_count(self.exact)
-        return format_count((self.sign, self.log10))
+        return f"{self.value:.5e}"
 
     def agrees_with(self, other: "PathCount", rel_tol: float) -> bool:
-        if self.sign == 0 and other.sign == 0:
-            return True
-        if self.sign != other.sign:
-            # one side may be a zero-rounded residual; compare magnitudes to tol
-            big = max(self.log10, other.log10)
-            return big == -math.inf or 10.0 ** big <= rel_tol
-        la, lb = self.log10, other.log10
-        if max(la, lb) < 300:
-            va, vb = 10.0 ** la, 10.0 ** lb
-            return abs(va - vb) <= rel_tol * max(va, vb)
-        return abs(la - lb) <= rel_tol / math.log(10)
+        """Whether the values differ by at most rel_tol times the larger, compared exactly."""
+        from fractions import Fraction
+
+        va, vb = Fraction(self.value), Fraction(other.value)
+        return va == vb or abs(va - vb) / max(va, vb) <= rel_tol
 
 
 # ---------------------------------------------------------------------------
@@ -224,29 +218,40 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     if d < 2:
         raise DomainError("d must be >= 2")
     _check_walk((d,), (a,), (b,), m)
-    if abs(b - a) > m:
+    return PathCount.from_int(_images_count((d,), (a,), (b,), m))
+
+
+def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> int:
+    """Product over the axes of corridor_count_1d's count, from one shared pass.
+
+    The coefficients c_i depend only on m, so one pass of the recurrence
+    serves every axis; each axis adds its own image weights.
+    """
+    if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
         # a walk moves at most one cell per step
-        return PathCount.from_int(0)
+        return 0
     if m > _IMAGES_STEP_CAP:
         raise ResourceLimit(
             f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}"
         )
 
-    # net sign of the images at each coefficient index i = m - |j|, using
-    # T(m, j) = T(m, -j); an image in reach has |2kd| <= m + 2d - 2, so
-    # |k| <= m // (2d) + 1
-    weight: dict[int, int] = {}
-    span = m // (2 * d) + 1
-    for k in range(-span, span + 1):
-        for j, sign in ((b - a + 2 * k * d, 1), (b + a + 2 * k * d, -1)):
-            if abs(j) <= m:
-                weight[m - abs(j)] = weight.get(m - abs(j), 0) + sign
-    total = 0
+    # per coefficient index i = m - |j|, each axis's net sign of the images
+    # there, using T(m, j) = T(m, -j); an image in reach has |2kd| <= m + 2d - 2,
+    # so |k| <= m // (2d) + 1
+    weights: dict[int, list[int]] = {}
+    for axis, (dj, aj, bj) in enumerate(zip(d, a, b)):
+        span = m // (2 * dj) + 1
+        for k in range(-span, span + 1):
+            for j, sign in ((bj - aj + 2 * k * dj, 1), (bj + aj + 2 * k * dj, -1)):
+                if abs(j) <= m:
+                    weights.setdefault(m - abs(j), [0] * len(d))[axis] += sign
+    totals = [0] * len(d)
     prev, c = 0, 1  # c_{-1}, c_0
-    for i in range(max(weight) + 1):
-        total += weight.get(i, 0) * c
+    for i in range(max(weights) + 1):
+        for axis, w in enumerate(weights.get(i, ())):
+            totals[axis] += w * c
         prev, c = c, ((m - i) * c + (2 * m - i + 1) * prev) // (i + 1)
-    return PathCount.from_int(total)
+    return math.prod(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +392,7 @@ def corridor_count_factorized(
     if not spec.move_set.is_full():
         raise DomainError("the factorized fast path requires the full move set")
     _check_walk(spec.d, a, b, m)
-    count = 1
-    for dj, aj, bj in zip(spec.d, a, b):
-        count *= corridor_count_1d(dj, aj, bj, m).exact
-    return PathCount.from_int(count)
+    return PathCount.from_int(_images_count(spec.d, a, b, m))
 
 
 def corridor_count_nd(
@@ -419,9 +421,9 @@ def corridor_count_nd(
     with its positive 2/d prefactor; the exact DP oracle confirms both
     parities.
 
-    The cross-check requires agreement within relative 1e-6, loosened only
-    by the direct sum's own roundoff bound (large kernel powers cancel
-    catastrophically in float64; the bound tracks exactly when).
+    The cross-check requires the exact count to lie within the direct sum's
+    own roundoff bound (large kernel powers cancel catastrophically in
+    float64; the bound tracks exactly when), or within relative 1e-6 of it.
     """
     _check_walk(spec.d, a, b, m)
     if method not in ("direct", "factorized"):
@@ -434,17 +436,14 @@ def corridor_count_nd(
         return PathCount.from_int(0)
     value, abs_sum = _direct_spectral_sum(spec.d, a, b, m)
     direct = PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
-    _cross_check(direct, corridor_count_factorized(spec, a, b, m))
-    return direct
-
-
-def _cross_check(direct: PathCount, exact: PathCount) -> None:
+    exact = corridor_count_factorized(spec, a, b, m)
     tol = max(1e-6, direct.rel_err)
     if not direct.agrees_with(exact, tol):
         raise NumericalOverflow(
             "direct and factorized corridor counts disagree beyond "
             f"tolerance {tol:.3e}: {direct.display()} vs {exact.display()}"
         )
+    return direct
 
 
 # ---------------------------------------------------------------------------

@@ -367,27 +367,10 @@ def load_robot(path: str) -> RobotSpec:
 _INT_PRINT_LIMIT = 10**18
 
 
-def format_count(value) -> str:
-    """Counts print as exact integers up to 1e18, then as 6-significant-digit scientific.
-
-    Accepts a nonnegative int, or a (sign, log10 magnitude) pair for values only
-    known logarithmically.
-    """
-    if isinstance(value, int):
-        if value < 0:
-            raise DomainError("counts are nonnegative")
-        if value <= _INT_PRINT_LIMIT:
-            return str(value)
-        return f"{Decimal(value):.5e}"
-    sign, log10_mag = value
-    if sign == 0:
-        return "0"
-    if sign < 0:
+def format_count(value: int) -> str:
+    """Counts print as exact integers up to 1e18, then as 6-significant-digit scientific."""
+    if value < 0:
         raise DomainError("counts are nonnegative")
-    exp = math.floor(log10_mag)
-    mant = 10.0 ** (log10_mag - exp)
-    mant = round(mant, 5)
-    if mant >= 10.0:
-        mant /= 10.0
-        exp += 1
-    return f"{mant:.5f}e{exp:+03d}"
+    if value <= _INT_PRINT_LIMIT:
+        return str(value)
+    return f"{Decimal(value):.5e}"

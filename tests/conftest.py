@@ -20,6 +20,19 @@ THREE_STATE_TABLE = [
      "to": {"pos": [0], "vel": [1]}},
 ]
 
+# A literal copy of the benchmark's two-joint robot: +-12 deg in 6 deg cells,
+# +-150 deg/s, torques -50/0/50 N*m (225 states, 1,745 transitions).
+TWO_JOINT = {
+    "delta_t_ms": 40,
+    "gravity": 9.81,
+    "joints": [
+        {"name": f"j{i}", "q_min_deg": -12.0, "q_max_deg": 12.0, "delta_q_deg": 6.0,
+         "v_min_deg_s": -150.0, "v_max_deg_s": 150.0, "mass_kg": 1.0, "length_m": 1.0,
+         "torques_nm": [-50.0, 0.0, 50.0]}
+        for i in (1, 2)
+    ],
+}
+
 
 def write_table(path, lines) -> str:
     """Write JSON values one per line to path; returns the path as a string."""

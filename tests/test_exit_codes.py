@@ -7,7 +7,8 @@ infinities, non-integers, and points on or past a corridor wall. Input files
 are a valid robot config, transition table or desired path with one field
 replaced by such a value, or removed, and a table with no transitions. The
 robot config may also be a fine-cell one, whose cells are so small that a
-finite angle or separation is more cells from 0 than a float can hold. Every
+finite angle or separation is more cells from 0 than a float can hold, or a
+two-joint one, with its own table, desired path and two-wide states. Every
 subcommand that takes steps also runs a small valid input at each step count
 between 10^4 and 10^7, where a loop's cost, not the size of its answer, has
 to be capped. No run may raise a warning.
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtraj.cli import main
-from conftest import CONFIG_PATH, THREE_STATE_TABLE as TABLE, write_table
+from conftest import CONFIG_PATH, THREE_STATE_TABLE as TABLE, TWO_JOINT, write_table
 
 WALL_CAP_S = 10.0
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -45,15 +46,31 @@ with open(CONFIG_PATH) as fh:
 # the demo config with a thousandth of a degree per cell over +-1 degree
 FINE_CONFIG = copy.deepcopy(CONFIG)
 FINE_CONFIG["joints"][0].update(q_min_deg=-1.0, q_max_deg=1.0, delta_q_deg=0.001)
-configs = st.sampled_from([CONFIG, FINE_CONFIG])
 
-# one cell up on the first tick of the demo config, then a wait
+# a two-joint transitions file: the first joint moves a cell and stops, and
+# both rest in place
+TWO_JOINT_TABLE = [
+    {"format": "dtraj-transitions", "version": 1, "robot_hash": ""},
+    {"from": {"pos": [0, 0], "vel": [0, 0]}, "torque_idx_seq": [[1, 1]], "duration_s": 0.04,
+     "to": {"pos": [0, 0], "vel": [0, 0]}},
+    {"from": {"pos": [0, 0], "vel": [0, 0]}, "torque_idx_seq": [[2, 1]], "duration_s": 0.04,
+     "to": {"pos": [1, 0], "vel": [1, 0]}},
+    {"from": {"pos": [1, 0], "vel": [1, 0]}, "torque_idx_seq": [[0, 1]], "duration_s": 0.04,
+     "to": {"pos": [1, 0], "vel": [0, 0]}},
+]
+
+# one cell up on the first tick of the demo config, then a wait; and the
+# same for the first joint of the two-joint config
 DESIRED = [["t_s", "q1_deg"], ["0", "0"], ["0.04", "2"], ["0.08", "2"]]
+DESIRED_2J = [["t_s", "q1_deg", "q2_deg"], ["0", "0", "0"], ["0.04", "6", "0"],
+              ["0.08", "6", "0"]]
 EDGE_CSV = ["nan", "inf", "-inf", "1e400", "1e308", "-1e308", "", "x", DELETE]
-# --start states: on, beside and past the demo grid, past the float range,
-# and of the wrong width
+# --start states: on, beside and past the demo grid and the two-joint one,
+# past the float range, and of the wrong width
 EDGE_STARTS = ["0,0", "67,0", "68,0", "-67,0", "0,3", "0,4", "99999999999999999999999,0",
-               f"{10 ** 400},0", f"-{10 ** 400},0", "0 0,0 0", "0,", "x"]
+               f"{10 ** 400},0", f"-{10 ** 400},0", "0 0,0 0", "0,", "x",
+               "2 -2,1 -1", "3 0,0 0", "0 -3,0 0", "0 0,0 2", "0 0,-2 0", "0 0,0",
+               f"0 {10 ** 400},0 0", f"0 0,-{10 ** 400} 0", "0 0 0,0 0 0"]
 
 MID_STEPS = [20_000, 50_000, 100_000, 1_000_000, 10_000_000]
 # a valid run of each subcommand that takes steps, for each of MID_STEPS
@@ -99,6 +116,19 @@ def one_field_mutation(draw, obj):
     return mutated(obj, path, draw(st.sampled_from(EDGE_JSON)))
 
 
+@st.composite
+def one_cell_mutation(draw, rows):
+    """A copy of CSV rows with one field replaced by an edge value, or removed."""
+    r = draw(st.integers(0, len(rows) - 1))
+    c = draw(st.integers(0, len(rows[r]) - 1))
+    return mutated(rows, (r, c), draw(st.sampled_from(EDGE_CSV)))
+
+
+configs = st.sampled_from([CONFIG, FINE_CONFIG, TWO_JOINT])
+mutated_configs = st.sampled_from([CONFIG, TWO_JOINT]).flatmap(
+    lambda config: one_field_mutation(config) | st.just(config))
+
+
 def run(argv) -> str:
     """Run argv in-process under the contract; returns its stdout."""
     out, err = io.StringIO(), io.StringIO()
@@ -142,7 +172,7 @@ def test_count_ndim(d, frm, to, steps, direct):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=one_field_mutation(CONFIG) | st.just(CONFIG), steps=edge)
+@given(config=mutated_configs, steps=edge)
 def test_count_bounds(tmp_path_factory, config, steps):
     run(["count", "bounds", "--config", config_file(tmp_path_factory, config),
          f"--steps={steps}"])
@@ -159,9 +189,9 @@ def test_count_scaling(tmp_path_factory, config, dof, steps, separation):
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=one_field_mutation(CONFIG) | st.just(CONFIG),
-       start=st.none() | st.sampled_from(EDGE_STARTS))
+@given(config=mutated_configs, start=st.none() | st.sampled_from(EDGE_STARTS))
 @example(config=CONFIG, start=f"{10 ** 400},0")
+@example(config=TWO_JOINT, start="2 -2,1 -1")
 @example(config=mutated(CONFIG, ("joints", 0, "delta_q_deg"), 1e-19), start=None)
 def test_transitions(tmp_path_factory, config, start):
     run(["transitions", "--config", config_file(tmp_path_factory, config),
@@ -189,21 +219,17 @@ def test_enumerate_table_without_states(tmp_path_factory, steps, start, count_on
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=configs, r=st.integers(0, len(DESIRED) - 1), c=st.integers(0, 1),
-       value=st.sampled_from(EDGE_CSV))
-@example(config=FINE_CONFIG, r=1, c=1, value="1e308")
-def test_plan(tmp_path_factory, config, r, c, value):
-    # every row of DESIRED has two fields
-    rows = copy.deepcopy(DESIRED)
-    if value is DELETE:
-        del rows[r][c]
-    else:
-        rows[r][c] = value
+@given(config=configs,
+       desired=st.sampled_from([DESIRED, DESIRED_2J]).flatmap(one_cell_mutation))
+@example(config=FINE_CONFIG, desired=mutated(DESIRED, (1, 1), "1e308"))
+@example(config=TWO_JOINT, desired=DESIRED_2J)
+def test_plan(tmp_path_factory, config, desired):
     tmp = tmp_path_factory.mktemp("plan")
-    desired = tmp / "desired.csv"
-    desired.write_text("".join(",".join(row) + "\n" for row in rows))
-    out = run(["plan", "--transitions", write_table(tmp / "table.jsonl", TABLE),
-               "--config", config_file(tmp_path_factory, config), "--desired", str(desired)])
+    path = tmp / "desired.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in desired))
+    table = TWO_JOINT_TABLE if config is TWO_JOINT else TABLE
+    out = run(["plan", "--transitions", write_table(tmp / "table.jsonl", table),
+               "--config", config_file(tmp_path_factory, config), "--desired", str(path)])
     assert "NaN" not in out and "Infinity" not in out, out
 
 

@@ -176,7 +176,7 @@ class TestCorridor1d:
         pc = corridor_count_1d(136, 68, 78, 2000)
         # dominated by the slowest-decaying mode: growth rate just under 3 per step
         lam = 1.0 + 2.0 * math.cos(math.pi / 136)
-        assert pc.sign == 1
+        assert pc.exact > 0
         assert 2000 * math.log10(lam) - 3 < pc.log10 < 2000 * math.log10(3.0)
 
     @given(
@@ -344,6 +344,32 @@ class TestCorridorNd:
         dx = corridor_count_nd(spec, a, b, 6, method="direct")
         assert fx.exact == dx.exact
 
+    @given(d=st.lists(st.integers(2, 12), min_size=1, max_size=4), m=st.integers(0, 40),
+           data=st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_shared_pass_is_the_per_axis_product(self, d, m, data):
+        a = [data.draw(st.integers(1, dj - 1)) for dj in d]
+        b = [data.draw(st.integers(1, dj - 1)) for dj in d]
+        spec = CorridorSpec(d=tuple(d), move_set=full_move_set(len(d)))
+        want = math.prod(corridor_count_1d(*axis, m).exact for axis in zip(d, a, b))
+        assert corridor_count_factorized(spec, a, b, m).exact == want
+
+    def test_an_axis_out_of_reach_answers_before_the_step_cap(self):
+        spec = CorridorSpec(d=(10 ** 6, 136), move_set=full_move_set(2))
+        pc = corridor_count_factorized(spec, (1, 68), (10 ** 6 - 1, 68), 60_000)
+        assert pc.exact == 0
+
+    def test_direct_bound_past_float_range(self):
+        # the sum of |terms| overflows while their sum stays finite, so the
+        # bound is infinite and the cross-check admits the estimate, which is
+        # still within 1e-13 of the exact count
+        spec = CorridorSpec(d=(60, 60, 60), move_set=full_move_set(3))
+        a, b = (30, 30, 30), (40, 25, 42)
+        pc = corridor_count_nd(spec, a, b, 215, method="direct")
+        assert pc.exact is None and pc.rel_err == math.inf
+        exact = corridor_count_factorized(spec, a, b, 215).exact
+        assert abs(int(pc.value) - exact) < 1e-13 * exact
+
     def test_factorized_requires_full_set(self):
         ms = MoveSet(n=2, moves=((0, 0), (1, 1), (-1, -1)))
         spec = CorridorSpec(d=(5, 5), move_set=ms)
@@ -399,7 +425,7 @@ class TestPathCount:
         pc = PathCount.from_float(12159131877715988.0, 3.0)
         assert pc.exact is None
         assert pc.rel_err == pytest.approx(3.0 / 12159131877715988.0)
-        assert PathCount.from_float(0.0, 2.0).sign == 0
+        assert PathCount.from_float(0.0, 2.0).exact == 0
         assert PathCount.from_float(0.3, 2.0).display() == "3.00000e-01"
 
     def test_closed_forms_certify_only_what_they_know(self):
@@ -421,10 +447,34 @@ class TestPathCount:
         with pytest.raises(DomainError):
             PathCount.from_float(-5.0, 1e-9)
 
+    def test_agrees_with_is_exact_at_any_size(self):
+        big = PathCount.from_int(10 ** 400)
+        assert big.agrees_with(PathCount.from_int(10 ** 400 + 10 ** 393), 1e-6)
+        assert not big.agrees_with(PathCount.from_int(10 ** 400 + 10 ** 395), 1e-6)
+        assert PathCount.from_int(0).agrees_with(PathCount.from_int(0), 0.0)
+        # an estimate agrees with 0 only when its bound reaches 0
+        assert PathCount.from_float(0.3, 2.0).agrees_with(PathCount.from_int(0), 2.0 / 0.3)
+        assert not PathCount.from_float(3.0, 2.0).agrees_with(PathCount.from_int(0), 2.0 / 3.0)
+
     def test_display(self):
         assert PathCount.from_int(16).display() == "16"
         assert PathCount.from_float(10.0 ** 52.806316, 1e40).display().endswith("e+52")
         assert PathCount.from_int(0).display() == "0"
+
+    def test_display_of_estimates(self):
+        assert PathCount.from_float(6.402e52, 1e40).display() == "6.40200e+52"
+        assert PathCount.from_float(-0.3, 2.0).display() == "0"
+
+    def test_display_mantissa_carry(self):
+        # a mantissa that rounds up to 10.00000 must carry into the exponent
+        assert PathCount.from_float(10.0 ** 52.9999999, 1e40).display() == "1.00000e+53"
+
+    def test_display_rounds_estimates_correctly(self):
+        # each value lies just below or just above a tie at the sixth digit
+        for value, shown in ((9.902984999999999e+27, "9.90298e+27"),
+                             (4.785965e+85, "4.78597e+85"),
+                             (1.9603350000000002e+42, "1.96034e+42")):
+            assert PathCount.from_float(value, 1e10).display() == shown
 
 
 class TestJointMapping:

@@ -47,7 +47,7 @@ from dtraj.transitions import (
     state_label,
     write_jsonl,
 )
-from conftest import DEG, demo_joint
+from conftest import DEG, TWO_JOINT, demo_joint
 
 
 ZERO = QuantizedState((0,), (0,))
@@ -185,20 +185,6 @@ def reference_export_dot(table: TransitionTable) -> str:
         lines.append(f'  n{a} -> n{b} [label="{trn._rle_actions(t.actions)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# A literal copy of the benchmark's two-joint robot: +-12 deg in 6 deg cells,
-# +-150 deg/s, torques -50/0/50 N*m (225 states, 1,745 transitions).
-TWO_JOINT = {
-    "delta_t_ms": 40,
-    "gravity": 9.81,
-    "joints": [
-        {"name": f"j{i}", "q_min_deg": -12.0, "q_max_deg": 12.0, "delta_q_deg": 6.0,
-         "v_min_deg_s": -150.0, "v_max_deg_s": 150.0, "mass_kg": 1.0, "length_m": 1.0,
-         "torques_nm": [-50.0, 0.0, 50.0]}
-        for i in (1, 2)
-    ],
-}
 
 
 def serialised(table: TransitionTable) -> tuple[str, str]:
