@@ -12,40 +12,39 @@ provided and cross-checked:
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
     the product of these per-axis counts (the fast path), all taken from
     one shared pass of the coefficient recurrence,
-  * the paper's spectral sum over the full frequency grid (n <= 3, with
-    n = 1 the 1-D sine formula), a float estimate with an absolute error
-    bound, evaluated by one code path for every n and always cross-checked
-    against the exact product.
+  * the paper's spectral sum over the full frequency grid, which for the
+    full move set is a product of one-axis sine sums (with n = 1 the 1-D
+    sine formula), each evaluated in fixed-point integers with an a-priori
+    error bound below 1/8, certified and rounded to its exact integer, and
+    the product always cross-checked against the images product.
 
-Every route returns a PathCount: an exact int, or the spectral sum's float
-and its bound. Both closed forms take the full move set only, whose stencil
-factors per axis; other move sets are counted by the DP. An end farther from
-the start than the step count on some axis is counted as exactly 0 by every
-route, since a walk moves at most one cell per step.
+Every route returns a PathCount, an exact int. Both closed forms take the
+full move set only, whose stencil factors per axis; other move sets are
+counted by the DP. An end farther from the start than the step count on
+some axis is counted as exactly 0 by every route, since a walk moves at most
+one cell per step.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
 from .model import JointSpec, _round_half_away, check_count_work, format_count
 
-_EPS = 2.0 ** -52
-_EXACT_ROUND_LIMIT = 2 ** 63
 _INT64_MAX = 2 ** 63 - 1
 # the 1-D images pass costs time growing as m^2: about 1.5 s at the cap;
 # the scaling table's walk vector is held to the same step count, and to
 # the exact loops' work budget
 _IMAGES_STEP_CAP = 50_000
-# direct n-D evaluation cap; sized to admit a 3-axis grid of height 135
-# (2*136 = 272 frequencies per axis) with a little headroom
-_DIRECT_TERM_BUDGET = 21_000_000
+# the spectral sum's price in word products (_spectral_count): 0.6 to 3 s at
+# the cap, where 20,000 steps over d = (6, 6) are admitted and 50,000 not
+_SPECTRAL_WORK_CAP = 5 * 10 ** 8
+# guard bits of the spectral sum beyond 2 log2 m; its error bound needs 8
+_SPECTRAL_GUARD = 8
 _DP_CELL_STEP_BUDGET = 10 ** 7
 _MOVE_SET_DIM_CAP = 12
 
@@ -124,69 +123,30 @@ def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) ->
 
 @dataclass(frozen=True)
 class PathCount:
-    """A walk count: an exact int, or the direct n-D sum's float estimate.
+    """A walk count, always an exact int."""
 
-    abs_err bounds |value - true count|. It is 0 for a count computed in
-    integers; a float sum rounded to an integer keeps its bound.
-    """
-
-    value: int | float
-    abs_err: float
+    exact: int
+    # an exact count has no error
+    abs_err_log10 = -math.inf
+    rel_err = 0.0
 
     @classmethod
     def from_int(cls, x: int) -> "PathCount":
         if x < 0:
             raise DomainError("counts are nonnegative")
-        return cls(x, 0.0)
-
-    @classmethod
-    def from_float(cls, value: float, abs_err: float) -> "PathCount":
-        """Float estimate with its error bound, clamping tiny negatives to zero.
-
-        The value rounds to an exact integer only when it is at most 2^63 and
-        its bound is below 0.5; otherwise it is an estimate.
-        """
-        if not math.isfinite(value):
-            raise NumericalOverflow("closed-form count is not finite")
-        if value < 0 and not -value <= max(abs_err, 0.5):
-            raise DomainError(f"closed-form count {value} negative beyond error bound {abs_err}")
-        if value <= 0:
-            # zero, or a negative residual within tolerance; counts are nonnegative
-            return cls(0, abs_err)
-        # rounding is only exact when the bound leaves one integer in reach
-        if value <= _EXACT_ROUND_LIMIT and abs_err < 0.5:
-            nearest = math.floor(value + 0.5)
-            return cls(nearest, max(abs_err, abs(value - nearest)))
-        return cls(value, abs_err)
-
-    @property
-    def exact(self) -> int | None:
-        return self.value if isinstance(self.value, int) else None
+        return cls(x)
 
     @property
     def log10(self) -> float:
-        return math.log10(self.value) if self.value > 0 else -math.inf
-
-    @property
-    def abs_err_log10(self) -> float:
-        return math.log10(self.abs_err) if self.abs_err > 0 else -math.inf
-
-    @property
-    def rel_err(self) -> float:
-        # only a float sum has a bound, and its value is within float range
-        return self.abs_err / self.value if self.abs_err and self.value else 0.0
+        return math.log10(self.exact) if self.exact > 0 else -math.inf
 
     def display(self) -> str:
-        if self.exact is not None:
-            return format_count(self.exact)
-        return f"{self.value:.5e}"
+        return format_count(self.exact)
 
     def agrees_with(self, other: "PathCount", rel_tol: float) -> bool:
-        """Whether the values differ by at most rel_tol times the larger, compared exactly."""
-        from fractions import Fraction
-
-        va, vb = Fraction(self.value), Fraction(other.value)
-        return va == vb or abs(va - vb) / max(va, vb) <= rel_tol
+        """Whether the counts differ by at most rel_tol times the larger, compared exactly."""
+        num, den = rel_tol.as_integer_ratio()
+        return abs(self.exact - other.exact) * den <= num * max(self.exact, other.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -319,70 +279,120 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
 # spectral kernel and the n-D closed form
 
 
-def _direct_spectral_sum(
-    d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int
-) -> tuple[float, float]:
-    """Evaluate the full frequency-grid sum; returns (value, sum of |contributions|).
+def _spectral_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> int:
+    """The paper's frequency-grid sum for the full move set, as an exact integer.
 
-    One path for every n: the trailing (at most two) axes are broadcast as
-    arrays and the leading n - 2 axes are looped over one frequency tuple at a
-    time, so memory stays that of one 2-D slice. Each distinct trailing kernel
-    factor is built once.
+    The full move set's kernel is prod_j (1 + 2 cos theta_j), so the grid sum
+    is the product over the axes of the one-axis sums
+
+        N = (2/d) sum_{k=1}^{d-1} sin(pi k a/d) sin(pi k b/d) (1 + 2 cos(pi k/d))^m,
+
+    each an axis's walk count, hence an integer. Each is evaluated in
+    fixed-point integers with q fractional bits, 2^(q - g) > 3^m and
+    g = 2 bitlen(m) + _SPECTRAL_GUARD (Brent, "Fast multiple-precision
+    evaluation of elementary functions", J. ACM 1976). The work is priced
+    first, and refused with ResourceLimit past _SPECTRAL_WORK_CAP.
+
+    Error bound, in ulps of 2^-q: every table entry 2^q cos(pi j/d) is within
+    1.5 (_cos_tables), so each kernel 1 + 2 cos and each weight
+    2 sin sin = cos(pi k (a-b)/d) - cos(pi k (a+b)/d) is within 3; a term of
+    weight 0 adds nothing and is skipped. The truncating binary power keeps
+    kern^j within (5j - 1) 3^(j-1), by induction: a product adds each
+    factor's bound times the other's size (at most 3^i), the bounds' product
+    (below 2, as 2^g >= 256 m^2) and 1 of truncation. So a term is within
+    3^m (10m/3 + 3) 2^q, and the scaled count, the sum divided by d 2^q with
+    1 more of truncation, within 3^m (10m/3 + 3) + 1 < 2^q / 8. Each axis is
+    certified to lie within 1/4 of a nonnegative integer, or NumericalOverflow
+    is raised: a fault in this bound or a starved guard is an error (exit 5),
+    never a wrong count.
     """
-    import numpy as np
-
-    n = len(d)
-    terms = math.prod(2 * dj for dj in d)
-    if n > 3:
-        raise ResourceLimit("direct evaluation supports at most 3 axes")
-    if terms > _DIRECT_TERM_BUDGET:
+    q = m * 1585 // 1000 + 1 + 2 * m.bit_length() + _SPECTRAL_GUARD  # 1585/1000 > log2 3
+    # price in word products: per wall cell about 2 log2 m products of up to
+    # 2q bits (w words cost about w^1.5 by Karatsuba), plus Python work worth 256
+    words = q // 32 + 1
+    work = (sum(d) + math.isqrt(q)) * 2 * m.bit_length() * (256 + words * math.isqrt(words))
+    if work > _SPECTRAL_WORK_CAP:
         raise ResourceLimit(
-            f"direct evaluation needs {terms} terms, budget is {_DIRECT_TERM_BUDGET}"
+            f"the spectral sum over walls {tuple(d)} at {m} steps exceeds the work cap of "
+            f"{_SPECTRAL_WORK_CAP} word products"
         )
+    tables = _cos_tables(set(d), q)
+    one = 1 << q
+    count = 1
+    for dj, aj, bj in zip(d, a, b):
+        cos = tables[dj]
+        weights = [cos[k * (aj - bj) % (2 * dj)] - cos[k * (aj + bj) % (2 * dj)]
+                   for k in range(1, dj)]
+        # a term of weight 0 adds nothing, so its power is not taken
+        kern = [one + 2 * c for w, c in zip(weights, cos[1:dj]) if w]
+        weights = [w for w in weights if w]
+        power = kern if m else [one] * len(kern)
+        for bit in bin(m)[3:]:
+            power = [p * p >> q for p in power]
+            if bit == "1":
+                power = [p * x >> q for p, x in zip(power, kern)]
+        scaled = sum(w * p for w, p in zip(weights, power)) // (dj << q)
+        axis = (scaled + (one >> 1)) >> q
+        if axis < 0 or abs(scaled - (axis << q)) > one >> 2:
+            raise NumericalOverflow(
+                f"the spectral sum on an axis with d = {dj} is not within 1/4 of a count"
+            )
+        count *= axis
+    return count
 
-    # the full move set's nonnegative half, {0,1}^n in lexicographic order
-    plus = tuple(itertools.product((0, 1), repeat=n))
-    ws = [np.arange(1 - dj, dj + 1, dtype=np.float64) for dj in d]
-    cosines = [2.0 * np.cos(np.pi * w / dj) for w, dj in zip(ws, d)]
-    sin_a = [np.sin(np.pi * w * aj / dj) for w, aj, dj in zip(ws, a, d)]
-    phase_b = [np.pi * w * bj / dj for w, bj, dj in zip(ws, b, d)]
-    wave = np.cos if n % 2 == 0 else np.sin
 
-    lead = max(n - 2, 0)
+def _cos_tables(ds: Iterable[int], q: int) -> dict[int, list[int]]:
+    """Per d, 2^q cos(pi j/d) for j = 0..2d-1, each within 1.5 ulps.
 
-    def tail(per_axis):
-        # the trailing axes' arrays as broadcastable views, of shapes (k, 1) and (k,)
-        return [x.reshape((-1,) + (1,) * (n - 1 - j)) for j, x in enumerate(per_axis)][lead:]
+    Error bound, in ulps of 2^-Q, Q = q + h: pi by Machin's formula,
+    16 arctan(1/5) - 4 arctan(1/239), is within 8Q + 64 (each kept series
+    term within 2, the dropped tail within 1); theta = pi / (d 2^r), with
+    r = floor(sqrt(q) / 2), within 2Q + 17 and theta^2 within 3.2Q + 30; the
+    Taylor series of cos theta, each term truncated, within 4Q; r doublings
+    cos 2x = 2 cos^2 x - 1, each at most quadrupling the error and adding 1,
+    within 4.1 * 4^r Q. The Chebyshev recurrence cos((j+1)t) = 2 cos t cos jt
+    - cos((j-1)t) up to j = d/2 (the rest of the circle by symmetry) sums the
+    errors of cos t and of each truncation times Chebyshev polynomials
+    U_i(cos t) of size at most i + 1, so entry j is within
+    j^2 (4.1 * 4^r Q + 1) <= 4.2 * 4^r d^2 Q. With h = 2r + bitlen(d^2 q) + 16
+    that is below 2^(h-1), half a q-bit ulp, for any h <= 1000 q, which holds
+    for every d the work cap admits; truncating to q bits adds under 1.
+    """
+    r = math.isqrt(q) // 2
+    h = 2 * r + (max(ds) ** 2 * q).bit_length() + 16
+    bits = q + h
+    one = 1 << bits
 
-    sin_tail = functools.reduce(operator.mul, tail(sin_a))
-    phase_tail = functools.reduce(operator.add, tail(phase_b))
-    cos_tail = tail(cosines)
-    # the nonnegative moves have components 0 and 1, so a kernel term is the
-    # product of the 2 cos factors of the axes the move steps along
-    factors = {}
-    for mv in plus:
-        if mv[lead:] not in factors:
-            factors[mv[lead:]] = math.prod(itertools.compress(cos_tail, mv[lead:]))
-    total = 0.0
-    abs_total = 0.0
-    # one (cosines, sines, phases) triple of scalars per leading frequency tuple
-    leading = (
-        itertools.product(*(x.tolist() for x in per_axis[:lead]))
-        for per_axis in (cosines, sin_a, phase_b)
-    )
-    # kern ** m may overflow; a sum that is not finite is refused by the caller
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cos_at, sin_at, phase_at in zip(*leading):
-            kern = np.zeros(phase_tail.shape)
-            for mv in plus:
-                kern += math.prod(itertools.compress(cos_at, mv), start=factors[mv[lead:]])
-            contrib = (wave(sum(phase_at, phase_tail)) * kern ** m
-                       * math.prod(sin_at, start=sin_tail))
-            total += float(contrib.sum())
-            abs_total += float(np.abs(contrib).sum())
+    def arctan_inv(x: int) -> int:
+        term = total = one // x
+        n = 1
+        while term:
+            term //= x * x
+            n += 2
+            total += -(term // n) if n % 4 == 3 else term // n
+        return total
 
-    denom = math.prod(d)
-    return (-1.0) ** (n // 2) * total / denom, abs_total / denom
+    pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
+    tables = {}
+    for d in ds:
+        theta = pi // (d << r)
+        sq = theta * theta >> bits
+        c, term, i = one, one, 1
+        while term:
+            term = (term * sq >> bits) // ((2 * i - 1) * 2 * i)
+            c += -term if i % 2 else term
+            i += 1
+        for _ in range(r):
+            c = (c * c >> (bits - 1)) - one
+        table = [one, c]
+        for _ in range(d // 2 - 1):
+            table.append((2 * c * table[-1] >> bits) - table[-2])
+        table = [x >> h for x in table]
+        # the rest of the circle by cos(pi (d - j)/d) = -cos(pi j/d), then
+        # cos(pi (2d - j)/d) = cos(pi j/d)
+        table += [-x for x in table[d - len(table)::-1]]
+        tables[d] = table + table[-2:0:-1]
+    return tables
 
 
 def corridor_count_factorized(
@@ -402,28 +412,17 @@ def corridor_count_nd(
     m: int,
     method: str = "factorized",
 ) -> PathCount:
-    """n-D count over the full move set, by a closed form.
+    """Exact n-D count over the full move set, by a closed form.
 
     method:
-      "factorized"  exact product of per-axis 1-D counts (any n)
-      "direct"      full frequency-grid sum, a float estimate with an error
-                    bound (n <= 3, term budget applies), cross-checked
-                    against the exact factorized count
+      "factorized"  product of per-axis 1-D counts by the method of images
+      "direct"      the paper's frequency-grid sum (_spectral_count), cross-
+                    checked for equality against the factorized count
 
     Any other move set raises DomainError; corridor_count_dp counts it.
 
     An end more than m cells from the start on some axis is out of reach:
     the count is exactly 0 and no sum is evaluated.
-
-    The sum follows the spectral derivation: a cosine b-term for even n and
-    a sine b-term for odd n, both with the prefactor (-1)^floor(n/2). For odd
-    n this is the sign that makes one axis reduce exactly to the 1-D formula
-    with its positive 2/d prefactor; the exact DP oracle confirms both
-    parities.
-
-    The cross-check requires the exact count to lie within the direct sum's
-    own roundoff bound (large kernel powers cancel catastrophically in
-    float64; the bound tracks exactly when), or within relative 1e-6 of it.
     """
     _check_walk(spec.d, a, b, m)
     if method not in ("direct", "factorized"):
@@ -434,14 +433,11 @@ def corridor_count_nd(
         raise DomainError("the direct sum requires the full move set")
     if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
         return PathCount.from_int(0)
-    value, abs_sum = _direct_spectral_sum(spec.d, a, b, m)
-    direct = PathCount.from_float(value, (m + 2) * _EPS * abs_sum)
+    direct = PathCount.from_int(_spectral_count(spec.d, a, b, m))
     exact = corridor_count_factorized(spec, a, b, m)
-    tol = max(1e-6, direct.rel_err)
-    if not direct.agrees_with(exact, tol):
+    if direct != exact:
         raise NumericalOverflow(
-            "direct and factorized corridor counts disagree beyond "
-            f"tolerance {tol:.3e}: {direct.display()} vs {exact.display()}"
+            f"direct and factorized corridor counts disagree: {direct.display()} vs {exact.display()}"
         )
     return direct
 

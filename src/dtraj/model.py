@@ -12,12 +12,10 @@ files speak degrees; the conversion happens exactly once, at ingestion.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DomainError, OutOfRange, ResourceLimit
@@ -147,6 +145,8 @@ class RobotSpec:
         }
 
     def content_hash(self) -> str:
+        import hashlib
+
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -373,4 +373,6 @@ def format_count(value: int) -> str:
         raise DomainError("counts are nonnegative")
     if value <= _INT_PRINT_LIMIT:
         return str(value)
+    from decimal import Decimal
+
     return f"{Decimal(value):.5e}"

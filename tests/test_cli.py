@@ -141,17 +141,17 @@ class TestCorridorCommands:
         manifest = json.loads([ln for ln in err.splitlines() if ln.startswith("{")][-1])
         assert manifest["subcommand"] == "count ndim"
 
-    def test_direct_sum_overflow_exits_5(self, capsys):
-        # kern ** 1000 overflows float64: one error line, no numpy warning
+    def test_direct_sum_past_float_range_is_exact(self, capsys):
+        # kern ** 1000 overflowed float64; the fixed-point sum is exact, with
+        # no warning
+        argv = ["count", "ndim", "--d", "136", "--from", "68", "--to", "68", "--steps", "1000"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["count", "ndim", "--d", "136", "--from", "68", "--to", "68",
-                       "--steps", "1000", "--direct"])
-        assert rc == 5
-        out = capsys.readouterr()
-        assert out.out == ""
-        lines = [ln for ln in out.err.splitlines() if not ln.startswith("{")]
-        assert lines == ["error: closed-form count is not finite"]
+            assert main(argv + ["--direct"]) == 0
+        direct = capsys.readouterr().out
+        assert main(argv) == 0
+        assert direct == capsys.readouterr().out
+        assert direct.endswith("e+475\n")
 
     def test_unknown_move_set(self, capsys):
         rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
@@ -168,10 +168,13 @@ class TestCorridorCommands:
         assert rc == 0
         assert capsys.readouterr().out == fast == "2244\n"
 
-    def test_direct_dimension_cap(self, capsys):
-        rc = main(["count", "ndim", "--d", "3,3,3,3", "--from", "1,1,1,1",
-                   "--to", "1,1,1,1", "--steps", "4", "--direct"])
-        assert rc == 4
+    def test_direct_any_dimension(self, capsys):
+        argv = ["count", "ndim", "--d", "3,3,3,3", "--from", "1,1,1,1", "--to", "1,1,1,1",
+                "--steps", "4"]
+        assert main(argv + ["--direct"]) == 0
+        assert capsys.readouterr().out == "4096\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "4096\n"
 
     def test_bounds_output(self, capsys):
         rc = main(["count", "bounds", "--config", CFG, "--steps", "50"])
@@ -604,14 +607,27 @@ class TestImports:
     @pytest.mark.parametrize("argv", [
         ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"],
         ["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5"],
+        ["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5", "--direct"],
         ["count", "bounds", "--config", CFG, "--steps", "50"],
         ["count", "scaling", "--config", CFG, "--dof", "1-6", "--steps", "1-20",
          "--separation-deg", "20"],
         ["--version"],
         ["--help"],
-    ], ids=["corridor", "ndim", "bounds", "scaling", "version", "help"])
+    ], ids=["corridor", "ndim", "direct", "bounds", "scaling", "version", "help"])
     def test_command_does_not_load_numpy(self, argv):
-        assert "numpy" not in cli_modules(*argv)
+        loaded = cli_modules(*argv)
+        assert "numpy" not in loaded
+        assert "fractions" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"],
+        ["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5", "--direct"],
+    ], ids=["corridor", "direct"])
+    def test_small_counts_load_neither_hashlib_nor_decimal(self, argv):
+        # hashlib serves only the config hash, decimal only counts above 1e18
+        loaded = cli_modules(*argv)
+        assert "hashlib" not in loaded
+        assert "decimal" not in loaded
 
     def test_plan_does_not_load_numpy(self, table_file, desired_file):
         loaded = cli_modules("plan", "--transitions", str(table_file), "--config", CFG,
@@ -621,8 +637,7 @@ class TestImports:
 
     @pytest.mark.parametrize("argv", [
         ["corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4", "--exact"],
-        ["ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5", "--direct"],
-    ], ids=["exact", "direct"])
+    ], ids=["exact"])
     def test_array_routes_load_numpy_and_their_layer_only(self, argv):
         loaded = cli_modules("count", *argv)
         assert "numpy" in loaded

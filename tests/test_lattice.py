@@ -6,13 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtraj.errors import DomainError, ResourceLimit
+from dtraj.errors import DomainError, NumericalOverflow, ResourceLimit
 from dtraj.lattice import (
     CorridorSpec,
     MoveSet,
     PathCount,
     ScalingRow,
-    _direct_spectral_sum,
+    _images_count,
+    _spectral_count,
     approx_count_log10,
     corridor_count_1d,
     corridor_count_dp,
@@ -298,34 +299,56 @@ class TestCorridorNd:
         dp = corridor_count_dp(spec, (2, 3), (3, 3), 5)
         assert nd.exact == dp.exact == 2244
 
-    @pytest.mark.parametrize("d, a, b, m, value, abs_sum", [
-        ((13,), (4,), (9,), 11, "0x1.3350000000009p+12", "0x1.8c887e33ecc2fp+14"),
-        ((18, 23), (13, 21), (6, 6), 19, "0x1.f0a75aff12c0ep+36", "0x1.236e8f1087589p+53"),
-        ((7, 5, 9), (3, 2, 4), (2, 3, 7), 12, "0x1.1f853489dffffp+46", "0x1.d4f86e84aaf62p+46"),
+    @pytest.mark.parametrize("d, a, b, m, want", [
+        ((18, 23), (13, 21), (6, 6), 19, 133319471093),
+        ((13,), (4,), (9,), 11, 4917),
+        ((7, 5, 9), (3, 2, 4), (2, 3, 7), 12, 79032987318272),
     ])
-    def test_direct_sum_bits_pinned(self, d, a, b, m, value, abs_sum):
-        # float.hex of (value, abs_sum), recorded from separate n = 1, 2, 3
-        # branches; evaluation order must not change the sum by even one ulp
-        got = _direct_spectral_sum(d, a, b, m)
-        assert (got[0].hex(), got[1].hex()) == (value, abs_sum)
+    def test_direct_sum_pinned(self, d, a, b, m, want):
+        # the float sum put (18,23) a few units off, inside a bound above 0.5
+        spec = CorridorSpec(d=d, move_set=full_move_set(len(d)))
+        assert corridor_count_nd(spec, a, b, m, method="direct").exact == want
+        assert corridor_count_dp(spec, a, b, m).exact == want
 
     def test_n1_reduces_to_1d(self):
-        # the one-axis direct sum is the paper's 1-D sine formula; it must
-        # round to the exact count on criterion 2's whole sweep
+        # the one-axis spectral sum is the paper's 1-D sine formula; it must
+        # equal the images count and the DP on criterion 2's whole sweep,
+        # ends out of reach included
         checked = 0
         for d in range(3, 13):
             spec = CorridorSpec(d=(d,), move_set=full_move_set(1))
             for a in range(1, d):
                 for b in range(1, d):
                     for m in range(0, 13):
+                        want = corridor_count_dp(spec, (a,), (b,), m).exact
+                        assert _spectral_count((d,), (a,), (b,), m) == want, (d, a, b, m)
                         nd = corridor_count_nd(spec, (a,), (b,), m, method="direct")
-                        one = corridor_count_1d(d, a, b, m)
-                        assert nd.exact == one.exact, (d, a, b, m)
+                        assert nd.exact == want, (d, a, b, m)
                         checked += 1
         assert checked == 6565
 
+    @given(n=st.integers(1, 3), data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_spectral_past_2_63_equals_images_and_dp(self, n, data):
+        # with walls d >= 3 an axis has at least 2^(m-1) walks
+        d = [data.draw(st.integers(3, 10)) for _ in range(n)]
+        m = data.draw(st.integers(64 // n + 2, 64 // n + 30))
+        a = [data.draw(st.integers(1, dj - 1)) for dj in d]
+        b = [data.draw(st.integers(1, dj - 1)) for dj in d]
+        spec = CorridorSpec(d=tuple(d), move_set=full_move_set(n))
+        want = corridor_count_dp(spec, a, b, m).exact
+        assert want > 2 ** 63
+        assert _spectral_count(d, a, b, m) == _images_count(d, a, b, m) == want
+
+    @pytest.mark.parametrize("d, a, b, m", [
+        (136, 68, 68, 36), (136, 68, 70, 37), (136, 60, 75, 40), (136, 68, 68, 41)])
+    def test_spectral_on_tall_corridor(self, d, a, b, m):
+        spec = CorridorSpec(d=(d,), move_set=full_move_set(1))
+        want = corridor_count_dp(spec, (a,), (b,), m).exact
+        assert _spectral_count((d,), (a,), (b,), m) == _images_count((d,), (a,), (b,), m) == want
+
     def test_odd_and_even_parity_branches_match_dp(self):
-        # the parity prefactor is the subtle part; DP arbitrates both branches
+        # even and odd numbers of axes; the DP arbitrates both
         rng = random.Random(42)
         for n in (2, 3):
             spec = CorridorSpec(d=(6,) * n, move_set=full_move_set(n))
@@ -359,16 +382,17 @@ class TestCorridorNd:
         pc = corridor_count_factorized(spec, (1, 68), (10 ** 6 - 1, 68), 60_000)
         assert pc.exact == 0
 
-    def test_direct_bound_past_float_range(self):
-        # the sum of |terms| overflows while their sum stays finite, so the
-        # bound is infinite and the cross-check admits the estimate, which is
-        # still within 1e-13 of the exact count
-        spec = CorridorSpec(d=(60, 60, 60), move_set=full_move_set(3))
-        a, b = (30, 30, 30), (40, 25, 42)
-        pc = corridor_count_nd(spec, a, b, 215, method="direct")
-        assert pc.exact is None and pc.rel_err == math.inf
-        exact = corridor_count_factorized(spec, a, b, 215).exact
-        assert abs(int(pc.value) - exact) < 1e-13 * exact
+    @pytest.mark.parametrize("d, a, b, m", [
+        # the float sum's bound was infinite here, so any value passed
+        ((60, 60, 60), (30, 30, 30), (40, 25, 42), 215),
+        # kern ** m overflowed float64 past about 650 steps on one axis
+        ((136,), (68,), (68,), 2000),
+        ((136, 136, 136), (68, 68, 68), (88, 58, 108), 1000),
+    ])
+    def test_direct_exact_past_float_range(self, d, a, b, m):
+        spec = CorridorSpec(d=d, move_set=full_move_set(len(d)))
+        pc = corridor_count_nd(spec, a, b, m, method="direct")
+        assert pc.exact == corridor_count_factorized(spec, a, b, m).exact > 2 ** 1000
 
     def test_factorized_requires_full_set(self):
         ms = MoveSet(n=2, moves=((0, 0), (1, 1), (-1, -1)))
@@ -379,16 +403,38 @@ class TestCorridorNd:
             with pytest.raises(DomainError, match="full move set"):
                 corridor_count_nd(spec, (2, 2), (2, 2), 2, method=method)
 
-    def test_direct_dimension_and_term_caps(self):
-        spec4 = CorridorSpec(d=(5,) * 4, move_set=full_move_set(4))
-        with pytest.raises(ResourceLimit):
-            corridor_count_nd(spec4, (1,) * 4, (1,) * 4, 2, method="direct")
-        spec_big = CorridorSpec(d=(300, 300, 300), move_set=full_move_set(3))
-        with pytest.raises(ResourceLimit):
-            corridor_count_nd(spec_big, (1, 1, 1), (1, 1, 1), 2, method="direct")
+    def test_direct_any_dimension_and_work_cap(self):
+        spec4 = CorridorSpec(d=(5, 3, 4, 6), move_set=full_move_set(4))
+        a, b = (1, 1, 2, 3), (2, 1, 3, 3)
+        direct = corridor_count_nd(spec4, a, b, 4, method="direct")
+        assert direct.exact == corridor_count_dp(spec4, a, b, 4).exact > 0
+        # priced before pi is computed: 10^100 frequencies, and 50,000 steps
+        # over 136^3, are refused at once
+        wide = CorridorSpec(d=(10 ** 100,), move_set=full_move_set(1))
+        with pytest.raises(ResourceLimit, match="spectral sum"):
+            corridor_count_nd(wide, (1,), (2,), 5, method="direct")
+        spec = CorridorSpec(d=(136, 136, 136), move_set=full_move_set(3))
+        with pytest.raises(ResourceLimit, match="spectral sum"):
+            corridor_count_nd(spec, (68, 68, 68), (88, 58, 108), 50_000, method="direct")
+
+    def test_spectral_guard_starved_is_refused(self, monkeypatch):
+        # with too few guard bits the sum lands far from an integer: the 1/4
+        # certification raises rather than rounding to a wrong count
+        import dtraj.lattice as lattice
+        spec = CorridorSpec(d=(136, 136, 136), move_set=full_move_set(3))
+        a, b = (68, 68, 68), (88, 58, 108)
+        monkeypatch.setattr(lattice, "_SPECTRAL_GUARD", -24)
+        with pytest.raises(NumericalOverflow, match="not within 1/4"):
+            corridor_count_nd(spec, a, b, 50, method="direct")
+        for guard in range(-12, 8):
+            monkeypatch.setattr(lattice, "_SPECTRAL_GUARD", guard)
+            try:
+                got = _spectral_count(spec.d, a, b, 50)
+            except NumericalOverflow:
+                continue
+            assert got == HEADLINE_COUNT_50, guard
 
     def test_beyond_reach_direct_is_zero(self):
-        # both sums leave float noise here, about 88 on the factorized route;
         # the reach check answers before either sum
         spec = CorridorSpec(d=(136,), move_set=full_move_set(1))
         assert corridor_count_nd(spec, (1,), (135,), 40, method="direct").exact == 0
@@ -415,66 +461,45 @@ class TestCorridorNd:
 
 
 class TestPathCount:
-    def test_rounding_and_residual(self):
-        pc = PathCount.from_float(15.9999999998, 1e-12)
-        assert pc.exact == 16
-        assert pc.rel_err < 1e-9
-
-    def test_wide_bound_is_not_exact(self):
-        # a bound of 0.5 or more leaves more than one integer in reach
-        pc = PathCount.from_float(12159131877715988.0, 3.0)
-        assert pc.exact is None
-        assert pc.rel_err == pytest.approx(3.0 / 12159131877715988.0)
-        assert PathCount.from_float(0.0, 2.0).exact == 0
-        assert PathCount.from_float(0.3, 2.0).display() == "3.00000e-01"
-
     def test_closed_forms_certify_only_what_they_know(self):
-        # the 1-D count is exact integer arithmetic; the direct float sum
-        # lands a few units off 133319471093, inside a bound above 0.5
+        # every route is exact integer arithmetic, with no error to report
         one = corridor_count_1d(136, 68, 68, 36)
         assert one.exact == 12159131877715993
-        assert one.abs_err_log10 == -math.inf
+        assert one.abs_err_log10 == -math.inf and one.rel_err == 0.0
         spec = CorridorSpec(d=(18, 23), move_set=full_move_set(2))
         direct = corridor_count_nd(spec, (13, 21), (6, 6), 19, method="direct")
-        assert direct.exact is None
+        assert direct.exact == 133319471093 and direct.display() == "133319471093"
         assert corridor_count_dp(spec, (13, 21), (6, 6), 19).exact == 133319471093
 
-    def test_negative_residual_clamps_to_zero(self):
-        assert PathCount.from_float(-1e-9, 1e-7).exact == 0
-        assert PathCount.from_float(-0.4, 1e-9).exact == 0
-
-    def test_negative_beyond_bound_rejected(self):
+    def test_negative_count_rejected(self):
         with pytest.raises(DomainError):
-            PathCount.from_float(-5.0, 1e-9)
+            PathCount.from_int(-1)
 
     def test_agrees_with_is_exact_at_any_size(self):
         big = PathCount.from_int(10 ** 400)
         assert big.agrees_with(PathCount.from_int(10 ** 400 + 10 ** 393), 1e-6)
         assert not big.agrees_with(PathCount.from_int(10 ** 400 + 10 ** 395), 1e-6)
         assert PathCount.from_int(0).agrees_with(PathCount.from_int(0), 0.0)
-        # an estimate agrees with 0 only when its bound reaches 0
-        assert PathCount.from_float(0.3, 2.0).agrees_with(PathCount.from_int(0), 2.0 / 0.3)
-        assert not PathCount.from_float(3.0, 2.0).agrees_with(PathCount.from_int(0), 2.0 / 3.0)
+        # a count agrees with 0 only at a relative tolerance of 1
+        assert PathCount.from_int(3).agrees_with(PathCount.from_int(0), 1.0)
+        assert not PathCount.from_int(3).agrees_with(PathCount.from_int(0), 0.99)
 
     def test_display(self):
         assert PathCount.from_int(16).display() == "16"
-        assert PathCount.from_float(10.0 ** 52.806316, 1e40).display().endswith("e+52")
+        assert PathCount.from_int(HEADLINE_COUNT_50).display() == "6.40201e+52"
         assert PathCount.from_int(0).display() == "0"
-
-    def test_display_of_estimates(self):
-        assert PathCount.from_float(6.402e52, 1e40).display() == "6.40200e+52"
-        assert PathCount.from_float(-0.3, 2.0).display() == "0"
 
     def test_display_mantissa_carry(self):
         # a mantissa that rounds up to 10.00000 must carry into the exponent
-        assert PathCount.from_float(10.0 ** 52.9999999, 1e40).display() == "1.00000e+53"
+        assert PathCount.from_int(10 ** 53 - 10 ** 45).display() == "1.00000e+53"
 
-    def test_display_rounds_estimates_correctly(self):
-        # each value lies just below or just above a tie at the sixth digit
-        for value, shown in ((9.902984999999999e+27, "9.90298e+27"),
-                             (4.785965e+85, "4.78597e+85"),
-                             (1.9603350000000002e+42, "1.96034e+42")):
-            assert PathCount.from_float(value, 1e10).display() == shown
+    def test_display_rounds_at_the_sixth_digit(self):
+        # each count lies just below or just above a tie at the sixth digit
+        for value, shown in ((9902985 * 10 ** 21 - 1, "9.90298e+27"),
+                             (4785965 * 10 ** 79, "4.78596e+85"),
+                             (4785965 * 10 ** 79 + 1, "4.78597e+85"),
+                             (1960335 * 10 ** 36 + 1, "1.96034e+42")):
+            assert PathCount.from_int(value).display() == shown
 
 
 class TestJointMapping:
