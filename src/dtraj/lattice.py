@@ -6,8 +6,8 @@ vectors with components in {-1, 0, +1}. Three routes to the same number are
 provided and cross-checked:
 
   * an exact dynamic program (the oracle): a numpy stencil over the interior
-    cells, in int64 while that cannot overflow and in Python integers after;
-    it counts any move set,
+    cells a walk from the start to the end can visit, in int64 until
+    model.widen_counts switches to Python integers; it counts any move set,
   * an exact 1-D count by the method of images, in Python integers; for the
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
     the product of these per-axis counts (the fast path), all taken from
@@ -21,8 +21,8 @@ provided and cross-checked:
 Every route returns a PathCount, an exact int. Both closed forms take the
 full move set only, whose stencil factors per axis; other move sets are
 counted by the DP. An end farther from the start than the step count on
-some axis is counted as exactly 0 by every route, since a walk moves at most
-one cell per step.
+some axis is counted as exactly 0 by every route, before any cap or price,
+since a walk moves at most one cell per step (_check_walk).
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
-from .model import JointSpec, _round_half_away, check_count_work, format_count
+from .model import JointSpec, _round_half_away, check_count_work, format_count, widen_counts
 
-_INT64_MAX = 2 ** 63 - 1
 # the 1-D images pass costs time growing as m^2: about 1.5 s at the cap;
 # the scaling table's walk vector is held to the same step count, and to
 # the exact loops' work budget
@@ -45,7 +44,6 @@ _IMAGES_STEP_CAP = 50_000
 _SPECTRAL_WORK_CAP = 5 * 10 ** 8
 # guard bits of the spectral sum beyond 2 log2 m; its error bound needs 8
 _SPECTRAL_GUARD = 8
-_DP_CELL_STEP_BUDGET = 10 ** 7
 _MOVE_SET_DIM_CAP = 12
 
 
@@ -103,8 +101,10 @@ class CorridorSpec:
             raise DomainError("every wall parameter d_j must be >= 2")
 
 
-def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> None:
-    """DomainError unless both ends are interior cells of the corridor and m >= 0."""
+def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> bool:
+    """Whether the end is in reach: within m cells of the start on every axis,
+    as a walk moves at most one cell per step (out of reach the count is 0).
+    DomainError first, unless both ends are interior cells and m >= 0."""
     for label, p in (("start", a), ("target", b)):
         if len(p) != len(d):
             raise DomainError(f"{label} has dimension {len(p)}, corridor has {len(d)}")
@@ -115,6 +115,7 @@ def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) ->
                 )
     if m < 0:
         raise DomainError("m must be >= 0")
+    return all(abs(bj - aj) <= m for aj, bj in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +178,17 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     d = int(d)
     if d < 2:
         raise DomainError("d must be >= 2")
-    _check_walk((d,), (a,), (b,), m)
-    return PathCount.from_int(_images_count((d,), (a,), (b,), m))
+    in_reach = _check_walk((d,), (a,), (b,), m)
+    return PathCount.from_int(_images_count((d,), (a,), (b,), m) if in_reach else 0)
 
 
 def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> int:
     """Product over the axes of corridor_count_1d's count, from one shared pass.
 
     The coefficients c_i depend only on m, so one pass of the recurrence
-    serves every axis; each axis adds its own image weights.
+    serves every axis; each axis adds its own image weights. The end must be
+    in reach (_check_walk).
     """
-    if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
-        # a walk moves at most one cell per step
-        return 0
     if m > _IMAGES_STEP_CAP:
         raise ResourceLimit(
             f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}"
@@ -221,38 +220,27 @@ def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) 
 def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m: int) -> PathCount:
     """Exact count by m applications of the move-set stencil with absorbing walls.
 
-    The counts live in a dense array over the interior cells within reach of
-    the start. Each step adds, per move, the shifted slice of the cells whose
-    target stays inside, so walks that would land on a wall are dropped. The
-    sums run in int64 while max(count) * number of moves cannot overflow it,
-    and in Python integers from the first step where it could, so counts stay
-    exact at any size. More than _DP_CELL_STEP_BUDGET interior cell-steps, or
-    work past model.check_count_work's budget, is refused before any step.
+    The counts live in a dense array over the lens box: on axis j, the
+    interior cells x with |x - a_j| + |x - b_j| <= m, which are the only ones
+    a walk from a to b in m steps can visit. Each step adds, per move, the
+    shifted slice of the cells whose target stays inside, so walks that land
+    on a wall, or leave the box and so cannot end at b, are dropped. The sums
+    run in int64 until model.widen_counts switches them to Python integers,
+    so counts stay exact at any size. Work past model.check_count_work's
+    budget is refused before any step.
     """
     import numpy as np
 
     d = spec.d
-    _check_walk(d, a, b, m)
-    cells = 1
-    for dj in d:
-        cells *= dj - 1
-    if cells * m > _DP_CELL_STEP_BUDGET:
-        raise ResourceLimit(
-            f"DP needs {cells} cells x {m} steps = {cells * m} cell-steps, "
-            f"budget is {_DP_CELL_STEP_BUDGET}"
-        )
-
-    # no walk gets farther than m cells from a on any axis, so the box is the
-    # interior clipped to that reach; a move that leaves it either hits a wall
-    # or could only happen after step m
-    lo = [max(1, aj - m) for aj in a]
-    hi = [min(dj - 1, aj + m) for dj, aj in zip(d, a)]
-    size = [h - l + 1 for l, h in zip(lo, hi)]
-    moves, reach = spec.move_set.moves, math.prod(size)
-    check_count_work(f"DP over {reach} cells x {len(moves)} moves x {m} steps",
-                     m, reach * len(moves), len(moves))
-    if any(not (l <= bj <= h) for l, bj, h in zip(lo, b, hi)):
+    if not _check_walk(d, a, b, m):
         return PathCount.from_int(0)
+    # the lens box, ceil((a_j + b_j - m) / 2) .. floor((a_j + b_j + m) / 2)
+    lo = [max(1, -((m - aj - bj) // 2)) for aj, bj in zip(a, b)]
+    hi = [min(dj - 1, (aj + bj + m) // 2) for dj, aj, bj in zip(d, a, b)]
+    size = [h - l + 1 for l, h in zip(lo, hi)]
+    moves, cells = spec.move_set.moves, math.prod(size)
+    check_count_work(f"DP over {cells} cells x {len(moves)} moves x {m} steps",
+                     m, cells * len(moves), len(moves))
     # per move, the slice of cells it keeps in the box and where they land
     shifts = [
         (tuple(slice(max(0, -c), s - max(0, c)) for c, s in zip(mv, size)),
@@ -262,12 +250,7 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     cur = np.zeros(size, dtype=np.int64)
     cur[tuple(aj - l for aj, l in zip(a, lo))] = 1
     for _ in range(m):
-        if cur.dtype == np.int64:
-            top = int(cur.max())
-            if top == 0:  # every walk has died
-                break
-            if top * len(shifts) > _INT64_MAX:
-                cur = cur.astype(object)
+        cur = widen_counts(cur, len(shifts))
         nxt = np.zeros_like(cur)
         for src, dst in shifts:
             nxt[dst] += cur[src]
@@ -401,8 +384,8 @@ def corridor_count_factorized(
     """Exact count as the product of per-axis 1-D counts. Full move set only."""
     if not spec.move_set.is_full():
         raise DomainError("the factorized fast path requires the full move set")
-    _check_walk(spec.d, a, b, m)
-    return PathCount.from_int(_images_count(spec.d, a, b, m))
+    in_reach = _check_walk(spec.d, a, b, m)
+    return PathCount.from_int(_images_count(spec.d, a, b, m) if in_reach else 0)
 
 
 def corridor_count_nd(
@@ -424,14 +407,14 @@ def corridor_count_nd(
     An end more than m cells from the start on some axis is out of reach:
     the count is exactly 0 and no sum is evaluated.
     """
-    _check_walk(spec.d, a, b, m)
+    in_reach = _check_walk(spec.d, a, b, m)
     if method not in ("direct", "factorized"):
         raise DomainError(f"unknown method {method!r}")
     if method == "factorized":
         return corridor_count_factorized(spec, a, b, m)
     if not spec.move_set.is_full():
         raise DomainError("the direct sum requires the full move set")
-    if any(abs(bj - aj) > m for aj, bj in zip(a, b)):
+    if not in_reach:
         return PathCount.from_int(0)
     direct = PathCount.from_int(_spectral_count(spec.d, a, b, m))
     exact = corridor_count_factorized(spec, a, b, m)

@@ -242,6 +242,18 @@ def check_count_work(what: str, steps: int, edges: int, fan_out: int) -> None:
         )
 
 
+def widen_counts(counts, fan_in: int):
+    """`counts` as Python integers (object dtype) once a step could overflow int64.
+
+    A step adds at most fan_in counts into each entry, so int64 stays exact
+    while max(counts) * fan_in <= 2^63 - 1; the exact counting loops call this
+    before every step, and from the first step where it fails count at any size.
+    """
+    if counts.dtype != object and int(counts.max(initial=0)) * fan_in > 2 ** 63 - 1:
+        return counts.astype(object)
+    return counts
+
+
 def trajectory_upper_bound(robot: RobotSpec, m: int) -> int:
     """Bound on m-tick trajectories: every state times every torque string of length m.
 

@@ -25,10 +25,10 @@ from .model import (
     RobotSpec,
     check_count_work,
     quantize,
+    widen_counts,
 )
 from .transitions import TransitionTable
 
-_INT64_MAX = 2 ** 63 - 1
 # a target counts as reached while the offset is below one resolution unit;
 # the epsilon absorbs float noise in degree -> radian -> grid arithmetic
 _MOVE_THRESHOLD = 1.0 - 1e-9
@@ -48,11 +48,10 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     """Exact number of n_steps-hop walks out of every state (multi-edges counted).
 
     Each hop sums, per state, the counts at the destinations of its outgoing
-    transitions. The sums run in int64 while max(count) * max out-degree
-    cannot overflow it, and in Python integers from the first hop where it
-    could, so counts stay exact at any size. Work past model.check_count_work's
-    budget, pricing each count at max out-degree ** n_steps, is refused before
-    it starts.
+    transitions, in int64 until model.widen_counts, with the max out-degree as
+    fan-in, switches them to Python integers, so counts stay exact at any
+    size. Work past model.check_count_work's budget, pricing each count at
+    max out-degree ** n_steps, is refused before it starts.
     """
     import numpy as np
 
@@ -69,10 +68,7 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     rows = np.flatnonzero(degree)
     starts = row_start[rows]
     for _ in range(n_steps):
-        if counts.dtype == np.int64 and (
-            int(counts.max(initial=0)) * max_degree > _INT64_MAX
-        ):
-            counts = counts.astype(object)
+        counts = widen_counts(counts, max_degree)
         nxt = np.zeros_like(counts)
         nxt[rows] = np.add.reduceat(counts[dst], starts)
         counts = nxt

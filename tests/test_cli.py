@@ -108,10 +108,11 @@ class TestCorridorCommands:
                    "--steps", "1000000000", "--exact"])
         assert rc == 4
         assert time.monotonic() - t0 < 1.0
-        assert "cell-steps" in capsys.readouterr().err
+        assert "DP over 4 cells x 3 moves x 1000000000 steps exceeds the work budget" in (
+            capsys.readouterr().err)
 
     def test_exact_oracle_work_budget(self, capsys):
-        # inside the cell-step budget, but its counts grow to 10^6 * log2(3) bits
+        # four cells, but its counts grow to 10^6 * log2(3) bits
         err = refused_fast(capsys, ["count", "corridor", "--d", "5", "--from", "2", "--to", "2",
                                     "--steps", "1000000", "--exact"])
         assert "DP over 4 cells x 3 moves x 1000000 steps exceeds the work budget" in err

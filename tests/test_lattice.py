@@ -233,16 +233,59 @@ class TestCorridorDp:
         )
         assert joint == per
 
-    def test_cell_budget(self):
-        spec = CorridorSpec(d=(102, 102, 102, 102), move_set=full_move_set(4))
-        with pytest.raises(ResourceLimit):
-            corridor_count_dp(spec, (1, 1, 1, 1), (1, 1, 1, 1), 1)
+    def test_lens_box_admits_cheap_work_on_wide_corridors(self, capsys):
+        # the DP holds only the cells a walk from a to b can visit, so a wide
+        # corridor costs what its lens box costs
+        spec4 = CorridorSpec(d=(102,) * 4, move_set=full_move_set(4))
+        corner = (1, 1, 1, 1)
+        assert corridor_count_dp(spec4, corner, corner, 1).exact == 1 == reference_dp(
+            spec4.d, spec4.move_set.moves, corner, corner, 1)
+        spec3 = CorridorSpec(d=(136,) * 3, move_set=full_move_set(3))
+        a, b = (68, 68, 68), (69, 67, 68)
+        assert corridor_count_dp(spec3, a, b, 5) == corridor_count_factorized(spec3, a, b, 5)
+        from dtraj.cli import main
+        argv = ["count", "corridor", "--d", "100000000", "--from", "5", "--to", "6",
+                "--steps", "3"]
+        outs = []
+        for extra in ([], ["--exact"]):
+            assert main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == ["6\n", "6\n"]
 
     def test_budget_counts_steps(self):
         # four cells are cheap per step but not for a billion steps
         spec = CorridorSpec(d=(5,), move_set=full_move_set(1))
-        with pytest.raises(ResourceLimit, match="4 cells x 1000000000 steps"):
+        with pytest.raises(ResourceLimit, match="DP over 4 cells x 3 moves x 1000000000 steps "
+                                                "exceeds the work budget"):
             corridor_count_dp(spec, (2,), (3,), 10 ** 9)
+
+    @given(n=st.integers(1, 3), full=st.booleans(), data=st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_lens_edges_match_reference(self, n, full, data):
+        # ends on the edges of the lens box: |a - b| = m + 1, m and m - 1,
+        # a = b, and an end one cell from a wall; the offsets m and m - 1 give
+        # both parities of a + b + m
+        d = tuple(data.draw(st.integers(2, (12, 8, 6)[n - 1])) for _ in range(n))
+        m = data.draw(st.integers(0, max(d)))
+        a, b = [], []
+        for dj in d:
+            kind = data.draw(st.sampled_from(["m+1", "m", "m-1", "same", "wall"]))
+            if kind == "wall":
+                ends = [data.draw(st.sampled_from([1, dj - 1])), data.draw(st.integers(1, dj - 1))]
+                aj, bj = data.draw(st.permutations(ends))
+            else:
+                aj = data.draw(st.integers(1, dj - 1))
+                step = {"m+1": m + 1, "m": m, "m-1": max(m - 1, 0), "same": 0}[kind]
+                # clipped to the interior, which puts the end next to a wall
+                bj = min(max(aj + data.draw(st.sampled_from([-1, 1])) * step, 1), dj - 1)
+            a.append(aj)
+            b.append(bj)
+        cube = list(itertools.product((-1, 0, 1), repeat=n))
+        moves = cube if full else data.draw(st.lists(st.sampled_from(cube), unique=True))
+        spec = CorridorSpec(d=d, move_set=MoveSet(n=n, moves=tuple(moves)))
+        got = corridor_count_dp(spec, a, b, m).exact
+        assert type(got) is int
+        assert got == reference_dp(d, spec.move_set.moves, a, b, m)
 
     def test_matches_reference_on_random_move_sets(self):
         rng = random.Random(20261018)

@@ -19,6 +19,7 @@ from dtraj.model import (
     robot_from_dict,
     state_space_size,
     trajectory_upper_bound,
+    widen_counts,
 )
 from conftest import DEG, demo_joint
 
@@ -255,3 +256,21 @@ class TestFormatCount:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             format_count(-3)
+
+
+class TestWidenCounts:
+    def test_switches_one_past_int64(self):
+        import numpy as np
+        # 2^63 - 1 = 7 * 1317624576693539401: the last fan-in-7 step that fits
+        top = (2 ** 63 - 1) // 7
+        assert top * 7 == 2 ** 63 - 1
+        fits = np.array([0, top], dtype=np.int64)
+        assert widen_counts(fits, 7) is fits
+        for counts, fan_in in (([0, top + 1], 7), ([0, top], 8)):
+            wide = widen_counts(np.array(counts, dtype=np.int64), fan_in)
+            assert wide.dtype == object and wide.tolist() == counts
+            assert all(type(x) is int for x in wide.tolist())
+        # Python integers stay Python integers, and an empty array fits
+        assert widen_counts(wide, 1) is wide
+        empty = np.zeros(0, dtype=np.int64)
+        assert widen_counts(empty, 10 ** 30) is empty
