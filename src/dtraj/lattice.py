@@ -5,9 +5,9 @@ A corridor is a grid whose axis j admits interior positions 1..d_j-1; touching
 vectors with components in {-1, 0, +1}. Three routes to the same number are
 provided and cross-checked:
 
-  * an exact dynamic program (the oracle): a numpy stencil over the interior
-    cells a walk from the start to the end can visit, in int64 until
-    model.widen_counts switches to Python integers; it counts any move set,
+  * an exact dynamic program (the oracle): the move-set stencil over the
+    cells a walk from the start to the end can visit, each a lane of one
+    Python integer; it counts any move set,
   * an exact 1-D count by the method of images, in Python integers; for the
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
     the product of these per-axis counts (the fast path), all taken from
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
-from .model import JointSpec, _round_half_away, check_count_work, format_count, widen_counts
+from .model import JointSpec, _round_half_away, check_count_work, format_count
 
 # the 1-D images pass costs time growing as m^2: about 1.5 s at the cap;
 # the scaling table's walk vector is held to the same step count, and to
@@ -190,9 +190,7 @@ def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) 
     in reach (_check_walk).
     """
     if m > _IMAGES_STEP_CAP:
-        raise ResourceLimit(
-            f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}"
-        )
+        raise ResourceLimit(f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}")
 
     # per coefficient index i = m - |j|, each axis's net sign of the images
     # there, using T(m, j) = T(m, -j); an image in reach has |2kd| <= m + 2d - 2,
@@ -220,42 +218,45 @@ def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) 
 def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m: int) -> PathCount:
     """Exact count by m applications of the move-set stencil with absorbing walls.
 
-    The counts live in a dense array over the lens box: on axis j, the
-    interior cells x with |x - a_j| + |x - b_j| <= m, which are the only ones
-    a walk from a to b in m steps can visit. Each step adds, per move, the
-    shifted slice of the cells whose target stays inside, so walks that land
-    on a wall, or leave the box and so cannot end at b, are dropped. The sums
-    run in int64 until model.widen_counts switches them to Python integers,
-    so counts stay exact at any size. Work past model.check_count_work's
-    budget is refused before any step.
+    The counts live in the lens box, the interior cells x with |x_j - a_j| +
+    |x_j - b_j| <= m on every axis j, which alone a walk from a to b in m
+    steps can visit. Padded by a cell per side on every axis, the box is one
+    Python integer, a lane of `lane` bytes per cell in row-major order (SIMD
+    within a register; Fisher and Dietz, LCPC 1998). A step adds one shift of
+    it per move and masks off the padding, dropping walks that hit a wall or
+    leave the box; a source is interior, so no shift wraps it into another
+    row. No lane carries: after step t a lane holds at most |moves|^t, and a
+    step adds into each lane, padding included, one source lane per move, so
+    lanes stay at most |moves|^m, which fits. Work past check_count_work's
+    budget, 2 |moves| + 1 touches per padded lane and step, is refused first.
     """
-    import numpy as np
-
-    d = spec.d
-    if not _check_walk(d, a, b, m):
+    if not _check_walk(spec.d, a, b, m):
         return PathCount.from_int(0)
     # the lens box, ceil((a_j + b_j - m) / 2) .. floor((a_j + b_j + m) / 2)
     lo = [max(1, -((m - aj - bj) // 2)) for aj, bj in zip(a, b)]
-    hi = [min(dj - 1, (aj + bj + m) // 2) for dj, aj, bj in zip(d, a, b)]
-    size = [h - l + 1 for l, h in zip(lo, hi)]
+    size = [min(dj - 1, (aj + bj + m) // 2) - l + 1 for dj, aj, bj, l in zip(spec.d, a, b, lo)]
     moves, cells = spec.move_set.moves, math.prod(size)
     check_count_work(f"DP over {cells} cells x {len(moves)} moves x {m} steps",
-                     m, cells * len(moves), len(moves))
-    # per move, the slice of cells it keeps in the box and where they land
-    shifts = [
-        (tuple(slice(max(0, -c), s - max(0, c)) for c, s in zip(mv, size)),
-         tuple(slice(max(0, c), s - max(0, -c)) for c, s in zip(mv, size)))
-        for mv in moves
-    ]
-    cur = np.zeros(size, dtype=np.int64)
-    cur[tuple(aj - l for aj, l in zip(a, lo))] = 1
+                     m, math.prod(s + 2 for s in size) * (2 * len(moves) + 1), len(moves))
+    lane = max(1, -(-(len(moves) ** m).bit_length() // 8))
+    # interior lanes set, as bytes (big-int division is quadratic); per axis, bits between cells
+    block, stride = b"\xff" * lane, []
+    for s in reversed(size):
+        stride.insert(0, 8 * len(block))
+        block = bytes(len(block)) + block * s + bytes(len(block))
+    mask = int.from_bytes(block, "little")
+    start, end = (sum((pj - l + 1) * sj for pj, l, sj in zip(p, lo, stride)) for p in (a, b))
+    shifts = [sum(c * sj for c, sj in zip(mv, stride)) for mv in moves]
+    up, down = [s for s in shifts if s > 0], [-s for s in shifts if s < 0]
+    cur, stay = 1 << start, 0 in shifts
     for _ in range(m):
-        cur = widen_counts(cur, len(shifts))
-        nxt = np.zeros_like(cur)
-        for src, dst in shifts:
-            nxt[dst] += cur[src]
-        cur = nxt
-    return PathCount.from_int(int(cur[tuple(bj - l for bj, l in zip(b, lo))]))
+        nxt = cur if stay else 0
+        for s in up:
+            nxt += cur << s
+        for s in down:
+            nxt += cur >> s
+        cur = nxt & mask
+    return PathCount.from_int(cur >> end & (1 << 8 * lane) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,8 @@ _MAX_CELLS_FROM_0 = 2 ** 53
 _BOUND_DIGIT_CAP = 200_000
 
 # the exact counting loops (walk counts, the corridor DP, the scaling table's
-# walk vector) add counts along every edge of a graph once per step; a step
-# costs a fixed charge for numpy's overhead of about 10 us, plus one unit per
-# edge and 64-bit word of the largest count (check_count_work)
+# walk vector) add counts along every edge once per step; a step costs a fixed
+# 10 us or so, plus one unit per edge and 64-bit word of the largest count
 _COUNT_WORK_BUDGET = 2 * 10 ** 9
 _STEP_CHARGE = 10_000
 
@@ -246,8 +245,8 @@ def widen_counts(counts, fan_in: int):
     """`counts` as Python integers (object dtype) once a step could overflow int64.
 
     A step adds at most fan_in counts into each entry, so int64 stays exact
-    while max(counts) * fan_in <= 2^63 - 1; the exact counting loops call this
-    before every step, and from the first step where it fails count at any size.
+    while max(counts) * fan_in <= 2^63 - 1; count_trajectories, its one caller,
+    calls this before every hop, so it counts exactly at any size.
     """
     if counts.dtype != object and int(counts.max(initial=0)) * fan_in > 2 ** 63 - 1:
         return counts.astype(object)

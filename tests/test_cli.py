@@ -117,6 +117,13 @@ class TestCorridorCommands:
                                     "--steps", "1000000", "--exact"])
         assert "DP over 4 cells x 3 moves x 1000000 steps exceeds the work budget" in err
 
+    def test_exact_oracle_budget_edge(self, capsys):
+        # one step past the most the budget admits at d = 5 (test_exit_codes
+        # runs those 39,287 steps within its time cap)
+        err = refused_fast(capsys, ["count", "corridor", "--d", "5", "--from", "2", "--to", "2",
+                                    "--steps", "39288", "--exact"])
+        assert "DP over 4 cells x 3 moves x 39288 steps exceeds the work budget" in err
+
     @pytest.mark.parametrize("argv", [
         ["corridor", "--d", "136", "--from", "1", "--to", "135", "--steps", "40"],
         ["corridor", "--d", "136", "--from", "1", "--to", "135", "--steps", "40", "--exact"],
@@ -607,6 +614,7 @@ def desired_file(tmp_path_factory):
 class TestImports:
     @pytest.mark.parametrize("argv", [
         ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"],
+        ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4", "--exact"],
         ["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5"],
         ["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5", "--direct"],
         ["count", "bounds", "--config", CFG, "--steps", "50"],
@@ -614,11 +622,16 @@ class TestImports:
          "--separation-deg", "20"],
         ["--version"],
         ["--help"],
-    ], ids=["corridor", "ndim", "direct", "bounds", "scaling", "version", "help"])
+    ], ids=["corridor", "exact", "ndim", "direct", "bounds", "scaling", "version", "help"])
     def test_command_does_not_load_numpy(self, argv):
         loaded = cli_modules(*argv)
         assert "numpy" not in loaded
         assert "fractions" not in loaded
+        if "--exact" in argv:
+            # the DP oracle packs its counts into one Python integer, in its
+            # layer only; the CLI itself runs as __main__
+            assert dtraj_modules(loaded) == {"dtraj", "dtraj.errors", "dtraj.lattice",
+                                             "dtraj.model"}
 
     @pytest.mark.parametrize("argv", [
         ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"],
@@ -636,14 +649,14 @@ class TestImports:
         assert "numpy" not in loaded
         assert "dtraj.lattice" not in loaded
 
-    @pytest.mark.parametrize("argv", [
-        ["corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4", "--exact"],
-    ], ids=["exact"])
-    def test_array_routes_load_numpy_and_their_layer_only(self, argv):
-        loaded = cli_modules("count", *argv)
+    def test_array_routes_load_numpy_and_their_layer_only(self, table_file):
+        # the walk counter's edge index is a numpy array
+        loaded = cli_modules("enumerate", "--transitions", str(table_file), "--steps", "3",
+                             "--count-only")
         assert "numpy" in loaded
         # the CLI itself runs as __main__
-        assert dtraj_modules(loaded) == {"dtraj", "dtraj.errors", "dtraj.lattice", "dtraj.model"}
+        assert dtraj_modules(loaded) == {"dtraj", "dtraj.dynamics", "dtraj.errors", "dtraj.model",
+                                         "dtraj.trajectories", "dtraj.transitions"}
 
     def test_bare_import_loads_no_layer(self):
         done = run_child("import json, sys, dtraj; print(json.dumps(sorted(sys.modules)))")

@@ -160,6 +160,8 @@ def config_file(tmp_path_factory, config) -> str:
 @settings(max_examples=150, deadline=None)
 @given(d=edge, frm=edge, to=edge, steps=edge, exact=st.booleans())
 @example(d=str(10 ** 100), frm="5", to="6", steps="3", exact=True)
+# the most steps the DP's work budget admits on the 4 cells of d = 5
+@example(d="5", frm="2", to="2", steps="39287", exact=True)
 def test_count_corridor(d, frm, to, steps, exact):
     run(["count", "corridor", *flags(d=d, steps=steps, to=to), f"--from={frm}"]
         + ["--exact"] * exact)

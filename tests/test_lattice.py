@@ -327,6 +327,52 @@ class TestCorridorDp:
         want = reference_dp(d, spec.move_set.moves, a, b, m)
         assert got == want > 2 ** 63
 
+    @pytest.mark.parametrize("size, n", [
+        (0, 1), (0, 3), (1, 1), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (3, 4),
+        (9, 2), (9, 3), (9, 4), (27, 3), (27, 4),
+    ])
+    def test_lane_widths_match_reference(self, size, n):
+        # each cell is a lane of ceil(bitlen(|moves|^m) / 8) bytes; every step
+        # count up to the first at which |moves|^m passes 16 bits tries lanes
+        # of one, two and three bytes, each at both ends of its range (with 2
+        # moves, bitlen 8, 9, 16 and 17); 0 or 1 moves take up to 17 steps
+        last = 17 if size < 2 else min(m for m in range(40) if (size ** m).bit_length() > 16)
+        rng = random.Random(1800 + 10 * size + n)
+        for m in range(last + 1):
+            moves = tuple(rng.sample(list(itertools.product((-1, 0, 1), repeat=n)), size))
+            move_set = MoveSet(n=n, moves=moves)
+            for kind in ("edge", "wall", "centre"):
+                d, a, b = [], [], []
+                for _ in range(n):
+                    # centre: far enough from both walls that no walk dies,
+                    # so the lanes fill up as far as the move set lets them
+                    dj = 2 * m + 3 if kind == "centre" else rng.randint(3, 9)
+                    aj = {"edge": rng.randint(1, dj - 1), "wall": rng.choice([1, 2, dj - 2, dj - 1]),
+                          "centre": m + 1}[kind]
+                    # ends on the lens edges, |a - b| = m or m - 1, clipped to
+                    # the interior, which puts the end next to a wall
+                    step = rng.choice([m, m - 1]) if kind == "edge" else rng.randint(0, 1)
+                    d.append(dj)
+                    a.append(aj)
+                    b.append(min(max(aj + rng.choice([-1, 1]) * step, 1), dj - 1))
+                spec = CorridorSpec(d=tuple(d), move_set=move_set)
+                got = corridor_count_dp(spec, a, b, m).exact
+                assert got == reference_dp(d, move_set.moves, a, b, m), (moves, d, a, b, m)
+                if size == 0:
+                    assert got == (a == b and m == 0)
+
+    @pytest.mark.parametrize("d, a, b, m", [
+        # the benchmark's counts between 2^53 and 2^63 (its FAULT_INSTANCES)
+        (136, 68, 68, 36), (136, 68, 70, 37), (136, 60, 75, 40), (136, 68, 68, 41),
+        # above 2^64, wider than a machine word
+        (136, 68, 70, 60),
+    ])
+    def test_wide_counts_match_reference(self, d, a, b, m):
+        spec = CorridorSpec(d=(d,), move_set=full_move_set(1))
+        got = corridor_count_dp(spec, (a,), (b,), m).exact
+        assert got == reference_dp((d,), spec.move_set.moves, (a,), (b,), m) > 2 ** 53
+        assert m < 60 or got > 2 ** 64
+
     def test_restricted_move_set(self):
         # without the zero move, parity forbids odd/even mismatches
         ms = MoveSet(n=1, moves=((-1,), (1,)))
