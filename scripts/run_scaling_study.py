@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from dtraj.cli import _parse_int_list
+from dtraj.cli import _parse_ranges
 from dtraj.lattice import scaling_table, write_scaling_csv
 from dtraj.model import robot_from_dict
 
@@ -38,7 +38,7 @@ def main():
         robot = robot_from_dict(json.load(fh))
     joint = robot.joints[0]
 
-    dofs = _parse_int_list(args.dof, "--dof")
+    dofs = [k for r in _parse_ranges(args.dof, "--dof") for k in r]
     rows = scaling_table(
         joint, dofs, args.max_steps, math.radians(args.separation_deg)
     )

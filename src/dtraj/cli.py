@@ -100,10 +100,6 @@ def _parse_ranges(text: str, flag: str) -> list[range]:
     return out
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [k for r in _parse_ranges(text, flag) for k in r]
-
-
 def _parse_csv_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))

@@ -14,9 +14,10 @@ provided and cross-checked:
     one shared pass of the coefficient recurrence,
   * the paper's spectral sum over the full frequency grid, which for the
     full move set is a product of one-axis sine sums (with n = 1 the 1-D
-    sine formula), each evaluated in fixed-point integers with an a-priori
-    error bound below 1/8, certified and rounded to its exact integer, and
-    the product always cross-checked against the images product.
+    sine formula), each read off exactly, with no pi, cosine or rounding, as
+    two coefficients of (1 + x + x^2)^m mod x^(2d) - 1 by the orthogonality
+    of the 2d-th roots of unity, and the product always cross-checked
+    against the images product.
 
 Every route returns a PathCount, an exact int. Both closed forms take the
 full move set only, whose stencil factors per axis; other move sets are
@@ -33,17 +34,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
-from .model import JointSpec, _round_half_away, check_count_work, format_count
+from .model import JointSpec, _round_half_away, check_count_work, format_count, grid_range
 
-# the 1-D images pass costs time growing as m^2: about 1.5 s at the cap;
-# the scaling table's walk vector is held to the same step count, and to
-# the exact loops' work budget
+# the 1-D images pass costs time growing as m^2: about 1.5 s at the cap
 _IMAGES_STEP_CAP = 50_000
-# the spectral sum's price in word products (_spectral_count): 0.6 to 3 s at
-# the cap, where 20,000 steps over d = (6, 6) are admitted and 50,000 not
-_SPECTRAL_WORK_CAP = 5 * 10 ** 8
-# guard bits of the spectral sum beyond 2 log2 m; its error bound needs 8
-_SPECTRAL_GUARD = 8
+# the spectral sum's price in word products (_spectral_count): 0.3 to 2.4 s
+# at the cap for walls 2 to 1000 apart; it admits 5,796 steps at d = 136 and
+# 109,957 at d = (6, 6), where the images cross-check's 50,000 governs
+_SPECTRAL_WORK_CAP = 2 * 10 ** 8
 _MOVE_SET_DIM_CAP = 12
 
 
@@ -182,6 +180,11 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     return PathCount.from_int(_images_count((d,), (a,), (b,), m) if in_reach else 0)
 
 
+def _check_images_steps(m: int) -> None:
+    if m > _IMAGES_STEP_CAP:
+        raise ResourceLimit(f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}")
+
+
 def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> int:
     """Product over the axes of corridor_count_1d's count, from one shared pass.
 
@@ -189,8 +192,7 @@ def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) 
     serves every axis; each axis adds its own image weights. The end must be
     in reach (_check_walk).
     """
-    if m > _IMAGES_STEP_CAP:
-        raise ResourceLimit(f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}")
+    _check_images_steps(m)
 
     # per coefficient index i = m - |j|, each axis's net sign of the images
     # there, using T(m, j) = T(m, -j); an image in reach has |2kd| <= m + 2d - 2,
@@ -271,112 +273,57 @@ def _spectral_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int
 
         N = (2/d) sum_{k=1}^{d-1} sin(pi k a/d) sin(pi k b/d) (1 + 2 cos(pi k/d))^m,
 
-    each an axis's walk count, hence an integer. Each is evaluated in
-    fixed-point integers with q fractional bits, 2^(q - g) > 3^m and
-    g = 2 bitlen(m) + _SPECTRAL_GUARD (Brent, "Fast multiple-precision
-    evaluation of elementary functions", J. ACM 1976). The work is priced
-    first, and refused with ResourceLimit past _SPECTRAL_WORK_CAP.
+    each an axis's walk count. With w = e^{i pi/d} the summand is F(w^k), where
 
-    Error bound, in ulps of 2^-q: every table entry 2^q cos(pi j/d) is within
-    1.5 (_cos_tables), so each kernel 1 + 2 cos and each weight
-    2 sin sin = cos(pi k (a-b)/d) - cos(pi k (a+b)/d) is within 3; a term of
-    weight 0 adds nothing and is skipped. The truncating binary power keeps
-    kern^j within (5j - 1) 3^(j-1), by induction: a product adds each
-    factor's bound times the other's size (at most 3^i), the bounds' product
-    (below 2, as 2^g >= 256 m^2) and 1 of truncation. So a term is within
-    3^m (10m/3 + 3) 2^q, and the scaled count, the sum divided by d 2^q with
-    1 more of truncation, within 3^m (10m/3 + 3) + 1 < 2^q / 8. Each axis is
-    certified to lie within 1/4 of a nonnegative integer, or NumericalOverflow
-    is raised: a fault in this bound or a starved guard is an error (exit 5),
-    never a wrong count.
+        F(x) = (x^(a-b) + x^(b-a) - x^(a+b) - x^(-a-b)) (1 + x + 1/x)^m / 4.
+
+    F vanishes at k = 0 and k = d and is symmetric under k <-> 2d - k, so N is
+    (1/d) times the sum of F over all 2d-th roots of unity; as those sum x^j
+    to 2d where 2d divides j and to 0 elsewhere, and C(r) = C(-r) below by
+    the symmetry of (1 + x + x^2)^m,
+
+        N = C(b - a) - C(a + b),
+
+    where C(r) is the coefficient of x^((r + m) mod 2d) in (1 + x + x^2)^m
+    mod (x^(2d) - 1): the Fourier side of the method of images (Krattenthaler,
+    "Lattice path enumeration", 2015). The power is taken by binary powering
+    in one Python integer, a lane of `lane` bits per coefficient, reduced
+    mod x^(2d) - 1 by folding the high 2d lanes onto the low ones. No lane
+    carries: at exponent e the lanes sum to 3^e <= 3^m < 2^lane. One power
+    serves every axis with the same wall. The work is priced first, and
+    refused with ResourceLimit past _SPECTRAL_WORK_CAP.
     """
-    q = m * 1585 // 1000 + 1 + 2 * m.bit_length() + _SPECTRAL_GUARD  # 1585/1000 > log2 3
-    # price in word products: per wall cell about 2 log2 m products of up to
-    # 2q bits (w words cost about w^1.5 by Karatsuba), plus Python work worth 256
-    words = q // 32 + 1
-    work = (sum(d) + math.isqrt(q)) * 2 * m.bit_length() * (256 + words * math.isqrt(words))
+    lane = m * 1585 // 1000 + 1  # 1585/1000 > log2 3
+    # price in word products: per distinct wall 2 log2 m products of integers
+    # of 2d lanes (w words cost about w^1.5 by Karatsuba), plus Python work
+    # worth 256
+    work = 0
+    for dj in set(d):
+        words = 2 * dj * lane // 64 + 1
+        work += 2 * m.bit_length() * (256 + words * math.isqrt(words))
     if work > _SPECTRAL_WORK_CAP:
         raise ResourceLimit(
             f"the spectral sum over walls {tuple(d)} at {m} steps exceeds the work cap of "
             f"{_SPECTRAL_WORK_CAP} word products"
         )
-    tables = _cos_tables(set(d), q)
-    one = 1 << q
-    count = 1
-    for dj, aj, bj in zip(d, a, b):
-        cos = tables[dj]
-        weights = [cos[k * (aj - bj) % (2 * dj)] - cos[k * (aj + bj) % (2 * dj)]
-                   for k in range(1, dj)]
-        # a term of weight 0 adds nothing, so its power is not taken
-        kern = [one + 2 * c for w, c in zip(weights, cos[1:dj]) if w]
-        weights = [w for w in weights if w]
-        power = kern if m else [one] * len(kern)
-        for bit in bin(m)[3:]:
-            power = [p * p >> q for p in power]
+    powers = {}
+    for dj in set(d):
+        size = 2 * dj * lane
+        mask = (1 << size) - 1
+        p = 1
+        for bit in bin(m)[2:]:
+            p *= p
+            p = (p & mask) + (p >> size)
             if bit == "1":
-                power = [p * x >> q for p, x in zip(power, kern)]
-        scaled = sum(w * p for w, p in zip(weights, power)) // (dj << q)
-        axis = (scaled + (one >> 1)) >> q
-        if axis < 0 or abs(scaled - (axis << q)) > one >> 2:
-            raise NumericalOverflow(
-                f"the spectral sum on an axis with d = {dj} is not within 1/4 of a count"
-            )
-        count *= axis
-    return count
+                p += (p << lane) + (p << 2 * lane)
+                p = (p & mask) + (p >> size)
+        powers[dj] = p
 
+    def coefficient(dj: int, r: int) -> int:
+        return powers[dj] >> lane * ((r + m) % (2 * dj)) & (1 << lane) - 1
 
-def _cos_tables(ds: Iterable[int], q: int) -> dict[int, list[int]]:
-    """Per d, 2^q cos(pi j/d) for j = 0..2d-1, each within 1.5 ulps.
-
-    Error bound, in ulps of 2^-Q, Q = q + h: pi by Machin's formula,
-    16 arctan(1/5) - 4 arctan(1/239), is within 8Q + 64 (each kept series
-    term within 2, the dropped tail within 1); theta = pi / (d 2^r), with
-    r = floor(sqrt(q) / 2), within 2Q + 17 and theta^2 within 3.2Q + 30; the
-    Taylor series of cos theta, each term truncated, within 4Q; r doublings
-    cos 2x = 2 cos^2 x - 1, each at most quadrupling the error and adding 1,
-    within 4.1 * 4^r Q. The Chebyshev recurrence cos((j+1)t) = 2 cos t cos jt
-    - cos((j-1)t) up to j = d/2 (the rest of the circle by symmetry) sums the
-    errors of cos t and of each truncation times Chebyshev polynomials
-    U_i(cos t) of size at most i + 1, so entry j is within
-    j^2 (4.1 * 4^r Q + 1) <= 4.2 * 4^r d^2 Q. With h = 2r + bitlen(d^2 q) + 16
-    that is below 2^(h-1), half a q-bit ulp, for any h <= 1000 q, which holds
-    for every d the work cap admits; truncating to q bits adds under 1.
-    """
-    r = math.isqrt(q) // 2
-    h = 2 * r + (max(ds) ** 2 * q).bit_length() + 16
-    bits = q + h
-    one = 1 << bits
-
-    def arctan_inv(x: int) -> int:
-        term = total = one // x
-        n = 1
-        while term:
-            term //= x * x
-            n += 2
-            total += -(term // n) if n % 4 == 3 else term // n
-        return total
-
-    pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
-    tables = {}
-    for d in ds:
-        theta = pi // (d << r)
-        sq = theta * theta >> bits
-        c, term, i = one, one, 1
-        while term:
-            term = (term * sq >> bits) // ((2 * i - 1) * 2 * i)
-            c += -term if i % 2 else term
-            i += 1
-        for _ in range(r):
-            c = (c * c >> (bits - 1)) - one
-        table = [one, c]
-        for _ in range(d // 2 - 1):
-            table.append((2 * c * table[-1] >> bits) - table[-2])
-        table = [x >> h for x in table]
-        # the rest of the circle by cos(pi (d - j)/d) = -cos(pi j/d), then
-        # cos(pi (2d - j)/d) = cos(pi j/d)
-        table += [-x for x in table[d - len(table)::-1]]
-        tables[d] = table + table[-2:0:-1]
-    return tables
+    return math.prod(coefficient(dj, bj - aj) - coefficient(dj, aj + bj)
+                     for dj, aj, bj in zip(d, a, b))
 
 
 def corridor_count_factorized(
@@ -417,6 +364,8 @@ def corridor_count_nd(
         raise DomainError("the direct sum requires the full move set")
     if not in_reach:
         return PathCount.from_int(0)
+    # the cross-check's cap first, so no direct sum is taken only to be refused
+    _check_images_steps(m)
     direct = PathCount.from_int(_spectral_count(spec.d, a, b, m))
     exact = corridor_count_factorized(spec, a, b, m)
     if direct != exact:
@@ -433,17 +382,16 @@ def corridor_count_nd(
 def joint_to_corridor(joint: JointSpec) -> tuple[int, Callable[[float], int]]:
     """Map a joint's angle range onto corridor coordinates.
 
-    d is chosen so the grid positions inside the limits are exactly the
-    interior 1..d-1; the map centers angle 0 on an interior integer. Angles
+    The grid points within the limits (model.grid_range's first..last) are
+    exactly the interior 1..d-1, grid point k at index k - first + 1. Angles
     that land on or outside a wall are rejected.
     """
     joint.validate()
-    span = (joint.q_max - joint.q_min) / joint.delta_q
-    d = int(round(span)) + 1
-    offset = (d + 1) // 2
+    first, last = grid_range(joint.q_min, joint.q_max, joint.delta_q)
+    d = last - first + 2
 
     def index(q: float) -> int:
-        idx = _round_half_away(q / joint.delta_q) + offset
+        idx = _round_half_away(q / joint.delta_q) - first + 1
         if not (1 <= idx <= d - 1):
             raise DomainError(f"angle {q} rad maps to wall or beyond (index {idx}, d={d})")
         return idx
@@ -490,8 +438,8 @@ def scaling_table(
 
     The per-axis counts come from one exact walk vector over the corridor's
     cells, advanced a step at a time in Python integers, so the table costs
-    time growing as m_max^2 * d; they equal corridor_count_1d's. Its step cap
-    and model.check_count_work's budget are checked before any work.
+    time growing as m_max^2 * d; they equal corridor_count_1d's.
+    model.check_count_work's budget is checked before any work.
     """
     d, index = joint_to_corridor(joint)
     steps = separation / joint.delta_q
@@ -512,10 +460,6 @@ def scaling_table(
     # per_axis[m]: log10 of the 1-D count at m steps, or None where it is 0
     per_axis: list[float | None] = [None]
     if any(n <= 3 for n in n_range):
-        if m_max > max(min_steps, _IMAGES_STEP_CAP):
-            raise ResourceLimit(
-                f"the exact 1-D counts need up to m = {m_max} steps, cap is {_IMAGES_STEP_CAP}"
-            )
         check_count_work(f"the 1-D walk vector over {d - 1} cells x {m_max} steps",
                          m_max, 3 * (d - 1), 3)
         # walks per cell 0..d; the walls stay 0, which drops walks that touch them

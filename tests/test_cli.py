@@ -150,8 +150,8 @@ class TestCorridorCommands:
         assert manifest["subcommand"] == "count ndim"
 
     def test_direct_sum_past_float_range_is_exact(self, capsys):
-        # kern ** 1000 overflowed float64; the fixed-point sum is exact, with
-        # no warning
+        # kern ** 1000 overflowed float64; the integer sum is exact, with no
+        # warning
         argv = ["count", "ndim", "--d", "136", "--from", "68", "--to", "68", "--steps", "1000"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -160,6 +160,13 @@ class TestCorridorCommands:
         assert main(argv) == 0
         assert direct == capsys.readouterr().out
         assert direct.endswith("e+475\n")
+
+    def test_direct_price_edge(self, capsys):
+        # one step past the most the spectral price admits over 136^3
+        # (test_exit_codes runs those 5,796 steps within its time cap)
+        err = refused_fast(capsys, ["count", "ndim", "--d", "136,136,136", "--from", "68,68,68",
+                                    "--to", "88,58,108", "--steps", "5797", "--direct"])
+        assert "spectral sum over walls (136, 136, 136) at 5797 steps exceeds the work cap" in err
 
     def test_unknown_move_set(self, capsys):
         rc = main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
@@ -225,7 +232,7 @@ class TestScalingCommand:
         assert time.monotonic() - t0 < 1.0
         out = capsys.readouterr()
         assert out.out == ""
-        assert "cap is 50000" in out.err
+        assert "walk vector over 135 cells x 50001 steps exceeds the work budget" in out.err
 
     def test_walk_vector_work_budget(self, capsys):
         # inside the step cap, but 50,000 steps of 135 cells of growing counts

@@ -170,6 +170,9 @@ def test_count_corridor(d, frm, to, steps, exact):
 @settings(max_examples=150, deadline=None)
 @given(d=edge_list, frm=edge_list, to=edge_list, steps=edge, direct=st.booleans())
 @example(d="136,136,136", frm="68,68,68", to="88,58,108", steps="50000", direct=True)
+# the most steps the spectral price admits over 136^3, and one step more
+@example(d="136,136,136", frm="68,68,68", to="88,58,108", steps="5796", direct=True)
+@example(d="136,136,136", frm="68,68,68", to="88,58,108", steps="5797", direct=True)
 @example(d=str(10 ** 100), frm="1", to="2", steps="5", direct=True)
 def test_count_ndim(d, frm, to, steps, direct):
     run(["count", "ndim", *flags(d=d, steps=steps, to=to), f"--from={frm}"]

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtraj.errors import DomainError, NumericalOverflow, ResourceLimit
+from dtraj.errors import DomainError, ResourceLimit
 from dtraj.lattice import (
     CorridorSpec,
     MoveSet,
@@ -436,6 +436,26 @@ class TestCorridorNd:
         want = corridor_count_dp(spec, (a,), (b,), m).exact
         assert _spectral_count((d,), (a,), (b,), m) == _images_count((d,), (a,), (b,), m) == want
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_spectral_equals_images_on_narrow_walls(self, d):
+        # with 2d = 4 or 6 lanes the power folds from the first squarings on
+        for a, b in itertools.product(range(1, d), repeat=2):
+            for m in range(abs(b - a), 120):
+                assert _spectral_count((d,), (a,), (b,), m) == _images_count(
+                    (d,), (a,), (b,), m), (a, b, m)
+
+    @pytest.mark.parametrize("d", [4, 7, 136])
+    def test_spectral_where_the_fold_starts(self, d):
+        # the power's degree 2m first reaches 2d lanes at m = d: steps on
+        # either side of it and none, ends one cell from either wall
+        spec = CorridorSpec(d=(d,), move_set=full_move_set(1))
+        ends = sorted({1, 2, d // 2, d - 2, d - 1})
+        for m in (0, d - 2, d - 1, d, d + 1):
+            for a, b in itertools.product(ends, repeat=2):
+                if abs(b - a) <= m:
+                    want = corridor_count_dp(spec, (a,), (b,), m).exact
+                    assert _spectral_count((d,), (a,), (b,), m) == want, (a, b, m)
+
     def test_odd_and_even_parity_branches_match_dp(self):
         # even and odd numbers of axes; the DP arbitrates both
         rng = random.Random(42)
@@ -497,7 +517,7 @@ class TestCorridorNd:
         a, b = (1, 1, 2, 3), (2, 1, 3, 3)
         direct = corridor_count_nd(spec4, a, b, 4, method="direct")
         assert direct.exact == corridor_count_dp(spec4, a, b, 4).exact > 0
-        # priced before pi is computed: 10^100 frequencies, and 50,000 steps
+        # priced before any power is taken: 10^100 lanes, and 50,000 steps
         # over 136^3, are refused at once
         wide = CorridorSpec(d=(10 ** 100,), move_set=full_move_set(1))
         with pytest.raises(ResourceLimit, match="spectral sum"):
@@ -505,23 +525,6 @@ class TestCorridorNd:
         spec = CorridorSpec(d=(136, 136, 136), move_set=full_move_set(3))
         with pytest.raises(ResourceLimit, match="spectral sum"):
             corridor_count_nd(spec, (68, 68, 68), (88, 58, 108), 50_000, method="direct")
-
-    def test_spectral_guard_starved_is_refused(self, monkeypatch):
-        # with too few guard bits the sum lands far from an integer: the 1/4
-        # certification raises rather than rounding to a wrong count
-        import dtraj.lattice as lattice
-        spec = CorridorSpec(d=(136, 136, 136), move_set=full_move_set(3))
-        a, b = (68, 68, 68), (88, 58, 108)
-        monkeypatch.setattr(lattice, "_SPECTRAL_GUARD", -24)
-        with pytest.raises(NumericalOverflow, match="not within 1/4"):
-            corridor_count_nd(spec, a, b, 50, method="direct")
-        for guard in range(-12, 8):
-            monkeypatch.setattr(lattice, "_SPECTRAL_GUARD", guard)
-            try:
-                got = _spectral_count(spec.d, a, b, 50)
-            except NumericalOverflow:
-                continue
-            assert got == HEADLINE_COUNT_50, guard
 
     def test_beyond_reach_direct_is_zero(self):
         # the reach check answers before either sum
@@ -613,18 +616,24 @@ class TestJointMapping:
         assert len(seen) == 135
         assert seen == set(range(1, d))
 
-    def test_odd_d_convention(self):
+    @pytest.mark.parametrize("lo_deg, hi_deg", [
+        (-135, 135), (-90, 90), (-100, 80), (-101, 79), (-134, 134)])
+    def test_grid_points_are_the_interior(self, lo_deg, hi_deg):
+        # at 2 degrees a cell, grid point k is the angle 2k degrees; every
+        # one within the limits, and no other, is an interior cell
         j = JointSpec(
-            name="odd", q_min=-134 * DEG, q_max=134 * DEG, delta_q=2 * DEG,
+            name="j", q_min=lo_deg * DEG, q_max=hi_deg * DEG, delta_q=2 * DEG,
             v_min=-180 * DEG, v_max=180 * DEG, mass=1.0, length=1.0,
             torques=(-1.0, 0.0, 1.0),
         )
+        first, last = -(-lo_deg // 2), hi_deg // 2
         d, index = joint_to_corridor(j)
-        assert d == 135
-        assert index(0.0) == 68
-        # the upper-anchored convention sacrifices the top grid point
-        with pytest.raises(DomainError):
-            index(134 * DEG)
+        assert d - 1 == last - first + 1
+        for k in range(first, last + 1):
+            assert index(k * 2 * DEG) == k - first + 1
+        for k in (first - 1, last + 1):
+            with pytest.raises(DomainError):
+                index(k * 2 * DEG)
 
 
 class TestApprox:
@@ -734,7 +743,8 @@ class TestScalingTable:
                 assert byk[(str(n), str(m))] == ScalingRow(str(n), str(m), n * log10, "closed")
 
     def test_step_cap(self):
-        with pytest.raises(ResourceLimit, match="cap is 50000"):
+        with pytest.raises(ResourceLimit, match="walk vector over 135 cells x 50001 steps "
+                                                "exceeds the work budget"):
             scaling_table(demo_joint(), [6, 3], 50_001, 20 * DEG)
         with pytest.raises(DomainError, match="dof counts"):
             scaling_table(demo_joint(), [3, 0], 50_001, 20 * DEG)
