@@ -5,7 +5,7 @@ import argparse
 import json
 from collections import Counter
 
-from dtraj.model import QuantizedState, robot_from_dict, state_space_size
+from dtraj.model import DEFAULT_NAL, QuantizedState, robot_from_dict, state_space_size
 from dtraj.trajectories import count_trajectories
 from dtraj.transitions import export_dot, find_transitions, state_label, write_jsonl
 
@@ -13,7 +13,7 @@ from dtraj.transitions import export_dot, find_transitions, state_label, write_j
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default="configs/pendulum.json")
-    ap.add_argument("--nal", type=int, default=25)
+    ap.add_argument("--nal", type=int, default=DEFAULT_NAL)
     ap.add_argument("--jsonl", default=None, help="write the table here")
     ap.add_argument("--dot", default=None, help="write a DOT rendering here")
     ap.add_argument("--hops", type=int, default=3,
@@ -27,7 +27,6 @@ def main():
     total_grid = state_space_size(robot)
     statics = [t for t in table.transitions if t.is_static()]
     lens = Counter(len(t.actions) for t in table.transitions)
-    outdeg = Counter(t.from_state.key() for t in table.transitions)
 
     print(f"robot hash        {table.robot_hash}")
     print(f"grid states       {total_grid}")
@@ -36,7 +35,8 @@ def main():
     print(f"transitions       {len(table.transitions)}")
     print(f"static self-loops {len(statics)} at "
           f"{[state_label(t.from_state) for t in statics]}")
-    degs = sorted(outdeg.values())
+    # every state's, sinks included
+    degs = sorted(len(table.outgoing(s)) for s in table.states)
     print(f"out-degree        min {degs[0]}  median {degs[len(degs) // 2]}  "
           f"max {degs[-1]}")
     print("sequence lengths  " + ", ".join(

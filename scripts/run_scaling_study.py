@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Regenerate the path-count scaling study and print slope diagnostics.
 
-Writes the CSV produced by the scaling table (one row per dof/step pair plus
-the reference rows) and reports the fitted growth slopes so a change in the
-counting code shows up as a number, not just a diff.
+Writes the CSV through `dtraj count scaling` (one row per dof/step pair plus
+the reference rows), so the CLI's checks and caps apply, and reports the
+growth slopes fitted to the rows it wrote so a change in the counting code
+shows up as a number, not just a diff. A refused table exits with the CLI's
+code.
 """
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from dtraj.cli import _parse_ranges
-from dtraj.lattice import scaling_table, write_scaling_csv
-from dtraj.model import robot_from_dict
+from dtraj import lattice
+from dtraj.cli import main as dtraj
 
 
 def fitted_slope(column, nodes):
@@ -34,16 +34,22 @@ def main():
     ap.add_argument("--out", default="scaling.csv")
     args = ap.parse_args()
 
-    with open(args.config) as fh:
-        robot = robot_from_dict(json.load(fh))
-    joint = robot.joints[0]
+    # the CLI looks its layer's names up when it runs, so this wrapper keeps
+    # the rows it writes at full precision: the CSV's 6 decimals can move a
+    # fitted slope by 1e-6
+    rows = []
+    write_csv = lattice.write_scaling_csv
 
-    dofs = [k for r in _parse_ranges(args.dof, "--dof") for k in r]
-    rows = scaling_table(
-        joint, dofs, args.max_steps, math.radians(args.separation_deg)
-    )
-    with open(args.out, "w") as fh:
-        write_scaling_csv(rows, fh)
+    def keep_and_write(table, fh):
+        rows.extend(table)
+        write_csv(table, fh)
+
+    lattice.write_scaling_csv = keep_and_write
+    rc = dtraj(["count", "scaling", "--config", args.config, "--dof", args.dof,
+                "--steps", f"1-{args.max_steps}", "--separation-deg", repr(args.separation_deg),
+                "--out", args.out])
+    if rc:
+        sys.exit(rc)
     print(f"wrote {len(rows)} rows to {args.out}")
 
     # the forced-path row (exactly 1 walk) and the rows below it are "exact"
@@ -58,7 +64,8 @@ def main():
     lo = max(hi // 2, forced + 1)
     nodes = (lo, (lo + hi) // 2, hi)
     print(f"fitted log10-count slopes at steps {nodes}:")
-    for tag in [str(n) for n in dofs] + ["go"]:
+    dofs = [r.n for r in rows if r.m == "1" and r.method != "reference"]
+    for tag in dofs + ["go"]:
         col = columns.get(tag, {})
         if len(set(nodes)) < 3 or any(m not in col for m in nodes):
             print(f"  n={tag:>2}: skipped, needs three steps above the forced row "
@@ -66,7 +73,7 @@ def main():
             continue
         slope = fitted_slope(col, nodes)
         print(f"  n={tag:>2}: {slope:.6f}")
-    n_max = max(dofs)
+    n_max = max(map(int, dofs))
     print(f"reference: {n_max}*log10(3) = {n_max * math.log10(3):.6f}, "
           f"log10(361) = {math.log10(361):.6f}")
 

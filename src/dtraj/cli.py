@@ -284,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--transitions", required=True, help="transitions JSONL path")
     e.add_argument("--steps", type=int, required=True)
     e.add_argument("--start", default=None, help='restrict to one start state "pos,vel"')
-    e.add_argument("--count-only", action="store_true")
-    e.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    how = e.add_mutually_exclusive_group()
+    how.add_argument("--count-only", action="store_true")
+    how.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_enumerate)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import NumericalOverflow
 from .model import (
@@ -23,6 +24,9 @@ from .model import (
     representative,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # substeps per clock tick; RK4 at dt/10 is orders of magnitude below delta_q
 # error for the torque/length regime this package targets
 SUBSTEPS = 10
@@ -30,19 +34,27 @@ SUBSTEPS = 10
 
 @dataclass(frozen=True)
 class PendulumParams:
-    mass: float
-    length: float
+    """One joint's constants as floats, or every joint's as per-joint arrays."""
+
+    mass: float | np.ndarray
+    length: float | np.ndarray
     gravity: float
+
+    @cached_property
+    def accel_terms(self):    # pendulum_accel's coefficients, derived once
+        return -(self.gravity / self.length), self.mass * self.length * self.length
 
 
 def pendulum_accel(q, v, u, p: PendulumParams, sin=math.sin):
     """Angular acceleration of the pendulum: gravity restoring term plus torque.
 
-    Floats with `math.sin`, or equal-length float64 arrays with `np.sin`; the
+    Floats with `math.sin`, or float64 arrays with `np.sin`: one joint's
+    states, or (rows, joints) arrays with `p` holding per-joint arrays. The
     operations run in the same order either way, so each array element is
     bitwise the scalar result wherever the two sines agree.
     """
-    return -(p.gravity / p.length) * sin(q) + u / (p.mass * p.length * p.length)
+    gravity, inertia = p.accel_terms
+    return gravity * sin(q) + u / inertia
 
 
 def _rk4_step(q, v, u, h: float, p: PendulumParams, sin=math.sin):
@@ -61,7 +73,7 @@ def _rk4_step(q, v, u, h: float, p: PendulumParams, sin=math.sin):
 
 
 def integrate_joint(q, v, u, p: PendulumParams, dt: float, substeps: int = SUBSTEPS, sin=math.sin):
-    """Advance one joint by dt under constant torque u (floats, or arrays with np.sin)."""
+    """Advance joints by dt under constant torque u (floats, or arrays with np.sin)."""
     h = dt / substeps
     for _ in range(substeps):
         q, v = _rk4_step(q, v, u, h, p, sin)

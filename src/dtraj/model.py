@@ -128,17 +128,8 @@ class RobotSpec:
             "delta_t": repr(self.delta_t),
             "gravity": repr(self.gravity),
             "joints": [
-                {
-                    "name": j.name,
-                    "q_min": repr(j.q_min),
-                    "q_max": repr(j.q_max),
-                    "delta_q": repr(j.delta_q),
-                    "v_min": repr(j.v_min),
-                    "v_max": repr(j.v_max),
-                    "mass": repr(j.mass),
-                    "length": repr(j.length),
-                    "torques": [repr(t) for t in j.torques],
-                }
+                {"name": j.name, "torques": [repr(t) for t in j.torques],
+                 **{f: repr(getattr(j, f)) for f, _ in _JOINT_FIELDS.values()}}
                 for j in self.joints
             ],
         }
@@ -272,20 +263,19 @@ def trajectory_upper_bound(robot: RobotSpec, m: int) -> int:
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
-_ROBOT_KEYS = {"delta_t_ms", "gravity", "joints"}
-_JOINT_KEYS = {
-    "name",
-    "q_min_deg",
-    "q_max_deg",
-    "delta_q_deg",
-    "v_min_deg_s",
-    "v_max_deg_s",
-    "mass_kg",
-    "length_m",
-    "torques_nm",
-}
-
 _DEG = math.pi / 180.0
+_ROBOT_KEYS = {"delta_t_ms", "gravity", "joints"}
+# numeric joint key: (JointSpec field, factor to SI units), in checking order
+_JOINT_FIELDS = {
+    "q_min_deg": ("q_min", _DEG),
+    "q_max_deg": ("q_max", _DEG),
+    "delta_q_deg": ("delta_q", _DEG),
+    "v_min_deg_s": ("v_min", _DEG),
+    "v_max_deg_s": ("v_max", _DEG),
+    "mass_kg": ("mass", 1.0),
+    "length_m": ("length", 1.0),
+}
+_JOINT_KEYS = {"name", "torques_nm", *_JOINT_FIELDS}
 
 
 def _is_finite_number(val) -> bool:
@@ -306,54 +296,35 @@ def robot_from_dict(cfg: Mapping) -> RobotSpec:
     """Build a RobotSpec from parsed configuration data. Unknown keys are rejected."""
     if not isinstance(cfg, Mapping):
         raise ConfigError("robot config must be a JSON object")
-    unknown = set(cfg) - _ROBOT_KEYS
-    if unknown:
+    if unknown := set(cfg) - _ROBOT_KEYS:
         raise ConfigError(f"unknown robot config keys: {sorted(unknown)}")
     delta_t_ms = _require_finite_number(cfg, "delta_t_ms", "robot")
     if delta_t_ms <= 0:
         raise ConfigError("robot: delta_t_ms must be positive")
-    gravity = 9.81
-    if "gravity" in cfg:
-        gravity = _require_finite_number(cfg, "gravity", "robot")
+    gravity = (_require_finite_number(cfg, "gravity", "robot") if "gravity" in cfg
+               else RobotSpec.gravity)
     joints_cfg = cfg.get("joints")
     if not isinstance(joints_cfg, Sequence) or isinstance(joints_cfg, (str, bytes)) or not joints_cfg:
         raise ConfigError("robot: 'joints' must be a non-empty list")
-
     joints = []
     for k, jc in enumerate(joints_cfg):
         where = f"joint[{k}]"
         if not isinstance(jc, Mapping):
             raise ConfigError(f"{where}: must be a JSON object")
-        unknown = set(jc) - _JOINT_KEYS
-        if unknown:
+        if unknown := set(jc) - _JOINT_KEYS:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = _JOINT_KEYS - set(jc)
-        if missing:
+        if missing := _JOINT_KEYS - set(jc):
             raise ConfigError(f"{where}: missing keys {sorted(missing)}")
         name = jc["name"]
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{where}: 'name' must be a non-empty string")
         torques = jc["torques_nm"]
-        if (
-            not isinstance(torques, Sequence)
-            or isinstance(torques, (str, bytes))
-            or not torques
-            or not all(map(_is_finite_number, torques))
-        ):
+        if (not isinstance(torques, Sequence) or isinstance(torques, (str, bytes)) or not torques
+                or not all(map(_is_finite_number, torques))):
             raise ConfigError(f"{where}: 'torques_nm' must be a list of finite numbers")
-        joints.append(
-            JointSpec(
-                name=name,
-                q_min=_require_finite_number(jc, "q_min_deg", where) * _DEG,
-                q_max=_require_finite_number(jc, "q_max_deg", where) * _DEG,
-                delta_q=_require_finite_number(jc, "delta_q_deg", where) * _DEG,
-                v_min=_require_finite_number(jc, "v_min_deg_s", where) * _DEG,
-                v_max=_require_finite_number(jc, "v_max_deg_s", where) * _DEG,
-                mass=_require_finite_number(jc, "mass_kg", where),
-                length=_require_finite_number(jc, "length_m", where),
-                torques=tuple(float(t) for t in torques),
-            )
-        )
+        fields = {f: _require_finite_number(jc, key, where) * unit
+                  for key, (f, unit) in _JOINT_FIELDS.items()}
+        joints.append(JointSpec(name=name, torques=tuple(float(t) for t in torques), **fields))
 
     robot = RobotSpec(joints=tuple(joints), delta_t=delta_t_ms / 1000.0, gravity=gravity)
     robot.validate()

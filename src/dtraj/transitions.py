@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
-from .dynamics import integrate_joint, integrate_step, joint_params
+from .dynamics import PendulumParams, integrate_joint, integrate_step
 from .model import (
     DEFAULT_MAX_SEQUENCES,
     DEFAULT_MAX_STATES,
@@ -29,6 +28,7 @@ from .model import (
     ContinuousState,
     QuantizedState,
     RobotSpec,
+    _is_finite_number,
     check_on_grid,
     grid_range,
     representative,
@@ -146,27 +146,21 @@ def _static_hold(
     return True
 
 
-def _quantize_columns(qs: list, vs: list, robot: RobotSpec) -> tuple[np.ndarray, np.ndarray]:
-    """`quantize` over the states held as per-joint columns qs[i], vs[i].
+def _quantize_columns(ends: np.ndarray, robot: RobotSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`quantize` over a (states, 2 * joints) array of positions then velocities.
 
     Returns (on_grid, cells): the mask of states whose grid point lies within
-    `grid_range`, and a (states, 2 * joints) float array of their position
-    then velocity indices (meaningless off the grid). Rounding and the grid
-    are `quantize`'s, elementwise.
+    `grid_range`, and the same-shape float array of their position then
+    velocity indices (meaningless off the grid). Rounding and the grid are
+    `quantize`'s, elementwise.
     """
     import numpy as np
 
-    n = robot.n_joints
-    on_grid = np.ones(len(qs[0]), dtype=bool)
-    cells = np.empty((len(qs[0]), 2 * n))
-    for i in range(n):
-        for col, x, (lo, hi, step) in zip((i, n + i), (qs[i], vs[i]), robot.grids(i)):
-            x = x / step
-            idx = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-            first, last = grid_range(lo, hi, step)
-            on_grid &= (first <= idx) & (idx <= last)
-            cells[:, col] = idx
-    return on_grid, cells
+    grids = [robot.grids(i)[k] for k in (0, 1) for i in range(robot.n_joints)]
+    x = ends / np.array([step for _, _, step in grids])
+    cells = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    first, last = np.array([grid_range(*g) for g in grids], dtype=np.float64).T
+    return ((first <= cells) & (cells <= last)).all(axis=1), cells
 
 
 def find_transitions(
@@ -190,7 +184,7 @@ def find_transitions(
 
     Every state's sequence tree grows at once: one frontier holds the pending
     sequences of every state found so far, and each tick integrates all of
-    them as arrays through `integrate_joint`, one joint column at a time. A
+    them as one (rows, 2 * joints) array through `integrate_joint`. A
     state's tree starts on the tick after the state is first reached. The
     table is then put in the order a state-by-state search would give: states
     in order of first discovery when each state's tree is searched in turn,
@@ -217,8 +211,9 @@ def find_transitions(
     n = robot.n_joints
     actions = _action_space(robot)
     n_act = len(actions)
-    torque = [np.array(j.torques)[[a[i] for a in actions]] for i, j in enumerate(robot.joints)]
-    params = [joint_params(robot, i) for i in range(n)]
+    torque = np.array([[j.torques[k] for j, k in zip(robot.joints, a)] for a in actions])
+    params = PendulumParams(np.array([j.mass for j in robot.joints]),
+                            np.array([j.length for j in robot.joints]), robot.gravity)
 
     # states by id in the order the frontier first reached them
     states: list[QuantizedState] = []
@@ -245,38 +240,35 @@ def find_transitions(
     new_ids = [add_state(start)]
     prefixes: list[ActionSequence] = []
     p_tree = np.empty(0, dtype=np.int64)
-    p_ends = [np.empty(0)] * (2 * n)       # per-joint positions, then velocities
+    p_ends = np.empty((0, 2 * n))      # end states: joint positions, then velocities
     while True:
         if new_ids:
             roots = [r.q + r.v for r in (representative(states[k], robot) for k in new_ids)]
             prefixes += [()] * len(new_ids)
             p_tree = np.concatenate([p_tree, new_ids])
-            p_ends = [np.concatenate([x, [r[c] for r in roots]]) for c, x in enumerate(p_ends)]
+            p_ends = np.concatenate([p_ends, roots])
             home = np.array([s.pos_idx + s.vel_idx for s in states], dtype=np.float64)
         if not prefixes:
             break
         rows = len(prefixes) * n_act
         if simulated + rows > max_sequences:
-            raise BudgetExceeded(
-                f"simulated sequences would exceed budget {max_sequences} ({progress()})"
-            )
+            raise BudgetExceeded(f"simulated sequences would exceed budget {max_sequences} "
+                                 f"({progress()})")
         simulated += rows
         tree = np.repeat(p_tree, n_act)
         act = np.tile(np.arange(n_act), len(prefixes))
         depth = np.repeat([len(seq) + 1 for seq in prefixes], n_act)
 
-        qs, vs = [], []
         with np.errstate(all="ignore"):
-            for i, j in enumerate(robot.joints):
-                q, v = integrate_joint(np.repeat(p_ends[i], n_act), np.repeat(p_ends[n + i], n_act),
-                                       torque[i][act], params[i], robot.delta_t, sin=np.sin)
-                if not (np.isfinite(q).all() and np.isfinite(v).all()):
-                    raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
-                qs.append(q)
-                vs.append(v)
-        ok, cells = _quantize_columns(qs, vs, robot)
-        for j, q, v in zip(robot.joints, qs, vs):
-            ok &= j.within_limits(q, v)
+            ends = np.hstack(integrate_joint(
+                np.repeat(p_ends[:, :n], n_act, axis=0), np.repeat(p_ends[:, n:], n_act, axis=0),
+                torque[act], params, robot.delta_t, sin=np.sin))
+        if not (finite := np.isfinite(ends).all(axis=0)).all():
+            j = robot.joints[int(np.argmin(finite[:n] & finite[n:]))]
+            raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
+        ok, cells = _quantize_columns(ends, robot)
+        for i, j in enumerate(robot.joints):
+            ok &= j.within_limits(ends[:, i], ends[:, n + i])
         moved = ok & (cells != home[tree]).any(axis=1)
         grow = ok & ~moved & (depth < nal)
         settled = np.flatnonzero(moved | (ok & (depth >= nal)))
@@ -296,8 +288,7 @@ def find_transitions(
                     to = add_state(QuantizedState(*key))
                     new_ids.append(to)
             else:
-                cont = ContinuousState(tuple(float(q[p]) for q in qs),
-                                       tuple(float(v[p]) for v in vs))
+                cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
                 if not _static_hold(states[frm], seq, cont, robot):
                     continue
                 to = frm
@@ -310,7 +301,7 @@ def find_transitions(
         kept = np.flatnonzero(grow)
         prefixes = [sequence(p) for p in kept.tolist()]
         p_tree = tree[kept]
-        p_ends = [x[kept] for x in qs + vs]
+        p_ends = ends[kept]
 
     # replay the state-by-state order: searching the trees in turn, a state
     # joins the table when it is first reached
@@ -377,9 +368,10 @@ def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -
             raise ValueError(f"action {list(a)} has {len(a)} torque indices for {n} joints")
         if min(a) < 0:
             raise ValueError(f"action {list(a)} has a negative torque index")
-    dur = float(obj["duration_s"])
-    if not (math.isfinite(dur) and dur > 0):
-        raise ValueError(f"duration_s must be positive and finite, got {dur}")
+    dur = obj["duration_s"]
+    if not (_is_finite_number(dur) and dur > 0):
+        raise ValueError(f"duration_s must be a positive finite number, got {dur!r}")
+    dur = float(dur)
     if tick is not None and abs(dur - len(seq) * tick) > 1e-9 * len(seq) * tick:
         raise ValueError(f"duration_s {dur} is not {len(seq)} ticks of {tick} s")
     return Transition(frm, seq, dur, to)
@@ -428,11 +420,12 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
 
     State order is first appearance in the stream (from before to per line),
     which coincides with discovery order for tables written by this module.
-    Every line must have a nonempty torque sequence of nonnegative indices,
-    one per joint, a positive finite duration that is its length times the
-    first line's per-action duration (to a relative 1e-9), and states with the
-    first line's joint count; every index must be a JSON integer. Anything
-    else is a ConfigError naming the line.
+    The header's version must be the JSON integer 1 and its robot_hash a
+    string. A line needs a nonempty torque sequence of nonnegative indices,
+    one per joint, a positive finite JSON number of seconds, its length times
+    the first line's per-action duration (to a relative 1e-9), and states of
+    the first line's width; every index is a JSON integer. A ConfigError
+    names the line or the header that breaks a rule.
     """
     first = fh.readline()
     if not first:
@@ -443,9 +436,11 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         raise ConfigError(f"bad transitions header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT:
         raise ConfigError("not a transitions file (missing format header)")
-    if header.get("version") != JSONL_VERSION:
-        raise ConfigError(f"unsupported transitions version {header.get('version')!r}")
-    robot_hash = header.get("robot_hash", "")
+    version, robot_hash = header.get("version"), header.get("robot_hash", "")
+    if type(version) is not int or version != JSONL_VERSION:
+        raise ConfigError(f"unsupported transitions version {version!r}")
+    if not isinstance(robot_hash, str):
+        raise ConfigError(f"transitions header: robot_hash {robot_hash!r} is not a string")
 
     transitions: list[Transition] = []
     n_joints = tick = None

@@ -418,6 +418,16 @@ class TestEnumerateCommand:
                    "--steps", "3", "--budget", "1000"])
         assert rc == 4
 
+    @pytest.mark.parametrize("budget", ["0", "1000", "10000000"])
+    def test_budget_with_count_only_is_a_usage_error(self, capsys, table_file, budget):
+        # --count-only lists no walks, so a walk budget beside it would be ignored
+        rc = main(["enumerate", "--transitions", str(table_file), "--steps", "2",
+                   "--budget", budget, "--count-only"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --count-only: not allowed with argument --budget" in out.err
+
     def test_negative_start_as_separate_argument(self, capsys, table_file):
         outs = []
         for start in (["--start", "-3,0"], ["--start=-3,0"]):

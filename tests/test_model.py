@@ -21,7 +21,7 @@ from dtraj.model import (
     trajectory_upper_bound,
     widen_counts,
 )
-from conftest import DEG, demo_joint
+from conftest import CONFIG_PATH, DEG, TWO_JOINT, demo_joint
 
 
 def make_robot(**joint_overrides) -> RobotSpec:
@@ -241,6 +241,19 @@ class TestConfigIngestion:
         cfg = self.good()
         cfg["joints"][0]["torques_nm"] = [-50.0, 0.0, 50.0]
         assert robot_from_dict(cfg).content_hash() != a
+
+    def test_content_hashes_are_pinned(self):
+        # every saved table and manifest records these; the demo config, the
+        # same config without its (default) gravity, and the two-joint robot
+        with open(CONFIG_PATH) as fh:
+            demo = json.load(fh)
+        want = "sha256:67ff0fba73b6aa327c0264e4d189bfb9af931b1bef250787e58490c04d94372b"
+        assert robot_from_dict(demo).content_hash() == want
+        assert robot_from_dict(self.good()).content_hash() == want
+        del demo["gravity"]
+        assert robot_from_dict(demo).content_hash() == want
+        assert robot_from_dict(TWO_JOINT).content_hash() == (
+            "sha256:5b6ffd7680c3f66fedef48768cd037d912ef71979f235327504367469747bca5")
 
 
 class TestFormatCount:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 from dtraj.lattice import scaling_table, write_scaling_csv
 from dtraj.model import robot_from_dict
@@ -15,13 +16,13 @@ from conftest import CONFIG_PATH
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     return done
 
 
@@ -39,6 +40,17 @@ def test_explore_pendulum_writes_the_library_bytes(tmp_path):
     write_jsonl(table, buf)
     assert jsonl.read_text() == buf.getvalue()
     assert dot.read_text() == export_dot(table)
+
+
+def test_explore_pendulum_counts_sink_states():
+    # out-degrees are every state's, so states without a transition count as 0
+    out = run_script("explore_pendulum.py").stdout
+    table = find_transitions(demo_robot())
+    degrees = sorted(len(table.outgoing(s)) for s in table.states)
+    assert degrees[0] == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("out-degree"))
+    assert line.split() == ["out-degree", "min", str(degrees[0]), "median",
+                            str(degrees[len(degrees) // 2]), "max", str(degrees[-1])]
 
 
 def slopes(stdout: str) -> dict[str, float]:
@@ -75,3 +87,15 @@ def test_run_scaling_study_skips_columns_without_three_nodes(tmp_path):
     skipped = [line for line in done.stderr.splitlines() if "skipped" in line]
     assert len(skipped) == 7
     assert all("forced row m = 10" in line for line in skipped)
+
+
+def test_run_scaling_study_exits_with_the_cli_refusal(tmp_path):
+    # 5,000 dof counts x 100 steps pass the table's row cap: count scaling
+    # refuses them before any range is expanded, and so does the script
+    csv = tmp_path / "scaling.csv"
+    t0 = time.monotonic()
+    done = run_script("run_scaling_study.py", "--dof", "1-5000", "--out", str(csv), code=4)
+    assert time.monotonic() - t0 < 1.0
+    assert "more than the table's cap of 400000 rows" in done.stderr
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []

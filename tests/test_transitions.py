@@ -429,6 +429,31 @@ class TestJsonl:
         with pytest.raises(ConfigError):
             read_jsonl(io.StringIO('{"format":"dtraj-transitions","version":9}\n'))
 
+    @pytest.mark.parametrize("header, reason", [
+        ('"version":true', "unsupported transitions version True"),
+        ('"version":1.0', "unsupported transitions version 1.0"),
+        ('"version":"1"', "unsupported transitions version '1'"),
+        ('"version":1,"robot_hash":7', "transitions header: robot_hash 7 is not a string"),
+        ('"version":1,"robot_hash":null', "robot_hash None is not a string"),
+    ])
+    def test_malformed_header_rejected(self, header, reason):
+        text = '{"format":"dtraj-transitions",' + header + '}\n'
+        with pytest.raises(ConfigError, match=re.escape(reason)):
+            read_jsonl(io.StringIO(text))
+
+    def test_integer_durations_and_a_missing_hash_are_valid(self):
+        text = (
+            '{"format":"dtraj-transitions","version":1}\n'
+            '{"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":1,'
+            '"to":{"pos":[1],"vel":[0]}}\n'
+            '{"from":{"pos":[1],"vel":[0]},"torque_idx_seq":[[2],[2]],"duration_s":2,'
+            '"to":{"pos":[0],"vel":[0]}}\n'
+        )
+        table = read_jsonl(io.StringIO(text))
+        assert table.robot_hash == ""
+        assert [t.duration for t in table.transitions] == [1.0, 2.0]
+        assert all(type(t.duration) is float for t in table.transitions)
+
     def test_bad_line_reported(self):
         text = (
             '{"format":"dtraj-transitions","version":1,"robot_hash":"sha256:x"}\n'
@@ -453,6 +478,14 @@ class TestJsonl:
          "duration_s 0.04 is not 2 ticks of 0.04"),
         ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":0.0400001',
          "duration"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":true',
+         "duration_s must be a positive finite number, got True"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":"0.04"',
+         "duration_s must be a positive finite number, got '0.04'"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":null',
+         "duration_s must be a positive finite number, got None"),
+        ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[2]],"duration_s":[0.04]',
+         "duration_s must be a positive finite number"),
         ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[["2"]],"duration_s":0.04',
          "torque index '2' is not an integer"),
         ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[[1.5]],"duration_s":0.04',
@@ -631,7 +664,7 @@ def test_column_quantize_matches_scalar(robot):
     vp = probes(j.v_min, j.v_max, robot.delta_v(0))
     q = np.concatenate([qp, np.zeros(len(vp))])
     v = np.concatenate([np.zeros(len(qp)), vp])
-    on_grid, cells = trn._quantize_columns([q], [v], robot)
+    on_grid, cells = trn._quantize_columns(np.stack([q, v], axis=1), robot)
     for k, (qk, vk) in enumerate(zip(q.tolist(), v.tolist())):
         try:
             want = quantize(ContinuousState((qk,), (vk,)), robot)
@@ -667,6 +700,19 @@ def test_overflow_is_an_error_not_a_table():
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match="joint j: non-finite"):
             find_transitions(robot)
+
+
+def test_overflow_names_the_first_non_finite_joint():
+    # every joint integrates in one array; the error names the joint whose
+    # column went non-finite, not the first joint
+    tiny = JointSpec(
+        name="tiny", q_min=-135 * DEG, q_max=135 * DEG, delta_q=2 * DEG,
+        v_min=-180 * DEG, v_max=180 * DEG, mass=1e-308, length=1.0,
+        torques=(-50.0, 0.0, 50.0),
+    )
+    robot = RobotSpec(delta_t=0.04, joints=(demo_joint(), tiny, demo_joint()))
+    with pytest.raises(NumericalOverflow, match="^joint tiny: non-finite"):
+        find_transitions(robot)
 
 
 # ---------------------------------------------------------------------------
