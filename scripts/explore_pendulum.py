@@ -2,10 +2,11 @@
 """Build the transition table for a robot config and summarize its shape."""
 
 import argparse
-import json
+import sys
 from collections import Counter
 
-from dtraj.model import DEFAULT_NAL, QuantizedState, robot_from_dict, state_space_size
+from dtraj.errors import DtrajError
+from dtraj.model import DEFAULT_NAL, QuantizedState, load_robot, state_space_size
 from dtraj.trajectories import count_trajectories
 from dtraj.transitions import export_dot, find_transitions, state_label, write_jsonl
 
@@ -20,8 +21,12 @@ def main():
                     help="walk-count horizon for the reachability summary")
     args = ap.parse_args()
 
-    with open(args.config) as fh:
-        robot = robot_from_dict(json.load(fh))
+    try:
+        robot = load_robot(args.config)
+    except DtrajError as e:
+        # an unreadable or malformed config exits as the CLI would
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(e.exit_code)
     table = find_transitions(robot, nal=args.nal)
 
     total_grid = state_space_size(robot)

@@ -27,15 +27,18 @@ from .model import (
     DEFAULT_MAX_STATES,
     DEFAULT_NAL,
     QuantizedState,
+    load_robot,
 )
 
 # count scaling's row cap, checked before any range is expanded; a column of
 # n axes also sums n logarithms, and about 1000 of those cost one row
 _SCALING_ROW_CAP = 400_000
 
-# Each handler imports its layer when it runs, so a subcommand loads only the
-# modules it uses (the corridor, bounds and scaling counts and the planner
-# never load numpy), and a name patched on a layer module is the one called.
+# main reads the files a subcommand names (--config, then --transitions) and
+# hands the handler what it read. Each handler imports its layer when it runs,
+# so a subcommand loads only the modules it uses (the corridor, bounds and
+# scaling counts and the planner never load numpy), and a name patched on a
+# layer module is the one called.
 
 
 def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:
@@ -111,12 +114,9 @@ def _parse_csv_ints(text: str, flag: str) -> tuple[int, ...]:
 # subcommand handlers
 
 
-def _cmd_transitions(args, ctx) -> None:
-    from .model import load_robot
+def _cmd_transitions(args, robot) -> None:
     from .transitions import export_dot, find_transitions, write_jsonl
 
-    robot = load_robot(args.config)
-    ctx["config_hash"] = robot.content_hash()
     start = _parse_state(args.start, robot.n_joints) if args.start else None
     table = find_transitions(
         robot,
@@ -138,19 +138,11 @@ def _open(path: str) -> IO[str]:
         raise ConfigError(f"cannot read {path}: {e}") from None
 
 
-def _load_table(path: str):
-    from .transitions import read_jsonl
-
-    with _open(path) as fh:
-        return read_jsonl(fh)
-
-
-def _cmd_enumerate(args, ctx) -> None:
+def _cmd_enumerate(args, table) -> None:
     from .model import format_count
     from .trajectories import count_trajectories, enumerate_trajectories
     from .transitions import state_label
 
-    table = _load_table(args.transitions)
     if args.start:
         # a table without states holds no start of any width
         width = len(table.states[0].pos_idx) if table.states else None
@@ -171,14 +163,10 @@ def _cmd_enumerate(args, ctx) -> None:
     _write_output(args.out, emit)
 
 
-def _cmd_plan(args, ctx) -> None:
-    from .model import load_robot
+def _cmd_plan(args, robot, table) -> None:
     from .trajectories import load_desired_csv, plan_action_sequence, write_plan_json
     from .transitions import check_torque_menu
 
-    robot = load_robot(args.config)
-    ctx["config_hash"] = robot.content_hash()
-    table = _load_table(args.transitions)
     if table.robot_hash and table.robot_hash != robot.content_hash():
         print(
             "warning: transition table was built from a different robot config",
@@ -191,7 +179,7 @@ def _cmd_plan(args, ctx) -> None:
     _write_output(args.out, lambda fh: write_plan_json(result, fh))
 
 
-def _cmd_count_corridor(args, ctx) -> None:
+def _cmd_count_corridor(args) -> None:
     from .lattice import CorridorSpec, corridor_count_1d, corridor_count_dp, full_move_set
 
     if args.exact:
@@ -202,7 +190,7 @@ def _cmd_count_corridor(args, ctx) -> None:
     _write_output(args.out, lambda fh: fh.write(pc.display() + "\n"))
 
 
-def _cmd_count_ndim(args, ctx) -> None:
+def _cmd_count_ndim(args) -> None:
     from .lattice import CorridorSpec, corridor_count_nd, full_move_set
 
     d = _parse_csv_ints(args.d, "--d")
@@ -214,17 +202,9 @@ def _cmd_count_ndim(args, ctx) -> None:
     _write_output(args.out, lambda fh: fh.write(pc.display() + "\n"))
 
 
-def _cmd_count_bounds(args, ctx) -> None:
-    from .model import (
-        action_space_size,
-        format_count,
-        load_robot,
-        state_space_size,
-        trajectory_upper_bound,
-    )
+def _cmd_count_bounds(args, robot) -> None:
+    from .model import action_space_size, format_count, state_space_size, trajectory_upper_bound
 
-    robot = load_robot(args.config)
-    ctx["config_hash"] = robot.content_hash()
     lines = [
         f"states {state_space_size(robot)}",
         f"actions {action_space_size(robot)}",
@@ -233,12 +213,9 @@ def _cmd_count_bounds(args, ctx) -> None:
     _write_output(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
-def _cmd_count_scaling(args, ctx) -> None:
+def _cmd_count_scaling(args, robot) -> None:
     from .lattice import scaling_table, write_scaling_csv
-    from .model import load_robot
 
-    robot = load_robot(args.config)
-    ctx["config_hash"] = robot.content_hash()
     dof_ranges = _parse_ranges(args.dof, "--dof")
     step_ranges = _parse_ranges(args.steps, "--steps")
     # len() of a range is capped at sys.maxsize, so the sizes are counted here
@@ -336,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit_manifest(args, ctx, t0: float) -> None:
+def _emit_manifest(args, subcommand: str, config_hash: str | None, t0: float) -> None:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "tool_version": __version__,
-        "config_hash": ctx.get("config_hash"),
-        "subcommand": ctx["subcommand"],
+        "config_hash": config_hash,
+        "subcommand": subcommand,
         "flags": flags,
         "duration_s": time.monotonic() - t0,
     }
@@ -371,19 +348,30 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
 
-    subcommand = args.command
-    if getattr(args, "count_command", None):
-        subcommand = f"{args.command} {args.count_command}"
-    ctx = {"config_hash": None, "subcommand": subcommand}
+    subcommand = " ".join(filter(None, (args.command, getattr(args, "count_command", None))))
+    config_hash, inputs = None, {}
     t0 = time.monotonic()
     try:
-        args.func(args, ctx)
+        if "config" in vars(args):
+            inputs["robot"] = load_robot(args.config)
+            config_hash = inputs["robot"].content_hash()
+        if "transitions" in vars(args):
+            from .transitions import read_jsonl
+            with _open(args.transitions) as fh:
+                inputs["table"] = read_jsonl(fh)
+        args.func(args, **inputs)
+        sys.stdout.flush()
         rc = 0
+    except BrokenPipeError as e:
+        # the reader is gone: fd 1 goes to devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        rc = ConfigError.exit_code
     except DtrajError as e:
         print(f"error: {e}", file=sys.stderr)
         rc = e.exit_code
     finally:
-        _emit_manifest(args, ctx, t0)
+        _emit_manifest(args, subcommand, config_hash, t0)
     return rc
 
 

@@ -45,8 +45,8 @@ class PendulumParams:
         return -(self.gravity / self.length), self.mass * self.length * self.length
 
 
-def pendulum_accel(q, v, u, p: PendulumParams, sin=math.sin):
-    """Angular acceleration of the pendulum: gravity restoring term plus torque.
+def pendulum_accel(q, u, p: PendulumParams, sin=math.sin):
+    """Angular acceleration: gravity's restoring term plus torque; undamped, so no velocity.
 
     Floats with `math.sin`, or float64 arrays with `np.sin`: one joint's
     states, or (rows, joints) arrays with `p` holding per-joint arrays. The
@@ -58,14 +58,15 @@ def pendulum_accel(q, v, u, p: PendulumParams, sin=math.sin):
 
 
 def _rk4_step(q, v, u, h: float, p: PendulumParams, sin=math.sin):
+    """One classical RK4 substep; a stage's acceleration needs only its angle, not its velocity."""
     k1q = v
-    k1v = pendulum_accel(q, v, u, p, sin)
+    k1v = pendulum_accel(q, u, p, sin)
     k2q = v + 0.5 * h * k1v
-    k2v = pendulum_accel(q + 0.5 * h * k1q, v + 0.5 * h * k1v, u, p, sin)
+    k2v = pendulum_accel(q + 0.5 * h * k1q, u, p, sin)
     k3q = v + 0.5 * h * k2v
-    k3v = pendulum_accel(q + 0.5 * h * k2q, v + 0.5 * h * k2v, u, p, sin)
+    k3v = pendulum_accel(q + 0.5 * h * k2q, u, p, sin)
     k4q = v + h * k3v
-    k4v = pendulum_accel(q + h * k3q, v + h * k3v, u, p, sin)
+    k4v = pendulum_accel(q + h * k3q, u, p, sin)
     return (
         q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
         v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v),

@@ -10,10 +10,11 @@ import warnings
 
 import pytest
 
-from dtraj.cli import main
+from dtraj.cli import build_parser, main
 from conftest import CONFIG_PATH, THREE_STATE_TABLE, write_table
 
 CFG = str(CONFIG_PATH)
+DEMO_HASH = "sha256:67ff0fba73b6aa327c0264e4d189bfb9af931b1bef250787e58490c04d94372b"
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +581,44 @@ class TestHarness:
         m = last_manifest(capsys)
         assert m["subcommand"] == "count corridor"
 
+    @pytest.mark.parametrize("argv, config_hash", [
+        (["transitions", "--config", CFG, "--dedup", "shortest"], DEMO_HASH),
+        (["enumerate", "--transitions", "TABLE", "--steps", "2", "--count-only"], None),
+        (["plan", "--transitions", "TABLE", "--config", CFG, "--desired", "DESIRED"], DEMO_HASH),
+        (["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"], None),
+        (["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3", "--steps", "5"], None),
+        (["count", "bounds", "--config", CFG, "--steps", "10"], DEMO_HASH),
+        (["count", "scaling", "--config", CFG, "--dof", "1-2", "--steps", "1-5",
+          "--separation-deg", "20"], DEMO_HASH),
+    ], ids=["transitions", "enumerate", "plan", "corridor", "ndim", "bounds", "scaling"])
+    def test_manifest_of_every_subcommand(self, capsys, table_file, desired_file, argv,
+                                          config_hash):
+        files = {"TABLE": str(table_file), "DESIRED": str(desired_file)}
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv) == 0
+        m = last_manifest(capsys)
+        assert m["config_hash"] == config_hash
+        assert m["subcommand"] == " ".join(argv[:2] if argv[0] == "count" else argv[:1])
+        # the flags are the parser's destinations only: no input read for the
+        # handler leaks into them
+        parsed = vars(build_parser().parse_args(argv))
+        assert m["flags"] == {k: v for k, v in parsed.items() if k != "func"}
+
+    def test_config_is_read_before_the_table(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing")
+        rc = main(["plan", "--transitions", missing + ".jsonl", "--config", missing + ".json",
+                   "--desired", missing + ".csv"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()[0]
+        assert err.startswith(f"error: cannot read robot config {missing + '.json'!r}")
+
+    def test_table_is_read_before_the_start(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.jsonl")
+        rc = main(["enumerate", "--transitions", missing, "--steps", "2", "--start", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()[0]
+        assert err.startswith(f"error: cannot read {missing}: ")
+
     def test_manifest_keys_sorted(self, capsys):
         main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
               "--steps", "4"])
@@ -604,11 +643,14 @@ RUN_CLI = (
 )
 
 
-def run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+def child_env() -> dict[str, str]:
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+
+
+def run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
 
 
 def cli_modules(*argv: str) -> set[str]:
@@ -720,3 +762,27 @@ class TestImports:
         assert main(["count", "corridor", "--d", "5", "--from", "2", "--to", "3",
                      "--steps", "4"]) == 0
         assert capsys.readouterr().out == "7\n"
+
+
+# ---------------------------------------------------------------------------
+# a reader that leaves early
+
+
+@pytest.mark.parametrize("argv", [
+    ["transitions", "--config", CFG],
+    ["enumerate", "--transitions", "TABLE", "--steps", "3"],
+], ids=["transitions", "enumerate"])
+def test_closed_stdout_is_one_error_line(table_file, argv):
+    # as `dtraj ... | head -1`: the reader closes the pipe after one line
+    argv = [str(table_file) if a == "TABLE" else a for a in argv]
+    with subprocess.Popen([sys.executable, "-m", "dtraj.cli", *argv], env=child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "error: cannot write stdout: [Errno 32] Broken pipe"
+    assert json.loads(lines[1])["subcommand"] == argv[0]

@@ -31,11 +31,11 @@ P = PendulumParams(mass=1.0, length=1.0, gravity=9.81)
 
 def test_acceleration_model():
     # gravity pulls toward the hanging equilibrium, torque adds directly
-    assert pendulum_accel(0.0, 0.0, 0.0, P) == 0.0
-    assert pendulum_accel(0.1, 0.0, 0.0, P) < 0
-    assert pendulum_accel(0.0, 0.0, 5.0, P) == pytest.approx(5.0)
+    assert pendulum_accel(0.0, 0.0, P) == 0.0
+    assert pendulum_accel(0.1, 0.0, P) < 0
+    assert pendulum_accel(0.0, 5.0, P) == pytest.approx(5.0)
     heavier = PendulumParams(mass=2.0, length=1.0, gravity=9.81)
-    assert pendulum_accel(0.0, 0.0, 5.0, heavier) == pytest.approx(2.5)
+    assert pendulum_accel(0.0, 5.0, heavier) == pytest.approx(2.5)
 
 
 def test_integrator_matches_fine_reference():

@@ -99,3 +99,22 @@ def test_run_scaling_study_exits_with_the_cli_refusal(tmp_path):
     assert "more than the table's cap of 400000 rows" in done.stderr
     assert done.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_explore_pendulum_refuses_a_missing_config(tmp_path):
+    # read through load_robot, so a missing file is one error line and the CLI's code
+    missing = str(tmp_path / "missing.json")
+    done = run_script("explore_pendulum.py", "--config", missing, code=2)
+    assert done.stderr.splitlines() == [
+        f"error: cannot read robot config {missing!r}: "
+        f"[Errno 2] No such file or directory: {missing!r}"]
+    assert done.stdout == ""
+
+
+def test_explore_pendulum_refuses_a_malformed_config(tmp_path):
+    cfg = tmp_path / "robot.json"
+    cfg.write_text('{"delta_t_ms": 40, "joints": []}')
+    done = run_script("explore_pendulum.py", "--config", str(cfg), code=2)
+    assert done.stderr.splitlines() == ["error: robot: 'joints' must be a non-empty list"]
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
