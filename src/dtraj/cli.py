@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -44,6 +45,8 @@ _SCALING_ROW_CAP = 400_000
 def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:
     """Write via a temp file and rename; a failed write leaves nothing behind."""
     if path is None:
+        if sys.stdout is None:    # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         emit(sys.stdout)
         return
     target = os.path.abspath(path)
@@ -360,11 +363,15 @@ def main(argv=None) -> int:
             with _open(args.transitions) as fh:
                 inputs["table"] = read_jsonl(fh)
         args.func(args, **inputs)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         rc = 0
-    except BrokenPipeError as e:
-        # the reader is gone: fd 1 goes to devnull so the exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as e:
+        # stdout's reader is gone or fd 1 is closed; --out and inputs raise ConfigError
+        if e.errno not in (errno.EPIPE, errno.EBADF):
+            raise
+        if sys.stdout is not None:    # fd 1 goes to devnull so the exit flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write stdout: {e}", file=sys.stderr)
         rc = ConfigError.exit_code
     except DtrajError as e:

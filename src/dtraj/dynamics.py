@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import NumericalOverflow
@@ -40,44 +39,31 @@ class PendulumParams:
     length: float | np.ndarray
     gravity: float
 
-    @cached_property
-    def accel_terms(self):    # pendulum_accel's coefficients, derived once
-        return -(self.gravity / self.length), self.mass * self.length * self.length
-
-
-def pendulum_accel(q, u, p: PendulumParams, sin=math.sin):
-    """Angular acceleration: gravity's restoring term plus torque; undamped, so no velocity.
-
-    Floats with `math.sin`, or float64 arrays with `np.sin`: one joint's
-    states, or (rows, joints) arrays with `p` holding per-joint arrays. The
-    operations run in the same order either way, so each array element is
-    bitwise the scalar result wherever the two sines agree.
-    """
-    gravity, inertia = p.accel_terms
-    return gravity * sin(q) + u / inertia
-
-
-def _rk4_step(q, v, u, h: float, p: PendulumParams, sin=math.sin):
-    """One classical RK4 substep; a stage's acceleration needs only its angle, not its velocity."""
-    k1q = v
-    k1v = pendulum_accel(q, u, p, sin)
-    k2q = v + 0.5 * h * k1v
-    k2v = pendulum_accel(q + 0.5 * h * k1q, u, p, sin)
-    k3q = v + 0.5 * h * k2v
-    k3v = pendulum_accel(q + 0.5 * h * k2q, u, p, sin)
-    k4q = v + h * k3v
-    k4v = pendulum_accel(q + h * k3q, u, p, sin)
-    return (
-        q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
-        v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v),
-    )
-
 
 def integrate_joint(q, v, u, p: PendulumParams, dt: float, substeps: int = SUBSTEPS, sin=math.sin):
-    """Advance joints by dt under constant torque u (floats, or arrays with np.sin)."""
+    """Advance joints by dt under constant torque u by classical RK4 substeps.
+
+    The acceleration is gravity's restoring term plus the torque's; undamped,
+    so a stage's acceleration needs only its angle. The torque term u / inertia
+    is the same at every stage, so it is taken once per call. Floats with
+    `math.sin`, or float64 arrays with `np.sin`: one joint's states, or
+    (rows, joints) arrays with `p` holding per-joint arrays. The operations run
+    in the same order either way, so each array element is bitwise the scalar
+    result wherever the two sines agree.
+    """
+    gravity, torque = -(p.gravity / p.length), u / (p.mass * p.length * p.length)
     h = dt / substeps
+    half, sixth = 0.5 * h, h / 6
     for _ in range(substeps):
-        q, v = _rk4_step(q, v, u, h, p, sin)
+        k1v = gravity * sin(q) + torque
+        k2q = v + half * k1v
+        k2v = gravity * sin(q + half * v) + torque
+        k3q = v + half * k2v
+        k3v = gravity * sin(q + half * k2q) + torque
+        k4q = v + h * k3v
+        k4v = gravity * sin(q + h * k3q) + torque
+        q, v = (q + sixth * (v + 2 * k2q + 2 * k3q + k4q),
+                v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v))
     return q, v
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
 from .dynamics import PendulumParams, integrate_joint, integrate_step
@@ -44,8 +44,9 @@ JSONL_FORMAT = "dtraj-transitions"
 JSONL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """A torque sequence moving `from_state` to `to_state`; a named tuple, built in C."""
+
     from_state: QuantizedState
     actions: ActionSequence
     duration: float
@@ -185,10 +186,12 @@ def find_transitions(
     Every state's sequence tree grows at once: one frontier holds the pending
     sequences of every state found so far, and each tick integrates all of
     them as one (rows, 2 * joints) array through `integrate_joint`. A
-    state's tree starts on the tick after the state is first reached. The
-    table is then put in the order a state-by-state search would give: states
-    in order of first discovery when each state's tree is searched in turn,
-    each state's transitions by sequence length, then breadth-first position.
+    state's tree starts on the tick after the state is first reached, from
+    its cell centre: its index row times the grid steps, appended to the
+    rows of the states found before it. The table is then put in the order a
+    state-by-state search would give: states in order of first discovery when
+    each state's tree is searched in turn, each state's transitions by
+    sequence length, then breadth-first position.
 
     dedup: "all" records every sequence per (from, to) outcome; "shortest"
     keeps only the first (breadth-first order makes it a shortest one).
@@ -215,7 +218,11 @@ def find_transitions(
     params = PendulumParams(np.array([j.mass for j in robot.joints]),
                             np.array([j.length for j in robot.joints]), robot.gravity)
 
-    # states by id in the order the frontier first reached them
+    # grid steps per column: a cell's index row times these is its centre,
+    # bitwise `representative`'s, as every index is below 2^53 in size
+    steps = np.array([robot.grids(i)[k][2] for k in (0, 1) for i in range(n)])
+
+    # states by id in the order the frontier first reached them; ids by index row
     states: list[QuantizedState] = []
     ids: dict = {}
     records: list[list] = []     # per state id: (sequence, destination id), per-tree BFS order
@@ -225,29 +232,30 @@ def find_transitions(
     def progress() -> str:
         return f"{simulated} sequences simulated, {len(states)} states found so far"
 
-    def add_state(s: QuantizedState) -> int:
+    def add_state(row: tuple) -> int:
         if len(states) + 1 > max_states:
             raise BudgetExceeded(f"discovered states exceeded budget {max_states} ({progress()})")
-        ids[s.key()] = len(states)
-        states.append(s)
+        ids[row] = len(states)
+        states.append(QuantizedState(row[:n], row[n:]))
         records.append([])
         return len(states) - 1
 
     # a tick's parents: the tree (state id) of each pending sequence, the
-    # sequence so far and the continuous state it ends in; a state found on
-    # a tick joins the next tick's parents with the empty sequence at its
-    # cell centre, after the growing sequences. One row per parent and action.
-    new_ids = [add_state(start)]
+    # sequence so far and the continuous state it ends in; the states found on
+    # a tick join the next tick's parents with the empty sequence at their
+    # cell centres, after the growing sequences. One row per parent and action.
+    add_state(start.pos_idx + start.vel_idx)
     prefixes: list[ActionSequence] = []
     p_tree = np.empty(0, dtype=np.int64)
     p_ends = np.empty((0, 2 * n))      # end states: joint positions, then velocities
+    home = np.empty((0, 2 * n))        # index rows of the states by id
     while True:
-        if new_ids:
-            roots = [r.q + r.v for r in (representative(states[k], robot) for k in new_ids)]
-            prefixes += [()] * len(new_ids)
-            p_tree = np.concatenate([p_tree, new_ids])
-            p_ends = np.concatenate([p_ends, roots])
-            home = np.array([s.pos_idx + s.vel_idx for s in states], dtype=np.float64)
+        if len(states) > len(home):
+            new = np.array([s.pos_idx + s.vel_idx for s in states[len(home):]], dtype=np.float64)
+            prefixes += [()] * len(new)
+            p_tree = np.concatenate([p_tree, np.arange(len(home), len(states))])
+            p_ends = np.concatenate([p_ends, new * steps])
+            home = np.concatenate([home, new])
         if not prefixes:
             break
         rows = len(prefixes) * n_act
@@ -276,17 +284,14 @@ def find_transitions(
         def sequence(p: int) -> ActionSequence:
             return prefixes[p // n_act] + (actions[p % n_act],)
 
-        new_ids = []
         trees, moves = tree[settled].tolist(), moved[settled].tolist()
-        for p, frm, is_move, cell in zip(settled.tolist(), trees, moves,
-                                         cells[settled].astype(np.int64).tolist()):
+        for p, frm, is_move, row in zip(settled.tolist(), trees, moves,
+                                        map(tuple, cells[settled].astype(np.int64).tolist())):
             seq = sequence(p)
             if is_move:
-                key = (tuple(cell[:n]), tuple(cell[n:]))
-                to = ids.get(key)
+                to = ids.get(row)
                 if to is None:
-                    to = add_state(QuantizedState(*key))
-                    new_ids.append(to)
+                    to = add_state(row)
             else:
                 cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
                 if not _static_hold(states[frm], seq, cont, robot):
@@ -392,12 +397,13 @@ class _Rendered(dict):
 def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     """Write the header line, then one line per transition in table order.
 
-    A line is json.dumps of the transition's dict. Each distinct state, torque
+    A line is json.dumps of the transition's dict. Each state, distinct torque
     sequence and duration is rendered by json.dumps once per call, and a line
-    joins those fragments with json.dumps's default separators. States and
-    sequences are keyed by value, as their indices are ints in every table
-    this package builds; a duration is keyed with its type, so 1 and 1.0 keep
-    their own texts, and a zero (where 0.0 and -0.0 differ) is not cached.
+    joins those fragments with json.dumps's default separators. A line's
+    states are the table's states of the same key, and sequences are keyed by
+    value, as their indices are ints in every table this package builds; a
+    duration is keyed with its type, so 1 and 1.0 keep their own texts, and a
+    zero (where 0.0 and -0.0 differ) is not cached.
     """
     header = {
         "format": JSONL_FORMAT,
@@ -405,14 +411,13 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
         "robot_hash": table.robot_hash,
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    states = _Rendered(lambda s: json.dumps(_state_to_json(s)))
+    states = {s.key(): json.dumps(_state_to_json(s)) for s in table.states}
     seqs = _Rendered(lambda seq: json.dumps([list(a) for a in seq]))
     durations = _Rendered(lambda key: json.dumps(key[1]))
-    for t in table.transitions:
-        d = t.duration
+    for frm, seq, d, to in table.transitions:
         dur = durations[type(d), d] if d else json.dumps(d)
-        fh.write(f'{{"from": {states[t.from_state]}, "torque_idx_seq": {seqs[t.actions]}, '
-                 f'"duration_s": {dur}, "to": {states[t.to_state]}}}\n')
+        fh.write(f'{{"from": {states[frm.key()]}, "torque_idx_seq": {seqs[seq]}, '
+                 f'"duration_s": {dur}, "to": {states[to.key()]}}}\n')
 
 
 def read_jsonl(fh: IO[str]) -> TransitionTable:

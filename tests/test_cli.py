@@ -3,6 +3,7 @@ in child processes, so what a command loads is seen from a fresh interpreter."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -786,3 +787,32 @@ def test_closed_stdout_is_one_error_line(table_file, argv):
     assert len(lines) == 2
     assert lines[0] == "error: cannot write stdout: [Errno 32] Broken pipe"
     assert json.loads(lines[1])["subcommand"] == argv[0]
+
+
+def run_without_stdout(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI as `dtraj ... >&-`: it starts with fd 1 closed, so sys.stdout is None."""
+    cmd = " ".join(shlex.quote(a) for a in (sys.executable, "-m", "dtraj.cli", *argv))
+    return subprocess.run(["sh", "-c", cmd + " >&-"], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "corridor", "--d", "5", "--from", "2", "--to", "3", "--steps", "4"],
+    ["transitions", "--config", CFG],
+], ids=["count corridor", "transitions"])
+def test_stdout_closed_at_start_is_one_error_line(argv):
+    done = run_without_stdout(*argv)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 2, done.stderr
+    assert lines[0] == "error: cannot write stdout: [Errno 9] Bad file descriptor"
+    assert json.loads(lines[1])["subcommand"] == " ".join(argv[:2 if argv[0] == "count" else 1])
+
+
+def test_stdout_closed_at_start_is_no_error_with_out(tmp_path):
+    out = tmp_path / "count.txt"
+    done = run_without_stdout("count", "corridor", "--d", "5", "--from", "2", "--to", "3",
+                              "--steps", "4", "--out", str(out))
+    assert done.returncode == 0
+    assert len(done.stderr.splitlines()) == 1     # the manifest
+    assert out.read_text() == "16\n"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtraj.dynamics import (
+    SUBSTEPS,
     PendulumParams,
     act_sequence,
     integrate_joint,
     integrate_step,
     joint_params,
-    pendulum_accel,
     total_energy,
     validation_check,
 )
@@ -29,6 +29,51 @@ from conftest import DEG
 P = PendulumParams(mass=1.0, length=1.0, gravity=9.81)
 
 
+def pendulum_accel(q, u, p: PendulumParams, sin=math.sin):
+    """Gravity's restoring term plus torque, as `integrate_joint` once took it per stage."""
+    gravity, inertia = -(p.gravity / p.length), p.mass * p.length * p.length
+    return gravity * sin(q) + u / inertia
+
+
+def reference_integrate_joint(q, v, u, p: PendulumParams, dt: float, substeps: int = SUBSTEPS,
+                              sin=math.sin):
+    """The RK4 loop with one `pendulum_accel` call per stage, kept as the kernel's oracle."""
+    h = dt / substeps
+    for _ in range(substeps):
+        k1q = v
+        k1v = pendulum_accel(q, u, p, sin)
+        k2q = v + 0.5 * h * k1v
+        k2v = pendulum_accel(q + 0.5 * h * k1q, u, p, sin)
+        k3q = v + 0.5 * h * k2v
+        k3v = pendulum_accel(q + 0.5 * h * k2q, u, p, sin)
+        k4q = v + h * k3v
+        k4v = pendulum_accel(q + h * k3q, u, p, sin)
+        q, v = (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
+                v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+    return q, v
+
+
+def bits(x) -> list[int]:
+    return np.asarray(x, dtype=np.float64).view(np.int64).ravel().tolist()
+
+
+def near_limit_states(rng, rows: int, joints: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, joints) states of the demo joint: half seeded inside its limits,
+    half within 1e-9 of a limit or a cell past it."""
+    q = rng.uniform(-135 * DEG, 135 * DEG, (rows, joints))
+    v = rng.uniform(-180 * DEG, 180 * DEG, (rows, joints))
+    edge = rng.choice([-1.0, 1.0], (rows // 2, joints))
+    q[: rows // 2] = edge * (135 * DEG + rng.choice([-1e-9, 0.0, 1e-9, 2 * DEG], edge.shape))
+    v[: rows // 2] = -edge * (180 * DEG + rng.choice([-1e-9, 0.0, 1e-9, 50 * DEG], edge.shape))
+    return q, v
+
+
+def menu_and_off_menu_torques(rng, shape) -> np.ndarray:
+    """The demo menu's torques and seeded ones off it, up to twice its range."""
+    menu = rng.choice([-50.0, -25.0, 0.0, 25.0, 50.0], shape)
+    return np.where(rng.random(shape) < 0.5, menu, rng.uniform(-100.0, 100.0, shape))
+
+
 def test_acceleration_model():
     # gravity pulls toward the hanging equilibrium, torque adds directly
     assert pendulum_accel(0.0, 0.0, P) == 0.0
@@ -36,6 +81,34 @@ def test_acceleration_model():
     assert pendulum_accel(0.0, 5.0, P) == pytest.approx(5.0)
     heavier = PendulumParams(mass=2.0, length=1.0, gravity=9.81)
     assert pendulum_accel(0.0, 5.0, heavier) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("params", [
+    P, PendulumParams(mass=0.35, length=1.7, gravity=9.81),
+    PendulumParams(mass=4.0, length=0.2, gravity=3.7),
+], ids=["demo", "long", "short"])
+def test_kernel_is_bitwise_its_oracle_on_floats(params):
+    rng = np.random.default_rng(2022)
+    q, v = near_limit_states(rng, 300, 1)
+    u = menu_and_off_menu_torques(rng, 300)
+    for dt, substeps in ((0.04, SUBSTEPS), (0.03, 1), (0.05, 37)):
+        for args in zip(q.ravel().tolist(), v.ravel().tolist(), u.tolist()):
+            got = integrate_joint(*args, params, dt, substeps)
+            want = reference_integrate_joint(*args, params, dt, substeps)
+            assert bits(got) == bits(want), (args, dt, substeps)
+
+
+@pytest.mark.parametrize("joints", [1, 2, 3])
+def test_kernel_is_bitwise_its_oracle_on_arrays(joints):
+    # (rows, joints) frontiers as discovery integrates them, per-joint constants
+    rng = np.random.default_rng(joints)
+    params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
+    q, v = near_limit_states(rng, 400, joints)
+    u = menu_and_off_menu_torques(rng, (400, joints))
+    got = integrate_joint(q, v, u, params, 0.04, sin=np.sin)
+    want = reference_integrate_joint(q, v, u, params, 0.04, sin=np.sin)
+    assert bits(got[0]) == bits(want[0])
+    assert bits(got[1]) == bits(want[1])
 
 
 def test_integrator_matches_fine_reference():

@@ -30,10 +30,30 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Each "module: name" of a private function or class that no source reads.
+
+    Private is one leading underscore and no trailing dunder; a read is a
+    loaded name or attribute anywhere in `sources` (module name -> text).
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in read]
+
+
+def read_source(module: str) -> str:
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_parameter_is_accepted_and_ignored(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        unread = unread_parameters(fh.read())
+    unread = unread_parameters(read_source(module))
     assert not unread, f"src/dtraj/{module} never reads " + ", ".join(unread)
 
 
@@ -49,3 +69,25 @@ def test_the_check_sees_each_kind_of_parameter():
     )
     assert unread_parameters(source) == ["f: b", "f: d", "f: c", "f: e",
                                          "<lambda at line 3>: x"]
+
+
+def test_every_private_definition_is_used():
+    unused = unreferenced_private_definitions({m: read_source(m) for m in MODULES})
+    assert not unused, "no src/dtraj module uses " + ", ".join(unused)
+
+
+def test_the_check_sees_each_kind_of_private_definition():
+    sources = {
+        "a.py": (
+            "def _used(): pass\n"
+            "def _unused(): pass\n"
+            "class _Gone: pass\n"
+            "class K:\n"
+            "    def __init__(self): self._method = None\n"
+            "    def _method(self): pass\n"
+            "    def _called(self): return self\n"
+        ),
+        "b.py": "from a import _used, K\n_used()\nK()._called()\n",
+    }
+    assert unreferenced_private_definitions(sources) == [
+        "a.py: _unused", "a.py: _Gone", "a.py: _method"]
