@@ -48,7 +48,7 @@ def main():
         f"{n}t x{c}" for n, c in sorted(lens.items())))
 
     zero = QuantizedState((0,) * robot.n_joints, (0,) * robot.n_joints)
-    if zero.key() in {s.key() for s in table.states}:
+    if zero in table.states:
         print(f"walks from rest:")
         for n in range(args.hops + 1):
             c = count_trajectories(table, n)[zero]

@@ -29,6 +29,7 @@ from .model import (
     DEFAULT_NAL,
     QuantizedState,
     load_robot,
+    read_file,
 )
 
 # count scaling's row cap, checked before any range is expanded; a column of
@@ -134,13 +135,6 @@ def _cmd_transitions(args, robot) -> None:
         _write_output(args.dot, lambda fh: fh.write(export_dot(table)))
 
 
-def _open(path: str) -> IO[str]:
-    try:
-        return open(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
-
-
 def _cmd_enumerate(args, table) -> None:
     from .model import format_count
     from .trajectories import count_trajectories, enumerate_trajectories
@@ -176,8 +170,7 @@ def _cmd_plan(args, robot, table) -> None:
             file=sys.stderr,
         )
     check_torque_menu(table, robot)
-    with _open(args.desired) as fh:
-        desired = load_desired_csv(fh)
+    desired = read_file(args.desired, load_desired_csv)
     result = plan_action_sequence(table, desired, robot)
     _write_output(args.out, lambda fh: write_plan_json(result, fh))
 
@@ -360,8 +353,7 @@ def main(argv=None) -> int:
             config_hash = inputs["robot"].content_hash()
         if "transitions" in vars(args):
             from .transitions import read_jsonl
-            with _open(args.transitions) as fh:
-                inputs["table"] = read_jsonl(fh)
+            inputs["table"] = read_file(args.transitions, read_jsonl)
         args.func(args, **inputs)
         if sys.stdout is not None:
             sys.stdout.flush()

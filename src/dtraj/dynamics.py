@@ -9,8 +9,7 @@ count chosen so the per-tick error stays far below the position resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NumericalOverflow
 from .model import (
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
 SUBSTEPS = 10
 
 
-@dataclass(frozen=True)
-class PendulumParams:
+class PendulumParams(NamedTuple):
     """One joint's constants as floats, or every joint's as per-joint arrays."""
 
     mass: float | np.ndarray

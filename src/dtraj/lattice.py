@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
 from .model import JointSpec, _round_half_away, check_count_work, format_count, grid_range
@@ -49,27 +48,23 @@ _MOVE_SET_DIM_CAP = 12
 # move sets
 
 
-@dataclass(frozen=True)
 class MoveSet:
     """Allowed per-step displacement vectors; components limited to -1/0/+1."""
 
-    n: int
-    moves: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, moves: tuple[tuple[int, ...], ...]):
+        if n < 1:
             raise DomainError("move set dimension must be >= 1")
         seen = set()
-        for mv in self.moves:
-            if len(mv) != self.n:
-                raise DomainError(f"move {mv} has wrong dimension (expected {self.n})")
+        for mv in moves:
+            if len(mv) != n:
+                raise DomainError(f"move {mv} has wrong dimension (expected {n})")
             if any(c not in (-1, 0, 1) for c in mv):
                 raise DomainError(f"move {mv} has components outside -1/0/+1")
             if mv in seen:
                 raise DomainError(f"duplicate move {mv}")
             seen.add(mv)
         # canonical ordering for deterministic iteration
-        object.__setattr__(self, "moves", tuple(sorted(self.moves)))
+        self.n, self.moves = n, tuple(sorted(moves))
 
     def is_full(self) -> bool:
         return len(self.moves) == 3 ** self.n
@@ -85,18 +80,15 @@ def full_move_set(n: int) -> MoveSet:
     return MoveSet(n=n, moves=moves)
 
 
-@dataclass(frozen=True)
 class CorridorSpec:
     """Per-axis wall positions (walls at 0 and d_j) plus the move set."""
 
-    d: tuple[int, ...]
-    move_set: MoveSet
-
-    def __post_init__(self):
-        if len(self.d) != self.move_set.n:
+    def __init__(self, d: tuple[int, ...], move_set: MoveSet):
+        if len(d) != move_set.n:
             raise DomainError("corridor dimension does not match move set")
-        if any(dj < 2 for dj in self.d):
+        if any(dj < 2 for dj in d):
             raise DomainError("every wall parameter d_j must be >= 2")
+        self.d, self.move_set = d, move_set
 
 
 def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> bool:
@@ -120,8 +112,7 @@ def _check_walk(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) ->
 # counts
 
 
-@dataclass(frozen=True)
-class PathCount:
+class PathCount(NamedTuple):
     """A walk count, always an exact int."""
 
     exact: int
@@ -415,8 +406,7 @@ def _approx_log10(log_a: float, m: int, n: int) -> float:
     return m * log_a - n * math.log10(2 * m + 1)
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     n: str
     m: str
     log10_count: float | None

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DomainError, OutOfRange, ResourceLimit
 
@@ -48,8 +47,7 @@ DEFAULT_MAX_SEQUENCES = 10_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class JointSpec:
+class JointSpec(NamedTuple):
     """One actuated joint: limits, resolutions, dynamics constants, torque menu."""
 
     name: str
@@ -90,8 +88,7 @@ class JointSpec:
         return (self.q_min <= q) & (q <= self.q_max) & (self.v_min <= v) & (v <= self.v_max)
 
 
-@dataclass(frozen=True)
-class RobotSpec:
+class RobotSpec(NamedTuple):
     """A robot: ordered joints plus the shared clock resolution."""
 
     joints: tuple[JointSpec, ...]
@@ -105,6 +102,8 @@ class RobotSpec:
             raise DomainError("delta_t must be positive")
         for i, j in enumerate(self.joints):
             j.validate()
+            if self.delta_v(i) == math.inf:
+                raise DomainError(f"joint {j.name}: delta_q / delta_t overflows a float")
             for lo, hi, step in self.grids(i):
                 if not (step > 0 and max(abs(lo), abs(hi)) / step <= _MAX_CELLS_FROM_0):
                     raise DomainError(f"joint {j.name}: a limit is too many cells from 0")
@@ -141,22 +140,21 @@ class RobotSpec:
         return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ContinuousState:
+class ContinuousState(NamedTuple):
     """Internal representative between quantization events; never serialized."""
 
     q: tuple[float, ...]
     v: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class QuantizedState:
-    """Integer grid coordinates; equality here IS distinguishability."""
+class QuantizedState(NamedTuple):
+    """Integer grid coordinates; equality here IS distinguishability, and a state is its own key."""
 
     pos_idx: tuple[int, ...]
     vel_idx: tuple[int, ...]
 
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(pos_idx, vel_idx) as a plain tuple for outside readers; equal to the state."""
         return (self.pos_idx, self.vel_idx)
 
 
@@ -302,7 +300,7 @@ def robot_from_dict(cfg: Mapping) -> RobotSpec:
     if delta_t_ms <= 0:
         raise ConfigError("robot: delta_t_ms must be positive")
     gravity = (_require_finite_number(cfg, "gravity", "robot") if "gravity" in cfg
-               else RobotSpec.gravity)
+               else RobotSpec._field_defaults["gravity"])
     joints_cfg = cfg.get("joints")
     if not isinstance(joints_cfg, Sequence) or isinstance(joints_cfg, (str, bytes)) or not joints_cfg:
         raise ConfigError("robot: 'joints' must be a non-empty list")
@@ -331,13 +329,20 @@ def robot_from_dict(cfg: Mapping) -> RobotSpec:
     return robot
 
 
+def read_file(path: str, parse: Callable[[IO[str]], object], name: str | None = None):
+    """parse(fh) of the UTF-8 text file at `path`; every input file is read here. One
+    that cannot be opened, read or decoded is a ConfigError naming it (`name`, or the path)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {name or path}: {exc}") from None
+
+
 def load_robot(path: str) -> RobotSpec:
     """Load and validate a robot configuration file (UTF-8 JSON, degree units)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read robot config {path!r}: {exc}") from exc
+        cfg = read_file(path, json.load, f"robot config {path!r}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"robot config {path!r} is not valid JSON: {exc}") from exc
     return robot_from_dict(cfg)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
 from .model import (
@@ -27,15 +26,14 @@ from .model import (
     quantize,
     widen_counts,
 )
-from .transitions import TransitionTable
+from .transitions import TransitionTable, _state_to_json
 
 # a target counts as reached while the offset is below one resolution unit;
 # the epsilon absorbs float noise in degree -> radian -> grid arithmetic
 _MOVE_THRESHOLD = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Walk through the table: (state, hop index) pairs, hop 0 at the start."""
 
     waypoints: tuple[tuple[QuantizedState, int], ...]
@@ -122,32 +120,31 @@ def enumerate_trajectories(
 # desired trajectories and the greedy planner
 
 
-@dataclass(frozen=True)
 class DesiredTrajectory:
     """Configuration targets over time; radians, seconds, strictly increasing from 0."""
 
-    waypoints: tuple[tuple[tuple[float, ...], float], ...]
-
-    def __post_init__(self):
-        if not self.waypoints:
+    def __init__(self, waypoints: tuple[tuple[tuple[float, ...], float], ...]):
+        if not waypoints:
             raise DomainError("desired trajectory is empty")
-        if abs(self.waypoints[0][1]) > 1e-12:
+        if abs(waypoints[0][1]) > 1e-12:
             raise DomainError("desired trajectory must start at t = 0")
-        wp = self.waypoints
-        if any(len(q) != len(wp[0][0]) for q, _ in wp):
+        if any(len(q) != len(waypoints[0][0]) for q, _ in waypoints):
             raise DomainError("inconsistent joint count in desired trajectory")
-        if any(t1 <= t0 for (_, t0), (_, t1) in zip(wp, wp[1:])):
+        if any(t1 <= t0 for (_, t0), (_, t1) in zip(waypoints, waypoints[1:])):
             raise DomainError("desired trajectory times must strictly increase")
+        self.waypoints = waypoints
 
 
 def load_desired_csv(fh: IO[str]) -> DesiredTrajectory:
     """Read `t_s,q1_deg[,q2_deg,...]` rows of finite numbers; angles converted to radians."""
     reader = csv.reader(fh)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("empty desired-trajectory file") from None
-    header = [h.strip() for h in header]
+        lines = list(reader)
+    except csv.Error as e:    # a field past csv's size limit, say
+        raise ConfigError(f"line {reader.line_num}: {e}") from None
+    if not lines:
+        raise ConfigError("empty desired-trajectory file")
+    header = [h.strip() for h in lines[0]]
     if not header or header[0] != "t_s":
         raise ConfigError("desired-trajectory header must start with t_s")
     for k, name in enumerate(header[1:], start=1):
@@ -156,7 +153,7 @@ def load_desired_csv(fh: IO[str]) -> DesiredTrajectory:
     if len(header) < 2:
         raise ConfigError("desired trajectory needs at least one joint column")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(lines[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):
@@ -171,8 +168,7 @@ def load_desired_csv(fh: IO[str]) -> DesiredTrajectory:
     return DesiredTrajectory(tuple(rows))
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     sequences: tuple[ActionSequence, ...]
     visited: tuple[QuantizedState, ...]
     final_state: QuantizedState
@@ -251,10 +247,7 @@ def plan_action_sequence(
 def write_plan_json(result: PlanResult, fh: IO[str]) -> None:
     obj = {
         "sequences": [[list(a) for a in seq] for seq in result.sequences],
-        "final_state": {
-            "pos": list(result.final_state.pos_idx),
-            "vel": list(result.final_state.vel_idx),
-        },
+        "final_state": _state_to_json(result.final_state),
         "miss_deg": list(result.miss_deg),
     }
     if result.warnings:

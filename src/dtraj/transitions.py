@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
@@ -56,41 +55,42 @@ class Transition(NamedTuple):
         return self.from_state == self.to_state
 
 
-@dataclass
 class TransitionTable:
     """States in discovery order plus their outgoing transitions.
 
     The ordering is canonical: states appear in the order the search first
     reached them, transitions in the order the search recorded them. Two runs
-    over the same robot produce byte-identical tables. A transition from or to
+    over the same robot produce byte-identical tables, and tables are equal
+    when their robot_hash, states and transitions are. A transition from or to
     a state outside `states` raises UnknownState when the table is built.
     """
 
-    robot_hash: str
-    states: tuple[QuantizedState, ...]
-    transitions: tuple[Transition, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _out: list = field(default_factory=list, repr=False, compare=False)
-    _dst: list = field(default_factory=list, repr=False, compare=False)
-    _edges: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = self._index = {s.key(): i for i, s in enumerate(self.states)}
+    def __init__(self, robot_hash: str, states: tuple[QuantizedState, ...],
+                 transitions: tuple[Transition, ...]):
+        self.robot_hash, self.states, self.transitions = robot_hash, states, transitions
+        index = self._index = {s: i for i, s in enumerate(states)}
         # per state id, its transitions and their destination ids, in table order
-        out = self._out = [[] for _ in self.states]
-        dst = self._dst = [[] for _ in self.states]
-        for k, t in enumerate(self.transitions):
+        out = self._out = [[] for _ in states]
+        dst = self._dst = [[] for _ in states]
+        self._edges = None
+        for k, t in enumerate(transitions):
             try:
-                i = index[t.from_state.key()]
-                dst[i].append(index[t.to_state.key()])
+                i = index[t.from_state]
+                dst[i].append(index[t.to_state])
             except KeyError:
-                lost = t.to_state if t.from_state.key() in index else t.from_state
+                lost = t.to_state if t.from_state in index else t.from_state
                 raise UnknownState(f"transition {k}: state {lost} not in table") from None
             out[i].append(t)
 
+    def __eq__(self, other):
+        if not isinstance(other, TransitionTable):
+            return NotImplemented
+        return ((self.robot_hash, self.states, self.transitions)
+                == (other.robot_hash, other.states, other.transitions))
+
     def state_index(self, state: QuantizedState) -> int:
         try:
-            return self._index[state.key()]
+            return self._index[state]
         except KeyError:
             raise UnknownState(f"state {state} not in table") from None
 
@@ -115,7 +115,7 @@ class TransitionTable:
         """Subtable over the first k >= 0 states; only edges staying inside survive."""
         index = self._index    # the first k states are ids 0..k-1
         kept = tuple(t for t in self.transitions
-                     if index[t.from_state.key()] < k and index[t.to_state.key()] < k)
+                     if index[t.from_state] < k and index[t.to_state] < k)
         return TransitionTable(self.robot_hash, self.states[:k], kept)
 
 
@@ -399,11 +399,12 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
 
     A line is json.dumps of the transition's dict. Each state, distinct torque
     sequence and duration is rendered by json.dumps once per call, and a line
-    joins those fragments with json.dumps's default separators. A line's
-    states are the table's states of the same key, and sequences are keyed by
-    value, as their indices are ints in every table this package builds; a
-    duration is keyed with its type, so 1 and 1.0 keep their own texts, and a
-    zero (where 0.0 and -0.0 differ) is not cached.
+    joins those fragments with json.dumps's default separators. A state is its
+    own key, so a line's states are written as the table's equal states, and
+    sequences are keyed by value: the same texts, as their indices are ints in
+    every table this package builds. A duration is keyed with its type, so 1
+    and 1.0 keep their own texts, and a zero (where 0.0 and -0.0 differ) is
+    not cached.
     """
     header = {
         "format": JSONL_FORMAT,
@@ -411,13 +412,13 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
         "robot_hash": table.robot_hash,
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    states = {s.key(): json.dumps(_state_to_json(s)) for s in table.states}
+    states = {s: json.dumps(_state_to_json(s)) for s in table.states}
     seqs = _Rendered(lambda seq: json.dumps([list(a) for a in seq]))
     durations = _Rendered(lambda key: json.dumps(key[1]))
     for frm, seq, d, to in table.transitions:
         dur = durations[type(d), d] if d else json.dumps(d)
-        fh.write(f'{{"from": {states[frm.key()]}, "torque_idx_seq": {seqs[seq]}, '
-                 f'"duration_s": {dur}, "to": {states[to.key()]}}}\n')
+        fh.write(f'{{"from": {states[frm]}, "torque_idx_seq": {seqs[seq]}, '
+                 f'"duration_s": {dur}, "to": {states[to]}}}\n')
 
 
 def read_jsonl(fh: IO[str]) -> TransitionTable:
@@ -499,13 +500,13 @@ def export_dot(table: TransitionTable) -> str:
 
     Each distinct torque sequence's label is rendered once per call.
     """
-    nodes = {s.key(): f"n{i}" for i, s in enumerate(table.states)}
+    nodes = {s: f"n{i}" for i, s in enumerate(table.states)}
     labels = _Rendered(_rle_actions)
     lines = ["digraph transitions {"]
     for i, s in enumerate(table.states):
         lines.append(f'  n{i} [label="{state_label(s)}"];')
     for t in table.transitions:
-        a, b = nodes[t.from_state.key()], nodes[t.to_state.key()]
+        a, b = nodes[t.from_state], nodes[t.to_state]
         lines.append(f'  {a} -> {b} [label="{labels[t.actions]}"];')
     lines.append("}\n")  # ends the text with a newline without copying it
     return "\n".join(lines)

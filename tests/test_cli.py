@@ -541,6 +541,39 @@ class TestPlanCommand:
                                     "--config", CFG, "--desired", str(desired)], code=2)
         assert err == "error: line 3: t_s and every angle must be finite"
 
+    def test_field_past_the_csv_limit_is_config_error(self, capsys, tmp_path):
+        desired = tmp_path / "d.csv"
+        desired.write_text("t_s,q1_deg\n0," + "1" * 140_000 + "\n")
+        err = refused_fast(capsys, ["plan", "--transitions", three_state_table(tmp_path),
+                                    "--config", CFG, "--desired", str(desired)], code=2)
+        assert err == "error: line 2: field larger than field limit (131072)"
+
+
+class TestInputEncoding:
+    HEADER = json.dumps(THREE_STATE_TABLE[0]).encode() + b"\n"
+
+    @pytest.mark.parametrize("which", ["table", "table line 2", "config", "desired"])
+    def test_non_utf8_input_is_one_error_line(self, capsys, tmp_path, which):
+        # every input file is read as UTF-8; one that is not is named, with
+        # the byte's position in the file
+        bad = tmp_path / "bad"
+        at = len(self.HEADER) if which == "table line 2" else 0
+        bad.write_bytes(self.HEADER[:at] + b"\xff\n")
+        argv = {
+            "table": ["enumerate", "--transitions", str(bad), "--steps", "1"],
+            "config": ["count", "bounds", "--config", str(bad), "--steps", "1"],
+            "desired": ["plan", "--transitions", three_state_table(tmp_path), "--config", CFG,
+                        "--desired", str(bad)],
+        }[which.split()[0]]
+        name = f"robot config {str(bad)!r}" if which == "config" else str(bad)
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        error, manifest = out.err.splitlines()
+        assert error == (f"error: cannot read {name}: 'utf-8' codec can't decode byte 0xff "
+                         f"in position {at}: invalid start byte")
+        assert json.loads(manifest)["subcommand"] == " ".join(argv[:2 if argv[0] == "count" else 1])
+
 
 class TestHarness:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -702,6 +735,22 @@ class TestImports:
         loaded = cli_modules(*argv)
         assert "hashlib" not in loaded
         assert "decimal" not in loaded
+
+    def test_count_corridor_loads_no_dataclasses(self):
+        # records are named tuples: neither dataclasses nor the inspect module
+        # it loads is on any command's import path, directly or not
+        code = (
+            "import json, sys\n"
+            "from dtraj.cli import main\n"
+            "main(['count', 'corridor', '--d', '5', '--from', '2', '--to', '3', '--steps', '4'])\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        done = run_child(code)
+        out = done.stdout.splitlines()
+        assert out[0] == "16"
+        loaded = set(json.loads(out[-1]))
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
 
     def test_plan_does_not_load_numpy(self, table_file, desired_file):
         loaded = cli_modules("plan", "--transitions", str(table_file), "--config", CFG,

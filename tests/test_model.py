@@ -168,6 +168,13 @@ class TestJointValidation:
         with pytest.raises(DomainError, match="too many cells"):
             make_robot(delta_q=1e-19 * DEG).validate()
 
+    def test_velocity_step_must_be_finite(self):
+        # delta_q / delta_t past the float range would put NaN cell centres
+        # (0 * inf) into discovery's frontier
+        fast = RobotSpec(delta_t=1e-313, gravity=9.81, joints=make_robot().joints)
+        with pytest.raises(DomainError, match="overflows a float"):
+            fast.validate()
+
 
 class TestConfigIngestion:
     def good(self) -> dict:

@@ -91,3 +91,33 @@ def test_the_check_sees_each_kind_of_private_definition():
     }
     assert unreferenced_private_definitions(sources) == [
         "a.py: _unused", "a.py: _Gone", "a.py: _method"]
+
+
+def dataclasses_imports(source: str) -> list[int]:
+    """The line of each `import dataclasses` or `from dataclasses import ...`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "dataclasses"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    # records are named tuples and validating types plain classes, so no
+    # command pays for importing dataclasses (and the inspect module it loads)
+    lines = dataclasses_imports(read_source(module))
+    assert not lines, f"src/dtraj/{module} imports dataclasses on line(s) {lines}"
+
+
+def test_the_check_sees_each_kind_of_dataclasses_import():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "import os, dataclasses as dc\n"
+        "def f():\n"
+        "    from dataclasses import field\n"
+        "from typing import NamedTuple\n"
+        "from .dataclasses import x\n"
+    )
+    assert dataclasses_imports(source) == [1, 2, 3, 5]

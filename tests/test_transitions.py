@@ -379,6 +379,32 @@ class TestTableApi:
         assert row_start.tolist() == [0, 2, 5, 5]
         assert max(np.diff(row_start)) == 3
 
+    def test_constructor_takes_only_the_three_fields(self):
+        # an index passed in would be trusted by the walk counter: a one-edge
+        # table with this edge index would count 3 walks, not 1
+        s = QuantizedState((0,), (0,))
+        one_edge = (Transition(s, ((0,),), 0.04, s),)
+        with pytest.raises(TypeError):
+            TransitionTable("h", (s,), one_edge,
+                            _edges=(np.zeros(3, dtype=np.int64), np.array([0, 3])))
+        with pytest.raises(TypeError):
+            TransitionTable("h", (s,), one_edge, _index={s: 0})
+
+    def test_equal_to_its_read_back_whatever_was_built(self, pendulum_table):
+        buf = io.StringIO()
+        write_jsonl(pendulum_table, buf)
+        back, again = (read_jsonl(io.StringIO(buf.getvalue())) for _ in range(2))
+        back.edge_index()
+        assert back == again and again == back
+        assert back == pendulum_table
+        renamed = TransitionTable("sha256:other", again.states, again.transitions)
+        assert renamed != again
+        assert again != (again.robot_hash, again.states, again.transitions)
+
+    def test_a_state_is_its_own_key(self, pendulum_table):
+        for i, s in enumerate(pendulum_table.states):
+            assert s == s.key() and hash(s) == hash(s.key())
+            assert pendulum_table.state_index(QuantizedState(*s.key())) == i
 
     def test_torque_menu(self):
         robot = robot_from_dict(TWO_JOINT)
