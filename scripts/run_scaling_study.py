@@ -5,16 +5,17 @@ Writes the CSV through `dtraj count scaling` (one row per dof/step pair plus
 the reference rows), so the CLI's checks and caps apply, and reports the
 growth slopes fitted to the rows it wrote so a change in the counting code
 shows up as a number, not just a diff. A refused table exits with the CLI's
-code.
+code; the fits read the library's rows for the dof counts the CSV lists.
 """
 
 import argparse
+import csv
 import math
 import sys
 
 import numpy as np
 
-from dtraj import lattice
+from dtraj import load_robot, scaling_table
 from dtraj.cli import main as dtraj
 
 
@@ -34,22 +35,17 @@ def main():
     ap.add_argument("--out", default="scaling.csv")
     args = ap.parse_args()
 
-    # the CLI looks its layer's names up when it runs, so this wrapper keeps
-    # the rows it writes at full precision: the CSV's 6 decimals can move a
-    # fitted slope by 1e-6
-    rows = []
-    write_csv = lattice.write_scaling_csv
-
-    def keep_and_write(table, fh):
-        rows.extend(table)
-        write_csv(table, fh)
-
-    lattice.write_scaling_csv = keep_and_write
     rc = dtraj(["count", "scaling", "--config", args.config, "--dof", args.dof,
                 "--steps", f"1-{args.max_steps}", "--separation-deg", repr(args.separation_deg),
                 "--out", args.out])
     if rc:
         sys.exit(rc)
+    # the fits take the library's rows for the dof counts the CSV lists, at
+    # full precision: the CSV's 6 decimals can move a fitted slope by 1e-6
+    with open(args.out, newline="") as fh:
+        dofs = [r["n"] for r in csv.DictReader(fh) if r["m"] == "1" and r["method"] != "reference"]
+    rows = list(scaling_table(load_robot(args.config).joints[0], list(map(int, dofs)),
+                              args.max_steps, math.radians(args.separation_deg)))
     print(f"wrote {len(rows)} rows to {args.out}")
 
     # the forced-path row (exactly 1 walk) and the rows below it are "exact"
@@ -64,7 +60,6 @@ def main():
     lo = max(hi // 2, forced + 1)
     nodes = (lo, (lo + hi) // 2, hi)
     print(f"fitted log10-count slopes at steps {nodes}:")
-    dofs = [r.n for r in rows if r.m == "1" and r.method != "reference"]
     for tag in dofs + ["go"]:
         col = columns.get(tag, {})
         if len(set(nodes)) < 3 or any(m not in col for m in nodes):

@@ -220,12 +220,11 @@ def _cmd_count_scaling(args, robot) -> None:
     if n_dofs * (n_steps + widest // 1000) > _SCALING_ROW_CAP:
         raise ResourceLimit(f"--dof and --steps ask for {n_dofs} x {n_steps} rows of up to "
                             f"{widest} axes, more than the table's cap of {_SCALING_ROW_CAP} rows")
-    dofs = [k for r in dof_ranges for k in r]
-    steps = [k for r in step_ranges for k in r]
-    if steps[0] != 1 or steps != list(range(1, len(steps) + 1)):
+    # the steps are 1..n_steps when each range starts where the one before stopped
+    if [r.start for r in step_ranges] != [1, *(r.stop for r in step_ranges[:-1])]:
         raise ConfigError("--steps must be a contiguous range starting at 1, e.g. 1-100")
-    separation = math.radians(args.separation_deg)
-    rows = scaling_table(robot.joints[0], dofs, len(steps), separation)
+    dofs = [k for r in dof_ranges for k in r]
+    rows = scaling_table(robot.joints[0], dofs, n_steps, math.radians(args.separation_deg))
     _write_output(args.out, lambda fh: write_scaling_csv(rows, fh))
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, NumericalOverflow, ResourceLimit
 from .model import JointSpec, _round_half_away, check_count_work, format_count, grid_range
@@ -415,7 +415,7 @@ class ScalingRow(NamedTuple):
 
 def scaling_table(
     joint: JointSpec, n_range: Sequence[int], m_max: int, separation: float
-) -> list[ScalingRow]:
+) -> Iterator[ScalingRow]:
     """Path-count growth per dof count and step budget, plus reference rows.
 
     Axes are identical copies of the joint's corridor; the start is angle 0 and
@@ -429,7 +429,8 @@ def scaling_table(
     The per-axis counts come from one exact walk vector over the corridor's
     cells, advanced a step at a time in Python integers, so the table costs
     time growing as m_max^2 * d; they equal corridor_count_1d's.
-    model.check_count_work's budget is checked before any work.
+    model.check_count_work's budget is checked before any work. The checks and
+    the walk vector run at call time; the returned iterator makes one row at a time.
     """
     d, index = joint_to_corridor(joint)
     steps = separation / joint.delta_q
@@ -459,26 +460,26 @@ def scaling_table(
             walks = [0, *(x + y + z for x, y, z in zip(walks, walks[1:], walks[2:])), 0]
             per_axis.append(math.log10(walks[b_idx]) if walks[b_idx] else None)
 
-    rows: list[ScalingRow] = []
-    for n in n_range:
-        # approx_count_log10([3] * n, m, n)'s log10 |A|, summed once per column
-        log_a = sum(itertools.repeat(math.log10(3), n))
+    def rows() -> Iterator[ScalingRow]:
+        for n in n_range:
+            # approx_count_log10([3] * n, m, n)'s log10 |A|, summed once per column
+            log_a = sum(itertools.repeat(math.log10(3), n))
+            for m in range(1, m_max + 1):
+                if m < min_steps:
+                    yield ScalingRow(str(n), str(m), None, "exact")
+                elif m == min_steps:
+                    # unique forced path on every axis regardless of n
+                    yield ScalingRow(str(n), str(m), 0.0, "exact")
+                elif n <= 3:
+                    log10 = per_axis[m]
+                    yield ScalingRow(str(n), str(m), None if log10 is None else n * log10, "closed")
+                else:
+                    yield ScalingRow(str(n), str(m), _approx_log10(log_a, m, n), "approx")
         for m in range(1, m_max + 1):
-            if m < min_steps:
-                rows.append(ScalingRow(str(n), str(m), None, "exact"))
-            elif m == min_steps:
-                # unique forced path on every axis regardless of n
-                rows.append(ScalingRow(str(n), str(m), 0.0, "exact"))
-            elif n <= 3:
-                log10 = per_axis[m]
-                rows.append(ScalingRow(str(n), str(m), None if log10 is None else n * log10,
-                                       "closed"))
-            else:
-                rows.append(ScalingRow(str(n), str(m), _approx_log10(log_a, m, n), "approx"))
-    for m in range(1, m_max + 1):
-        rows.append(ScalingRow("go", str(m), m * math.log10(361.0), "reference"))
-    rows.append(ScalingRow("atoms", "*", 80.0, "reference"))
-    return rows
+            yield ScalingRow("go", str(m), m * math.log10(361.0), "reference")
+        yield ScalingRow("atoms", "*", 80.0, "reference")
+
+    return rows()
 
 
 def write_scaling_csv(rows: Iterable[ScalingRow], fh) -> None:

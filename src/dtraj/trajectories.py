@@ -189,12 +189,13 @@ def plan_action_sequence(
 ) -> PlanResult:
     """Greedy tracking of a desired configuration path.
 
-    Waypoints must sit on consecutive control ticks. While the upcoming target
-    is within one resolution unit of the current configuration, the planner
-    waits and lets its duration window grow; once the target is farther away,
-    it picks, among the outgoing transitions whose step count equals the
-    window, the one whose endpoint is nearest the target (ties: first in table
-    order), commits it, and resets the window. Missing candidates raise
+    Waypoints must sit on consecutive control ticks, each to within a
+    millionth of a tick. While the upcoming target is within one resolution
+    unit of the current configuration, the planner waits and lets its
+    duration window grow; once the target is farther away, it picks, among
+    the outgoing transitions whose step count equals the window, the one
+    whose endpoint is nearest the target (ties: first in table order),
+    commits it, and resets the window. Missing candidates raise
     NoFeasibleTransition with the waypoint index; a final configuration more
     than one resolution unit from the last target is reported as a warning,
     not an error.
@@ -204,7 +205,7 @@ def plan_action_sequence(
     if len(desired.waypoints[0][0]) != n:
         raise DomainError("desired trajectory joint count does not match robot")
     for k, (_, t) in enumerate(desired.waypoints):
-        if abs(t - k * robot.delta_t) > 1e-6:
+        if abs(t - k * robot.delta_t) > 1e-6 * robot.delta_t:
             raise DomainError(
                 f"waypoint {k} at t={t}, expected consecutive ticks of {robot.delta_t}"
             )

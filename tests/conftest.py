@@ -3,8 +3,14 @@ import math
 import os
 
 import pytest
+from hypothesis import settings
 
 from dtraj.model import JointSpec, RobotSpec
+
+# the same examples on every run, and no database replaying an earlier run's
+# failures, so two runs of one tree agree; each test keeps its max_examples
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 DEG = math.pi / 180.0
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum.json")

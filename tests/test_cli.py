@@ -296,6 +296,21 @@ class TestScalingCommand:
                    "--steps", "5-10", "--separation-deg", "20"])
         assert rc == 2
 
+    @pytest.mark.parametrize("steps, whole", [("1-5,6-10", "1-10"), ("1,2,3", "1-3")])
+    def test_steps_in_adjoining_ranges(self, capsys, steps, whole):
+        def table(steps):
+            assert main(["count", "scaling", "--config", CFG, "--dof", "1",
+                         "--steps", steps, "--separation-deg", "2"]) == 0
+            return capsys.readouterr().out
+
+        assert table(steps) == table(whole)
+
+    @pytest.mark.parametrize("steps", ["1-5,7-10", "1-3,3-5", "2-5"])
+    def test_steps_with_a_gap_overlap_or_late_start(self, capsys, steps):
+        err = refused_fast(capsys, ["count", "scaling", "--config", CFG, "--dof", "1",
+                                    "--steps", steps, "--separation-deg", "20"], code=2)
+        assert err == "error: --steps must be a contiguous range starting at 1, e.g. 1-100"
+
 
 class TestTransitionsCommand:
     def test_jsonl_header(self, table_file):
@@ -520,6 +535,26 @@ class TestPlanCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert "error: joint joint1: torque index 9 is outside its menu of 5 torques" in out.err
+
+    @pytest.mark.parametrize("times, code", [
+        ("0,1e-6,2e-6", 0), ("0,2e-6", 3), ("0,0.5e-6", 3), ("0,2e-6,2.5e-6", 3),
+    ])
+    def test_waypoints_on_microsecond_ticks(self, capsys, tmp_path, times, code):
+        # the tick rule is a millionth of a tick: an absolute 1 us would put a
+        # waypoint 1 us from its tick on the wrong one
+        with open(CFG) as fh:
+            cfg = dict(json.load(fh), delta_t_ms=0.001)
+        config = tmp_path / "robot.json"
+        config.write_text(json.dumps(cfg))
+        t = times.split(",")
+        desired = tmp_path / "d.csv"
+        desired.write_text("t_s,q1_deg\n0,0\n" + "".join(f"{x},2\n" for x in t[1:]))
+        rc = main(["plan", "--transitions", three_state_table(tmp_path), "--config", str(config),
+                   "--desired", str(desired)])
+        assert rc == code
+        if code:
+            assert capsys.readouterr().err.splitlines()[0] == (
+                f"error: waypoint 1 at t={float(t[1])}, expected consecutive ticks of 1e-06")
 
     @pytest.mark.parametrize("angle, k", [("1e308", "inf"), ("-1e308", "-inf")])
     def test_start_past_the_float_range_in_cells(self, capsys, tmp_path, angle, k):

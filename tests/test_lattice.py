@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -660,7 +661,7 @@ class TestApprox:
 
 @pytest.fixture(scope="module")
 def rows():
-    return scaling_table(demo_joint(), [1, 2, 3, 6], 60, 20 * DEG)
+    return list(scaling_table(demo_joint(), [1, 2, 3, 6], 60, 20 * DEG))
 
 
 class TestScalingTable:
@@ -748,4 +749,20 @@ class TestScalingTable:
             scaling_table(demo_joint(), [6, 3], 50_001, 20 * DEG)
         with pytest.raises(DomainError, match="dof counts"):
             scaling_table(demo_joint(), [3, 0], 50_001, 20 * DEG)
-        assert len(scaling_table(demo_joint(), [4], 50_001, 20 * DEG)) == 2 * 50_001 + 1
+        assert len(list(scaling_table(demo_joint(), [4], 50_001, 20 * DEG))) == 2 * 50_001 + 1
+
+    def test_rows_stream_from_an_iterator(self):
+        table = scaling_table(demo_joint(), [1, 6], 20, 20 * DEG)
+        assert isinstance(table, Iterator)
+        assert next(table) == ScalingRow("1", "1", None, "exact")
+        assert len(list(table)) == 2 * 20 + 20 + 1 - 1
+
+    @pytest.mark.parametrize("n_range, m_max, separation_deg, error, match", [
+        ([1], 10, 3.0, DomainError, "multiple of delta_q"),
+        ([6], 0, 20.0, DomainError, "m_max must be >= 1"),
+        ([3], 50_001, 20.0, ResourceLimit, "exceeds the work budget"),
+    ])
+    def test_refusals_come_at_call_time(self, n_range, m_max, separation_deg, error, match):
+        # no row is asked for: every check runs when the table is made
+        with pytest.raises(error, match=match):
+            scaling_table(demo_joint(), n_range, m_max, separation_deg * DEG)

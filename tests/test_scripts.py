@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -61,7 +62,7 @@ def slopes(stdout: str) -> dict[str, float]:
 def test_run_scaling_study_writes_the_library_csv(tmp_path):
     csv = tmp_path / "scaling.csv"
     done = run_script("run_scaling_study.py", "--max-steps", "20", "--out", str(csv))
-    rows = scaling_table(demo_robot().joints[0], range(1, 7), 20, math.radians(20.0))
+    rows = list(scaling_table(demo_robot().joints[0], range(1, 7), 20, math.radians(20.0)))
     buf = io.StringIO()
     write_scaling_csv(rows, buf)
     assert csv.read_text() == buf.getvalue()
@@ -77,6 +78,25 @@ def test_run_scaling_study_writes_the_library_csv(tmp_path):
         assert math.isclose(got[f"n= {n}"], n * math.log10(3), abs_tol=1e-6)
     assert math.isclose(got["n=go"], math.log10(361), abs_tol=1e-6)
     assert "skipped" not in done.stderr
+
+
+def test_run_scaling_study_patches_nothing(tmp_path, monkeypatch, capsys):
+    # run in this process, so a name it rebound on the library would show here
+    import dtraj.lattice as lattice
+
+    names = dict(vars(lattice))
+    csv = tmp_path / "scaling.csv"
+    monkeypatch.setattr(sys, "argv", ["run_scaling_study.py", "--config", CONFIG_PATH,
+                                      "--max-steps", "20", "--out", str(csv)])
+    runpy.run_path(os.path.join(ROOT, "scripts", "run_scaling_study.py"), run_name="__main__")
+    assert vars(lattice) == names
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 141 rows to {csv}",
+        "fitted log10-count slopes at steps (11, 15, 20):",
+        "  n= 1: 0.139251", "  n= 2: 0.278502", "  n= 3: 0.417752", "  n= 4: 1.908485",
+        "  n= 5: 2.385606", "  n= 6: 2.862728", "  n=go: 2.557507",
+        "reference: 6*log10(3) = 2.862728, log10(361) = 2.557507",
+    ]
 
 
 def test_run_scaling_study_skips_columns_without_three_nodes(tmp_path):

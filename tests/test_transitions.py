@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dtraj.transitions as trn
 from dtraj.dynamics import act_sequence, integrate_step, validation_check
@@ -41,7 +41,6 @@ from dtraj.transitions import (
     Transition,
     TransitionTable,
     _action_space,
-    _static_hold,
     export_dot,
     find_transitions,
     read_jsonl,
@@ -149,12 +148,32 @@ def reference_find_transitions(
             elif len(seq) < nal:
                 for a in actions:
                     queue.append((seq + (a,), cont))
-            elif _static_hold(s, seq, cont, robot):
+            elif reference_static_hold(s, seq, robot):
                 record(s, seq, s)
 
     if stats is not None:
         stats["simulated"] = simulated
     return TransitionTable(robot.content_hash(), tuple(states), tuple(transitions))
+
+
+def reference_static_hold(s: QuantizedState, seq: ActionSequence, robot: RobotSpec) -> bool:
+    """The static-hold rule, replayed on its own for the oracle.
+
+    From the cell centre, STATIC_HOLD_REPS passes of the sequence stay within
+    the limits at every tick and within one cell of the start angle after
+    every pass.
+    """
+    start = representative(s, robot)
+    state = start
+    for _ in range(trn.STATIC_HOLD_REPS):
+        for a in seq:
+            state = integrate_step(state, a, robot)
+            if not all(j.q_min <= q <= j.q_max and j.v_min <= v <= j.v_max
+                       for j, q, v in zip(robot.joints, state.q, state.v)):
+                return False
+        if any(abs(q - q0) >= j.delta_q for j, q, q0 in zip(robot.joints, state.q, start.q)):
+            return False
+    return True
 
 
 def reference_write_jsonl(table: TransitionTable, fh) -> None:
@@ -593,6 +612,14 @@ def small_robots(draw):
     return robot, QuantizedState(tuple(pos), tuple(vel))
 
 
+# one cell of 4 deg either side of 0: at nal 3 a sequence holds its cell for
+# four passes and escapes on the fifth, so the static-hold rule's pass count
+# and its one-cell anchor both show in the table
+CREEPING_HOLD = RobotSpec(delta_t=0.04, gravity=9.81, joints=(JointSpec(
+    name="j0", q_min=-4 * DEG, q_max=4 * DEG, delta_q=4 * DEG, v_min=-200 * DEG,
+    v_max=200 * DEG, mass=1.0, length=1.0, torques=(-90.0, 0.0, 50.0)),))
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("dedup", ["all", "shortest"])
     def test_demo(self, pendulum, pendulum_table, dedup):
@@ -638,6 +665,8 @@ class TestAgainstOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(small_robots(), st.integers(1, 25), st.sampled_from(["all", "shortest"]))
+    @example((CREEPING_HOLD, ZERO), 3, "all")
+    @example((CREEPING_HOLD, ZERO), 3, "shortest")
     def test_small_robots(self, robot_and_start, nal, dedup):
         robot, start = robot_and_start
         kw = dict(start=start, nal=nal, dedup=dedup, max_sequences=20_000)
