@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
@@ -349,6 +350,29 @@ def _state_from_json(obj: dict) -> QuantizedState:
     return QuantizedState(pos, vel)
 
 
+def _sequence_from_json(obj: list, n: int) -> ActionSequence:
+    seq = tuple(map(tuple, obj))
+    _require_ints(tuple(itertools.chain.from_iterable(seq)), "torque index")
+    if not seq:
+        raise ValueError("torque_idx_seq is empty")
+    for a in seq:
+        if len(a) != n:
+            raise ValueError(f"action {list(a)} has {len(a)} torque indices for {n} joints")
+        if min(a) < 0:
+            raise ValueError(f"action {list(a)} has a negative torque index")
+    return seq
+
+
+def _duration_from_json(dur, ticks: int, tick: float | None) -> float:
+    """`dur` as seconds; with a tick, it must be `ticks` of them to a relative 1e-9."""
+    if not (_is_finite_number(dur) and dur > 0):
+        raise ValueError(f"duration_s must be a positive finite number, got {dur!r}")
+    dur = float(dur)
+    if tick is not None and abs(dur - ticks * tick) > 1e-9 * ticks * tick:
+        raise ValueError(f"duration_s {dur} is not {ticks} ticks of {tick} s")
+    return dur
+
+
 def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -> Transition:
     """One JSONL line as a transition; ValueError says what is malformed.
 
@@ -364,26 +388,25 @@ def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -
         raise ValueError(
             f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} joints, expected {n}"
         )
-    seq = tuple(map(tuple, obj["torque_idx_seq"]))
-    _require_ints(tuple(itertools.chain.from_iterable(seq)), "torque index")
-    if not seq:
-        raise ValueError("torque_idx_seq is empty")
-    for a in seq:
-        if len(a) != n:
-            raise ValueError(f"action {list(a)} has {len(a)} torque indices for {n} joints")
-        if min(a) < 0:
-            raise ValueError(f"action {list(a)} has a negative torque index")
-    dur = obj["duration_s"]
-    if not (_is_finite_number(dur) and dur > 0):
-        raise ValueError(f"duration_s must be a positive finite number, got {dur!r}")
-    dur = float(dur)
-    if tick is not None and abs(dur - len(seq) * tick) > 1e-9 * len(seq) * tick:
-        raise ValueError(f"duration_s {dur} is not {len(seq)} ticks of {tick} s")
-    return Transition(frm, seq, dur, to)
+    seq = _sequence_from_json(obj["torque_idx_seq"], n)
+    return Transition(frm, seq, _duration_from_json(obj["duration_s"], len(seq), tick), to)
+
+
+# what a malformed line raises, json.JSONDecodeError being a ValueError
+_LINE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+# a line in write_jsonl's spacing and key order, split into its from-state,
+# torque-sequence, duration and to-state texts; states and sequences hold
+# integer lists only. It only finds the texts: the checks above decide.
+_INTS = r"\[[-0-9, ]*\]"
+_STATE = rf'(\{{"pos": {_INTS}, "vel": {_INTS}\}})'
+_LINE = re.compile(
+    rf'\{{"from": {_STATE}, "torque_idx_seq": (\[(?:{_INTS}(?:, {_INTS})*)?\]), '
+    rf'"duration_s": (-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), "to": {_STATE}\}}')
 
 
 class _Rendered(dict):
-    """Text of each key, rendered by `render` on its first lookup."""
+    """The value of each key, made by `render` on its first lookup."""
 
     def __init__(self, render):
         super().__init__()
@@ -422,7 +445,7 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
 
 
 def read_jsonl(fh: IO[str]) -> TransitionTable:
-    """Rebuild a table from its line format.
+    """Rebuild a table from its line format; any JSON spacing and key order reads.
 
     State order is first appearance in the stream (from before to per line),
     which coincides with discovery order for tables written by this module.
@@ -432,6 +455,13 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     the first line's per-action duration (to a relative 1e-9), and states of
     the first line's width; every index is a JSON integer. A ConfigError
     names the line or the header that breaks a rule.
+
+    A line after the first in write_jsonl's spacing and key order is read by
+    its state, sequence and duration texts: each distinct text (a duration's
+    with its tick count) is parsed and checked once, by the checks a whole
+    line gets. Any other line, or one with a text that fails a check, is
+    parsed whole and checked field by field, which names what is wrong. Equal
+    states and equal sequences are one object each across the table.
     """
     first = fh.readline()
     if not first:
@@ -449,19 +479,50 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         raise ConfigError(f"transitions header: robot_hash {robot_hash!r} is not a string")
 
     transitions: list[Transition] = []
+    states: dict = {}      # each distinct state, in order of first appearance
+    seqs: dict = {}        # each distinct torque sequence
     n_joints = tick = None
+
+    def checked(make):
+        """`make` of each text on its first lookup, or None where a check refuses it."""
+        def made(key):
+            try:
+                return make(key)
+            except _LINE_ERRORS:
+                return None
+        return _Rendered(made)
+
+    def state(text: str) -> QuantizedState | None:
+        s = _state_from_json(json.loads(text))
+        return states.setdefault(s, s) if len(s.pos_idx) == n_joints else None
+
+    def sequence(text: str) -> ActionSequence:
+        seq = _sequence_from_json(json.loads(text), n_joints)
+        return seqs.setdefault(seq, seq)
+
+    state_of, seq_of = checked(state), checked(sequence)
+    dur_of = checked(lambda key: _duration_from_json(json.loads(key[0]), key[1], tick))
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()
         if not raw:
             continue
+        # the first line fixes n_joints and tick, which the texts' checks use
+        if tick is not None and (m := _LINE.fullmatch(raw)):
+            frm_text, seq_text, dur_text, to_text = m.groups()
+            frm, to, seq = state_of[frm_text], state_of[to_text], seq_of[seq_text]
+            dur = seq and dur_of[dur_text, len(seq)]
+            if frm and to and dur:
+                transitions.append(Transition(frm, seq, dur, to))
+                continue
         try:
             t = _transition_from_json(json.loads(raw), n_joints, tick)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        except _LINE_ERRORS as e:
             raise ConfigError(f"bad transition on line {lineno}: {e}") from None
         if tick is None:
             n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
-        transitions.append(t)
-    states = dict.fromkeys(s for t in transitions for s in (t.from_state, t.to_state))
+        frm = states.setdefault(t.from_state, t.from_state)
+        to = states.setdefault(t.to_state, t.to_state)
+        transitions.append(Transition(frm, seqs.setdefault(t.actions, t.actions), t.duration, to))
     return TransitionTable(robot_hash, tuple(states), tuple(transitions))
 
 

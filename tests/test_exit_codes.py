@@ -25,7 +25,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtraj.cli import main
-from conftest import CONFIG_PATH, THREE_STATE_TABLE as TABLE, TWO_JOINT, write_table
+from conftest import (CONFIG_PATH, DELETE, THREE_STATE_TABLE as TABLE, TWO_JOINT,
+                      TWO_JOINT_TABLE, mutated, one_field_mutation, write_table)
 
 WALL_CAP_S = 10.0
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -36,28 +37,11 @@ EDGE_OTHERS = ["nan", "inf", "-inf", "1.5", "1e3", "", "x", "0x10", " 7"]
 edge = st.sampled_from(EDGE_INTS + EDGE_OTHERS) | st.integers(-300, 300).map(str)
 edge_list = st.lists(edge, min_size=1, max_size=3).map(",".join)
 
-DELETE = object()
-EDGE_JSON = [0, 1, -1, 2 ** 63, 10 ** 100, 10 ** 400, 1.5, 2.0, -0.0, 1e-310, 5e-324,
-             1e300, -1e300, float("nan"), float("inf"), float("-inf"),
-             "2", "", True, None, [], {}, DELETE]
-
 with open(CONFIG_PATH) as fh:
     CONFIG = json.load(fh)
 # the demo config with a thousandth of a degree per cell over +-1 degree
 FINE_CONFIG = copy.deepcopy(CONFIG)
 FINE_CONFIG["joints"][0].update(q_min_deg=-1.0, q_max_deg=1.0, delta_q_deg=0.001)
-
-# a two-joint transitions file: the first joint moves a cell and stops, and
-# both rest in place
-TWO_JOINT_TABLE = [
-    {"format": "dtraj-transitions", "version": 1, "robot_hash": ""},
-    {"from": {"pos": [0, 0], "vel": [0, 0]}, "torque_idx_seq": [[1, 1]], "duration_s": 0.04,
-     "to": {"pos": [0, 0], "vel": [0, 0]}},
-    {"from": {"pos": [0, 0], "vel": [0, 0]}, "torque_idx_seq": [[2, 1]], "duration_s": 0.04,
-     "to": {"pos": [1, 0], "vel": [1, 0]}},
-    {"from": {"pos": [1, 0], "vel": [1, 0]}, "torque_idx_seq": [[0, 1]], "duration_s": 0.04,
-     "to": {"pos": [1, 0], "vel": [0, 0]}},
-]
 
 # one cell up on the first tick of the demo config, then a wait; and the
 # same for the first joint of the two-joint config
@@ -85,35 +69,6 @@ MID_RUNS = {
     "enumerate": "enumerate --transitions={table} --steps={m}",
     "enumerate-count": "enumerate --transitions={table} --steps={m} --count-only",
 }
-
-
-def paths(obj, prefix=()):
-    """Every position in a JSON value, the value itself first."""
-    yield prefix
-    if isinstance(obj, (dict, list)):
-        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-            yield from paths(value, prefix + (key,))
-
-
-def mutated(obj, path, value):
-    """A copy of obj with the value at path replaced, or removed for DELETE."""
-    if not path:
-        return {} if value is DELETE else value
-    out = copy.deepcopy(obj)
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return out
-
-
-@st.composite
-def one_field_mutation(draw, obj):
-    path = draw(st.sampled_from(list(paths(obj))))
-    return mutated(obj, path, draw(st.sampled_from(EDGE_JSON)))
 
 
 @st.composite
@@ -206,14 +161,21 @@ def test_transitions(tmp_path_factory, config, start):
          "--max-sequences=20000"] + ([f"--start={start}"] if start else []))
 
 
+@st.composite
+def one_line_mutation(draw, lines):
+    """A copy of a table's lines with one field of one line mutated."""
+    k = draw(st.integers(0, len(lines) - 1))
+    return lines[:k] + [draw(one_field_mutation(lines[k]))] + lines[k + 1:]
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), steps=edge, start=st.none() | st.sampled_from(["0,0", "0,1", "7,0", "x"]))
-def test_enumerate_count_only(tmp_path_factory, data, steps, start):
-    k = data.draw(st.integers(0, len(TABLE) - 1))
-    lines = TABLE[:k] + [data.draw(one_field_mutation(TABLE[k]))] + TABLE[k + 1:]
-    path = tmp_path_factory.mktemp("table") / "table.jsonl"
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    run(["enumerate", "--transitions", str(path), "--count-only", f"--steps={steps}"]
+@given(lines=one_line_mutation(TABLE), steps=edge,
+       start=st.none() | st.sampled_from(["0,0", "0,1", "7,0", "x"]))
+# a duration of one tick, read on a one-tick line, then on a two-tick line
+@example(lines=mutated(TABLE, (2, "duration_s"), 0.04), steps="2", start=None)
+def test_enumerate_count_only(tmp_path_factory, lines, steps, start):
+    path = write_table(tmp_path_factory.mktemp("table") / "table.jsonl", lines)
+    run(["enumerate", "--transitions", path, "--count-only", f"--steps={steps}"]
         + ([f"--start={start}"] if start else []))
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from collections import deque
 from unittest import mock
@@ -47,7 +48,8 @@ from dtraj.transitions import (
     state_label,
     write_jsonl,
 )
-from conftest import DEG, TWO_JOINT, demo_joint
+from conftest import (DEG, THREE_STATE_TABLE, TWO_JOINT, TWO_JOINT_TABLE, demo_joint,
+                      one_field_mutation, table_text)
 
 
 ZERO = QuantizedState((0,), (0,))
@@ -207,6 +209,79 @@ def reference_export_dot(table: TransitionTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_state_from_json(obj: dict) -> QuantizedState:
+    pos, vel = tuple(obj["pos"]), tuple(obj["vel"])
+    bad = [x for x in pos + vel if type(x) is not int]
+    if bad:
+        raise ValueError(f"state index {bad[0]!r} is not an integer")
+    if len(pos) != len(vel):
+        raise ValueError(f"state has {len(pos)} pos and {len(vel)} vel entries")
+    return QuantizedState(pos, vel)
+
+
+def reference_transition_from_json(obj: dict, n_joints, tick) -> Transition:
+    frm = reference_state_from_json(obj["from"])
+    to = reference_state_from_json(obj["to"])
+    n = len(frm.pos_idx) if n_joints is None else n_joints
+    if n < 1:
+        raise ValueError("state has no joints")
+    if len(frm.pos_idx) != n or len(to.pos_idx) != n:
+        raise ValueError(
+            f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} joints, expected {n}"
+        )
+    seq = tuple(map(tuple, obj["torque_idx_seq"]))
+    bad = [x for a in seq for x in a if type(x) is not int]
+    if bad:
+        raise ValueError(f"torque index {bad[0]!r} is not an integer")
+    if not seq:
+        raise ValueError("torque_idx_seq is empty")
+    for a in seq:
+        if len(a) != n:
+            raise ValueError(f"action {list(a)} has {len(a)} torque indices for {n} joints")
+        if min(a) < 0:
+            raise ValueError(f"action {list(a)} has a negative torque index")
+    dur = obj["duration_s"]
+    if not (type(dur) in (int, float) and abs(dur) <= sys.float_info.max and dur > 0):
+        raise ValueError(f"duration_s must be a positive finite number, got {dur!r}")
+    dur = float(dur)
+    if tick is not None and abs(dur - len(seq) * tick) > 1e-9 * len(seq) * tick:
+        raise ValueError(f"duration_s {dur} is not {len(seq)} ticks of {tick} s")
+    return Transition(frm, seq, dur, to)
+
+
+def reference_read_jsonl(fh) -> TransitionTable:
+    """The per-line reader `read_jsonl` replaced, checks and all, kept as its oracle."""
+    first = fh.readline()
+    if not first:
+        raise ConfigError("empty transitions file")
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"bad transitions header: {e}") from None
+    if not isinstance(header, dict) or header.get("format") != trn.JSONL_FORMAT:
+        raise ConfigError("not a transitions file (missing format header)")
+    version, robot_hash = header.get("version"), header.get("robot_hash", "")
+    if type(version) is not int or version != trn.JSONL_VERSION:
+        raise ConfigError(f"unsupported transitions version {version!r}")
+    if not isinstance(robot_hash, str):
+        raise ConfigError(f"transitions header: robot_hash {robot_hash!r} is not a string")
+    transitions = []
+    n_joints = tick = None
+    for lineno, raw in enumerate(fh, start=2):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            t = reference_transition_from_json(json.loads(raw), n_joints, tick)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"bad transition on line {lineno}: {e}") from None
+        if tick is None:
+            n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
+        transitions.append(t)
+    states = dict.fromkeys(s for t in transitions for s in (t.from_state, t.to_state))
+    return TransitionTable(robot_hash, tuple(states), tuple(transitions))
+
+
 def serialised(table: TransitionTable) -> tuple[str, str]:
     buf = io.StringIO()
     write_jsonl(table, buf)
@@ -220,6 +295,44 @@ def outcome(search, robot, **kw):
     except BudgetExceeded:
         return BudgetExceeded
     return table, serialised(table)
+
+
+def read_outcome(reader, text: str):
+    """The table `reader` makes of text, or the ConfigError text it raises."""
+    try:
+        return reader(io.StringIO(text))
+    except ConfigError as e:
+        return str(e)
+
+
+def reads_as_reference(text: str):
+    """read_jsonl's outcome, asserted to be the reference's, durations bitwise."""
+    got, want = read_outcome(read_jsonl, text), read_outcome(reference_read_jsonl, text)
+    assert got == want
+    if isinstance(got, TransitionTable):
+        assert all(type(t.duration) is float for t in got.transitions)
+        assert [t.duration.hex() for t in got.transitions] == [
+            t.duration.hex() for t in want.transitions]
+    return got
+
+
+# a header and lines in write_jsonl's spacing and key order
+HEAD = '{"format": "dtraj-transitions", "robot_hash": "", "version": 1}\n'
+
+
+def jsonl_line(frm=("0", "0"), seq="[[2]]", dur="0.04", to=("1", "0")) -> str:
+    """A line from the texts of its states' pos and vel entries, sequence and duration."""
+    (p, v), (q, w) = frm, to
+    return (f'{{"from": {{"pos": [{p}], "vel": [{v}]}}, "torque_idx_seq": {seq}, '
+            f'"duration_s": {dur}, "to": {{"pos": [{q}], "vel": [{w}]}}}}\n')
+
+
+def bench_table(pendulum, pendulum_table, robot: str, dedup: str) -> TransitionTable:
+    """The demo or two-joint table, in dedup mode `dedup`."""
+    if (robot, dedup) == ("demo", "all"):
+        return pendulum_table
+    return find_transitions(pendulum if robot == "demo" else robot_from_dict(TWO_JOINT),
+                            dedup=dedup)
 
 
 class TestSearchGauge:
@@ -655,11 +768,7 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize(("robot", "dedup"), sorted(PINNED))
     def test_bytes_are_pinned(self, pendulum, pendulum_table, robot, dedup):
-        if (robot, dedup) == ("demo", "all"):
-            table = pendulum_table
-        else:
-            table = find_transitions(pendulum if robot == "demo" else robot_from_dict(TWO_JOINT),
-                                     dedup=dedup)
+        table = bench_table(pendulum, pendulum_table, robot, dedup)
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serialised(table))
         assert digests == self.PINNED[robot, dedup]
 
@@ -679,8 +788,106 @@ class TestAgainstOracle:
                 robot.validate()
             check = mock.patch.object(JointSpec, "validate", lambda self: None)
         with check:
-            assert outcome(find_transitions, robot, **kw) == outcome(
-                reference_find_transitions, robot, **kw)
+            found = outcome(find_transitions, robot, **kw)
+            assert found == outcome(reference_find_transitions, robot, **kw)
+        if found is not BudgetExceeded:
+            table, (text, _) = found
+            # a start with no transitions is on no line, so it is not read back
+            assert reads_as_reference(text) == table or not table.transitions
+
+
+class TestReaderAgainstReference:
+    @pytest.mark.parametrize("robot", ["demo", "two-joint"])
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    def test_bench_tables(self, pendulum, pendulum_table, robot, dedup):
+        table = bench_table(pendulum, pendulum_table, robot, dedup)
+        assert reads_as_reference(serialised(table)[0]) == table
+
+    # each table's lines twice, so a mutated line is read both before and
+    # after the lines that share its texts
+    MUTATED = {"one-joint": THREE_STATE_TABLE + THREE_STATE_TABLE[1:],
+               "two-joint": TWO_JOINT_TABLE + TWO_JOINT_TABLE[1:]}
+
+    @pytest.mark.parametrize(("name", "k"), [(name, k) for name, lines in MUTATED.items()
+                                             for k in range(len(lines))])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_field_mutations(self, name, k, data):
+        lines = self.MUTATED[name]
+        line = data.draw(one_field_mutation(lines[k]))
+        reads_as_reference(table_text(lines[:k] + [line] + lines[k + 1:]))
+
+    # lines of the writer's shape: valid ones, and any text the shape admits
+    # (mostly invalid JSON or refused by a check), after a valid first line
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([
+        jsonl_line(), jsonl_line(("1", "0"), to=("-0", "0")),
+        jsonl_line(seq="[[2], [0]]", dur="0.08"), jsonl_line(dur="4e-2", to=("0", "0")),
+    ]) | st.from_regex(trn._LINE, fullmatch=True).map("{}\n".format), max_size=6))
+    def test_lines_of_the_writer_shape(self, lines):
+        reads_as_reference(HEAD + jsonl_line() + "".join(lines))
+
+    def test_a_duration_is_checked_for_each_tick_count(self):
+        text = HEAD + jsonl_line() + jsonl_line(("1", "0"), to=("0", "0")) + jsonl_line(
+            seq="[[2], [2]]")
+        assert reads_as_reference(text) == (
+            "bad transition on line 4: duration_s 0.04 is not 2 ticks of 0.04 s")
+
+    @pytest.mark.parametrize(("index", "verdict"), [
+        ("-0", None),
+        ("01", "bad transition on line 3: Expecting ',' delimiter"),
+    ])
+    def test_index_texts(self, index, verdict):
+        text = HEAD + jsonl_line() + jsonl_line(("1", index), to=(index, "0"))
+        got = reads_as_reference(text)
+        if verdict is None:
+            assert got.states == (ZERO, QuantizedState((1,), (0,)))
+        else:
+            assert got.startswith(verdict)
+
+    @pytest.mark.parametrize(("dur", "verdict"), [
+        ("4e-2", None),
+        ("+0.04", "bad transition on line 3: Expecting value"),
+    ])
+    def test_duration_texts(self, dur, verdict):
+        text = HEAD + jsonl_line() + jsonl_line(("1", "0"), dur=dur, to=("0", "0"))
+        got = reads_as_reference(text)
+        if verdict is None:
+            assert [t.duration for t in got.transitions] == [0.04, 0.04]
+        else:
+            assert got.startswith(verdict)
+
+    @pytest.mark.parametrize(("frm", "to", "widths"), [
+        (("1, 0", "0, 0"), ("0, 0", "0, 0"), "2 and 2"),
+        (("1", "0"), ("0, 0", "0, 0"), "1 and 2"),
+    ])
+    def test_a_state_of_another_width(self, frm, to, widths):
+        text = HEAD + jsonl_line() + jsonl_line(frm, to=to)
+        assert reads_as_reference(text) == (
+            f"bad transition on line 3: states have {widths} joints, expected 1")
+
+    @pytest.mark.parametrize("spelling", [
+        pytest.param(None, id="canonical"),
+        pytest.param(lambda obj: json.dumps(obj, separators=(",", ":")), id="compact"),
+        pytest.param(lambda obj: json.dumps(dict(reversed(obj.items()))), id="reordered"),
+        pytest.param(lambda obj: json.dumps({**obj, "from": {**obj["from"], "x": 1}}),
+                     id="extra-key"),
+    ])
+    def test_any_spelling_reads_alike(self, pendulum_table, spelling):
+        text = serialised(pendulum_table)[0]
+        if spelling:
+            # every other line respelled, so both kinds of line share their texts
+            head, *lines = text.splitlines(keepends=True)
+            text = head + "".join(spelling(json.loads(line)) + "\n" if k % 2 else line
+                                  for k, line in enumerate(lines))
+        table = reads_as_reference(text)
+        assert table == pendulum_table
+        # one object per distinct state, the one in table.states, and per sequence
+        for t in table.transitions:
+            assert table.states[table.state_index(t.from_state)] is t.from_state
+            assert table.states[table.state_index(t.to_state)] is t.to_state
+        sequences = [t.actions for t in table.transitions]
+        assert len(set(map(id, sequences))) == len(set(sequences)) == 416
 
 
 class TestBudgetUnit:
