@@ -39,8 +39,8 @@ _SCALING_ROW_CAP = 400_000
 # main reads the files a subcommand names (--config, then --transitions) and
 # hands the handler what it read. Each handler imports its layer when it runs,
 # so a subcommand loads only the modules it uses (the corridor, bounds and
-# scaling counts and the planner never load numpy), and a name patched on a
-# layer module is the one called.
+# scaling counts, walk listings and the planner never load numpy; walk counts
+# and discovery do), and a name patched on a layer module is the one called.
 
 
 def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:

@@ -2,10 +2,11 @@
 
 Trajectories here are graph walks: each hop is one recorded transition, so a
 hop can cover several control ticks. Enumeration streams every walk of an
-exact hop count; the counter gets the same numbers, exact at any size, by
-repeated adjacency application over the table's integer edge index. The
-planner greedily tracks a desired configuration path, matching transition
-durations to the time elapsed since it last moved.
+exact hop count, after counting them exactly, in pure Python, over the states
+its starts reach. The counter gets the same numbers for every state, exact at
+any size, by repeated adjacency application over the table's integer edge
+index in numpy. The planner greedily tracks a desired configuration path,
+matching transition durations to the time elapsed since it last moved.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import accumulate, islice
+from operator import itemgetter, mul
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
@@ -56,14 +59,13 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
     dst, row_start = table.edge_index()
-    degree = np.diff(row_start)
-    max_degree = int(degree.max(initial=0))
+    max_degree = table.max_out_degree
     check_count_work(f"counting {n_steps}-hop walks over {len(dst)} transitions",
                      n_steps, len(dst), max_degree)
     counts = np.ones(len(table.states), dtype=np.int64)
     # a row's segment of dst starts at its row start; reduceat needs the
     # nonempty rows only, and rows without transitions stay 0
-    rows = np.flatnonzero(degree)
+    rows = np.flatnonzero(np.diff(row_start))
     starts = row_start[rows]
     for _ in range(n_steps):
         counts = widen_counts(counts, max_degree)
@@ -83,15 +85,12 @@ def enumerate_trajectories(
 
     Order is canonical: starts in the given order, hops in table transition
     order (depth-first, first transition first). The total count is checked
-    against the budget up front via the exact counter, so a caller never
-    receives a truncated stream.
+    against the budget up front, exactly, over the states the starts reach
+    (see _count_walks), so a caller never receives a truncated stream.
     """
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
-    for s in starts:
-        table.state_index(s)
-    totals = count_trajectories(table, n_steps)
-    planned = sum(totals[s] for s in starts)
+    planned = _count_walks(table, [table.state_index(s) for s in starts], n_steps)
     if planned > budget:
         raise BudgetExceeded(
             f"enumeration would yield {planned} trajectories, budget is {budget}"
@@ -114,6 +113,75 @@ def enumerate_trajectories(
             else:
                 path.append(t.to_state)
                 branches.append(iter(table.outgoing(t.to_state)))
+
+
+def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> int:
+    """Exact number of n_steps-hop walks out of the state ids `ids`; a repeated id counts again.
+
+    Pure Python, over the states within n_steps hops of a start only: a
+    breadth-first search numbers them by position in the order it first
+    reaches them, so the states within d hops are a prefix, and it does not
+    expand those it first reaches on the last hop, where every walk through
+    them ends. The walks meet in the middle: the walks of n_steps // 2 hops
+    from the starts into each state, times the walks of the other hops out
+    of it, so each count has about half the digits of the total. Each hop
+    counts over the prefix its result is read from. model.check_count_work
+    admits the work as it does for count_trajectories.
+    """
+    rows = table.destinations()
+    check_count_work(f"counting {n_steps}-hop walks over {len(table.transitions)} transitions",
+                     n_steps, len(table.transitions), table.max_out_degree)
+    pos: dict[int, int] = {}
+    for i in ids:
+        pos.setdefault(i, len(pos))
+    out: list[list[int]] = []    # per position, its destinations' positions
+    reach = [len(pos)]           # reach[d]: the positions within d hops, until none is new
+    for _ in range(n_steps):
+        level = list(islice(pos, len(out), None))
+        if not level:
+            break
+        out += [[pos.setdefault(d, len(pos)) for d in rows[i]] for i in level]
+        reach.append(len(pos))
+    out += [[]] * (len(pos) - len(out))
+    # a walk of k hops from a start ends within k hops of it, and the walks of
+    # j hops out of a state are read only within n_steps - j hops
+    within = reach[:n_steps] + reach[-1:] * (n_steps - len(reach))
+    half = n_steps // 2
+    into: list[list[int]] = [[] for _ in out]    # per position, its sources' positions
+    for p in range(within[half - 1] if half else 0):    # the sources of the first half's hops
+        for q in out[p]:
+            into[q].append(p)
+    from_starts = [0] * len(out)
+    for i in ids:
+        from_starts[pos[i]] += 1
+    return sum(map(mul, _hops(into, from_starts, within[1:half + 1]),
+                   _hops(out, [1] * len(out), within[half:][::-1])))
+
+
+def _hops(rows: list[list[int]], counts: list[int], sizes: Sequence[int]) -> list[int]:
+    """`counts` after a step per m in `sizes` of counts[p] <- sum of counts[q] for q in rows[p].
+
+    A step sets positions p < m only and leaves the rest 0. Each step gathers
+    the terms of the rows it sets in one call and sums each row's slice from
+    its first term, so a row of r terms costs r - 1 additions.
+    """
+    zero = len(counts)
+    rows = rows[:max(sizes, default=0)]
+    flat = [q for row in rows for q in row]
+    ends = list(accumulate(map(len, rows)))
+    begins = [0, *ends[:-1]]
+    # each step pads counts with 0s to one past its first length, and both
+    # getters take two keys more, as a getter of one key returns no tuple: the
+    # terms end in two copies of that 0, an empty row's first term
+    gather = itemgetter(*flat, zero, zero)
+    firsts = itemgetter(*[b if b < e else len(flat) for b, e in zip(begins, ends)],
+                        len(flat), len(flat))
+    spans = list(map(slice, [b + 1 for b in begins], ends))
+    for m in sizes:
+        counts += [0] * (zero + 1 - len(counts))
+        got = gather(counts)
+        counts = list(map(sum, map(got.__getitem__, spans[:m]), firsts(got)))
+    return counts
 
 
 # ---------------------------------------------------------------------------

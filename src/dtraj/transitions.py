@@ -82,6 +82,8 @@ class TransitionTable:
                 lost = t.to_state if t.from_state in index else t.from_state
                 raise UnknownState(f"transition {k}: state {lost} not in table") from None
             out[i].append(t)
+        # the most transitions out of one state, which prices a walk count
+        self.max_out_degree = max(map(len, dst), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, TransitionTable):
@@ -97,6 +99,13 @@ class TransitionTable:
 
     def outgoing(self, state: QuantizedState) -> list[Transition]:
         return self._out[self.state_index(state)]
+
+    def destinations(self) -> list[list[int]]:
+        """Per state id, the destination ids of its transitions, in table order.
+
+        The rows are the table's own, to be read and not changed.
+        """
+        return self._dst
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The graph over state ids in compressed-row form, built on first use.

@@ -404,6 +404,14 @@ class TestEnumerateCommand:
         assert out.out == ""
         assert "exceeds the work budget of 2000000000 edge-hop words" in out.err
 
+    def test_listing_refused_with_the_count_only_line(self, capsys, table_file):
+        errs = []
+        for extra in (["--count-only"], ["--start=0,0"], []):
+            errs.append(refused_fast(capsys, ["enumerate", "--transitions", str(table_file),
+                                              "--steps", "1728", *extra]))
+        assert errs[0] == errs[1] == errs[2]
+        assert errs[0].startswith("error: counting 1728-hop walks over 6353 transitions exceeds")
+
     def test_count_work_prices_each_hop(self, capsys, tmp_path):
         # three transitions and counts of one word, but ten million hops
         err = refused_fast(capsys, ["enumerate", "--transitions", three_state_table(tmp_path),
@@ -792,6 +800,14 @@ class TestImports:
                              "--desired", str(desired_file))
         assert "numpy" not in loaded
         assert "dtraj.lattice" not in loaded
+
+    @pytest.mark.parametrize("start", [["--start=0,0"], []], ids=["start", "all"])
+    def test_walk_listing_does_not_load_numpy(self, table_file, start):
+        # its budget check counts walks in pure Python
+        loaded = cli_modules("enumerate", "--transitions", str(table_file), "--steps", "2", *start)
+        assert "numpy" not in loaded
+        assert dtraj_modules(loaded) == {"dtraj", "dtraj.dynamics", "dtraj.errors", "dtraj.model",
+                                         "dtraj.trajectories", "dtraj.transitions"}
 
     def test_array_routes_load_numpy_and_their_layer_only(self, table_file):
         # the walk counter's edge index is a numpy array

@@ -170,13 +170,17 @@ def one_line_mutation(draw, lines):
 
 @settings(max_examples=200, deadline=None)
 @given(lines=one_line_mutation(TABLE), steps=edge,
-       start=st.none() | st.sampled_from(["0,0", "0,1", "7,0", "x"]))
+       start=st.none() | st.sampled_from(["0,0", "0,1", "7,0", "x"]),
+       count_only=st.booleans(), budget=st.none() | edge)
 # a duration of one tick, read on a one-tick line, then on a two-tick line
-@example(lines=mutated(TABLE, (2, "duration_s"), 0.04), steps="2", start=None)
-def test_enumerate_count_only(tmp_path_factory, lines, steps, start):
+@example(lines=mutated(TABLE, (2, "duration_s"), 0.04), steps="2", start=None,
+         count_only=True, budget=None)
+def test_enumerate(tmp_path_factory, lines, steps, start, count_only, budget):
+    # a listing takes --budget, and --count-only does not
     path = write_table(tmp_path_factory.mktemp("table") / "table.jsonl", lines)
-    run(["enumerate", "--transitions", path, "--count-only", f"--steps={steps}"]
-        + ([f"--start={start}"] if start else []))
+    how = ["--count-only"] if count_only else [] if budget is None else [f"--budget={budget}"]
+    run(["enumerate", "--transitions", path, f"--steps={steps}"]
+        + ([f"--start={start}"] if start else []) + how)
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,6 +10,7 @@ from dtraj.errors import (
     ConfigError,
     DomainError,
     NoFeasibleTransition,
+    ResourceLimit,
     UnknownState,
 )
 from dtraj.model import QuantizedState
@@ -17,6 +18,7 @@ from dtraj.trajectories import (
     DesiredTrajectory,
     PlanResult,
     Trajectory,
+    _count_walks,
     count_trajectories,
     enumerate_trajectories,
     load_desired_csv,
@@ -114,6 +116,51 @@ class TestCountingMatchesReference:
             assert count_trajectories(pendulum_table, n) == reference_counts(pendulum_table, n)
 
 
+def listing_count(table: TransitionTable, starts, n_steps: int) -> int:
+    """The count a walk listing checks against its budget."""
+    return _count_walks(table, [table.state_index(s) for s in starts], n_steps)
+
+
+class TestListingCount:
+    """The listing's pure-Python count over its starts' reach, against both counters."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        # multi-edges, self-loops and sinks; duplicate starts, no starts and 0 hops
+        n_states = data.draw(st.integers(1, 6))
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n_states - 1), st.integers(0, n_states - 1)),
+            max_size=30,
+        ))
+        table = mk_table(n_states, edges)
+        starts = data.draw(st.lists(st.sampled_from(table.states), max_size=8))
+        n = data.draw(st.integers(0, 40))
+        counts = count_trajectories(table, n)
+        assert counts == reference_counts(table, n)
+        assert listing_count(table, starts, n) == sum(counts[s] for s in starts)
+
+    def test_demo_table_past_int64(self, pendulum_table):
+        states = pendulum_table.states
+        start_sets = [[states[0]], [states[0]] * 2, [states[5], states[0], states[5]],
+                      list(states[::97]), list(states), []]
+        for n in range(23):
+            counts = count_trajectories(pendulum_table, n)
+            assert counts == reference_counts(pendulum_table, n)
+            for starts in start_sets:
+                assert listing_count(pendulum_table, starts, n) == sum(counts[s] for s in starts)
+        assert listing_count(pendulum_table, [states[0]], 22) > 2 ** 63
+
+    def test_work_refusal_is_the_counters(self, pendulum_table):
+        # 1,727 hops is the most the demo table's counts fit in the work budget
+        with pytest.raises(ResourceLimit) as counted:
+            count_trajectories(pendulum_table, 1728)
+        for starts in ([pendulum_table.states[0]], list(pendulum_table.states)):
+            with pytest.raises(ResourceLimit) as listed:
+                next(enumerate_trajectories(pendulum_table, starts, 1728))
+            assert str(listed.value) == str(counted.value)
+
+
 class TestEnumeration:
     def test_zero_steps_singletons(self):
         walks = list(enumerate_trajectories(COMPLETE3, [mk_state(1)], 0))
@@ -147,8 +194,9 @@ class TestEnumeration:
         gen = enumerate_trajectories(
             COMPLETE3, list(COMPLETE3.states), 10, budget=100
         )
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as e:
             next(gen)
+        assert str(e.value) == "enumeration would yield 177147 trajectories, budget is 100"
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
