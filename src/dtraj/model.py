@@ -339,11 +339,17 @@ def read_file(path: str, parse: Callable[[IO[str]], object], name: str | None = 
         raise ConfigError(f"cannot read {name or path}: {exc}") from None
 
 
+# what json raises on malformed text: a json.JSONDecodeError, or past
+# Python's own limits a ValueError (an integer of over 4,300 digits) or a
+# RecursionError (deep nesting)
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
 def load_robot(path: str) -> RobotSpec:
     """Load and validate a robot configuration file (UTF-8 JSON, degree units)."""
     try:
         cfg = read_file(path, json.load, f"robot config {path!r}")
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise ConfigError(f"robot config {path!r} is not valid JSON: {exc}") from exc
     return robot_from_dict(cfg)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import accumulate, islice
-from operator import itemgetter, mul
+from itertools import islice
+from operator import mul
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
@@ -26,6 +26,7 @@ from .model import (
     QuantizedState,
     RobotSpec,
     check_count_work,
+    format_count,
     quantize,
     widen_counts,
 )
@@ -93,7 +94,7 @@ def enumerate_trajectories(
     planned = _count_walks(table, [table.state_index(s) for s in starts], n_steps)
     if planned > budget:
         raise BudgetExceeded(
-            f"enumeration would yield {planned} trajectories, budget is {budget}"
+            f"enumeration would yield {format_count(planned)} trajectories, budget is {budget}"
         )
 
     if n_steps == 0:
@@ -125,10 +126,10 @@ def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> in
     them ends. The walks meet in the middle: the walks of n_steps // 2 hops
     from the starts into each state, times the walks of the other hops out
     of it, so each count has about half the digits of the total. Each hop
-    counts over the prefix its result is read from. model.check_count_work
-    admits the work as it does for count_trajectories.
+    sums each row's counts over the prefix its result is read from, 0 past it.
+    model.check_count_work admits the work as it does for count_trajectories.
     """
-    rows = table.destinations()
+    dests = table.destinations()
     check_count_work(f"counting {n_steps}-hop walks over {len(table.transitions)} transitions",
                      n_steps, len(table.transitions), table.max_out_degree)
     pos: dict[int, int] = {}
@@ -140,7 +141,7 @@ def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> in
         level = list(islice(pos, len(out), None))
         if not level:
             break
-        out += [[pos.setdefault(d, len(pos)) for d in rows[i]] for i in level]
+        out += [[pos.setdefault(d, len(pos)) for d in dests[i]] for i in level]
         reach.append(len(pos))
     out += [[]] * (len(pos) - len(out))
     # a walk of k hops from a start ends within k hops of it, and the walks of
@@ -154,34 +155,13 @@ def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> in
     from_starts = [0] * len(out)
     for i in ids:
         from_starts[pos[i]] += 1
-    return sum(map(mul, _hops(into, from_starts, within[1:half + 1]),
-                   _hops(out, [1] * len(out), within[half:][::-1])))
-
-
-def _hops(rows: list[list[int]], counts: list[int], sizes: Sequence[int]) -> list[int]:
-    """`counts` after a step per m in `sizes` of counts[p] <- sum of counts[q] for q in rows[p].
-
-    A step sets positions p < m only and leaves the rest 0. Each step gathers
-    the terms of the rows it sets in one call and sums each row's slice from
-    its first term, so a row of r terms costs r - 1 additions.
-    """
-    zero = len(counts)
-    rows = rows[:max(sizes, default=0)]
-    flat = [q for row in rows for q in row]
-    ends = list(accumulate(map(len, rows)))
-    begins = [0, *ends[:-1]]
-    # each step pads counts with 0s to one past its first length, and both
-    # getters take two keys more, as a getter of one key returns no tuple: the
-    # terms end in two copies of that 0, an empty row's first term
-    gather = itemgetter(*flat, zero, zero)
-    firsts = itemgetter(*[b if b < e else len(flat) for b, e in zip(begins, ends)],
-                        len(flat), len(flat))
-    spans = list(map(slice, [b + 1 for b in begins], ends))
-    for m in sizes:
-        counts += [0] * (zero + 1 - len(counts))
-        got = gather(counts)
-        counts = list(map(sum, map(got.__getitem__, spans[:m]), firsts(got)))
-    return counts
+    halves = []
+    for rows, c, sizes in ((into, from_starts, within[1:half + 1]),
+                           (out, [1] * len(out), within[half:][::-1])):
+        for m in sizes:
+            c = [sum(map(c.__getitem__, row)) for row in rows[:m]] + [0] * (len(out) - m)
+        halves.append(c)
+    return sum(map(mul, *halves))
 
 
 # ---------------------------------------------------------------------------

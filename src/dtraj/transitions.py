@@ -28,6 +28,7 @@ from .model import (
     ContinuousState,
     QuantizedState,
     RobotSpec,
+    _JSON_ERRORS,
     _is_finite_number,
     check_on_grid,
     grid_range,
@@ -401,8 +402,8 @@ def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -
     return Transition(frm, seq, _duration_from_json(obj["duration_s"], len(seq), tick), to)
 
 
-# what a malformed line raises, json.JSONDecodeError being a ValueError
-_LINE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+# what a malformed line raises
+_LINE_ERRORS = (KeyError, TypeError, OverflowError, *_JSON_ERRORS)
 
 # a line in write_jsonl's spacing and key order, split into its from-state,
 # torque-sequence, duration and to-state texts; states and sequences hold
@@ -429,6 +430,10 @@ class _Rendered(dict):
 def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     """Write the header line, then one line per transition in table order.
 
+    The header lists the table's states, in order, when some state is on no
+    line (a start without transitions, say), and only then, so that state
+    is kept and every other table's bytes stay as they were.
+
     A line is json.dumps of the transition's dict. Each state, distinct torque
     sequence and duration is rendered by json.dumps once per call, and a line
     joins those fragments with json.dumps's default separators. A state is its
@@ -443,6 +448,11 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
         "version": JSONL_VERSION,
         "robot_hash": table.robot_hash,
     }
+    # a state is on a line when it has a transition or one arrives at it
+    dests = table.destinations()
+    reached = set(itertools.chain.from_iterable(dests))
+    if not all(row or i in reached for i, row in enumerate(dests)):
+        header["states"] = [_state_to_json(s) for s in table.states]
     fh.write(json.dumps(header, sort_keys=True) + "\n")
     states = {s: json.dumps(_state_to_json(s)) for s in table.states}
     seqs = _Rendered(lambda seq: json.dumps([list(a) for a in seq]))
@@ -456,14 +466,17 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
 def read_jsonl(fh: IO[str]) -> TransitionTable:
     """Rebuild a table from its line format; any JSON spacing and key order reads.
 
-    State order is first appearance in the stream (from before to per line),
-    which coincides with discovery order for tables written by this module.
-    The header's version must be the JSON integer 1 and its robot_hash a
-    string. A line needs a nonempty torque sequence of nonnegative indices,
-    one per joint, a positive finite JSON number of seconds, its length times
-    the first line's per-action duration (to a relative 1e-9), and states of
-    the first line's width; every index is a JSON integer. A ConfigError
-    names the line or the header that breaks a rule.
+    State order is the header's `states` list where there is one, and any
+    line with a state not in it is refused; otherwise it is first appearance
+    in the stream (from before to per line), which coincides with discovery
+    order for tables written by this module. The header's version must be
+    the JSON integer 1, its robot_hash a string and its states distinct, of
+    one width of at least one joint. A line needs a nonempty torque sequence
+    of nonnegative indices, one per joint, a positive finite JSON number of
+    seconds, its length times the first line's per-action duration (to a
+    relative 1e-9), and states of the first line's width; every index is a
+    JSON integer. A ConfigError names the line or the header that breaks a
+    rule.
 
     A line after the first in write_jsonl's spacing and key order is read by
     its state, sequence and duration texts: each distinct text (a duration's
@@ -477,7 +490,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         raise ConfigError("empty transitions file")
     try:
         header = json.loads(first)
-    except json.JSONDecodeError as e:
+    except _JSON_ERRORS as e:
         raise ConfigError(f"bad transitions header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT:
         raise ConfigError("not a transitions file (missing format header)")
@@ -486,9 +499,26 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         raise ConfigError(f"unsupported transitions version {version!r}")
     if not isinstance(robot_hash, str):
         raise ConfigError(f"transitions header: robot_hash {robot_hash!r} is not a string")
+    listed = None
+    if "states" in header:
+        try:
+            listed = [_state_from_json(obj) for obj in header["states"]]
+        except _LINE_ERRORS as e:
+            raise ConfigError(f"transitions header: bad state: {e}") from None
+        if len(set(listed)) < len(listed):
+            raise ConfigError("transitions header: a state is listed twice")
+        widths = {len(s.pos_idx) for s in listed}
+        if len(widths) > 1 or 0 in widths:
+            raise ConfigError(f"transitions header: states of {sorted(widths)} joints")
 
     transitions: list[Transition] = []
-    states: dict = {}      # each distinct state, in order of first appearance
+    # each distinct state, in the header's order or else in order of first appearance
+    states: dict = dict(zip(listed, listed)) if listed is not None else {}
+
+    def intern(s: QuantizedState) -> QuantizedState | None:
+        """The table's state equal to s, or None where the header lists no such state."""
+        return states.setdefault(s, s) if listed is None else states.get(s)
+
     seqs: dict = {}        # each distinct torque sequence
     n_joints = tick = None
 
@@ -503,7 +533,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
 
     def state(text: str) -> QuantizedState | None:
         s = _state_from_json(json.loads(text))
-        return states.setdefault(s, s) if len(s.pos_idx) == n_joints else None
+        return intern(s) if len(s.pos_idx) == n_joints else None
 
     def sequence(text: str) -> ActionSequence:
         seq = _sequence_from_json(json.loads(text), n_joints)
@@ -529,8 +559,10 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             raise ConfigError(f"bad transition on line {lineno}: {e}") from None
         if tick is None:
             n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
-        frm = states.setdefault(t.from_state, t.from_state)
-        to = states.setdefault(t.to_state, t.to_state)
+        frm, to = intern(t.from_state), intern(t.to_state)
+        if frm is None or to is None:
+            lost = t.from_state if frm is None else t.to_state
+            raise ConfigError(f"bad transition on line {lineno}: state {lost} is not in the header")
         transitions.append(Transition(frm, seqs.setdefault(t.actions, t.actions), t.duration, to))
     return TransitionTable(robot_hash, tuple(states), tuple(transitions))
 

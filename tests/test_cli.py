@@ -379,6 +379,14 @@ class TestTransitionsCommand:
                                         demo_config_with(tmp_path, delta_q_deg=1e-19)], code=3)
         assert err == "error: joint joint1: a limit is too many cells from 0"
 
+    def test_a_start_without_transitions_is_kept(self, capsys, tmp_path):
+        # every action from (67, 3) leaves the limits: the table is the start alone
+        path = str(tmp_path / "lone.jsonl")
+        assert main(["transitions", "--config", CFG, "--start", "67,3", "--out", path]) == 0
+        for start in (["--start", "67,3"], []):
+            assert main(["enumerate", "--transitions", path, "--steps", "0", *start]) == 0
+            assert capsys.readouterr().out == "67,3\n"
+
     def test_bad_start_state(self, capsys):
         rc = main(["transitions", "--config", CFG, "--start", "zero"])
         assert rc == 2
@@ -423,6 +431,15 @@ class TestEnumerateCommand:
                                     three_state_table(tmp_path, transitions=0),
                                     "--steps", "2", "--start", "0,0"], code=3)
         assert "not in table" in err
+
+    def test_refused_count_past_the_digit_limit(self, capsys, tmp_path):
+        # ten self-loops at one state: 10^5000 walks of 5,000 hops, a number
+        # of more digits than Python writes as decimal text
+        loops = [{"from": {"pos": [0], "vel": [0]}, "torque_idx_seq": [[k]], "duration_s": 0.04,
+                  "to": {"pos": [0], "vel": [0]}} for k in range(10)]
+        path = write_table(tmp_path / "loops.jsonl", THREE_STATE_TABLE[:1] + loops)
+        err = refused_fast(capsys, ["enumerate", "--transitions", path, "--steps", "5000"])
+        assert err == "error: enumeration would yield 1.00000e+5000 trajectories, budget is 10000000"
 
     def test_count_only_from_origin(self, capsys, table_file):
         rc = main(["enumerate", "--transitions", str(table_file),

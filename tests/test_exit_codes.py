@@ -26,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dtraj.cli import main
 from conftest import (CONFIG_PATH, DELETE, THREE_STATE_TABLE as TABLE, TWO_JOINT,
-                      TWO_JOINT_TABLE, mutated, one_field_mutation, write_table)
+                      TWO_JOINT_TABLE, mutated, one_field_mutation, paths, write_table)
 
 WALL_CAP_S = 10.0
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -205,6 +205,40 @@ def test_plan(tmp_path_factory, config, desired):
     out = run(["plan", "--transitions", write_table(tmp / "table.jsonl", table),
                "--config", config_file(tmp_path_factory, config), "--desired", str(path)])
     assert "NaN" not in out and "Infinity" not in out, out
+
+
+# JSON that json parses only within Python's own limits: an integer of more
+# digits than int() converts from text, and an array nested past the
+# recursion limit; json.dumps cannot write the first, so both go in as text
+PAST_PYTHON_LIMITS = ["9" * 4301, "[" * 100_000 + "]" * 100_000]
+
+
+def with_text(obj, path, text: str) -> str:
+    """json.dumps of obj with the value at path written as `text`."""
+    return json.dumps(mutated(obj, path, "\0")).replace('"\\u0000"', text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.sampled_from(PAST_PYTHON_LIMITS), in_config=st.booleans(), data=st.data())
+def test_values_past_pythons_limits(tmp_path_factory, text, in_config, data):
+    # a config field, or a field of any line of a table, header included
+    tmp = tmp_path_factory.mktemp("limits")
+    if in_config:
+        path = data.draw(st.sampled_from(list(paths(CONFIG))))
+        (tmp / "robot.json").write_text(with_text(CONFIG, path, text))
+        argv = ["count", "bounds", f"--config={tmp / 'robot.json'}", "--steps=3"]
+    else:
+        k = data.draw(st.integers(0, len(TABLE) - 1))
+        path = data.draw(st.sampled_from(list(paths(TABLE[k]))))
+        (tmp / "table.jsonl").write_text("".join(
+            (with_text(line, path, text) if i == k else json.dumps(line)) + "\n"
+            for i, line in enumerate(TABLE)))
+        argv = ["enumerate", f"--transitions={tmp / 'table.jsonl'}", "--steps=2"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    errors = [ln for ln in err.getvalue().splitlines() if not ln.startswith("{")]    # no manifest
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
 
 
 @pytest.mark.parametrize("steps", MID_STEPS)

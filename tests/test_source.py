@@ -30,6 +30,27 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
+def unread_imports(source: str) -> list[str]:
+    """Each "line: name" an import binds that no expression in its scope reads.
+
+    The scope is the function the import is in, nested functions included,
+    or the module; a read is a loaded name, such as the first name of an
+    attribute chain. `from __future__` imports bind nothing.
+    """
+    found = set()
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(scope))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found |= {(node.lineno, name) for node in nodes
+                  if isinstance(node, ast.Import)
+                  or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                  if name not in read}
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     """Each "module: name" of a private function or class that no source reads.
 
@@ -69,6 +90,35 @@ def test_the_check_sees_each_kind_of_parameter():
     )
     assert unread_parameters(source) == ["f: b", "f: d", "f: c", "f: e",
                                          "<lambda at line 3>: x"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_read(module):
+    unread = unread_imports(read_source(module))
+    assert not unread, f"src/dtraj/{module} never reads the import on line " + ", ".join(unread)
+
+
+def test_the_check_sees_each_kind_of_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, sys as system\n"
+        "from itertools import accumulate, islice\n"
+        "from operator import itemgetter as get, mul\n"
+        "def f():\n"
+        "    import json\n"
+        "    return islice, mul.__name__, system\n"
+        "def g():\n"
+        "    import math\n"
+        "    def inner():\n"
+        "        return math.pi\n"
+        "    return inner\n"
+        "def h():\n"
+        "    from math import pi\n"
+        "def k():\n"
+        "    return pi\n"
+    )
+    # pi is read in the module, but not in h, the scope its import binds it in
+    assert unread_imports(source) == ["2: os", "3: accumulate", "4: get", "6: json", "14: pi"]
 
 
 def test_every_private_definition_is_used():

@@ -185,6 +185,9 @@ def reference_write_jsonl(table: TransitionTable, fh) -> None:
         "version": trn.JSONL_VERSION,
         "robot_hash": table.robot_hash,
     }
+    on_lines = [s for t in table.transitions for s in (t.from_state, t.to_state)]
+    if any(s not in on_lines for s in table.states):
+        header["states"] = [trn._state_to_json(s) for s in table.states]
     fh.write(json.dumps(header, sort_keys=True) + "\n")
     for t in table.transitions:
         line = {
@@ -256,7 +259,7 @@ def reference_read_jsonl(fh) -> TransitionTable:
         raise ConfigError("empty transitions file")
     try:
         header = json.loads(first)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"bad transitions header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != trn.JSONL_FORMAT:
         raise ConfigError("not a transitions file (missing format header)")
@@ -265,6 +268,17 @@ def reference_read_jsonl(fh) -> TransitionTable:
         raise ConfigError(f"unsupported transitions version {version!r}")
     if not isinstance(robot_hash, str):
         raise ConfigError(f"transitions header: robot_hash {robot_hash!r} is not a string")
+    listed = None
+    if "states" in header:
+        try:
+            listed = [reference_state_from_json(obj) for obj in header["states"]]
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
+            raise ConfigError(f"transitions header: bad state: {e}") from None
+        if len(set(listed)) < len(listed):
+            raise ConfigError("transitions header: a state is listed twice")
+        widths = sorted({len(s.pos_idx) for s in listed})
+        if len(widths) > 1 or 0 in widths:
+            raise ConfigError(f"transitions header: states of {widths} joints")
     transitions = []
     n_joints = tick = None
     for lineno, raw in enumerate(fh, start=2):
@@ -273,13 +287,17 @@ def reference_read_jsonl(fh) -> TransitionTable:
             continue
         try:
             t = reference_transition_from_json(json.loads(raw), n_joints, tick)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
             raise ConfigError(f"bad transition on line {lineno}: {e}") from None
         if tick is None:
             n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
+        for s in (t.from_state, t.to_state):
+            if listed is not None and s not in listed:
+                raise ConfigError(f"bad transition on line {lineno}: state {s} is not in the header")
         transitions.append(t)
-    states = dict.fromkeys(s for t in transitions for s in (t.from_state, t.to_state))
-    return TransitionTable(robot_hash, tuple(states), tuple(transitions))
+    if listed is None:
+        listed = dict.fromkeys(s for t in transitions for s in (t.from_state, t.to_state))
+    return TransitionTable(robot_hash, tuple(listed), tuple(transitions))
 
 
 def serialised(table: TransitionTable) -> tuple[str, str]:
@@ -594,11 +612,45 @@ class TestJsonl:
         ('"version":"1"', "unsupported transitions version '1'"),
         ('"version":1,"robot_hash":7', "transitions header: robot_hash 7 is not a string"),
         ('"version":1,"robot_hash":null', "robot_hash None is not a string"),
+        ('"version":1,"states":null', "transitions header: bad state: 'NoneType' object"),
+        ('"version":1,"states":[{"pos":[0]}]', "transitions header: bad state: 'vel'"),
+        ('"version":1,"states":[{"pos":[0],"vel":[0]},{"pos":[0],"vel":[0]}]',
+         "transitions header: a state is listed twice"),
+        ('"version":1,"states":[{"pos":[0],"vel":[0]},{"pos":[0,0],"vel":[0,0]}]',
+         "transitions header: states of [1, 2] joints"),
+        ('"version":1,"states":[{"pos":[],"vel":[]}]', "transitions header: states of [0] joints"),
     ])
     def test_malformed_header_rejected(self, header, reason):
         text = '{"format":"dtraj-transitions",' + header + '}\n'
         with pytest.raises(ConfigError, match=re.escape(reason)):
             read_jsonl(io.StringIO(text))
+
+    def test_a_state_on_no_line_is_kept(self, pendulum):
+        # every action from (67, 3) leaves the limits, so discovery finds the
+        # start alone; restricted to its first state, the three-state table
+        # keeps no transition
+        lone = find_transitions(pendulum, start=QuantizedState((67,), (3,)))
+        assert (len(lone.states), len(lone.transitions)) == (1, 0)
+        first = read_jsonl(io.StringIO(table_text(THREE_STATE_TABLE))).restrict_to_first(1)
+        assert (len(first.states), len(first.transitions)) == (1, 0)
+        for table in (lone, first):
+            text = serialised(table)[0]
+            assert json.loads(text.splitlines()[0])["states"] == [
+                trn._state_to_json(s) for s in table.states]
+            assert reads_as_reference(text) == table
+
+    def test_a_line_off_the_header_states_is_refused(self):
+        listed = ('{"format": "dtraj-transitions", "robot_hash": "", "states": '
+                  '[{"pos": [0], "vel": [0]}, {"pos": [1], "vel": [0]}], "version": 1}\n')
+        # off the list on the first line, read whole, and on a later line,
+        # read by its texts
+        for lines, lineno in (([jsonl_line(to=("2", "0"))], 2),
+                              ([jsonl_line(), jsonl_line(frm=("2", "0"))], 3)):
+            assert reads_as_reference(listed + "".join(lines)) == (
+                f"bad transition on line {lineno}: state {QuantizedState((2,), (0,))} "
+                "is not in the header")
+        assert reads_as_reference(listed + jsonl_line()).states == (
+            QuantizedState((0,), (0,)), QuantizedState((1,), (0,)))
 
     def test_integer_durations_and_a_missing_hash_are_valid(self):
         text = (
@@ -792,8 +844,7 @@ class TestAgainstOracle:
             assert found == outcome(reference_find_transitions, robot, **kw)
         if found is not BudgetExceeded:
             table, (text, _) = found
-            # a start with no transitions is on no line, so it is not read back
-            assert reads_as_reference(text) == table or not table.transitions
+            assert reads_as_reference(text) == table
 
 
 class TestReaderAgainstReference:
