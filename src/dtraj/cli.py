@@ -138,7 +138,7 @@ def _cmd_transitions(args, robot) -> None:
 def _cmd_enumerate(args, table) -> None:
     from .model import format_count
     from .trajectories import count_trajectories, enumerate_trajectories
-    from .transitions import state_label
+    from .transitions import _Rendered, state_label
 
     if args.start:
         # a table without states holds no start of any width
@@ -155,8 +155,9 @@ def _cmd_enumerate(args, table) -> None:
                 fh.write(f"{state_label(s)}\t{format_count(counts[s])}\n")
     else:
         def emit(fh: IO[str]) -> None:
+            labels = _Rendered(state_label)    # each state's label, rendered on first use
             for traj in enumerate_trajectories(table, starts, args.steps, budget=args.budget):
-                fh.write("\t".join(state_label(s) for s in traj.states()) + "\n")
+                fh.write("\t".join([labels[s] for s, _ in traj.waypoints]) + "\n")
     _write_output(args.out, emit)
 
 

@@ -345,12 +345,20 @@ def read_file(path: str, parse: Callable[[IO[str]], object], name: str | None = 
 _JSON_ERRORS = (ValueError, RecursionError)
 
 
+def _json_message(exc: Exception) -> str:
+    """str(exc), but an integer past Python's digit limit is said in dtraj's words:
+    Python's own message advises a call that no user of the CLI can make."""
+    if isinstance(exc, ValueError) and "set_int_max_str_digits" in str(exc):
+        return f"an integer has more than {sys.get_int_max_str_digits():,} digits"
+    return str(exc)
+
+
 def load_robot(path: str) -> RobotSpec:
     """Load and validate a robot configuration file (UTF-8 JSON, degree units)."""
     try:
         cfg = read_file(path, json.load, f"robot config {path!r}")
     except _JSON_ERRORS as exc:
-        raise ConfigError(f"robot config {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"robot config {path!r} is not valid JSON: {_json_message(exc)}") from exc
     return robot_from_dict(cfg)
 
 

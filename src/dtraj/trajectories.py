@@ -88,7 +88,15 @@ def enumerate_trajectories(
     order (depth-first, first transition first). The total count is checked
     against the budget up front, exactly, over the states the starts reach
     (see _count_walks), so a caller never receives a truncated stream.
+    `starts` is read once, so an iterator serves as well as a list.
+
+    How a walk is built: the search keeps its path as a list of states. Once
+    the path is one hop short, its (state, hop index) pairs become one prefix
+    tuple, and each transition out of its last state extends that prefix by
+    one pair: one prefix per batch of at most max out-degree walks. Shorter
+    paths build no tuple, which would copy the path at every hop.
     """
+    starts = tuple(starts)
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
     planned = _count_walks(table, [table.state_index(s) for s in starts], n_steps)
@@ -105,15 +113,17 @@ def enumerate_trajectories(
         # limit: branches[k] holds the transitions out of path[k] not yet taken
         path, branches = [s], [iter(table.outgoing(s))]
         while branches:
-            t = next(branches[-1], None)
-            if t is None:
-                path.pop()
-                branches.pop()
-            elif len(path) == n_steps:
-                yield Trajectory(tuple((p, i) for i, p in enumerate(path + [t.to_state])))
+            if len(path) < n_steps:
+                t = next(branches[-1], None)
+                if t is not None:
+                    path.append(t.to_state)
+                    branches.append(iter(table.outgoing(t.to_state)))
+                    continue
             else:
-                path.append(t.to_state)
-                branches.append(iter(table.outgoing(t.to_state)))
+                prefix = tuple(zip(path, range(n_steps)))
+                yield from [Trajectory(prefix + ((t.to_state, n_steps),)) for t in branches[-1]]
+            path.pop()
+            branches.pop()
 
 
 def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> int:

@@ -30,6 +30,7 @@ from .model import (
     RobotSpec,
     _JSON_ERRORS,
     _is_finite_number,
+    _json_message,
     check_on_grid,
     grid_range,
     representative,
@@ -491,7 +492,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     try:
         header = json.loads(first)
     except _JSON_ERRORS as e:
-        raise ConfigError(f"bad transitions header: {e}") from None
+        raise ConfigError(f"bad transitions header: {_json_message(e)}") from None
     if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT:
         raise ConfigError("not a transitions file (missing format header)")
     version, robot_hash = header.get("version"), header.get("robot_hash", "")
@@ -556,7 +557,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         try:
             t = _transition_from_json(json.loads(raw), n_joints, tick)
         except _LINE_ERRORS as e:
-            raise ConfigError(f"bad transition on line {lineno}: {e}") from None
+            raise ConfigError(f"bad transition on line {lineno}: {_json_message(e)}") from None
         if tick is None:
             n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
         frm, to = intern(t.from_state), intern(t.to_state)

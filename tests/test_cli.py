@@ -1,6 +1,7 @@
 """End-to-end command tests, in-process through main(); the import tests run
 in child processes, so what a command loads is seen from a fresh interpreter."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -12,7 +13,10 @@ import warnings
 import pytest
 
 from dtraj.cli import build_parser, main
+from dtraj.model import read_file
+from dtraj.transitions import read_jsonl, state_label
 from conftest import CONFIG_PATH, THREE_STATE_TABLE, write_table
+from test_trajectories import reference_enumerate
 
 CFG = str(CONFIG_PATH)
 DEMO_HASH = "sha256:67ff0fba73b6aa327c0264e4d189bfb9af931b1bef250787e58490c04d94372b"
@@ -454,6 +458,30 @@ class TestEnumerateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 101
         assert all(ln.startswith("0,0\t") for ln in lines)
+
+    # sha256 of the stdout as literals: the expected text is built from the
+    # reference enumerator and state_label, so only a literal sees a change
+    # that moves both sides
+    LISTINGS = {
+        "3 hops from 0,0": (3, "0,0",
+                            "b5cf6944b6307a55d20bb143903040267468ebacc96f815f1990c51e5a00defe"),
+        "1 hop from every state": (1, None,
+                                   "b084eef5ba78147446ae0d6d7602170683b2c269f5556f3f82f1ae3874692263"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LISTINGS))
+    def test_listing_bytes(self, capsys, table_file, case):
+        steps, start, digest = self.LISTINGS[case]
+        argv = ["enumerate", "--transitions", str(table_file), "--steps", str(steps)]
+        assert main(argv + ([f"--start={start}"] if start else [])) == 0
+        out = capsys.readouterr().out
+        table = read_file(str(table_file), read_jsonl)
+        starts = [s for s in table.states if start in (None, state_label(s))]
+        walks = reference_enumerate(table, starts, steps)
+        # compared as lists, whose first difference pytest reports without a full diff
+        want = ["\t".join(state_label(s) for s in w.states()) for w in walks]
+        assert out.split("\n") == want + [""]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_budget_exit(self, capsys, table_file):
         rc = main(["enumerate", "--transitions", str(table_file),

@@ -13,7 +13,7 @@ from dtraj.errors import (
     ResourceLimit,
     UnknownState,
 )
-from dtraj.model import QuantizedState
+from dtraj.model import DEFAULT_ENUM_BUDGET, QuantizedState, format_count
 from dtraj.trajectories import (
     DesiredTrajectory,
     PlanResult,
@@ -25,8 +25,8 @@ from dtraj.trajectories import (
     plan_action_sequence,
     write_plan_json,
 )
-from dtraj.transitions import Transition, TransitionTable
-from conftest import DEG
+from dtraj.transitions import Transition, TransitionTable, read_jsonl
+from conftest import DEG, THREE_STATE_TABLE, table_text
 
 
 def mk_state(p: int, v: int = 0) -> QuantizedState:
@@ -190,6 +190,14 @@ class TestEnumeration:
         with pytest.raises(UnknownState):
             list(enumerate_trajectories(COMPLETE3, [mk_state(9)], 1))
 
+    def test_starts_are_read_once(self, pendulum_table):
+        # an iterator of starts serves the budget's count and the listing alike
+        starts = [pendulum_table.states[0], pendulum_table.states[5]]
+        want = list(enumerate_trajectories(pendulum_table, starts, 2))
+        assert len(want) == 551 + 12
+        assert list(enumerate_trajectories(pendulum_table, iter(starts), 2)) == want
+        assert list(enumerate_trajectories(pendulum_table, (s for s in starts), 2)) == want
+
     def test_budget_precheck_yields_nothing(self):
         gen = enumerate_trajectories(
             COMPLETE3, list(COMPLETE3.states), 10, budget=100
@@ -216,6 +224,75 @@ class TestEnumeration:
         for s in table.states:
             walks = list(enumerate_trajectories(table, [s], n, budget=10**6))
             assert len(walks) == counts[s]
+
+
+def reference_enumerate(table, starts, n_steps, budget=DEFAULT_ENUM_BUDGET):
+    """The enumerator that built each walk from its whole path at its last hop."""
+    if n_steps < 0:
+        raise DomainError("n_steps must be >= 0")
+    planned = _count_walks(table, [table.state_index(s) for s in starts], n_steps)
+    if planned > budget:
+        raise BudgetExceeded(
+            f"enumeration would yield {format_count(planned)} trajectories, budget is {budget}"
+        )
+
+    if n_steps == 0:
+        yield from (Trajectory(((s, 0),)) for s in starts)
+        return
+    for s in starts:
+        # depth-first with an explicit stack, as a walk may outgrow the recursion
+        # limit: branches[k] holds the transitions out of path[k] not yet taken
+        path, branches = [s], [iter(table.outgoing(s))]
+        while branches:
+            t = next(branches[-1], None)
+            if t is None:
+                path.pop()
+                branches.pop()
+            elif len(path) == n_steps:
+                yield Trajectory(tuple((p, i) for i, p in enumerate(path + [t.to_state])))
+            else:
+                path.append(t.to_state)
+                branches.append(iter(table.outgoing(t.to_state)))
+
+
+def listed(enumerate_walks, *args):
+    """The walks as a list, or the refusal's text where the budget refuses them."""
+    try:
+        return list(enumerate_walks(*args))
+    except BudgetExceeded as e:
+        return str(e)
+
+
+class TestEnumerationMatchesReference:
+    """The same walks, in the same order, as the enumerator built on whole paths."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        # multi-edges, self-loops and sinks; duplicate starts, no starts and 0 hops
+        n_states = data.draw(st.integers(1, 6))
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n_states - 1), st.integers(0, n_states - 1)),
+            max_size=16,
+        ))
+        table = mk_table(n_states, edges)
+        starts = data.draw(st.lists(st.sampled_from(table.states), max_size=8))
+        n = data.draw(st.integers(0, 6))
+        want = listed(reference_enumerate, table, starts, n, 20_000)
+        assert listed(enumerate_trajectories, table, starts, n, 20_000) == want
+
+    def test_demo_table(self, pendulum_table):
+        starts = pendulum_table.states[::97]
+        for n in range(5):
+            want = list(reference_enumerate(pendulum_table, starts, n))
+            assert list(enumerate_trajectories(pendulum_table, starts, n)) == want
+        assert len(want) == 48122
+
+    def test_walks_past_the_recursion_limit(self):
+        table = read_jsonl(io.StringIO(table_text(THREE_STATE_TABLE)))
+        want = list(reference_enumerate(table, table.states, 100_000))
+        assert list(enumerate_trajectories(table, table.states, 100_000)) == want
+        assert [len(w.waypoints) for w in want] == [100_001] * 3
 
 
 # ---------------------------------------------------------------------------
