@@ -7,7 +7,10 @@ provided and cross-checked:
 
   * an exact dynamic program (the oracle): the move-set stencil over the
     cells a walk from the start to the end can visit, each a lane of one
-    Python integer; it counts any move set,
+    Python integer; it counts any move set, stepping a product of per-axis
+    offsets one axis at a time where that takes fewer shifts (exact, as the
+    walls and the box are per axis). The product routes below rest on that same fact, so the tests
+    check the DP against a dict DP that moves whole vectors,
   * an exact 1-D count by the method of images, in Python integers; for the
     full diagonal move set (every vector over {-1,0,1}^n) the n-D count is
     the product of these per-axis counts (the fast path), all taken from
@@ -49,7 +52,14 @@ _MOVE_SET_DIM_CAP = 12
 
 
 class MoveSet:
-    """Allowed per-step displacement vectors; components limited to -1/0/+1."""
+    """Allowed per-step displacement vectors; components limited to -1/0/+1.
+
+    `factors` splits a step into passes (corridor_count_dp): for a product
+    S_1 x ... x S_n of per-axis offsets whose passes cost less, sum of
+    2 |S_j| + 1 below 2 |moves| + 1, per axis j the unit moves by S_j; for
+    any other set, the empty one and every 1-D one too, one factor of every
+    move.
+    """
 
     def __init__(self, n: int, moves: tuple[tuple[int, ...], ...]):
         if n < 1:
@@ -65,6 +75,15 @@ class MoveSet:
             seen.add(mv)
         # canonical ordering for deterministic iteration
         self.n, self.moves = n, tuple(sorted(moves))
+        # the moves are distinct, so they are the whole product iff its size is
+        # theirs; split only where the passes touch fewer lanes than one pass
+        axes = [sorted({mv[j] for mv in moves}) for j in range(n)]
+        self.factors = (self.moves,)
+        if (moves and math.prod(map(len, axes)) == len(moves)
+                and sum(2 * len(s) + 1 for s in axes) < 2 * len(moves) + 1):
+            zero = (0,) * n
+            self.factors = tuple(tuple(zero[:j] + (c,) + zero[j + 1:] for c in s)
+                                 for j, s in enumerate(axes))
 
     def is_full(self) -> bool:
         return len(self.moves) == 3 ** self.n
@@ -215,13 +234,21 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
     |x_j - b_j| <= m on every axis j, which alone a walk from a to b in m
     steps can visit. Padded by a cell per side on every axis, the box is one
     Python integer, a lane of `lane` bytes per cell in row-major order (SIMD
-    within a register; Fisher and Dietz, LCPC 1998). A step adds one shift of
-    it per move and masks off the padding, dropping walks that hit a wall or
-    leave the box; a source is interior, so no shift wraps it into another
-    row. No lane carries: after step t a lane holds at most |moves|^t, and a
-    step adds into each lane, padding included, one source lane per move, so
-    lanes stay at most |moves|^m, which fits. Work past check_count_work's
-    budget, 2 |moves| + 1 touches per padded lane and step, is refused first.
+    within a register; Fisher and Dietz, LCPC 1998). A step is one pass per
+    factor of the move set (MoveSet.factors): a pass adds one shift of the
+    integer per move of the factor and masks off the padding, dropping walks
+    that hit a wall or leave the box; a source is interior, so no shift wraps
+    it into another row. A product set's step thus takes its per-axis passes
+    in turn, sum factorization (Orszag, J. Comput. Phys. 1980), exactly: the
+    walls and the box are per axis, so a move lands inside iff each of its
+    axis offsets does from a cell inside, and masking after each pass drops
+    the same walks as masking after the whole move. No lane carries: after
+    step t a lane holds at most |moves|^t, and the passes of a step add into
+    each lane, padding included, at most prod |factor| = |moves| source lanes
+    of step t, so lanes stay at most |moves|^m, which fits. Work past
+    check_count_work's budget, 2 |moves| + 1 touches per padded lane and
+    step, is refused first; a set is split only where its passes touch
+    fewer, so that price bounds the work of either loop.
     """
     if not _check_walk(spec.d, a, b, m):
         return PathCount.from_int(0)
@@ -239,16 +266,20 @@ def corridor_count_dp(spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m:
         block = bytes(len(block)) + block * s + bytes(len(block))
     mask = int.from_bytes(block, "little")
     start, end = (sum((pj - l + 1) * sj for pj, l, sj in zip(p, lo, stride)) for p in (a, b))
-    shifts = [sum(c * sj for c, sj in zip(mv, stride)) for mv in moves]
-    up, down = [s for s in shifts if s > 0], [-s for s in shifts if s < 0]
-    cur, stay = 1 << start, 0 in shifts
+    # per factor: whether it stays, its shifts up and its shifts down
+    passes = []
+    for f in spec.move_set.factors:
+        shifts = [sum(c * sj for c, sj in zip(mv, stride)) for mv in f]
+        passes.append((0 in shifts, [s for s in shifts if s > 0], [-s for s in shifts if s < 0]))
+    cur = 1 << start
     for _ in range(m):
-        nxt = cur if stay else 0
-        for s in up:
-            nxt += cur << s
-        for s in down:
-            nxt += cur >> s
-        cur = nxt & mask
+        for stay, up, down in passes:
+            nxt = cur if stay else 0
+            for s in up:
+                nxt += cur << s
+            for s in down:
+                nxt += cur >> s
+            cur = nxt & mask
     return PathCount.from_int(cur >> end & (1 << 8 * lane) - 1)
 
 

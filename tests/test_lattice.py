@@ -25,7 +25,7 @@ from dtraj.lattice import (
     scaling_table,
     write_scaling_csv,
 )
-from dtraj.model import JointSpec
+from dtraj.model import JointSpec, check_count_work
 from conftest import DEG, demo_joint
 
 
@@ -56,6 +56,18 @@ def reference_dp(d, moves, a, b, m):
         if not counts:
             break
     return counts.get(tuple(b), 0)
+
+
+def assert_matches_reference(rng, ms, cases, walls=(2, 8), m_max=10):
+    """corridor_count_dp against reference_dp on `cases` seeded instances of
+    the move set ms, with walls in the range `walls`, each end in reach."""
+    for _ in range(cases):
+        d = tuple(rng.randint(*walls) for _ in range(ms.n))
+        a = tuple(rng.randint(1, dj - 1) for dj in d)
+        m = rng.randint(0, m_max)
+        b = tuple(rng.randint(max(1, aj - m), min(dj - 1, aj + m)) for aj, dj in zip(a, d))
+        got = corridor_count_dp(CorridorSpec(d=d, move_set=ms), a, b, m).exact
+        assert got == reference_dp(d, ms.moves, a, b, m), (d, ms.moves, a, b, m)
 
 
 def random_move_set(rng, n):
@@ -373,6 +385,115 @@ class TestCorridorDp:
         got = corridor_count_dp(spec, (a,), (b,), m).exact
         assert got == reference_dp((d,), spec.move_set.moves, (a,), (b,), m) > 2 ** 53
         assert m < 60 or got > 2 ** 64
+
+    @pytest.mark.parametrize("axes, factors, walls, m_max", [
+        # split: the per-axis passes touch fewer lanes than one pass of every move
+        (((-1, 0, 1), (-1, 1)), 2, (2, 8), 10),
+        (((-1, 1),) * 3, 3, (2, 8), 10),
+        (((-1, 0, 1), (-1, 0, 1), (1,)), 3, (2, 8), 10),
+        (((-1, 0, 1), (0,), (-1, 0, 1)), 3, (2, 8), 10),
+        (((0, 1), (-1, 0, 1), (-1, 1)), 3, (2, 8), 10),
+        # not split: one pass is cheaper (an axis fixed at {1} or {0}, a single
+        # move, the 2-D diagonals)
+        (((-1, 1), (0, 1)), 1, (2, 8), 10),
+        (((-1, 0, 1), (1,)), 1, (2, 8), 10),
+        (((-1, 0, 1), (0,)), 1, (2, 8), 10),
+        (((1,), (0, 1), (-1, 1)), 1, (2, 8), 10),
+        (((1,), (0,), (-1,)), 1, (2, 8), 10),
+        (((-1, 1), (-1, 1)), 1, (2, 8), 10),
+        # the full sets, 2-D and 3-D at the benchmark's sizes; 1-D is never split
+        (((-1, 0, 1),), 1, (2, 40), 40),
+        (((-1, 0, 1),) * 2, 2, (20, 24), 12),
+        (((-1, 0, 1),) * 3, 3, (7, 9), 8),
+    ])
+    def test_product_sets_match_reference(self, axes, factors, walls, m_max):
+        # a split set steps one axis at a time; reference_dp moves whole
+        # vectors, so it checks that the passes are the step
+        ms = MoveSet(n=len(axes), moves=tuple(itertools.product(*axes)))
+        assert len(ms.factors) == factors
+        if factors > 1:
+            assert [len(f) for f in ms.factors] == [len(s) for s in axes]
+        assert_matches_reference(random.Random(str(axes)), ms, 20, walls, m_max)
+
+    def test_random_product_sets_match_reference(self):
+        rng, split = random.Random(20261019), 0
+        for _ in range(60):
+            axes = [rng.sample((-1, 0, 1), rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+            ms = MoveSet(n=len(axes), moves=tuple(itertools.product(*axes)))
+            assert len(ms.factors) in (1, len(axes))
+            # the DP's price, 2 |moves| + 1 touches per lane and step, bounds the passes
+            assert sum(2 * len(f) + 1 for f in ms.factors) <= 2 * len(ms.moves) + 1
+            split += len(ms.factors) > 1
+            assert_matches_reference(rng, ms, 5)
+        assert 10 < split < 50
+
+    @pytest.mark.parametrize("moves", [
+        # von Neumann, with and without the stay
+        [(-1, 0), (0, -1), (0, 1), (1, 0)],
+        [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)],
+        [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)],
+        # the full set less one move; the diagonals only, in 3-D, and with the stay in 2-D
+        [mv for mv in itertools.product((-1, 0, 1), repeat=2) if mv != (1, -1)],
+        [mv for mv in itertools.product((-1, 0, 1), repeat=3) if mv != (0, 0, 0)],
+        [mv for mv in itertools.product((-1, 0, 1), repeat=3) if mv.count(0) <= 1],
+        [mv for mv in itertools.product((-1, 0, 1), repeat=2) if 0 not in mv or mv == (0, 0)],
+    ])
+    def test_non_product_sets_take_one_pass(self, moves):
+        # every axis offers -1, 0 and 1, yet the set is no product: one factor
+        n = len(moves[0])
+        assert all({mv[j] for mv in moves} == {-1, 0, 1} for j in range(n))
+        ms = MoveSet(n=n, moves=tuple(moves))
+        assert ms.factors == (ms.moves,)
+        assert_matches_reference(random.Random(len(moves)), ms, 40)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_set_is_one_factor(self, n):
+        ms = MoveSet(n=n, moves=())
+        assert ms.factors == ((),)
+        spec = CorridorSpec(d=(6,) * n, move_set=ms)
+        for b in ((2,) * n, (3,) * n):
+            assert corridor_count_dp(spec, (2,) * n, b, 0).exact == (b == (2,) * n)
+            assert corridor_count_dp(spec, (2,) * n, b, 1).exact == 0
+
+    def test_full_set_factors(self):
+        assert full_move_set(2).factors == (((-1, 0), (0, 0), (1, 0)), ((0, -1), (0, 0), (0, 1)))
+
+    def test_criterion_3_instances_match_reference(self):
+        # the acceptance gate's instances, checked against the whole-vector DP
+        rng = random.Random(20260819)
+        for case in range(50):
+            n = rng.choice((2, 3))
+            d = tuple(rng.randint(3, 12) for _ in range(n))
+            a = tuple(rng.randint(1, dj - 1) for dj in d)
+            b = tuple(rng.randint(1, dj - 1) for dj in d)
+            m = rng.randint(0, 12)
+            spec = CorridorSpec(d=d, move_set=full_move_set(n))
+            got = corridor_count_dp(spec, a, b, m).exact
+            assert got == reference_dp(d, spec.move_set.moves, a, b, m), (case, d, a, b, m)
+
+    @pytest.mark.parametrize("moves, edge", [
+        (tuple(itertools.product((-1, 0, 1), repeat=3)), 1492),
+        (((1, 1, 1),), 187828),
+    ])
+    def test_product_price_edge(self, monkeypatch, moves, edge):
+        # the most steps the budget admits from (2,2,2) back on 5^3: the price
+        # is 2 |moves| + 1 touches per padded lane and step, split or not
+        import dtraj.lattice as lattice
+
+        class Admitted(Exception):
+            pass
+
+        def price_only(*args):
+            check_count_work(*args)
+            raise Admitted
+
+        monkeypatch.setattr(lattice, "check_count_work", price_only)
+        spec = CorridorSpec(d=(5, 5, 5), move_set=MoveSet(n=3, moves=moves))
+        with pytest.raises(Admitted):
+            corridor_count_dp(spec, (2, 2, 2), (2, 2, 2), edge)
+        with pytest.raises(ResourceLimit, match=f"DP over 64 cells x {len(moves)} moves x "
+                                                f"{edge + 1} steps exceeds the work budget"):
+            corridor_count_dp(spec, (2, 2, 2), (2, 2, 2), edge + 1)
 
     def test_restricted_move_set(self):
         # without the zero move, parity forbids odd/even mismatches
