@@ -4,6 +4,12 @@ Each joint is a mathematical pendulum (point mass on a rigid massless rod, no
 damping) driven by a torque held constant over one clock tick. Joints never
 couple. Integration is classical 4th-order Runge-Kutta with a fixed substep
 count chosen so the per-tick error stays far below the position resolution.
+
+Two integrators take the same RK4 step: `integrate_joint` on floats with
+`math.sin`, and `integrate_frontier`, discovery's in-place kernel, on arrays
+with `np.sin`. Both run the same IEEE operations on the same operands in the
+same order, so each array element is bitwise the scalar result wherever the
+two sines agree.
 """
 
 from __future__ import annotations
@@ -38,31 +44,81 @@ class PendulumParams(NamedTuple):
     gravity: float
 
 
-def integrate_joint(q, v, u, p: PendulumParams, dt: float, substeps: int = SUBSTEPS, sin=math.sin):
-    """Advance joints by dt under constant torque u by classical RK4 substeps.
+def integrate_joint(q: float, v: float, u: float, p: PendulumParams, dt: float,
+                    substeps: int = SUBSTEPS) -> tuple[float, float]:
+    """Advance one joint by dt under constant torque u by classical RK4 substeps.
 
     The acceleration is gravity's restoring term plus the torque's; undamped,
     so a stage's acceleration needs only its angle. The torque term u / inertia
-    is the same at every stage, so it is taken once per call. Floats with
-    `math.sin`, or float64 arrays with `np.sin`: one joint's states, or
-    (rows, joints) arrays with `p` holding per-joint arrays. The operations run
-    in the same order either way, so each array element is bitwise the scalar
-    result wherever the two sines agree.
+    is the same at every stage, so it is taken once per call.
     """
     gravity, torque = -(p.gravity / p.length), u / (p.mass * p.length * p.length)
     h = dt / substeps
     half, sixth = 0.5 * h, h / 6
     for _ in range(substeps):
-        k1v = gravity * sin(q) + torque
+        k1v = gravity * math.sin(q) + torque
         k2q = v + half * k1v
-        k2v = gravity * sin(q + half * v) + torque
+        k2v = gravity * math.sin(q + half * v) + torque
         k3q = v + half * k2v
-        k3v = gravity * sin(q + half * k2q) + torque
+        k3v = gravity * math.sin(q + half * k2q) + torque
         k4q = v + h * k3v
-        k4v = gravity * sin(q + h * k3q) + torque
+        k4v = gravity * math.sin(q + h * k3q) + torque
         q, v = (q + sixth * (v + 2 * k2q + 2 * k3q + k4q),
                 v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v))
     return q, v
+
+
+def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray, p: PendulumParams,
+                       dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """`integrate_joint` over (rows, joints) float64 arrays, `p` holding per-joint arrays.
+
+    It always takes `integrate_joint`'s default of SUBSTEPS substeps. One
+    preallocated buffer per RK4 stage k holds its state Y_k = (q, v)
+    stacked over its acceleration, so the stage's slope K_k = (v,
+    acceleration) is a view of the buffer's last two planes. Stage 1's
+    buffer holds the substep's state X itself. Each later stage is
+    Y_k = X + c * K_(k-1) and one acceleration, and the substep ends with
+    X += h/6 * (K1 + 2 K2 + 2 K3 + K4), summed left to right: 25 ufunc calls,
+    each writing in place. They are `integrate_joint`'s operations on its
+    operands in its order (Y_k's v is its k_k q), so each element is bitwise
+    its result wherever `np.sin` and `math.sin` agree. A non-finite entry
+    raises nothing and stays in its element; numpy's warnings are the
+    caller's to silence. Returns views of the buffer.
+    """
+    import numpy as np
+
+    torque = u / (p.mass * p.length * p.length)
+    h = dt / SUBSTEPS
+    # constants as arrays, gravity's in the frontier's shape: numpy takes
+    # these faster than a Python number or a broadcast, and they hold the
+    # same float64 values
+    gravity = np.broadcast_to(-(p.gravity / p.length), q.shape).copy()
+    h, half, sixth, two = map(np.array, (h, 0.5 * h, h / 6, 2.0))
+    stages = np.empty((4, 3, *q.shape))
+    x, x_angle, a1 = stages[0, :2], stages[0, 0], stages[0, 2]
+    k1, k2, k3, k4 = stages[:, 1:]
+    # stages 2 to 4: the (c, K) each steps by, its state, its angle, its acceleration
+    stepped = [(c, k, y[:2], y[0], y[2])
+               for c, k, y in zip((half, half, h), (k1, k2, k3), stages[1:])]
+    x[0], x[1] = q, v
+    for _ in range(SUBSTEPS):
+        np.sin(x_angle, out=a1)
+        np.multiply(gravity, a1, out=a1)
+        np.add(a1, torque, out=a1)
+        for c, k, y, angle, a in stepped:
+            np.multiply(c, k, out=y)
+            np.add(x, y, out=y)
+            np.sin(angle, out=a)
+            np.multiply(gravity, a, out=a)
+            np.add(a, torque, out=a)
+        np.multiply(two, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        np.multiply(two, k3, out=k3)
+        np.add(k2, k3, out=k2)
+        np.add(k2, k4, out=k2)
+        np.multiply(sixth, k2, out=k2)
+        np.add(x, k2, out=x)
+    return x[0], x[1]
 
 
 def joint_params(robot: RobotSpec, i: int) -> PendulumParams:

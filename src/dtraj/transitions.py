@@ -18,7 +18,7 @@ import re
 from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
-from .dynamics import PendulumParams, integrate_joint, integrate_step
+from .dynamics import PendulumParams, integrate_frontier, integrate_step
 from .model import (
     DEFAULT_MAX_SEQUENCES,
     DEFAULT_MAX_STATES,
@@ -196,14 +196,17 @@ def find_transitions(
     sequence as a transition.
 
     Every state's sequence tree grows at once: one frontier holds the pending
-    sequences of every state found so far, and each tick integrates all of
-    them as one (rows, 2 * joints) array through `integrate_joint`. A
-    state's tree starts on the tick after the state is first reached, from
-    its cell centre: its index row times the grid steps, appended to the
-    rows of the states found before it. The table is then put in the order a
-    state-by-state search would give: states in order of first discovery when
-    each state's tree is searched in turn, each state's transitions by
-    sequence length, then breadth-first position.
+    sequences of every state found so far, a (rows, 2 * joints) array, and
+    each tick integrates all of them in one call of `integrate_frontier`,
+    the array kernel that is bitwise the scalar RK4 of `integrate_joint`
+    wherever `np.sin` and `math.sin` agree. A state's tree starts on the
+    tick after the state is first reached, from its cell centre: its index
+    row times the grid steps, appended to the rows of the states found
+    before it. A settled sequence becomes its state's next `Transition` on
+    the tick it settles. The table is then put in the order a state-by-state
+    search would give: states in order of first discovery when each state's
+    tree is searched in turn, each state's transitions by sequence length,
+    then breadth-first position.
 
     dedup: "all" records every sequence per (from, to) outcome; "shortest"
     keeps only the first (breadth-first order makes it a shortest one).
@@ -233,11 +236,13 @@ def find_transitions(
     # grid steps per column: a cell's index row times these is its centre,
     # bitwise `representative`'s, as every index is below 2^53 in size
     steps = np.array([robot.grids(i)[k][2] for k in (0, 1) for i in range(n)])
+    durations = [k * robot.delta_t for k in range(nal + 1)]     # by sequence length
 
     # states by id in the order the frontier first reached them; ids by index row
     states: list[QuantizedState] = []
     ids: dict = {}
-    records: list[list] = []     # per state id: (sequence, destination id), per-tree BFS order
+    records: list[list] = []     # per state id: its transitions, in per-tree BFS order
+    dests: list[list] = []       # per state id: their destination ids
     seen_pairs: set = set()
     simulated = 0
 
@@ -250,6 +255,7 @@ def find_transitions(
         ids[row] = len(states)
         states.append(QuantizedState(row[:n], row[n:]))
         records.append([])
+        dests.append([])
         return len(states) - 1
 
     # a tick's parents: the tree (state id) of each pending sequence, the
@@ -280,9 +286,9 @@ def find_transitions(
         depth = np.repeat([len(seq) + 1 for seq in prefixes], n_act)
 
         with np.errstate(all="ignore"):
-            ends = np.hstack(integrate_joint(
+            ends = np.hstack(integrate_frontier(
                 np.repeat(p_ends[:, :n], n_act, axis=0), np.repeat(p_ends[:, n:], n_act, axis=0),
-                torque[act], params, robot.delta_t, sin=np.sin))
+                torque[act], params, robot.delta_t))
         if not (finite := np.isfinite(ends).all(axis=0)).all():
             j = robot.joints[int(np.argmin(finite[:n] & finite[n:]))]
             raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
@@ -313,7 +319,8 @@ def find_transitions(
                 if (frm, to) in seen_pairs:
                     continue
                 seen_pairs.add((frm, to))
-            records[frm].append((seq, to))
+            records[frm].append(Transition(states[frm], seq, durations[len(seq)], states[to]))
+            dests[frm].append(to)
 
         kept = np.flatnonzero(grow)
         prefixes = [sequence(p) for p in kept.tolist()]
@@ -326,16 +333,12 @@ def find_transitions(
     placed = [False] * len(states)
     placed[0] = True
     for frm in order:
-        for _, to in records[frm]:
+        for to in dests[frm]:
             if not placed[to]:
                 placed[to] = True
                 order.append(to)
-    ordered = tuple(states[k] for k in order)
-    transitions = tuple(
-        Transition(states[frm], seq, len(seq) * robot.delta_t, states[to])
-        for frm in order for seq, to in records[frm]
-    )
-    return TransitionTable(robot.content_hash(), ordered, transitions)
+    return TransitionTable(robot.content_hash(), tuple(states[k] for k in order),
+                           tuple(itertools.chain.from_iterable(records[k] for k in order)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from dtraj.dynamics import (
     SUBSTEPS,
     PendulumParams,
     act_sequence,
+    integrate_frontier,
     integrate_joint,
     integrate_step,
     joint_params,
@@ -68,6 +69,13 @@ def near_limit_states(rng, rows: int, joints: int) -> tuple[np.ndarray, np.ndarr
     return q, v
 
 
+def with_non_finite(rng, *arrays: np.ndarray) -> None:
+    """Put seeded infs and nans, of either sign, in about one entry in 20 of each array."""
+    for x in arrays:
+        hit = rng.random(x.shape) < 0.05
+        x[hit] = rng.choice([np.inf, -np.inf, np.nan, -np.nan], hit.sum())
+
+
 def menu_and_off_menu_torques(rng, shape) -> np.ndarray:
     """The demo menu's torques and seeded ones off it, up to twice its range."""
     menu = rng.choice([-50.0, -25.0, 0.0, 25.0, 50.0], shape)
@@ -100,15 +108,19 @@ def test_kernel_is_bitwise_its_oracle_on_floats(params):
 
 @pytest.mark.parametrize("joints", [1, 2, 3])
 def test_kernel_is_bitwise_its_oracle_on_arrays(joints):
-    # (rows, joints) frontiers as discovery integrates them, per-joint constants
+    # (rows, joints) frontiers as discovery integrates them, per-joint
+    # constants, and non-finite entries, which stay in their own element
     rng = np.random.default_rng(joints)
     params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
     q, v = near_limit_states(rng, 400, joints)
     u = menu_and_off_menu_torques(rng, (400, joints))
-    got = integrate_joint(q, v, u, params, 0.04, sin=np.sin)
-    want = reference_integrate_joint(q, v, u, params, 0.04, sin=np.sin)
-    assert bits(got[0]) == bits(want[0])
-    assert bits(got[1]) == bits(want[1])
+    with_non_finite(rng, q, v, u)
+    for rows in (slice(None), slice(1)):        # the frontier, then its first row alone
+        with np.errstate(all="ignore"):
+            got = integrate_frontier(q[rows], v[rows], u[rows], params, 0.04)
+            want = reference_integrate_joint(q[rows], v[rows], u[rows], params, 0.04, sin=np.sin)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
 
 
 def test_integrator_matches_fine_reference():
@@ -139,17 +151,36 @@ def test_overflow_raises():
 
 
 def test_array_integration_is_bitwise_scalar():
-    # seeded states inside the demo limits under torques across its menu range
+    # seeded states inside the demo limits under torques across its menu
+    # range, with infs and nans; one joint takes the demo's float constants,
+    # three take per-joint arrays
     rng = np.random.default_rng(20201)
-    q = rng.uniform(-135 * DEG, 135 * DEG, 4000)
-    v = rng.uniform(-180 * DEG, 180 * DEG, 4000)
-    u = np.concatenate([rng.choice([-50.0, -25.0, 0.0, 25.0, 50.0], 2000),
-                        rng.uniform(-50.0, 50.0, 2000)])
-    qa, va = integrate_joint(q, v, u, P, 0.04, sin=np.sin)
-    scalar = [integrate_joint(*args, P, 0.04) for args in zip(q.tolist(), v.tolist(), u.tolist())]
-    qs, vs = np.array(scalar).T
-    assert qa.view(np.int64).tolist() == qs.view(np.int64).tolist()
-    assert va.view(np.int64).tolist() == vs.view(np.int64).tolist()
+    for rows, joints in ((4000, 1), (1, 1), (300, 3)):
+        q = rng.uniform(-135 * DEG, 135 * DEG, (rows, joints))
+        v = rng.uniform(-180 * DEG, 180 * DEG, (rows, joints))
+        size = rows * joints
+        u = np.concatenate([rng.choice([-50.0, -25.0, 0.0, 25.0, 50.0], size // 2),
+                            rng.uniform(-50.0, 50.0, size - size // 2)]).reshape(rows, joints)
+        with_non_finite(rng, q, v, u)
+        if joints == 1:
+            params, per_joint = P, [P]
+        else:
+            mass, length = (rng.uniform(0.2, 3.0, joints).tolist(),
+                            rng.uniform(0.3, 2.0, joints).tolist())
+            params = PendulumParams(np.array(mass), np.array(length), 9.81)
+            per_joint = [PendulumParams(*ml, 9.81) for ml in zip(mass, length)]
+        with np.errstate(all="ignore"):
+            qa, va = integrate_frontier(q, v, u, params, 0.04)
+        for r, j in np.ndindex(rows, joints):
+            got = qa[r, j], va[r, j]
+            try:
+                want = integrate_joint(q[r, j].item(), v[r, j].item(), u[r, j].item(),
+                                       per_joint[j], 0.04)
+            except ValueError:
+                # math.sin refuses an infinite angle, where the kernel goes non-finite
+                assert not np.isfinite(got).all(), (rows, joints, r, j)
+                continue
+            assert bits(got) == bits(want), (rows, joints, r, j)
 
 
 def test_act_is_one_step_sequence(pendulum):

@@ -346,10 +346,11 @@ def jsonl_line(frm=("0", "0"), seq="[[2]]", dur="0.04", to=("1", "0")) -> str:
 
 
 def bench_table(pendulum, pendulum_table, robot: str, dedup: str) -> TransitionTable:
-    """The demo or two-joint table, in dedup mode `dedup`."""
+    """The demo, two-joint or 32 ms demo table, in dedup mode `dedup`."""
     if (robot, dedup) == ("demo", "all"):
         return pendulum_table
-    return find_transitions(pendulum if robot == "demo" else robot_from_dict(TWO_JOINT),
+    return find_transitions({"demo": pendulum, "two-joint": robot_from_dict(TWO_JOINT),
+                             "demo-32ms": pendulum._replace(delta_t=0.032)}[robot],
                             dedup=dedup)
 
 
@@ -803,9 +804,13 @@ class TestAgainstOracle:
         assert got == want
         assert serialised(got) == serialised(want)
 
-    # sha256 of the JSONL and DOT bytes as literals: the oracle replays through
-    # the same integrate_joint as discovery, so a change in the kernel's last
-    # bit moves both sides of the comparisons above, and only a literal sees it
+    # sha256 of the JSONL and DOT bytes as literals. The oracle integrates by
+    # the scalar `integrate_step`, discovery by the array kernel
+    # `integrate_frontier`: the comparisons above see a change to the kernel
+    # alone, but one made to both integrators alike (SUBSTEPS, say) moves both
+    # sides, and only a literal sees it. The 32 ms demo's ticks reach 5,090
+    # rows and it replays 2,885 static-hold candidates; the 40 ms demo's never
+    # pass 385 rows and it has 5.
     PINNED = {
         ("demo", "all"): ("f471d6395df122cf37f2a6c994736dee69577c4cc0bc905f44f57c3ffe1ecd17",
                           "ecc9f352757d95e0ce348728f89309b8375bd80f0108d4edc08cf60afd7d3e2d"),
@@ -816,6 +821,9 @@ class TestAgainstOracle:
         ("two-joint", "shortest"): (
             "2f3b8ea35afd7e6d9c6a4f0a928a706bd497d4853e0455551b32eb3a23152242",
             "e1821468626b5e4fc9e85a0dc98f884961c01b102ffc65ebbdfe2e759f1dd9f2"),
+        ("demo-32ms", "all"): (
+            "5171dedd9c876467eb0a8acac9d024a041a6471162a3a09547042a025bd16ef2",
+            "c43d7ac43fc58049b848b8959f75d93a9455fc28c45c32a7f041596ee0a8777b"),
     }
 
     @pytest.mark.parametrize(("robot", "dedup"), sorted(PINNED))
@@ -956,13 +964,13 @@ class TestBudgetUnit:
     @pytest.mark.parametrize("budget", [1, 5, 6, 50, 1_000, 8_074])
     def test_never_simulates_past_the_budget(self, pendulum, monkeypatch, budget):
         rows = []
-        real = trn.integrate_joint
+        real = trn.integrate_frontier
 
         def counted(q, *args, **kw):
             rows.append(len(q))
             return real(q, *args, **kw)
 
-        monkeypatch.setattr(trn, "integrate_joint", counted)
+        monkeypatch.setattr(trn, "integrate_frontier", counted)
         with pytest.raises(BudgetExceeded) as err:
             find_transitions(pendulum, max_sequences=budget)
         done, found = map(int, re.search(r"(\d+) sequences simulated, (\d+) states found",
