@@ -44,18 +44,18 @@ class PendulumParams(NamedTuple):
     gravity: float
 
 
-def integrate_joint(q: float, v: float, u: float, p: PendulumParams, dt: float,
-                    substeps: int = SUBSTEPS) -> tuple[float, float]:
-    """Advance one joint by dt under constant torque u by classical RK4 substeps.
+def integrate_joint(q: float, v: float, u: float, p: PendulumParams,
+                    dt: float) -> tuple[float, float]:
+    """Advance one joint by dt under constant torque u by SUBSTEPS classical RK4 substeps.
 
     The acceleration is gravity's restoring term plus the torque's; undamped,
     so a stage's acceleration needs only its angle. The torque term u / inertia
     is the same at every stage, so it is taken once per call.
     """
     gravity, torque = -(p.gravity / p.length), u / (p.mass * p.length * p.length)
-    h = dt / substeps
+    h = dt / SUBSTEPS
     half, sixth = 0.5 * h, h / 6
-    for _ in range(substeps):
+    for _ in range(SUBSTEPS):
         k1v = gravity * math.sin(q) + torque
         k2q = v + half * k1v
         k2v = gravity * math.sin(q + half * v) + torque
@@ -72,7 +72,7 @@ def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray, p: PendulumP
                        dt: float) -> tuple[np.ndarray, np.ndarray]:
     """`integrate_joint` over (rows, joints) float64 arrays, `p` holding per-joint arrays.
 
-    It always takes `integrate_joint`'s default of SUBSTEPS substeps. One
+    It takes SUBSTEPS substeps, as `integrate_joint` does. One
     preallocated buffer per RK4 stage k holds its state Y_k = (q, v)
     stacked over its acceleration, so the stage's slope K_k = (v,
     acceleration) is a view of the buffer's last two planes. Stage 1's

@@ -230,18 +230,6 @@ def check_count_work(what: str, steps: int, edges: int, fan_out: int) -> None:
         )
 
 
-def widen_counts(counts, fan_in: int):
-    """`counts` as Python integers (object dtype) once a step could overflow int64.
-
-    A step adds at most fan_in counts into each entry, so int64 stays exact
-    while max(counts) * fan_in <= 2^63 - 1; count_trajectories, its one caller,
-    calls this before every hop, so it counts exactly at any size.
-    """
-    if counts.dtype != object and int(counts.max(initial=0)) * fan_in > 2 ** 63 - 1:
-        return counts.astype(object)
-    return counts
-
-
 def trajectory_upper_bound(robot: RobotSpec, m: int) -> int:
     """Bound on m-tick trajectories: every state times every torque string of length m.
 

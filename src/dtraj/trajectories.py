@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from itertools import islice
-from operator import mul
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
@@ -28,7 +27,6 @@ from .model import (
     check_count_work,
     format_count,
     quantize,
-    widen_counts,
 )
 from .transitions import TransitionTable, _state_to_json
 
@@ -50,8 +48,8 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     """Exact number of n_steps-hop walks out of every state (multi-edges counted).
 
     Each hop sums, per state, the counts at the destinations of its outgoing
-    transitions, in int64 until model.widen_counts, with the max out-degree as
-    fan-in, switches them to Python integers, so counts stay exact at any
+    transitions: in int64 while max(counts) * max out-degree, the most a sum
+    can reach, fits, then in Python integers, so counts stay exact at any
     size. Work past model.check_count_work's budget, pricing each count at
     max out-degree ** n_steps, is refused before it starts.
     """
@@ -69,7 +67,8 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     rows = np.flatnonzero(np.diff(row_start))
     starts = row_start[rows]
     for _ in range(n_steps):
-        counts = widen_counts(counts, max_degree)
+        if counts.dtype != object and int(counts.max(initial=0)) * max_degree > 2 ** 63 - 1:
+            counts = counts.astype(object)
         nxt = np.zeros_like(counts)
         nxt[rows] = np.add.reduceat(counts[dst], starts)
         counts = nxt
@@ -133,11 +132,10 @@ def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> in
     breadth-first search numbers them by position in the order it first
     reaches them, so the states within d hops are a prefix, and it does not
     expand those it first reaches on the last hop, where every walk through
-    them ends. The walks meet in the middle: the walks of n_steps // 2 hops
-    from the starts into each state, times the walks of the other hops out
-    of it, so each count has about half the digits of the total. Each hop
-    sums each row's counts over the prefix its result is read from, 0 past it.
-    model.check_count_work admits the work as it does for count_trajectories.
+    them ends. It counts backward as count_trajectories does: the walks of
+    0 hops out of each state are 1, and each hop sums each row's counts over
+    the prefix its result is read from. model.check_count_work admits the
+    work as it does for count_trajectories.
     """
     dests = table.destinations()
     check_count_work(f"counting {n_steps}-hop walks over {len(table.transitions)} transitions",
@@ -153,25 +151,13 @@ def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> in
             break
         out += [[pos.setdefault(d, len(pos)) for d in dests[i]] for i in level]
         reach.append(len(pos))
-    out += [[]] * (len(pos) - len(out))
     # a walk of k hops from a start ends within k hops of it, and the walks of
     # j hops out of a state are read only within n_steps - j hops
     within = reach[:n_steps] + reach[-1:] * (n_steps - len(reach))
-    half = n_steps // 2
-    into: list[list[int]] = [[] for _ in out]    # per position, its sources' positions
-    for p in range(within[half - 1] if half else 0):    # the sources of the first half's hops
-        for q in out[p]:
-            into[q].append(p)
-    from_starts = [0] * len(out)
-    for i in ids:
-        from_starts[pos[i]] += 1
-    halves = []
-    for rows, c, sizes in ((into, from_starts, within[1:half + 1]),
-                           (out, [1] * len(out), within[half:][::-1])):
-        for m in sizes:
-            c = [sum(map(c.__getitem__, row)) for row in rows[:m]] + [0] * (len(out) - m)
-        halves.append(c)
-    return sum(map(mul, *halves))
+    c = [1] * len(pos)
+    for m in reversed(within):
+        c = [sum(map(c.__getitem__, row)) for row in out[:m]]
+    return sum(c[pos[i]] for i in ids)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src", "dtraj"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(ROOT, "src", "dtraj")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
@@ -65,6 +66,48 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and node.name.startswith("_") and not node.name.endswith("__")
             and node.name not in read]
+
+
+def unpassed_defaults(defs: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Each "function: parameter" with a default that no call in `callers` passes.
+
+    A function in `defs` (module name -> text) is matched to the calls of
+    its name, bare or as an attribute's, and a class's `__init__` to the
+    calls of the class. A call passes a parameter by its keyword, by a
+    positional argument at its place (`self` or `cls` takes none), or by a
+    * or ** argument that could hold it.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for text in callers.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, arg: str, place: int | None) -> bool:
+        args = call.args
+        return (any(k.arg in (arg, None) for k in call.keywords) or place is not None
+                and (len(args) > place or any(isinstance(a, ast.Starred) for a in args)))
+
+    found = []
+    for text in defs.values():
+        tree = ast.parse(text)
+        inits = {f: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
+            defaulted = [(p.arg, k - skip) for k, p in enumerate(positional)
+                         if k >= len(positional) - len(a.defaults)]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            name = inits.get(node, node.name)
+            found += [f"{name}: {arg}" for arg, place in defaulted
+                      if not any(passed(c, arg, place) for c in calls.get(name, []))]
+    return found
 
 
 def read_source(module: str) -> str:
@@ -141,6 +184,33 @@ def test_the_check_sees_each_kind_of_private_definition():
     }
     assert unreferenced_private_definitions(sources) == [
         "a.py: _unused", "a.py: _Gone", "a.py: _method"]
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no call of the program, its bench or its scripts
+    # overrides is a knob only tests turn; tests do not count as callers
+    callers = {}
+    for folder in ("src/dtraj", "bench", "scripts"):
+        for f in sorted(os.listdir(os.path.join(ROOT, folder))):
+            if f.endswith(".py"):
+                with open(os.path.join(ROOT, folder, f), encoding="utf-8") as fh:
+                    callers[f"{folder}/{f}"] = fh.read()
+    unpassed = unpassed_defaults({m: read_source(m) for m in MODULES}, callers)
+    assert not unpassed, "no call in src/, bench/ or scripts/ passes " + ", ".join(unpassed)
+
+
+def test_the_check_sees_each_way_to_pass_a_default():
+    defs = {"a.py": (
+        "def f(a, b=1, /, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0, y=1): pass\n"
+        "def h(z=0, *, w=1): pass\n"
+        "def unused(u=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, size=1, depth=2): pass\n"
+        "    def m(self, k=0, j=1): pass\n"
+    )}
+    callers = {"b.py": "f(0, 1, d=2)\ng(*xs)\nh(**kw)\nK(5)\nobj.m(j=1)\n"}
+    assert unpassed_defaults(defs, callers) == ["f: c", "f: e", "unused: u", "K: depth", "m: k"]
 
 
 def dataclasses_imports(source: str) -> list[int]:

@@ -121,6 +121,12 @@ def listing_count(table: TransitionTable, starts, n_steps: int) -> int:
     return _count_walks(table, [table.state_index(s) for s in starts], n_steps)
 
 
+def demo_start_sets(states):
+    """One start, a repeated start, repeats out of order, a spread, every state, none."""
+    return [[states[0]], [states[0]] * 2, [states[5], states[0], states[5]],
+            list(states[::97]), list(states), []]
+
+
 class TestListingCount:
     """The listing's pure-Python count over its starts' reach, against both counters."""
 
@@ -142,14 +148,23 @@ class TestListingCount:
 
     def test_demo_table_past_int64(self, pendulum_table):
         states = pendulum_table.states
-        start_sets = [[states[0]], [states[0]] * 2, [states[5], states[0], states[5]],
-                      list(states[::97]), list(states), []]
         for n in range(23):
             counts = count_trajectories(pendulum_table, n)
             assert counts == reference_counts(pendulum_table, n)
-            for starts in start_sets:
+            for starts in demo_start_sets(states):
                 assert listing_count(pendulum_table, starts, n) == sum(counts[s] for s in starts)
         assert listing_count(pendulum_table, [states[0]], 22) > 2 ** 63
+
+    def test_deep_counts(self, pendulum_table):
+        # about 450 and 900 bits a state on the demo table, 16,610 on ten self-loops
+        for n in (150, 300):
+            counts = count_trajectories(pendulum_table, n)
+            for starts in demo_start_sets(pendulum_table.states):
+                assert listing_count(pendulum_table, starts, n) == sum(counts[s] for s in starts)
+        loops = mk_table(1, [(0, 0)] * 10)
+        counted = count_trajectories(loops, 5000)[mk_state(0)]
+        assert counted == 10 ** 5000
+        assert listing_count(loops, [mk_state(0)] * 2, 5000) == 2 * counted
 
     def test_work_refusal_is_the_counters(self, pendulum_table):
         # 1,727 hops is the most the demo table's counts fit in the work budget
