@@ -213,6 +213,9 @@ def _cmd_count_bounds(args, robot) -> None:
 def _cmd_count_scaling(args, robot) -> None:
     from .lattice import scaling_table, write_scaling_csv
 
+    if robot.n_joints > 1:
+        raise ConfigError(f"count scaling reads a one-joint config; this one has "
+                          f"{robot.n_joints} joints")
     dof_ranges = _parse_ranges(args.dof, "--dof")
     step_ranges = _parse_ranges(args.steps, "--steps")
     # len() of a range is capped at sys.maxsize, so the sizes are counted here

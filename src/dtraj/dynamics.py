@@ -168,8 +168,3 @@ def validation_check(trace: Iterable[ContinuousState], robot: RobotSpec) -> bool
     """True iff every traced state respects the joint limits at every tick."""
     return all(j.within_limits(q, v)
                for st in trace for j, q, v in zip(robot.joints, st.q, st.v))
-
-
-def total_energy(q: float, v: float, p: PendulumParams) -> float:
-    """Kinetic plus potential energy; conserved exactly at zero torque."""
-    return 0.5 * p.mass * p.length**2 * v**2 + p.mass * p.gravity * p.length * (1 - math.cos(q))

@@ -387,25 +387,6 @@ def _duration_from_json(dur, ticks: int, tick: float | None) -> float:
     return dur
 
 
-def _transition_from_json(obj: dict, n_joints: int | None, tick: float | None) -> Transition:
-    """One JSONL line as a transition; ValueError says what is malformed.
-
-    n_joints is the joint count every state and action must have, and tick
-    the duration of one action, or None to take them from this line.
-    """
-    frm = _state_from_json(obj["from"])
-    to = _state_from_json(obj["to"])
-    n = len(frm.pos_idx) if n_joints is None else n_joints
-    if n < 1:
-        raise ValueError("state has no joints")
-    if len(frm.pos_idx) != n or len(to.pos_idx) != n:
-        raise ValueError(
-            f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} joints, expected {n}"
-        )
-    seq = _sequence_from_json(obj["torque_idx_seq"], n)
-    return Transition(frm, seq, _duration_from_json(obj["duration_s"], len(seq), tick), to)
-
-
 # what a malformed line raises
 _LINE_ERRORS = (KeyError, TypeError, OverflowError, *_JSON_ERRORS)
 
@@ -429,6 +410,16 @@ class _Rendered(dict):
     def __missing__(self, key):
         text = self[key] = self.render(key)
         return text
+
+
+class _FieldTexts:
+    """A parsed line's field texts by `_LINE` group number, each rendered on its lookup."""
+
+    def __init__(self, line):
+        self.line = line
+
+    def __getitem__(self, k: int) -> str:
+        return json.dumps(self.line[("from", "torque_idx_seq", "duration_s", "to")[k - 1]])
 
 
 def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
@@ -482,12 +473,10 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     JSON integer. A ConfigError names the line or the header that breaks a
     rule.
 
-    A line after the first in write_jsonl's spacing and key order is read by
-    its state, sequence and duration texts: each distinct text (a duration's
-    with its tick count) is parsed and checked once, by the checks a whole
-    line gets. Any other line, or one with a text that fails a check, is
-    parsed whole and checked field by field, which names what is wrong. Equal
-    states and equal sequences are one object each across the table.
+    A line's from-state, to-state, sequence and duration texts are checked in
+    that order, each distinct one (a duration's with its tick count) once:
+    `_LINE` finds them in write_jsonl's shape, and json.dumps renders any
+    other line's fields back. Equal states and sequences are one object each.
     """
     first = fh.readline()
     if not first:
@@ -518,56 +507,50 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     transitions: list[Transition] = []
     # each distinct state, in the header's order or else in order of first appearance
     states: dict = dict(zip(listed, listed)) if listed is not None else {}
-
-    def intern(s: QuantizedState) -> QuantizedState | None:
-        """The table's state equal to s, or None where the header lists no such state."""
-        return states.setdefault(s, s) if listed is None else states.get(s)
-
     seqs: dict = {}        # each distinct torque sequence
     n_joints = tick = None
 
-    def checked(make):
-        """`make` of each text on its first lookup, or None where a check refuses it."""
-        def made(key):
-            try:
-                return make(key)
-            except _LINE_ERRORS:
-                return None
-        return _Rendered(made)
-
-    def state(text: str) -> QuantizedState | None:
+    def state(text: str) -> QuantizedState:
+        """The table's state equal to the text's; one the header does not list is its own."""
         s = _state_from_json(json.loads(text))
-        return intern(s) if len(s.pos_idx) == n_joints else None
+        return states.setdefault(s, s) if listed is None else states.get(s, s)
 
     def sequence(text: str) -> ActionSequence:
         seq = _sequence_from_json(json.loads(text), n_joints)
         return seqs.setdefault(seq, seq)
 
-    state_of, seq_of = checked(state), checked(sequence)
-    dur_of = checked(lambda key: _duration_from_json(json.loads(key[0]), key[1], tick))
+    # each text parsed and checked on its first lookup; a refusal ends the read
+    state_of, seq_of = _Rendered(state), _Rendered(sequence)
+    dur_of = _Rendered(lambda key: _duration_from_json(json.loads(key[0]), key[1], tick))
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()
         if not raw:
             continue
-        # the first line fixes n_joints and tick, which the texts' checks use
-        if tick is not None and (m := _LINE.fullmatch(raw)):
-            frm_text, seq_text, dur_text, to_text = m.groups()
-            frm, to, seq = state_of[frm_text], state_of[to_text], seq_of[seq_text]
-            dur = seq and dur_of[dur_text, len(seq)]
-            if frm and to and dur:
-                transitions.append(Transition(frm, seq, dur, to))
-                continue
         try:
-            t = _transition_from_json(json.loads(raw), n_joints, tick)
+            text = _LINE.fullmatch(raw) or _FieldTexts(json.loads(raw))
+            frm, to = state_of[text[1]], state_of[text[4]]
+            n_joints = n_joints or len(frm.pos_idx)
+            if n_joints < 1:
+                raise ValueError("state has no joints")
+            if len(frm.pos_idx) != n_joints or len(to.pos_idx) != n_joints:
+                raise ValueError(f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} "
+                                 f"joints, expected {n_joints}")
+            seq = seq_of[text[2]]
+            dur = dur_of[text[3], len(seq)]
+            if listed is not None and not (frm in states and to in states):
+                raise ValueError(f"state {to if frm in states else frm} is not in the header")
         except _LINE_ERRORS as e:
+            # _LINE admits texts that are not JSON, such as 01: the line's JSON error wins
+            try:
+                json.loads(raw)
+            except _JSON_ERRORS as whole:
+                e = whole
             raise ConfigError(f"bad transition on line {lineno}: {_json_message(e)}") from None
         if tick is None:
-            n_joints, tick = len(t.from_state.pos_idx), t.duration / len(t.actions)
-        frm, to = intern(t.from_state), intern(t.to_state)
-        if frm is None or to is None:
-            lost = t.from_state if frm is None else t.to_state
-            raise ConfigError(f"bad transition on line {lineno}: state {lost} is not in the header")
-        transitions.append(Transition(frm, seqs.setdefault(t.actions, t.actions), t.duration, to))
+            tick = dur / len(seq)
+            if dur != len(seq) * tick:    # checked with no tick: recheck it where it recurs
+                dur_of.clear()
+        transitions.append(Transition(frm, seq, dur, to))
     return TransitionTable(robot_hash, tuple(states), tuple(transitions))
 
 

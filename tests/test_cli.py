@@ -15,7 +15,7 @@ import pytest
 from dtraj.cli import build_parser, main
 from dtraj.model import read_file
 from dtraj.transitions import read_jsonl, state_label
-from conftest import CONFIG_PATH, THREE_STATE_TABLE, write_table
+from conftest import CONFIG_PATH, THREE_STATE_TABLE, TWO_JOINT, write_table
 from test_trajectories import reference_enumerate
 
 CFG = str(CONFIG_PATH)
@@ -294,6 +294,15 @@ class TestScalingCommand:
                                     demo_config_with(tmp_path, **FINE_CELLS), "--dof", "1",
                                     "--steps", "1-3", f"--separation-deg={separation}"], code=3)
         assert err.startswith("error: separation must be finite")
+
+    def test_a_config_of_several_joints_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "two_joint.json"
+        path.write_text(json.dumps(TWO_JOINT))
+        # the row cap would refuse this --dof (exit 4) if it were read first
+        err = refused_fast(capsys, ["count", "scaling", "--config", str(path), "--dof",
+                                    "1-1000000000", "--steps", "1-20",
+                                    "--separation-deg", "20"], code=2)
+        assert err == "error: count scaling reads a one-joint config; this one has 2 joints"
 
     def test_steps_must_start_at_one(self, capsys):
         rc = main(["count", "scaling", "--config", CFG, "--dof", "1",

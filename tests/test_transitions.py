@@ -892,12 +892,20 @@ class TestReaderAgainstReference:
         assert reads_as_reference(text) == (
             "bad transition on line 4: duration_s 0.04 is not 2 ticks of 0.04 s")
 
-    @pytest.mark.parametrize(("index", "verdict"), [
-        ("-0", None),
-        ("01", "bad transition on line 3: Expecting ',' delimiter"),
+    def test_a_first_duration_is_checked_again_where_it_recurs(self):
+        # 1e-320 s over 3 ticks is a subnormal tick, and 3 of them are not 1e-320 s
+        line = jsonl_line(seq="[[2], [2], [2]]", dur="1e-320")
+        assert reads_as_reference(HEAD + line + line) == (
+            "bad transition on line 3: duration_s 1e-320 is not 3 ticks of 3.335e-321 s")
+
+    @pytest.mark.parametrize(("frm", "to", "verdict"), [
+        (("1", "-0"), ("-0", "0"), None),
+        (("1", "01"), ("01", "0"), "bad transition on line 3: Expecting ',' delimiter"),
+        # a from-state of the wrong width still gets the whole line's JSON error
+        (("1, 0", "0, 0"), ("01", "0"), "bad transition on line 3: Expecting ',' delimiter"),
     ])
-    def test_index_texts(self, index, verdict):
-        text = HEAD + jsonl_line() + jsonl_line(("1", index), to=(index, "0"))
+    def test_index_texts(self, frm, to, verdict):
+        text = HEAD + jsonl_line() + jsonl_line(frm, to=to)
         got = reads_as_reference(text)
         if verdict is None:
             assert got.states == (ZERO, QuantizedState((1,), (0,)))
@@ -947,6 +955,21 @@ class TestReaderAgainstReference:
             assert table.states[table.state_index(t.to_state)] is t.to_state
         sequences = [t.actions for t in table.transitions]
         assert len(set(map(id, sequences))) == len(set(sequences)) == 416
+
+    def test_a_table_of_the_writer_shape_is_read_by_its_texts(self, pendulum_table,
+                                                                monkeypatch):
+        text = serialised(pendulum_table)[0]
+        parsed, loads = [], json.loads
+
+        def counted(s, *args, **kw):
+            parsed.append(s)
+            return loads(s, *args, **kw)
+
+        monkeypatch.setattr(trn.json, "loads", counted)
+        assert read_jsonl(io.StringIO(text)) == pendulum_table
+        # the header, then each distinct state, sequence and (duration, length) once
+        assert len(parsed) == 1 + 943 + 416 + 25
+        assert not any(s.startswith('{"from"') for s in parsed)
 
 
 class TestBudgetUnit:
