@@ -19,14 +19,16 @@ provided and cross-checked:
     full move set is a product of one-axis sine sums (with n = 1 the 1-D
     sine formula), each read off exactly, with no pi, cosine or rounding, as
     two coefficients of (1 + x + x^2)^m mod x^(2d) - 1 by the orthogonality
-    of the 2d-th roots of unity, and the product always cross-checked
-    against the images product.
+    of the 2d-th roots of unity, and always cross-checked against the images
+    product.
 
 Every route returns a PathCount, an exact int. Both closed forms take the
 full move set only, whose stencil factors per axis; other move sets are
-counted by the DP. An end farther from the start than the step count on
-some axis is counted as exactly 0 by every route, before any cap or price,
-since a walk moves at most one cell per step (_check_walk).
+counted by the DP. Every route counts an end farther from the start than the
+step count on some axis as exactly 0, before any cap or price, as a walk moves
+at most one cell per step (_check_walk). Every closed-form count (1-D,
+factorized or direct) then takes one path, _closed_form: one step cap and one
+images pass, which a direct sum must equal.
 """
 
 from __future__ import annotations
@@ -152,11 +154,6 @@ class PathCount(NamedTuple):
     def display(self) -> str:
         return format_count(self.exact)
 
-    def agrees_with(self, other: "PathCount", rel_tol: float) -> bool:
-        """Whether the counts differ by at most rel_tol times the larger, compared exactly."""
-        num, den = rel_tol.as_integer_ratio()
-        return abs(self.exact - other.exact) * den <= num * max(self.exact, other.exact)
-
 
 # ---------------------------------------------------------------------------
 # 1-D count by the method of images
@@ -186,24 +183,17 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     d = int(d)
     if d < 2:
         raise DomainError("d must be >= 2")
-    in_reach = _check_walk((d,), (a,), (b,), m)
-    return PathCount.from_int(_images_count((d,), (a,), (b,), m) if in_reach else 0)
-
-
-def _check_images_steps(m: int) -> None:
-    if m > _IMAGES_STEP_CAP:
-        raise ResourceLimit(f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}")
+    return _closed_form((d,), (a,), (b,), m)
 
 
 def _images_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int) -> int:
     """Product over the axes of corridor_count_1d's count, from one shared pass.
 
     The coefficients c_i depend only on m, so one pass of the recurrence
-    serves every axis; each axis adds its own image weights. The end must be
-    in reach (_check_walk).
+    serves every axis; each axis adds its own image weights. The caller
+    checks that the end is in reach (_check_walk) and m against
+    _IMAGES_STEP_CAP.
     """
-    _check_images_steps(m)
-
     # per coefficient index i = m - |j|, each axis's net sign of the images
     # there, using T(m, j) = T(m, -j); an image in reach has |2kd| <= m + 2d - 2,
     # so |k| <= m // (2d) + 1
@@ -348,14 +338,27 @@ def _spectral_count(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int
                      for dj, aj, bj in zip(d, a, b))
 
 
+def _closed_form(d: Sequence[int], a: Sequence[int], b: Sequence[int], m: int,
+                 direct: bool = False) -> PathCount:
+    """Every closed-form count: 0 out of reach, then _IMAGES_STEP_CAP, then if
+    `direct` the spectral sum (priced first), which must equal the images pass."""
+    if not _check_walk(d, a, b, m):
+        return PathCount.from_int(0)
+    if m > _IMAGES_STEP_CAP:
+        raise ResourceLimit(f"the exact 1-D count needs m = {m} steps, cap is {_IMAGES_STEP_CAP}")
+    spectral = PathCount.from_int(_spectral_count(d, a, b, m)) if direct else None
+    exact = PathCount.from_int(_images_count(d, a, b, m))
+    if direct and spectral != exact:
+        raise NumericalOverflow(f"direct and factorized corridor counts disagree: "
+                                f"{spectral.display()} vs {exact.display()}")
+    return exact
+
+
 def corridor_count_factorized(
     spec: CorridorSpec, a: Sequence[int], b: Sequence[int], m: int
 ) -> PathCount:
     """Exact count as the product of per-axis 1-D counts. Full move set only."""
-    if not spec.move_set.is_full():
-        raise DomainError("the factorized fast path requires the full move set")
-    in_reach = _check_walk(spec.d, a, b, m)
-    return PathCount.from_int(_images_count(spec.d, a, b, m) if in_reach else 0)
+    return corridor_count_nd(spec, a, b, m)
 
 
 def corridor_count_nd(
@@ -372,29 +375,14 @@ def corridor_count_nd(
       "direct"      the paper's frequency-grid sum (_spectral_count), cross-
                     checked for equality against the factorized count
 
-    Any other move set raises DomainError; corridor_count_dp counts it.
-
-    An end more than m cells from the start on some axis is out of reach:
-    the count is exactly 0 and no sum is evaluated.
+    An unknown method, then any other move set, raises DomainError (the DP
+    counts other sets); both methods then take _closed_form's one path.
     """
-    in_reach = _check_walk(spec.d, a, b, m)
     if method not in ("direct", "factorized"):
         raise DomainError(f"unknown method {method!r}")
-    if method == "factorized":
-        return corridor_count_factorized(spec, a, b, m)
     if not spec.move_set.is_full():
-        raise DomainError("the direct sum requires the full move set")
-    if not in_reach:
-        return PathCount.from_int(0)
-    # the cross-check's cap first, so no direct sum is taken only to be refused
-    _check_images_steps(m)
-    direct = PathCount.from_int(_spectral_count(spec.d, a, b, m))
-    exact = corridor_count_factorized(spec, a, b, m)
-    if direct != exact:
-        raise NumericalOverflow(
-            f"direct and factorized corridor counts disagree: {direct.display()} vs {exact.display()}"
-        )
-    return direct
+        raise DomainError(f"the {method} count requires the full move set")
+    return _closed_form(spec.d, a, b, m, direct=method == "direct")
 
 
 # ---------------------------------------------------------------------------

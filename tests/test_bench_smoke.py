@@ -1,8 +1,10 @@
-"""The benchmark runs on a copy of the tree: short `walks` and `corridor` runs, traced.
+"""The benchmark runs on a copy of the tree: short traced `walks`, `corridor` and `discover` runs.
 
 `--trace 1` wraps every package function the benchmark names, so a run
-fails here when one it reads is renamed or gone. The copy keeps the run's
-results out of the checkout.
+fails here when one it reads is renamed or gone. A `discover` run also
+replays every discovered transition with bench/reference.py's scalar
+integrator and checks that repeated builds are byte-identical. The copy
+keeps the run's results out of the checkout.
 """
 
 import json
@@ -25,7 +27,7 @@ def tree(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", ["walks", "corridor"])
+@pytest.mark.parametrize("workload", ["walks", "corridor", "discover"])
 def test_a_short_traced_run_is_correct(tree, workload):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(

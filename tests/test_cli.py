@@ -99,14 +99,15 @@ class TestCorridorCommands:
         assert rc == 0
         assert capsys.readouterr().out == want + "\n"
 
-    def test_closed_form_step_cap(self, capsys):
-        t0 = time.monotonic()
-        rc = main(["count", "corridor", "--d", "136", "--from", "68", "--to", "78",
-                   "--steps", "1000000000"])
-        assert rc == 4
-        assert time.monotonic() - t0 < 1.0
-        err = capsys.readouterr().err
-        assert "m = 1000000000" in err and "cap is 50000" in err
+    @pytest.mark.parametrize("argv, steps", [
+        (["corridor", "--d", "136", "--from", "68", "--to", "78"], 10 ** 9),
+        (["ndim", "--d", "136", "--from", "68", "--to", "78"], 60_000),
+        # the step cap answers before the spectral price, which 60,000 steps also exceed
+        (["ndim", "--d", "136", "--from", "68", "--to", "78", "--direct"], 60_000),
+    ], ids=["corridor", "ndim", "ndim-direct"])
+    def test_closed_form_step_cap(self, capsys, argv, steps):
+        err = refused_fast(capsys, ["count"] + argv + ["--steps", str(steps)])
+        assert f"m = {steps} steps, cap is 50000" in err
 
     def test_exact_oracle_step_budget(self, capsys):
         t0 = time.monotonic()
@@ -144,9 +145,7 @@ class TestCorridorCommands:
 
     def test_cross_check_disagreement_exits_5(self, capsys, monkeypatch):
         import dtraj.lattice as lattice
-        from dtraj.lattice import PathCount
-        monkeypatch.setattr(lattice, "corridor_count_factorized",
-                            lambda *args: PathCount.from_int(1))
+        monkeypatch.setattr(lattice, "_images_count", lambda *args: 1)
         rc = main(["count", "ndim", "--d", "6,6", "--from", "2,3", "--to", "3,3",
                    "--steps", "5", "--direct"])
         assert rc == 5
