@@ -157,7 +157,7 @@ def _cmd_enumerate(args, table) -> None:
         def emit(fh: IO[str]) -> None:
             labels = _Rendered(state_label)    # each state's label, rendered on first use
             for traj in enumerate_trajectories(table, starts, args.steps, budget=args.budget):
-                fh.write("\t".join([labels[s] for s, _ in traj.waypoints]) + "\n")
+                fh.write("\t".join(map(labels.__getitem__, traj)) + "\n")
     _write_output(args.out, emit)
 
 

@@ -9,7 +9,7 @@ Two integrators take the same RK4 step: `integrate_joint` on floats with
 `math.sin`, and `integrate_frontier`, discovery's in-place kernel, on arrays
 with `np.sin`. Both run the same IEEE operations on the same operands in the
 same order, so each array element is bitwise the scalar result wherever the
-two sines agree.
+two sines agree, but for a NaN's sign, which IEEE 754 leaves open.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray, p: PendulumP
     X += h/6 * (K1 + 2 K2 + 2 K3 + K4), summed left to right: 25 ufunc calls,
     each writing in place. They are `integrate_joint`'s operations on its
     operands in its order (Y_k's v is its k_k q), so each element is bitwise
-    its result wherever `np.sin` and `math.sin` agree. A non-finite entry
-    raises nothing and stays in its element; numpy's warnings are the
-    caller's to silence. Returns views of the buffer.
+    its result wherever `np.sin` and `math.sin` agree, but for a NaN's sign.
+    A non-finite entry raises nothing and stays in its element; numpy's
+    warnings are the caller's to silence. Returns views of the buffer.
     """
     import numpy as np
 

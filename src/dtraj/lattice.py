@@ -180,7 +180,6 @@ def corridor_count_1d(d: int, a: int, b: int, m: int) -> PathCount:
     Python integers of up to about 1.6 m bits, so its cost grows as m^2;
     counts above _IMAGES_STEP_CAP steps are refused with ResourceLimit.
     """
-    d = int(d)
     if d < 2:
         raise DomainError("d must be >= 2")
     return _closed_form((d,), (a,), (b,), m)

@@ -35,13 +35,11 @@ from .transitions import TransitionTable, _state_to_json
 _MOVE_THRESHOLD = 1.0 - 1e-9
 
 
-class Trajectory(NamedTuple):
-    """Walk through the table: (state, hop index) pairs, hop 0 at the start."""
-
-    waypoints: tuple[tuple[QuantizedState, int], ...]
+class Trajectory(tuple):
+    """Walk through the table: the states it visits, the start first."""
 
     def states(self) -> tuple[QuantizedState, ...]:
-        return tuple(s for s, _ in self.waypoints)
+        return self
 
 
 def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedState, int]:
@@ -90,10 +88,10 @@ def enumerate_trajectories(
     `starts` is read once, so an iterator serves as well as a list.
 
     How a walk is built: the search keeps its path as a list of states. Once
-    the path is one hop short, its (state, hop index) pairs become one prefix
-    tuple, and each transition out of its last state extends that prefix by
-    one pair: one prefix per batch of at most max out-degree walks. Shorter
-    paths build no tuple, which would copy the path at every hop.
+    the path is one hop short, its states become one prefix tuple, and each
+    transition out of its last state extends that prefix by one state: one
+    prefix per batch of at most max out-degree walks. Shorter paths build no
+    tuple, which would copy the path at every hop.
     """
     starts = tuple(starts)
     if n_steps < 0:
@@ -105,7 +103,7 @@ def enumerate_trajectories(
         )
 
     if n_steps == 0:
-        yield from (Trajectory(((s, 0),)) for s in starts)
+        yield from (Trajectory((s,)) for s in starts)
         return
     for s in starts:
         # depth-first with an explicit stack, as a walk may outgrow the recursion
@@ -119,8 +117,8 @@ def enumerate_trajectories(
                     branches.append(iter(table.outgoing(t.to_state)))
                     continue
             else:
-                prefix = tuple(zip(path, range(n_steps)))
-                yield from [Trajectory(prefix + ((t.to_state, n_steps),)) for t in branches[-1]]
+                prefix = tuple(path)
+                yield from [Trajectory(prefix + (t.to_state,)) for t in branches[-1]]
             path.pop()
             branches.pop()
 

@@ -475,6 +475,8 @@ class TestEnumerateCommand:
                             "b5cf6944b6307a55d20bb143903040267468ebacc96f815f1990c51e5a00defe"),
         "1 hop from every state": (1, None,
                                    "b084eef5ba78147446ae0d6d7602170683b2c269f5556f3f82f1ae3874692263"),
+        "0 hops from every state": (0, None,
+                                    "bcf22de6af78733f7f23f5adde9177c83df296b6313e64be603c4a089630c922"),
     }
 
     @pytest.mark.parametrize("case", sorted(LISTINGS))

@@ -4,6 +4,7 @@ import math
 import random
 from collections.abc import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +94,8 @@ class TestMoveSets:
     def test_dimension_cap(self):
         with pytest.raises(DomainError):
             full_move_set(13)
+        with pytest.raises(DomainError, match="dimension must be >= 1"):
+            full_move_set(0)
 
     def test_component_validation(self):
         with pytest.raises(DomainError):
@@ -101,6 +104,10 @@ class TestMoveSets:
             MoveSet(n=2, moves=((0, 0), (0, 0)))
         with pytest.raises(DomainError):
             MoveSet(n=2, moves=((0,),))
+        with pytest.raises(DomainError, match="move set dimension must be >= 1"):
+            MoveSet(n=0, moves=())
+        with pytest.raises(DomainError, match="corridor dimension does not match move set"):
+            CorridorSpec(d=(5, 5), move_set=full_move_set(1))
 
 
 class TestCorridor1d:
@@ -113,6 +120,7 @@ class TestCorridor1d:
 
     def test_pinned_small_value(self):
         assert corridor_count_1d(5, 2, 3, 4).exact == 16
+        assert corridor_count_1d(np.int64(5), 2, 3, 4).exact == 16
 
     def test_forced_maximal_path(self):
         for d, m in ((8, 5), (12, 9), (5, 2)):
@@ -125,6 +133,10 @@ class TestCorridor1d:
             corridor_count_1d(5, 2, 5, 4)
         with pytest.raises(DomainError):
             corridor_count_1d(1, 1, 1, 0)
+        # a wall is an integer: a fractional one is not counted as its floor
+        for d in (5.7, 5.0):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                corridor_count_1d(d, 2, 3, 10)
 
     def test_matches_dp_spot_sweep(self):
         for d in (3, 5, 8):
@@ -772,6 +784,8 @@ class TestApprox:
             approx_count_log10([], 5, 1)
         with pytest.raises(DomainError):
             approx_count_log10([0], 5, 1)
+        with pytest.raises(DomainError, match="m must be >= 0"):
+            approx_count_log10([3], -1, 1)
 
 
 @pytest.fixture(scope="module")

@@ -139,8 +139,15 @@ class TestJointValidation:
             make_robot(delta_q=0.0).validate()
         with pytest.raises(DomainError):
             make_robot(v_min=200 * DEG, v_max=100 * DEG).validate()
+        with pytest.raises(DomainError, match="robot needs at least one joint"):
+            RobotSpec(delta_t=0.04, gravity=9.81, joints=()).validate()
+        for delta_t in (0.0, -0.04, math.nan):
+            with pytest.raises(DomainError, match="delta_t must be positive"):
+                RobotSpec(delta_t=delta_t, gravity=9.81, joints=make_robot().joints).validate()
 
     def test_torques_must_contain_zero_and_increase(self):
+        with pytest.raises(DomainError, match="torque list is empty"):
+            make_robot(torques=()).validate()
         with pytest.raises(DomainError):
             make_robot(torques=(-50.0, 25.0, 50.0)).validate()
         with pytest.raises(DomainError):

@@ -73,6 +73,8 @@ class TestCounting:
     def test_negative_steps(self):
         with pytest.raises(DomainError):
             count_trajectories(COMPLETE3, -1)
+        with pytest.raises(DomainError, match="n_steps must be >= 0"):
+            next(enumerate_trajectories(COMPLETE3, [mk_state(0)], -1))
 
 
 def reference_counts(table: TransitionTable, n_steps: int) -> dict:
@@ -179,7 +181,7 @@ class TestListingCount:
 class TestEnumeration:
     def test_zero_steps_singletons(self):
         walks = list(enumerate_trajectories(COMPLETE3, [mk_state(1)], 0))
-        assert walks == [Trajectory(((mk_state(1), 0),))]
+        assert walks == [Trajectory((mk_state(1),))]
 
     def test_order_is_table_order(self):
         # A -> B listed before the self-loop A -> A; depth-first follows it
@@ -192,7 +194,8 @@ class TestEnumeration:
 
     def test_hop_indices(self):
         for w in enumerate_trajectories(COMPLETE3, [mk_state(0)], 3):
-            assert tuple(i for _, i in w.waypoints) == (0, 1, 2, 3)
+            assert len(w) == 4
+            assert w[0] == mk_state(0)
 
     def test_edges_exist(self):
         pairs = {(t.from_state, t.to_state) for t in COMPLETE3.transitions}
@@ -252,7 +255,7 @@ def reference_enumerate(table, starts, n_steps, budget=DEFAULT_ENUM_BUDGET):
         )
 
     if n_steps == 0:
-        yield from (Trajectory(((s, 0),)) for s in starts)
+        yield from (Trajectory((s,)) for s in starts)
         return
     for s in starts:
         # depth-first with an explicit stack, as a walk may outgrow the recursion
@@ -264,7 +267,7 @@ def reference_enumerate(table, starts, n_steps, budget=DEFAULT_ENUM_BUDGET):
                 path.pop()
                 branches.pop()
             elif len(path) == n_steps:
-                yield Trajectory(tuple((p, i) for i, p in enumerate(path + [t.to_state])))
+                yield Trajectory((*path, t.to_state))
             else:
                 path.append(t.to_state)
                 branches.append(iter(table.outgoing(t.to_state)))
@@ -307,7 +310,7 @@ class TestEnumerationMatchesReference:
         table = read_jsonl(io.StringIO(table_text(THREE_STATE_TABLE)))
         want = list(reference_enumerate(table, table.states, 100_000))
         assert list(enumerate_trajectories(table, table.states, 100_000)) == want
-        assert [len(w.waypoints) for w in want] == [100_001] * 3
+        assert [len(w) for w in want] == [100_001] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +329,14 @@ class TestDesiredTrajectory:
             DesiredTrajectory((((0.0,), 0.0), ((0.0, 0.0), 0.04)))
 
     def test_csv_round_trip(self):
-        fh = io.StringIO("t_s,q1_deg\n0.0,0\n0.04,2\n0.08,4\n")
-        d = load_desired_csv(fh)
-        assert len(d.waypoints) == 3
-        q, t = d.waypoints[2]
-        assert t == pytest.approx(0.08)
-        assert q[0] == pytest.approx(4 * DEG)
+        # a blank row, empty or of blank fields, is skipped
+        for text in ("t_s,q1_deg\n0.0,0\n0.04,2\n0.08,4\n",
+                     "t_s,q1_deg\n0.0,0\n\n0.04,2\n , \n0.08,4\n\n"):
+            d = load_desired_csv(io.StringIO(text))
+            assert len(d.waypoints) == 3
+            q, t = d.waypoints[2]
+            assert t == pytest.approx(0.08)
+            assert q[0] == pytest.approx(4 * DEG)
 
     def test_csv_multi_joint(self):
         fh = io.StringIO("t_s,q1_deg,q2_deg\n0,0,10\n0.04,2,12\n")
@@ -345,6 +350,8 @@ class TestDesiredTrajectory:
             load_desired_csv(io.StringIO("time,q1_deg\n0,0\n"))
         with pytest.raises(ConfigError, match="q1_deg"):
             load_desired_csv(io.StringIO("t_s,angle\n0,0\n"))
+        with pytest.raises(ConfigError, match="needs at least one joint column"):
+            load_desired_csv(io.StringIO("t_s\n0\n"))
         with pytest.raises(ConfigError, match="line 3"):
             load_desired_csv(io.StringIO("t_s,q1_deg\n0,0\n0.04,oops\n"))
         with pytest.raises(ConfigError, match="line 2"):

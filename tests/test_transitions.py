@@ -673,6 +673,8 @@ class TestJsonl:
         )
         with pytest.raises(ConfigError, match="line 2"):
             read_jsonl(io.StringIO(text))
+        assert reads_as_reference(HEAD + jsonl_line(("", ""), to=("", ""))) == (
+            "bad transition on line 2: state has no joints")
 
     @pytest.mark.parametrize("line, reason", [
         ('"from":{"pos":[0],"vel":[0]},"torque_idx_seq":[],"duration_s":0.04', "empty"),
@@ -939,6 +941,8 @@ class TestReaderAgainstReference:
         pytest.param(lambda obj: json.dumps(dict(reversed(obj.items()))), id="reordered"),
         pytest.param(lambda obj: json.dumps({**obj, "from": {**obj["from"], "x": 1}}),
                      id="extra-key"),
+        # a blank line, empty or of spaces only, is skipped
+        pytest.param(lambda obj: "\n \n" + json.dumps(obj), id="blank-lines"),
     ])
     def test_any_spelling_reads_alike(self, pendulum_table, spelling):
         text = serialised(pendulum_table)[0]
