@@ -87,16 +87,18 @@ def enumerate_trajectories(
     (see _count_walks), so a caller never receives a truncated stream.
     `starts` is read once, so an iterator serves as well as a list.
 
-    How a walk is built: the search keeps its path as a list of states. Once
-    the path is one hop short, its states become one prefix tuple, and each
-    transition out of its last state extends that prefix by one state: one
-    prefix per batch of at most max out-degree walks. Shorter paths build no
-    tuple, which would copy the path at every hop.
+    How a walk is built: the search steps over the table's destination ids
+    (`destinations()`) and keeps its path as a list of states, so it builds
+    no transition. Once the path is one hop short, its states become one
+    prefix tuple, and each destination of its last state extends that prefix
+    by one state: one prefix per batch of at most max out-degree walks.
+    Shorter paths build no tuple, which would copy the path at every hop.
     """
     starts = tuple(starts)
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
-    planned = _count_walks(table, [table.state_index(s) for s in starts], n_steps)
+    ids = [table.state_index(s) for s in starts]
+    planned = _count_walks(table, ids, n_steps)
     if planned > budget:
         raise BudgetExceeded(
             f"enumeration would yield {format_count(planned)} trajectories, budget is {budget}"
@@ -105,20 +107,21 @@ def enumerate_trajectories(
     if n_steps == 0:
         yield from (Trajectory((s,)) for s in starts)
         return
-    for s in starts:
+    dests, states = table.destinations(), table.states
+    for s, i in zip(starts, ids):
         # depth-first with an explicit stack, as a walk may outgrow the recursion
-        # limit: branches[k] holds the transitions out of path[k] not yet taken
-        path, branches = [s], [iter(table.outgoing(s))]
+        # limit: branches[k] holds the destination ids out of path[k] not yet taken
+        path, branches = [s], [iter(dests[i])]
         while branches:
             if len(path) < n_steps:
-                t = next(branches[-1], None)
-                if t is not None:
-                    path.append(t.to_state)
-                    branches.append(iter(table.outgoing(t.to_state)))
+                d = next(branches[-1], None)
+                if d is not None:
+                    path.append(states[d])
+                    branches.append(iter(dests[d]))
                     continue
             else:
                 prefix = tuple(path)
-                yield from [Trajectory(prefix + (t.to_state,)) for t in branches[-1]]
+                yield from [Trajectory(prefix + (states[d],)) for d in branches[-1]]
             path.pop()
             branches.pop()
 
@@ -136,8 +139,8 @@ def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> in
     work as it does for count_trajectories.
     """
     dests = table.destinations()
-    check_count_work(f"counting {n_steps}-hop walks over {len(table.transitions)} transitions",
-                     n_steps, len(table.transitions), table.max_out_degree)
+    check_count_work(f"counting {n_steps}-hop walks over {len(table)} transitions",
+                     n_steps, len(table), table.max_out_degree)
     pos: dict[int, int] = {}
     for i in ids:
         pos.setdefault(i, len(pos))

@@ -8,14 +8,21 @@ per outcome is the shortest. Discovery runs every state's sequence tree at
 once as one frontier of numpy arrays, one tick per step, then orders the
 table as a state-by-state search would, so tables and their bytes do not
 depend on how the search was scheduled.
+
+A table holds its transitions as id columns over its states and labels:
+discovery and the reader hand it ids, and the writers join each line from
+per-state and per-label texts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import re
-from typing import IO, TYPE_CHECKING, NamedTuple
+from array import array
+from typing import IO, TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow, UnknownState
 from .dynamics import PendulumParams, integrate_frontier, integrate_step
@@ -58,6 +65,18 @@ class Transition(NamedTuple):
         return self.from_state == self.to_state
 
 
+class _Rendered(dict):
+    """The value of each key, made by `render` on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 class TransitionTable:
     """States in discovery order plus their outgoing transitions.
 
@@ -66,26 +85,57 @@ class TransitionTable:
     over the same robot produce byte-identical tables, and tables are equal
     when their robot_hash, states and transitions are. A transition from or to
     a state outside `states` raises UnknownState when the table is built.
+
+    A table holds its transitions as three id columns, one entry per
+    transition: the index in `states` of its from-state and of its to-state,
+    and the index in `labels` of its (torque sequence, duration) pair, each
+    distinct pair held once. `transitions`, `destinations()` and the
+    `outgoing()` rows are built from the columns on first use and kept.
     """
 
     def __init__(self, robot_hash: str, states: tuple[QuantizedState, ...],
                  transitions: tuple[Transition, ...]):
-        self.robot_hash, self.states, self.transitions = robot_hash, states, transitions
-        index = self._index = {s: i for i, s in enumerate(states)}
-        # per state id, its transitions and their destination ids, in table order
-        out = self._out = [[] for _ in states]
-        dst = self._dst = [[] for _ in states]
-        self._edges = None
+        index = {s: i for i, s in enumerate(states)}
+        # a label's key tells apart durations that are equal but written
+        # apart, such as 1 and 1.0, or 0.0 and -0.0
+        keys: dict = {}    # by label key: the label's id and the label
+        src, label, dst = [], [], []
         for k, t in enumerate(transitions):
             try:
-                i = index[t.from_state]
-                dst[i].append(index[t.to_state])
+                src.append(index[t.from_state])
+                dst.append(index[t.to_state])
             except KeyError:
                 lost = t.to_state if t.from_state in index else t.from_state
                 raise UnknownState(f"transition {k}: state {lost} not in table") from None
-            out[i].append(t)
-        # the most transitions out of one state, which prices a walk count
-        self.max_out_degree = max(map(len, dst), default=0)
+            key = (t.actions, type(t.duration), repr(t.duration))
+            label.append(keys.setdefault(key, (len(keys), (t.actions, t.duration)))[0])
+        labels = tuple(pair for _, pair in keys.values())
+        self._adopt(robot_hash, tuple(states), labels, src, label, dst)
+        self._index = index
+
+    @classmethod
+    def _from_ids(cls, robot_hash: str, states: tuple[QuantizedState, ...],
+                  labels: tuple[tuple[ActionSequence, float], ...],
+                  src: Sequence[int], label: Sequence[int],
+                  dst: Sequence[int]) -> "TransitionTable":
+        """A table over id columns, as `__init__` derives them; every id is range-checked."""
+        table = cls.__new__(cls)
+        table._adopt(robot_hash, states, labels, src, label, dst)
+        return table
+
+    def _adopt(self, robot_hash, states, labels, src, label, dst) -> None:
+        """Take the columns, each id checked against its range, and no view of them yet."""
+        if not len(src) == len(label) == len(dst):
+            raise ValueError("id columns of unequal lengths")
+        for column, bound in ((src, len(states)), (label, len(labels)), (dst, len(states))):
+            if column and not (min(column) >= 0 and max(column) < bound):
+                raise ValueError(f"an id outside 0..{bound - 1}")
+        self.robot_hash, self.states, self.labels = robot_hash, states, labels
+        # 8 bytes an id, where a list would hold an int object per entry;
+        # discovery hands over such arrays, and they are kept, not copied
+        self._src, self._label, self._dst = (
+            c if isinstance(c, array) else array("q", c) for c in (src, label, dst))
+        self._index = self._transitions = self._rows = self._dests = self._edges = None
 
     def __eq__(self, other):
         if not isinstance(other, TransitionTable):
@@ -93,21 +143,52 @@ class TransitionTable:
         return ((self.robot_hash, self.states, self.transitions)
                 == (other.robot_hash, other.states, other.transitions))
 
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        """Every transition in table order, built on first use."""
+        if self._transitions is None:
+            s, lab = self.states, self.labels
+            self._transitions = tuple(Transition(s[a], *lab[k], s[b])
+                                      for a, k, b in zip(self._src, self._label, self._dst))
+        return self._transitions
+
     def state_index(self, state: QuantizedState) -> int:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.states)}
         try:
             return self._index[state]
         except KeyError:
             raise UnknownState(f"state {state} not in table") from None
 
+    def __len__(self) -> int:
+        """The number of transitions, counted without building them."""
+        return len(self._src)
+
     def outgoing(self, state: QuantizedState) -> list[Transition]:
-        return self._out[self.state_index(state)]
+        """The state's transitions in table order, sorted out of `transitions` on first use."""
+        i = self.state_index(state)
+        if self._rows is None:
+            self._rows = [[] for _ in self.states]
+            for t, j in zip(self.transitions, self._src):
+                self._rows[j].append(t)
+        return self._rows[i]
 
     def destinations(self) -> list[list[int]]:
         """Per state id, the destination ids of its transitions, in table order.
 
         The rows are the table's own, to be read and not changed.
         """
-        return self._dst
+        if self._dests is None:
+            ids = list(range(len(self.states)))    # one int object per state id, shared
+            dests = self._dests = [[] for _ in ids]
+            for i, d in zip(self._src, self._dst):
+                dests[i].append(ids[d])
+        return self._dests
+
+    @functools.cached_property
+    def max_out_degree(self) -> int:
+        """The most transitions out of one state, which prices a walk count."""
+        return max(map(len, self.destinations()), default=0)
 
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The graph over state ids in compressed-row form, built on first use.
@@ -118,16 +199,16 @@ class TransitionTable:
         if self._edges is None:
             import numpy as np
 
-            dst = np.array(list(itertools.chain.from_iterable(self._dst)), dtype=np.int64)
-            row_start = np.array([0, *itertools.accumulate(map(len, self._dst))], dtype=np.int64)
+            dests = self.destinations()
+            dst = np.array(list(itertools.chain.from_iterable(dests)), dtype=np.int64)
+            row_start = np.array([0, *itertools.accumulate(map(len, dests))], dtype=np.int64)
             self._edges = dst, row_start
         return self._edges
 
     def restrict_to_first(self, k: int) -> "TransitionTable":
         """Subtable over the first k >= 0 states; only edges staying inside survive."""
-        index = self._index    # the first k states are ids 0..k-1
-        kept = tuple(t for t in self.transitions
-                     if index[t.from_state] < k and index[t.to_state] < k)
+        kept = tuple(t for t, a, b in zip(self.transitions, self._src, self._dst)
+                     if a < k and b < k)
         return TransitionTable(self.robot_hash, self.states[:k], kept)
 
 
@@ -202,14 +283,20 @@ def find_transitions(
     wherever `np.sin` and `math.sin` agree. A state's tree starts on the
     tick after the state is first reached, from its cell centre: its index
     row times the grid steps, appended to the rows of the states found
-    before it. A settled sequence becomes its state's next `Transition` on
-    the tick it settles. The table is then put in the order a state-by-state
-    search would give: states in order of first discovery when each state's
-    tree is searched in turn, each state's transitions by sequence length,
-    then breadth-first position.
+    before it. A pending sequence is a node of one prefix trie shared by
+    every tree: its parent node and its last action, two integers however
+    many rows hold it. The rows a tick settles are kept as its (tree, key,
+    destination id) columns, a key being the parent node and last action
+    of the row's sequence, and a sequence becomes a tuple only where a
+    static candidate is replayed or a label of the table needs it. The
+    table is then put in the order a state-by-state search would give:
+    states in order of first discovery when each state's tree is searched
+    in turn, each state's transitions by sequence length, then
+    breadth-first position.
 
     dedup: "all" records every sequence per (from, to) outcome; "shortest"
-    keeps only the first (breadth-first order makes it a shortest one).
+    keeps only the first (breadth-first order makes it a shortest one),
+    dropping each tick's rows whose pair a row before them already has.
     max_sequences bounds the sequences simulated (each tick of each one
     counts once) and is checked before a tick runs; max_states bounds the
     states found. Either raises BudgetExceeded with the progress so far.
@@ -238,12 +325,8 @@ def find_transitions(
     steps = np.array([robot.grids(i)[k][2] for k in (0, 1) for i in range(n)])
     durations = [k * robot.delta_t for k in range(nal + 1)]     # by sequence length
 
-    # states by id in the order the frontier first reached them; ids by index row
+    # states by id in the order the frontier first reached them
     states: list[QuantizedState] = []
-    ids: dict = {}
-    records: list[list] = []     # per state id: its transitions, in per-tree BFS order
-    dests: list[list] = []       # per state id: their destination ids
-    seen_pairs: set = set()
     simulated = 0
 
     def progress() -> str:
@@ -252,43 +335,72 @@ def find_transitions(
     def add_state(row: tuple) -> int:
         if len(states) + 1 > max_states:
             raise BudgetExceeded(f"discovered states exceeded budget {max_states} ({progress()})")
-        ids[row] = len(states)
         states.append(QuantizedState(row[:n], row[n:]))
-        records.append([])
-        dests.append([])
         return len(states) - 1
 
-    # a tick's parents: the tree (state id) of each pending sequence, the
-    # sequence so far and the continuous state it ends in; the states found on
-    # a tick join the next tick's parents with the empty sequence at their
+    state_ids = _Rendered(add_state)    # by index row
+    state_ids[start.pos_idx + start.vel_idx]
+
+    # the prefix trie of the sequences that grow: node 0 is the empty
+    # sequence, and a sequence's key is its parent node * n_act plus the
+    # index of its last action. links[k] is node k's key, and `nodes` finds
+    # a node by its key, making it if it is new. A settled sequence, which
+    # never grows, is its key alone.
+    links = [0]
+
+    def add_node(key: int) -> int:
+        links.append(key)
+        return len(links) - 1
+
+    nodes = _Rendered(add_node)
+
+    def sequences(keys: list[int]) -> list[ActionSequence]:
+        """The torque sequence of each key: one tuple per key or ancestor node."""
+        found: dict[int, ActionSequence] = {0: ()}    # by node
+        out = []
+        for key in keys:
+            chain, node = [], key // n_act
+            while node not in found:
+                chain.append(node)
+                node = links[node] // n_act
+            for k in reversed(chain):
+                found[k] = found[links[k] // n_act] + (actions[links[k] % n_act],)
+            out.append(found[key // n_act] + (actions[key % n_act],))
+        return out
+
+    # a tick's parents: the tree (state id) of each pending sequence, its trie
+    # node and length, and the continuous state it ends in; the states found
+    # on a tick join the next tick's parents with the empty sequence at their
     # cell centres, after the growing sequences. One row per parent and action.
-    add_state(start.pos_idx + start.vel_idx)
-    prefixes: list[ActionSequence] = []
-    p_tree = np.empty(0, dtype=np.int64)
+    # The rows a tick settles are kept as its (tree, key, destination) columns.
+    p_tree = p_node = p_depth = np.empty(0, dtype=np.int64)
     p_ends = np.empty((0, 2 * n))      # end states: joint positions, then velocities
     home = np.empty((0, 2 * n))        # index rows of the states by id
+    settled_cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pairs: set[tuple[int, int]] = set()     # the (from, to) pairs kept, in shortest mode
     while True:
         if len(states) > len(home):
             new = np.array([s.pos_idx + s.vel_idx for s in states[len(home):]], dtype=np.float64)
-            prefixes += [()] * len(new)
+            fresh = np.zeros(len(new), dtype=np.int64)
             p_tree = np.concatenate([p_tree, np.arange(len(home), len(states))])
+            p_node, p_depth = np.concatenate([p_node, fresh]), np.concatenate([p_depth, fresh])
             p_ends = np.concatenate([p_ends, new * steps])
             home = np.concatenate([home, new])
-        if not prefixes:
+        if not len(p_tree):
             break
-        rows = len(prefixes) * n_act
+        rows = len(p_tree) * n_act
         if simulated + rows > max_sequences:
             raise BudgetExceeded(f"simulated sequences would exceed budget {max_sequences} "
                                  f"({progress()})")
         simulated += rows
         tree = np.repeat(p_tree, n_act)
-        act = np.tile(np.arange(n_act), len(prefixes))
-        depth = np.repeat([len(seq) + 1 for seq in prefixes], n_act)
+        key = np.repeat(p_node * n_act, n_act) + np.tile(np.arange(n_act), len(p_tree))
+        depth = np.repeat(p_depth + 1, n_act)
 
         with np.errstate(all="ignore"):
             ends = np.hstack(integrate_frontier(
                 np.repeat(p_ends[:, :n], n_act, axis=0), np.repeat(p_ends[:, n:], n_act, axis=0),
-                torque[act], params, robot.delta_t))
+                torque[key % n_act], params, robot.delta_t))
         if not (finite := np.isfinite(ends).all(axis=0)).all():
             j = robot.joints[int(np.argmin(finite[:n] & finite[n:]))]
             raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
@@ -299,46 +411,81 @@ def find_transitions(
         grow = ok & ~moved & (depth < nal)
         settled = np.flatnonzero(moved | (ok & (depth >= nal)))
 
-        def sequence(p: int) -> ActionSequence:
-            return prefixes[p // n_act] + (actions[p % n_act],)
-
-        trees, moves = tree[settled].tolist(), moved[settled].tolist()
-        for p, frm, is_move, row in zip(settled.tolist(), trees, moves,
-                                        map(tuple, cells[settled].astype(np.int64).tolist())):
-            seq = sequence(p)
-            if is_move:
-                to = ids.get(row)
-                if to is None:
-                    to = add_state(row)
-            else:
-                cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
-                if not _static_hold(states[frm], seq, cont, robot):
-                    continue
-                to = frm
-            if dedup == "shortest":
-                if (frm, to) in seen_pairs:
-                    continue
-                seen_pairs.add((frm, to))
-            records[frm].append(Transition(states[frm], seq, durations[len(seq)], states[to]))
-            dests[frm].append(to)
+        # a moved row ends in its cell's state; a static candidate stays
+        # where it is if it holds, and is dropped if it does not. A search
+        # row by row meets them in settled order: the static rows before
+        # the move that breaks the state budget are replayed, and an
+        # overflow in one of them is raised instead.
+        frm, to, is_move = tree[settled], tree[settled], moved[settled]
+        arrivals = cells[settled[is_move]].astype(np.int64)
+        busted, stop = None, len(settled)
+        try:
+            to[is_move] = list(map(state_ids.__getitem__, map(tuple, arrivals.tolist())))
+        except BudgetExceeded as e:
+            busted = e
+            stop = np.flatnonzero(is_move)[
+                [tuple(r) in state_ids for r in arrivals.tolist()].index(False)]
+        held = is_move.copy()
+        static = np.flatnonzero(~is_move[:stop])
+        for k, seq in zip(static.tolist(), sequences(key[settled[static]].tolist())):
+            p = settled[k]
+            cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
+            held[k] = _static_hold(states[frm[k]], seq, cont, robot)
+        if busted:
+            raise busted
+        frm, row_key, to = frm[held], key[settled[held]], to[held]
+        if dedup == "shortest":
+            # per tree, rows settle breadth-first, so the first row of each
+            # (from, to) pair is a shortest: keep it unless a tick before had the pair
+            first = np.unique(frm * len(states) + to, return_index=True)[1]
+            first = np.sort(first[[pair not in pairs for pair in zip(frm[first].tolist(),
+                                                                      to[first].tolist())]])
+            frm, row_key, to = frm[first], row_key[first], to[first]
+            pairs.update(zip(frm.tolist(), to.tolist()))
+        settled_cols.append((frm, row_key, to))
 
         kept = np.flatnonzero(grow)
-        prefixes = [sequence(p) for p in kept.tolist()]
-        p_tree = tree[kept]
-        p_ends = ends[kept]
+        p_tree, p_depth, p_ends = tree[kept], depth[kept], ends[kept]
+        p_node = np.array(list(map(nodes.__getitem__, key[kept].tolist())), dtype=np.int64)
 
-    # replay the state-by-state order: searching the trees in turn, a state
-    # joins the table when it is first reached
+    frm, key, to = (np.concatenate(c) for c in zip(*settled_cols))
+    order = _search_order(frm, to, len(states))
+    rank = np.empty(len(states), dtype=np.int64)
+    rank[order] = np.arange(len(states))
+    # the table's rows: grouped by from-state in table order, each tree's in its
+    # own. The columns are made, and the search's arrays let go, before the
+    # labels are built: they are most of the table's memory.
+    by_rank = np.argsort(rank[frm], kind="stable")
+    used, label = np.unique(key[by_rank], return_inverse=True)
+    columns = [array("q", c.astype(np.int64).tobytes())
+               for c in (rank[frm[by_rank]], label, rank[to[by_rank]])]
+    del settled_cols, nodes, frm, key, to, by_rank, label
+    labels = tuple((seq, durations[len(seq)]) for seq in sequences(used.tolist()))
+    return TransitionTable._from_ids(robot.content_hash(), tuple(states[k] for k in order),
+                                     labels, *columns)
+
+
+def _search_order(frm: np.ndarray, to: np.ndarray, n_states: int) -> list[int]:
+    """State ids in the order a state-by-state search reaches them.
+
+    (frm[k], to[k]) are the settled rows, each tree's in its own order.
+    Searching the trees in turn from state 0, a state joins when it is
+    first reached.
+    """
+    import numpy as np
+
+    by_tree = np.argsort(frm, kind="stable")
+    row_start = np.searchsorted(frm[by_tree], np.arange(n_states + 1)).tolist()
+    dests = to[by_tree].tolist()
     order = [0]
-    placed = [False] * len(states)
+    placed = [False] * n_states
     placed[0] = True
-    for frm in order:
-        for to in dests[frm]:
-            if not placed[to]:
-                placed[to] = True
-                order.append(to)
-    return TransitionTable(robot.content_hash(), tuple(states[k] for k in order),
-                           tuple(itertools.chain.from_iterable(records[k] for k in order)))
+    for f in order:
+        for t in dests[row_start[f]:row_start[f + 1]]:
+            if not placed[t]:
+                placed[t] = True
+                order.append(t)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +547,6 @@ _LINE = re.compile(
     rf'"duration_s": (-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), "to": {_STATE}\}}')
 
 
-class _Rendered(dict):
-    """The value of each key, made by `render` on its first lookup."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
-
-
 class _FieldTexts:
     """A parsed line's field texts by `_LINE` group number, each rendered on its lookup."""
 
@@ -429,14 +564,10 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     line (a start without transitions, say), and only then, so that state
     is kept and every other table's bytes stay as they were.
 
-    A line is json.dumps of the transition's dict. Each state, distinct torque
-    sequence and duration is rendered by json.dumps once per call, and a line
-    joins those fragments with json.dumps's default separators. A state is its
-    own key, so a line's states are written as the table's equal states, and
-    sequences are keyed by value: the same texts, as their indices are ints in
-    every table this package builds. A duration is keyed with its type, so 1
-    and 1.0 keep their own texts, and a zero (where 0.0 and -0.0 differ) is
-    not cached.
+    A line is json.dumps of the transition's dict. Each state and each label
+    (torque sequence and duration) is rendered by json.dumps once per call,
+    and a line joins the texts of its from-state, label and to-state ids with
+    json.dumps's default separators.
     """
     header = {
         "format": JSONL_FORMAT,
@@ -444,18 +575,14 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
         "robot_hash": table.robot_hash,
     }
     # a state is on a line when it has a transition or one arrives at it
-    dests = table.destinations()
-    reached = set(itertools.chain.from_iterable(dests))
-    if not all(row or i in reached for i, row in enumerate(dests)):
+    if len(set(table._src).union(table._dst)) < len(table.states):
         header["states"] = [_state_to_json(s) for s in table.states]
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    states = {s: json.dumps(_state_to_json(s)) for s in table.states}
-    seqs = _Rendered(lambda seq: json.dumps([list(a) for a in seq]))
-    durations = _Rendered(lambda key: json.dumps(key[1]))
-    for frm, seq, d, to in table.transitions:
-        dur = durations[type(d), d] if d else json.dumps(d)
-        fh.write(f'{{"from": {states[frm]}, "torque_idx_seq": {seqs[seq]}, '
-                 f'"duration_s": {dur}, "to": {states[to]}}}\n')
+    states = [json.dumps(_state_to_json(s)) for s in table.states]
+    labels = [f'"torque_idx_seq": {json.dumps([list(a) for a in seq])}, '
+              f'"duration_s": {json.dumps(d)}' for seq, d in table.labels]
+    fh.writelines(f'{{"from": {states[a]}, {labels[k]}, "to": {states[b]}}}\n'
+                  for a, k, b in zip(table._src, table._label, table._dst))
 
 
 def read_jsonl(fh: IO[str]) -> TransitionTable:
@@ -476,7 +603,9 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     A line's from-state, to-state, sequence and duration texts are checked in
     that order, each distinct one (a duration's with its tick count) once:
     `_LINE` finds them in write_jsonl's shape, and json.dumps renders any
-    other line's fields back. Equal states and sequences are one object each.
+    other line's fields back. Each distinct state text maps to a state id and
+    each distinct (sequence, duration) text pair to a label id, and the table
+    is built from those ids. Equal states and sequences are one object each.
     """
     first = fh.readline()
     if not first:
@@ -492,35 +621,47 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         raise ConfigError(f"unsupported transitions version {version!r}")
     if not isinstance(robot_hash, str):
         raise ConfigError(f"transitions header: robot_hash {robot_hash!r} is not a string")
-    listed = None
+    states: list[QuantizedState] = []
     if "states" in header:
         try:
-            listed = [_state_from_json(obj) for obj in header["states"]]
+            states = [_state_from_json(obj) for obj in header["states"]]
         except _LINE_ERRORS as e:
             raise ConfigError(f"transitions header: bad state: {e}") from None
-        if len(set(listed)) < len(listed):
+        if len(set(states)) < len(states):
             raise ConfigError("transitions header: a state is listed twice")
-        widths = {len(s.pos_idx) for s in listed}
+        widths = {len(s.pos_idx) for s in states}
         if len(widths) > 1 or 0 in widths:
             raise ConfigError(f"transitions header: states of {sorted(widths)} joints")
-
-    transitions: list[Transition] = []
-    # each distinct state, in the header's order or else in order of first appearance
-    states: dict = dict(zip(listed, listed)) if listed is not None else {}
+    # ids below `listed` are the table's states: the header's, or else every
+    # state in order of first appearance. A state the header does not list
+    # gets an id past them, and its line is refused.
+    listed = len(states) if "states" in header else math.inf
+    index = {s: i for i, s in enumerate(states)}
     seqs: dict = {}        # each distinct torque sequence
+    labels: dict = {}      # each distinct (sequence, duration), by value
+    src: list[int] = []
+    label: list[int] = []
+    dst: list[int] = []
     n_joints = tick = None
 
-    def state(text: str) -> QuantizedState:
-        """The table's state equal to the text's; one the header does not list is its own."""
+    def state(text: str) -> int:
         s = _state_from_json(json.loads(text))
-        return states.setdefault(s, s) if listed is None else states.get(s, s)
+        i = index.setdefault(s, len(index))
+        if i == len(states):
+            states.append(s)
+        return i
 
     def sequence(text: str) -> ActionSequence:
         seq = _sequence_from_json(json.loads(text), n_joints)
         return seqs.setdefault(seq, seq)
 
+    def label_id(texts: tuple[str, str]) -> int:
+        seq = seq_of[texts[0]]
+        pair = (seq, dur_of[texts[1], len(seq)])
+        return labels.setdefault(pair, len(labels))
+
     # each text parsed and checked on its first lookup; a refusal ends the read
-    state_of, seq_of = _Rendered(state), _Rendered(sequence)
+    state_of, seq_of, label_of = _Rendered(state), _Rendered(sequence), _Rendered(label_id)
     dur_of = _Rendered(lambda key: _duration_from_json(json.loads(key[0]), key[1], tick))
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()
@@ -529,16 +670,19 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         try:
             text = _LINE.fullmatch(raw) or _FieldTexts(json.loads(raw))
             frm, to = state_of[text[1]], state_of[text[4]]
-            n_joints = n_joints or len(frm.pos_idx)
+            frm_width, to_width = len(states[frm].pos_idx), len(states[to].pos_idx)
+            n_joints = n_joints or frm_width
             if n_joints < 1:
                 raise ValueError("state has no joints")
-            if len(frm.pos_idx) != n_joints or len(to.pos_idx) != n_joints:
-                raise ValueError(f"states have {len(frm.pos_idx)} and {len(to.pos_idx)} "
+            if frm_width != n_joints or to_width != n_joints:
+                raise ValueError(f"states have {frm_width} and {to_width} "
                                  f"joints, expected {n_joints}")
-            seq = seq_of[text[2]]
-            dur = dur_of[text[3], len(seq)]
-            if listed is not None and not (frm in states and to in states):
-                raise ValueError(f"state {to if frm in states else frm} is not in the header")
+            seq_text = text[2]
+            seq_of[seq_text]    # the sequence is checked before the duration is read
+            k = label_of[seq_text, text[3]]
+            if max(frm, to) >= listed:
+                raise ValueError(f"state {states[to if frm < listed else frm]} "
+                                 "is not in the header")
         except _LINE_ERRORS as e:
             # _LINE admits texts that are not JSON, such as 01: the line's JSON error wins
             try:
@@ -547,16 +691,20 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
                 e = whole
             raise ConfigError(f"bad transition on line {lineno}: {_json_message(e)}") from None
         if tick is None:
+            seq, dur = next(iter(labels))    # the first line's, the one label so far
             tick = dur / len(seq)
             if dur != len(seq) * tick:    # checked with no tick: recheck it where it recurs
                 dur_of.clear()
-        transitions.append(Transition(frm, seq, dur, to))
-    return TransitionTable(robot_hash, tuple(states), tuple(transitions))
+                label_of.clear()
+        src.append(frm)
+        label.append(k)
+        dst.append(to)
+    return TransitionTable._from_ids(robot_hash, tuple(states), tuple(labels), src, label, dst)
 
 
 def check_torque_menu(table: TransitionTable, robot: RobotSpec) -> None:
-    """ConfigError if a transition uses a torque index past its joint's menu."""
-    used = {a for t in table.transitions for a in t.actions}
+    """ConfigError if a label uses a torque index past its joint's menu."""
+    used = {a for seq, _ in table.labels for a in seq}
     for j, column in zip(robot.joints, zip(*used)):
         top = max(column)
         if top >= len(j.torques):
@@ -579,7 +727,7 @@ def _rle_actions(seq: ActionSequence) -> str:
     parts = []
     for a, group in itertools.groupby(seq):
         k = len(list(group))
-        name = "/".join(str(x) for x in a)
+        name = "/".join(map(str, a))
         parts.append(name if k == 1 else f"{name}*{k}")
     return " ".join(parts)
 
@@ -587,15 +735,12 @@ def _rle_actions(seq: ActionSequence) -> str:
 def export_dot(table: TransitionTable) -> str:
     """The table as a DOT digraph: node n<i> is table.states[i], one edge per transition.
 
-    Each distinct torque sequence's label is rendered once per call.
+    Each label's run-length text is rendered once per call.
     """
-    nodes = {s: f"n{i}" for i, s in enumerate(table.states)}
-    labels = _Rendered(_rle_actions)
+    labels = [_rle_actions(seq) for seq, _ in table.labels]
     lines = ["digraph transitions {"]
-    for i, s in enumerate(table.states):
-        lines.append(f'  n{i} [label="{state_label(s)}"];')
-    for t in table.transitions:
-        a, b = nodes[t.from_state], nodes[t.to_state]
-        lines.append(f'  {a} -> {b} [label="{labels[t.actions]}"];')
+    lines += [f'  n{i} [label="{state_label(s)}"];' for i, s in enumerate(table.states)]
+    lines += [f'  n{a} -> n{b} [label="{labels[k]}"];'
+              for a, k, b in zip(table._src, table._label, table._dst)]
     lines.append("}\n")  # ends the text with a newline without copying it
     return "\n".join(lines)

@@ -403,6 +403,10 @@ class TestTransitionsCommand:
         rc = main(["transitions", "--config", CFG, "--start", "zero"])
         assert rc == 2
 
+    def test_a_start_index_must_be_an_integer(self, capsys):
+        err = refused_fast(capsys, ["transitions", "--config", CFG, "--start", "a,0"], code=2)
+        assert err == "error: state indices must be integers (got 'a,0')"
+
     def test_unwritable_out_leaves_no_partial(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "t.jsonl"
         rc = main(["transitions", "--config", CFG, "--out", str(target)])

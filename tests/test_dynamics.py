@@ -23,7 +23,7 @@ from dtraj.model import (
     quantize,
     representative,
 )
-from conftest import DEG
+from conftest import DEG, demo_joint
 
 
 P = PendulumParams(mass=1.0, length=1.0, gravity=9.81)
@@ -159,6 +159,34 @@ def test_overflow_raises():
     robot = RobotSpec(delta_t=0.04, gravity=9.81, joints=(tiny,))
     with pytest.raises(NumericalOverflow):
         integrate_step(ContinuousState((0.0,), (0.0,)), (0,), robot)
+
+
+def test_overflow_on_the_last_substep_is_caught_after_integration():
+    # under a torque of 1e307 the velocity grows every substep, so the
+    # smallest start velocity that overflows does so in the last substep's
+    # position update, which no math.sin sees: only the result check can
+    strong = demo_joint()._replace(torques=(0.0, 1e307))
+    robot = RobotSpec(delta_t=0.04, gravity=9.81, joints=(strong,))
+    robot.validate()
+
+    def step(v: float) -> ContinuousState:
+        return integrate_step(ContinuousState((0.0,), (v,)), (1,), robot)
+
+    lo, hi = 0.0, 1e308      # finite at lo, refused at hi
+    step(lo)
+    with pytest.raises(NumericalOverflow, match="math domain error"):
+        step(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        try:
+            step(mid)
+            lo = mid
+        except NumericalOverflow:
+            hi = mid
+    assert hi == pytest.approx(2.958155224770526e307, rel=1e-12)
+    with pytest.raises(NumericalOverflow) as err:
+        step(hi)
+    assert str(err.value) == "joint joint1: non-finite state after integration"
 
 
 def test_array_integration_is_bitwise_scalar():

@@ -50,9 +50,10 @@ DESIRED_2J = [["t_s", "q1_deg", "q2_deg"], ["0", "0", "0"], ["0.04", "6", "0"],
               ["0.08", "6", "0"]]
 EDGE_CSV = ["nan", "inf", "-inf", "1e400", "1e308", "-1e308", "", "x", DELETE]
 # --start states: on, beside and past the demo grid and the two-joint one,
-# past the float range, and of the wrong width
+# past the float range, of the wrong width, and with an index that is no integer
 EDGE_STARTS = ["0,0", "67,0", "68,0", "-67,0", "0,3", "0,4", "99999999999999999999999,0",
-               f"{10 ** 400},0", f"-{10 ** 400},0", "0 0,0 0", "0,", "x",
+               f"{10 ** 400},0", f"-{10 ** 400},0", "0 0,0 0", "0,", "x", "a,0", "0 x,0 0",
+               "0,1.5",
                "2 -2,1 -1", "3 0,0 0", "0 -3,0 0", "0 0,0 2", "0 0,-2 0", "0 0,0",
                f"0 {10 ** 400},0 0", f"0 0,-{10 ** 400} 0", "0 0 0,0 0 0"]
 
@@ -155,6 +156,7 @@ def test_count_scaling(tmp_path_factory, config, dof, steps, separation):
 @given(config=mutated_configs, start=st.none() | st.sampled_from(EDGE_STARTS))
 @example(config=CONFIG, start=f"{10 ** 400},0")
 @example(config=TWO_JOINT, start="2 -2,1 -1")
+@example(config=TWO_JOINT, start="0 x,0 0")
 @example(config=mutated(CONFIG, ("joints", 0, "delta_q_deg"), 1e-19), start=None)
 def test_transitions(tmp_path_factory, config, start):
     run(["transitions", "--config", config_file(tmp_path_factory, config),

@@ -463,13 +463,49 @@ class TestDegenerateRobots:
 
 
 class TestBudgets:
-    def test_sequence_budget(self, pendulum):
-        with pytest.raises(BudgetExceeded):
-            find_transitions(pendulum, max_sequences=50)
+    # the demo's refusals as whole texts: the progress they report is the
+    # search's own, the same in either dedup mode
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize(("budget", "progress"), [
+        (50, "30 sequences simulated, 19 states found so far"),
+        (5000, "4790 sequences simulated, 699 states found so far"),
+    ])
+    def test_sequence_budget(self, pendulum, budget, progress, dedup):
+        with pytest.raises(BudgetExceeded) as err:
+            find_transitions(pendulum, dedup=dedup, max_sequences=budget)
+        assert str(err.value) == f"simulated sequences would exceed budget {budget} ({progress})"
 
-    def test_state_budget(self, pendulum):
-        with pytest.raises(BudgetExceeded):
-            find_transitions(pendulum, max_states=10)
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize(("budget", "progress"), [
+        (10, "30 sequences simulated, 10 states found so far"),
+        (500, "3370 sequences simulated, 500 states found so far"),
+    ])
+    def test_state_budget(self, pendulum, budget, progress, dedup):
+        with pytest.raises(BudgetExceeded) as err:
+            find_transitions(pendulum, dedup=dedup, max_states=budget)
+        assert str(err.value) == f"discovered states exceeded budget {budget} ({progress})"
+
+    # a tick meets its settled rows in order: with nal 1, four static rows
+    # are replayed before the move that breaks budget 40, so an overflow in
+    # the third replay is raised and one in the tenth is never reached
+    @pytest.mark.parametrize(("failing", "error"), [(3, NumericalOverflow), (10, BudgetExceeded)])
+    def test_which_refusal_wins_within_a_tick(self, pendulum, monkeypatch, failing, error):
+        replays = []
+
+        def hold(*args):
+            replays.append(args)
+            if len(replays) == failing:
+                raise NumericalOverflow("replay overflowed")
+            return static_hold(*args)
+
+        static_hold = trn._static_hold
+        monkeypatch.setattr(trn, "_static_hold", hold)
+        with pytest.raises(error) as err:
+            find_transitions(pendulum, nal=1, max_states=40)
+        assert len(replays) == min(failing, 4)
+        assert str(err.value) == ("replay overflowed" if error is NumericalOverflow else
+                                  "discovered states exceeded budget 40 "
+                                  "(95 sequences simulated, 40 states found so far)")
 
 
 class TestDedup:
@@ -540,6 +576,30 @@ class TestTableApi:
                             _edges=(np.zeros(3, dtype=np.int64), np.array([0, 3])))
         with pytest.raises(TypeError):
             TransitionTable("h", (s,), one_edge, _index={s: 0})
+
+    def test_ids_are_enough_from_discovery_to_a_listing(self, pendulum, pendulum_table,
+                                                        monkeypatch):
+        from dtraj.trajectories import count_trajectories, enumerate_trajectories
+
+        texts = serialised(pendulum_table)
+        monkeypatch.setattr(trn, "Transition", None)    # building one would raise
+        for table in (find_transitions(pendulum), read_jsonl(io.StringIO(texts[0]))):
+            assert serialised(table) == texts
+            trn.check_torque_menu(table, pendulum)
+            walks = list(enumerate_trajectories(table, table.states[:5], 2))
+            counts = count_trajectories(table, 2)
+            assert len(walks) == sum(counts[s] for s in table.states[:5])
+
+    # discovery and the reader hand a table id columns: (from, label, to)
+    @pytest.mark.parametrize("columns", [([1], [0], [0]), ([0], [1], [0]), ([0], [0], [-1]),
+                                         ([0, 0], [0], [0])],
+                             ids=["from", "label", "to", "lengths"])
+    def test_id_columns_are_range_checked(self, columns):
+        s = QuantizedState((0,), (0,))
+        with pytest.raises(ValueError):
+            TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), *columns)
+        assert TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0]) == (
+            TransitionTable("h", (s,), (Transition(s, ((0,),), 0.04, s),)))
 
     def test_equal_to_its_read_back_whatever_was_built(self, pendulum_table):
         buf = io.StringIO()
@@ -826,6 +886,9 @@ class TestAgainstOracle:
         ("demo-32ms", "all"): (
             "5171dedd9c876467eb0a8acac9d024a041a6471162a3a09547042a025bd16ef2",
             "c43d7ac43fc58049b848b8959f75d93a9455fc28c45c32a7f041596ee0a8777b"),
+        ("demo-32ms", "shortest"): (
+            "06e3e32500632a6bc4fc35b41ab8f9790ae82cbcbdca9fc32b5dfc84abfa8c42",
+            "cb671c1b5447f1fed55b4835e8d2bf8a006c7047d8e7e86c32b8f77a4a551ad3"),
     }
 
     @pytest.mark.parametrize(("robot", "dedup"), sorted(PINNED))
