@@ -5,10 +5,11 @@ import argparse
 import sys
 from collections import Counter
 
+from dtraj.discovery import find_transitions
 from dtraj.errors import DtrajError
 from dtraj.model import DEFAULT_NAL, QuantizedState, load_robot, state_space_size
 from dtraj.trajectories import count_trajectories
-from dtraj.transitions import export_dot, find_transitions, state_label, write_jsonl
+from dtraj.transitions import export_dot, state_label, write_jsonl
 
 
 def main():

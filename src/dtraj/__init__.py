@@ -24,9 +24,9 @@ _EXPORTS = {
     ),
     "dynamics": ("act_sequence", "integrate_step", "validation_check"),
     "transitions": (
-        "Transition", "TransitionTable", "export_dot", "find_transitions",
-        "read_jsonl", "write_jsonl",
+        "Transition", "TransitionTable", "export_dot", "read_jsonl", "write_jsonl",
     ),
+    "discovery": ("find_transitions",),
     "trajectories": (
         "DesiredTrajectory", "PlanResult", "Trajectory", "count_trajectories",
         "enumerate_trajectories", "load_desired_csv", "plan_action_sequence",

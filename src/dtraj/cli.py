@@ -38,9 +38,9 @@ _SCALING_ROW_CAP = 400_000
 
 # main reads the files a subcommand names (--config, then --transitions) and
 # hands the handler what it read. Each handler imports its layer when it runs,
-# so a subcommand loads only the modules it uses (the corridor, bounds and
-# scaling counts, walk listings and the planner never load numpy; walk counts
-# and discovery do), and a name patched on a layer module is the one called.
+# so a subcommand loads only the modules it uses (only `transitions` loads
+# discovery and the dynamics; it and walk counts load numpy, and no other
+# subcommand does), and a name patched on a layer module is the one called.
 
 
 def _write_output(path: str | None, emit: Callable[[IO[str]], None]) -> None:
@@ -119,7 +119,8 @@ def _parse_csv_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _cmd_transitions(args, robot) -> None:
-    from .transitions import export_dot, find_transitions, write_jsonl
+    from .discovery import find_transitions
+    from .transitions import export_dot, write_jsonl
 
     start = _parse_state(args.start, robot.n_joints) if args.start else None
     table = find_transitions(

@@ -121,19 +121,14 @@ def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray, p: PendulumP
     return x[0], x[1]
 
 
-def joint_params(robot: RobotSpec, i: int) -> PendulumParams:
-    j = robot.joints[i]
-    return PendulumParams(mass=j.mass, length=j.length, gravity=robot.gravity)
-
-
 def integrate_step(s: ContinuousState, a: Action, robot: RobotSpec) -> ContinuousState:
     """Advance every joint independently by one tick under the action's torques."""
     qs = []
     vs = []
     for i, j in enumerate(robot.joints):
-        u = j.torques[a[i]]
+        p = PendulumParams(j.mass, j.length, robot.gravity)
         try:
-            q, v = integrate_joint(s.q[i], s.v[i], u, joint_params(robot, i), robot.delta_t)
+            q, v = integrate_joint(s.q[i], s.v[i], j.torques[a[i]], p, robot.delta_t)
         except (ValueError, OverflowError) as exc:
             # math.sin rejects non-finite arguments before the result check can
             raise NumericalOverflow(f"joint {j.name}: {exc}") from None

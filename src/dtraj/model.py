@@ -38,7 +38,7 @@ _COUNT_WORK_BUDGET = 2 * 10 ** 9
 _STEP_CHARGE = 10_000
 
 # defaults the CLI parser shows, here so it can show them without loading a
-# layer. Discovery's (transitions.find_transitions): the horizon in ticks after
+# layer. Discovery's (discovery.find_transitions): the horizon in ticks after
 # which a quiescent sequence is static, and the state and sequence budgets.
 # Enumeration's (trajectories.enumerate_trajectories): the walks it may list.
 DEFAULT_NAL = 25

@@ -121,7 +121,7 @@ def pendulum() -> RobotSpec:
 @pytest.fixture(scope="session")
 def pendulum_table(pendulum):
     # built once; several suites replay against it
-    from dtraj.transitions import find_transitions
+    from dtraj.discovery import find_transitions
 
     return find_transitions(pendulum)
 

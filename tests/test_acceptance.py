@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dtraj.cli import main
+from dtraj.discovery import find_transitions
 from dtraj.dynamics import act_sequence, integrate_step, validation_check
 from dtraj.lattice import (
     CorridorSpec,
@@ -35,7 +36,7 @@ from dtraj.trajectories import (
     enumerate_trajectories,
     plan_action_sequence,
 )
-from dtraj.transitions import Transition, TransitionTable, find_transitions
+from dtraj.transitions import Transition, TransitionTable
 from conftest import CONFIG_PATH, DEG, demo_joint
 
 CFG = str(CONFIG_PATH)

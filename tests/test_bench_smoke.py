@@ -38,3 +38,7 @@ def test_a_short_traced_run_is_correct(tree, workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if workload == "discover":
+        # discovery replays static candidates through `dynamics.integrate_step`,
+        # the name the tracer wraps; a name bound in discovery would count none
+        assert result["metrics"]["dynamics.step_calls"]["value"] > 0

@@ -15,7 +15,7 @@ import pytest
 from dtraj.cli import build_parser, main
 from dtraj.model import read_file
 from dtraj.transitions import read_jsonl, state_label
-from conftest import CONFIG_PATH, THREE_STATE_TABLE, TWO_JOINT, write_table
+from conftest import CONFIG_PATH, THREE_STATE_TABLE, TWO_JOINT, TWO_JOINT_TABLE, write_table
 from test_trajectories import reference_enumerate
 
 CFG = str(CONFIG_PATH)
@@ -603,6 +603,23 @@ class TestPlanCommand:
         assert out.out == ""
         assert "error: joint joint1: torque index 9 is outside its menu of 5 torques" in out.err
 
+    @pytest.mark.parametrize(("table", "joints"), [(TWO_JOINT_TABLE, 1), (THREE_STATE_TABLE, 2)],
+                             ids=["two-joint-table", "two-joint-config"])
+    def test_joint_counts_of_table_and_config_differ(self, capsys, tmp_path, table, joints):
+        # refused as such, not as a start state missing from the table (exit 3)
+        config = CFG
+        if joints == 2:
+            config = tmp_path / "two_joint.json"
+            config.write_text(json.dumps(TWO_JOINT))
+        desired = tmp_path / "d.csv"
+        desired.write_text("t_s" + "".join(f",q{k}_deg" for k in range(1, joints + 1))
+                           + "\n0" + ",0" * joints + "\n")
+        path = write_table(tmp_path / "t.jsonl", table)
+        err = refused_fast(capsys, ["plan", "--transitions", path, "--config", str(config),
+                                    "--desired", str(desired)], code=2)
+        assert err == (f"error: the transition table's joint count {3 - joints} is not "
+                       f"the robot config's {joints}")
+
     @pytest.mark.parametrize("times, code", [
         ("0,1e-6,2e-6", 0), ("0,2e-6", 3), ("0,0.5e-6", 3), ("0,2e-6,2.5e-6", 3),
     ])
@@ -858,14 +875,16 @@ class TestImports:
         loaded = cli_modules("plan", "--transitions", str(table_file), "--config", CFG,
                              "--desired", str(desired_file))
         assert "numpy" not in loaded
-        assert "dtraj.lattice" not in loaded
+        # the table module loads neither discovery nor the dynamics
+        assert dtraj_modules(loaded) == {"dtraj", "dtraj.errors", "dtraj.model",
+                                         "dtraj.trajectories", "dtraj.transitions"}
 
     @pytest.mark.parametrize("start", [["--start=0,0"], []], ids=["start", "all"])
     def test_walk_listing_does_not_load_numpy(self, table_file, start):
         # its budget check counts walks in pure Python
         loaded = cli_modules("enumerate", "--transitions", str(table_file), "--steps", "2", *start)
         assert "numpy" not in loaded
-        assert dtraj_modules(loaded) == {"dtraj", "dtraj.dynamics", "dtraj.errors", "dtraj.model",
+        assert dtraj_modules(loaded) == {"dtraj", "dtraj.errors", "dtraj.model",
                                          "dtraj.trajectories", "dtraj.transitions"}
 
     def test_array_routes_load_numpy_and_their_layer_only(self, table_file):
@@ -874,7 +893,7 @@ class TestImports:
                              "--count-only")
         assert "numpy" in loaded
         # the CLI itself runs as __main__
-        assert dtraj_modules(loaded) == {"dtraj", "dtraj.dynamics", "dtraj.errors", "dtraj.model",
+        assert dtraj_modules(loaded) == {"dtraj", "dtraj.errors", "dtraj.model",
                                          "dtraj.trajectories", "dtraj.transitions"}
 
     def test_bare_import_loads_no_layer(self):
@@ -893,8 +912,8 @@ class TestImports:
             "print(json.dumps([subs, wrong]))\n"
         )
         subs, wrong = json.loads(run_child(code).stdout)
-        assert set(subs) == {"cli", "dynamics", "errors", "lattice", "model", "trajectories",
-                             "transitions"}
+        assert set(subs) == {"cli", "discovery", "dynamics", "errors", "lattice", "model",
+                             "trajectories", "transitions"}
         assert wrong == []
 
     def test_exports_are_the_layer_objects(self):

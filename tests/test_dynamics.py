@@ -11,7 +11,6 @@ from dtraj.dynamics import (
     integrate_frontier,
     integrate_joint,
     integrate_step,
-    joint_params,
     validation_check,
 )
 from dtraj.errors import NumericalOverflow
@@ -288,8 +287,14 @@ def test_quantization_observes_never_perturbs(pendulum):
     assert trace[-1] == state
 
 
-def test_joint_params_pulls_gravity_from_robot(pendulum):
-    p = joint_params(pendulum, 0)
-    assert p.gravity == pytest.approx(9.81)
-    assert p.mass == pytest.approx(1.0)
-    assert p.length == pytest.approx(1.0)
+def test_integrate_step_takes_gravity_from_the_robot():
+    # each joint at its own mass, length and torque, under a gravity other than the default
+    joints = (demo_joint(), demo_joint()._replace(name="j2", mass=0.35, length=1.7))
+    robot = RobotSpec(delta_t=0.04, gravity=3.7, joints=joints)
+    s, action = ContinuousState((0.5, -0.2), (0.1, 0.3)), (4, 1)
+    got = integrate_step(s, action, robot)
+    for i, j in enumerate(joints):
+        want = reference_integrate_joint(s.q[i], s.v[i], j.torques[action[i]],
+                                         PendulumParams(j.mass, j.length, 3.7), 0.04)
+        assert bits((got.q[i], got.v[i])) == bits(want)
+    assert got != integrate_step(s, action, robot._replace(gravity=9.81))

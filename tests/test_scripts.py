@@ -9,9 +9,10 @@ import subprocess
 import sys
 import time
 
+from dtraj.discovery import find_transitions
 from dtraj.lattice import scaling_table, write_scaling_csv
 from dtraj.model import robot_from_dict
-from dtraj.transitions import export_dot, find_transitions, write_jsonl
+from dtraj.transitions import export_dot, write_jsonl
 from conftest import CONFIG_PATH
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -13,7 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dtraj.discovery as discovery
+import dtraj.dynamics as dynamics
 import dtraj.transitions as trn
+from dtraj.discovery import find_transitions
 from dtraj.dynamics import act_sequence, integrate_step, validation_check
 from dtraj.errors import (
     BudgetExceeded,
@@ -24,6 +28,9 @@ from dtraj.errors import (
     UnknownState,
 )
 from dtraj.model import (
+    DEFAULT_MAX_SEQUENCES,
+    DEFAULT_MAX_STATES,
+    DEFAULT_NAL,
     ActionSequence,
     ContinuousState,
     JointSpec,
@@ -36,14 +43,9 @@ from dtraj.model import (
     state_space_size,
 )
 from dtraj.transitions import (
-    DEFAULT_MAX_SEQUENCES,
-    DEFAULT_MAX_STATES,
-    DEFAULT_NAL,
     Transition,
     TransitionTable,
-    _action_space,
     export_dot,
-    find_transitions,
     read_jsonl,
     state_label,
     write_jsonl,
@@ -90,7 +92,7 @@ def reference_find_transitions(
     # reject starts off the grid
     quantize(representative(start, robot), robot)
 
-    actions = _action_space(robot)
+    actions = list(itertools.product(*(range(len(j.torques)) for j in robot.joints)))
     states: list[QuantizedState] = [start]
     seen: set = {start.key()}
     transitions: list[Transition] = []
@@ -167,7 +169,7 @@ def reference_static_hold(s: QuantizedState, seq: ActionSequence, robot: RobotSp
     """
     start = representative(s, robot)
     state = start
-    for _ in range(trn.STATIC_HOLD_REPS):
+    for _ in range(discovery.STATIC_HOLD_REPS):
         for a in seq:
             state = integrate_step(state, a, robot)
             if not all(j.q_min <= q <= j.q_max and j.v_min <= v <= j.v_max
@@ -498,8 +500,8 @@ class TestBudgets:
                 raise NumericalOverflow("replay overflowed")
             return static_hold(*args)
 
-        static_hold = trn._static_hold
-        monkeypatch.setattr(trn, "_static_hold", hold)
+        static_hold = discovery._static_hold
+        monkeypatch.setattr(discovery, "_static_hold", hold)
         with pytest.raises(error) as err:
             find_transitions(pendulum, nal=1, max_states=40)
         assert len(replays) == min(failing, 4)
@@ -617,7 +619,7 @@ class TestTableApi:
             assert s == s.key() and hash(s) == hash(s.key())
             assert pendulum_table.state_index(QuantizedState(*s.key())) == i
 
-    def test_torque_menu(self):
+    def test_torque_menu(self, pendulum):
         robot = robot_from_dict(TWO_JOINT)
         s = QuantizedState((0, 0), (0, 0))
 
@@ -629,6 +631,10 @@ class TestTableApi:
         trn.check_torque_menu(table(), robot)
         with pytest.raises(ConfigError, match="joint j2: torque index 4 is outside its menu of 3"):
             trn.check_torque_menu(table((2, 0), (0, 3), (0, 4)), robot)
+        # a table's joint count is its actions' width, or its states' without transitions
+        for two_joints in (table((2, 0)), table()):
+            with pytest.raises(ConfigError, match="joint count 2 is not the robot config's 1"):
+                trn.check_torque_menu(two_joints, pendulum)
 
 
 class TestDotExport:
@@ -1054,13 +1060,13 @@ class TestBudgetUnit:
     @pytest.mark.parametrize("budget", [1, 5, 6, 50, 1_000, 8_074])
     def test_never_simulates_past_the_budget(self, pendulum, monkeypatch, budget):
         rows = []
-        real = trn.integrate_frontier
+        real = dynamics.integrate_frontier
 
         def counted(q, *args, **kw):
             rows.append(len(q))
             return real(q, *args, **kw)
 
-        monkeypatch.setattr(trn, "integrate_frontier", counted)
+        monkeypatch.setattr(dynamics, "integrate_frontier", counted)
         with pytest.raises(BudgetExceeded) as err:
             find_transitions(pendulum, max_sequences=budget)
         done, found = map(int, re.search(r"(\d+) sequences simulated, (\d+) states found",
@@ -1073,6 +1079,14 @@ class TestBudgetUnit:
             find_transitions(pendulum, max_states=10)
 
 
+def test_the_table_module_serves_three_discovery_names():
+    # the names its readers in bench/ take from it, each discovery's own; no other
+    for name in ("find_transitions", "STATIC_HOLD_REPS", "DEFAULT_NAL"):
+        assert getattr(trn, name) is getattr(discovery, name)
+    for name in ("_static_hold", "_tick", "__path__"):
+        assert not hasattr(trn, name)
+
+
 def off_grid_robot() -> RobotSpec:
     # the limits sit 3e-8 deg past the grid points -5 and 5: within 1e-9 rad of
     # -5 * delta_q but 1.5e-8 cells from it, so the grid is -4..5, not -5..5
@@ -1082,12 +1096,17 @@ def off_grid_robot() -> RobotSpec:
         "torques_nm": [-50, 0, 50]}]})
 
 
-@pytest.mark.parametrize("robot", [
-    RobotSpec(delta_t=0.04, gravity=9.81, joints=(demo_joint(),)), off_grid_robot(),
+@pytest.mark.parametrize(("robot", "cases"), [
+    # the demo's limits lie off its grid: an end past one is off the grid too
+    (RobotSpec(delta_t=0.04, gravity=9.81, joints=(demo_joint(),)),
+     {"moved", "static", "growing", "off the grid"}),
+    (off_grid_robot(), {"moved", "static", "growing", "past a limit", "off the grid"}),
 ], ids=["demo", "off_grid"])
-def test_column_quantize_matches_scalar(robot):
+def test_column_quantize_matches_scalar(robot, cases, monkeypatch):
     # per axis: grid points and half-cell points past both ends, the limits
-    # and just past them, and seeded points, each paired with a zero
+    # and points a fifth and 0.6 of a cell past them, and seeded points, each
+    # paired with a zero. Each probe is a tick's end state from home (0, 0),
+    # once at depth nal - 1 and once at nal, and its class is the scalar rule's
     j = robot.joints[0]
     rng = np.random.default_rng(7)
 
@@ -1095,21 +1114,33 @@ def test_column_quantize_matches_scalar(robot):
         k = np.arange(math.floor(lo / step) - 2, math.ceil(hi / step) + 3)
         return np.concatenate([k * step, (k + 0.5) * step,
                                [lo, hi, lo - 0.6 * step, hi + 0.6 * step],
-                               rng.uniform(1.05 * lo, 1.05 * hi, 500)])
+                               rng.uniform(1.05 * lo, 1.05 * hi, 500),
+                               [lo - 0.2 * step, hi + 0.2 * step]])
 
     qp = probes(j.q_min, j.q_max, j.delta_q)
     vp = probes(j.v_min, j.v_max, robot.delta_v(0))
     q = np.concatenate([qp, np.zeros(len(vp))])
     v = np.concatenate([np.zeros(len(qp)), vp])
-    on_grid, cells = trn._quantize_columns(np.stack([q, v], axis=1), robot)
-    for k, (qk, vk) in enumerate(zip(q.tolist(), v.tolist())):
+    ends = np.tile(np.stack([q, v], axis=1), (2, 1))
+    depth = np.repeat([DEFAULT_NAL - 1, DEFAULT_NAL], len(q))
+    # the tick's integration hands its starts back, so the probes are its end states
+    monkeypatch.setattr(dynamics, "integrate_frontier", lambda q, v, *rest: (q, v))
+    _, cells, *masks = discovery._tick(robot, DEFAULT_NAL, ends, np.zeros((len(ends), 1)),
+                                       np.zeros_like(ends), depth)
+    seen = set()
+    for k, (qk, vk) in enumerate(ends.tolist()):
         try:
             want = quantize(ContinuousState((qk,), (vk,)), robot)
         except OutOfRange:
-            assert not on_grid[k]
-            continue
-        assert on_grid[k]
-        assert (want.pos_idx[0], want.vel_idx[0]) == tuple(cells[k].astype(int).tolist())
+            case = "off the grid"
+        else:
+            assert (want.pos_idx[0], want.vel_idx[0]) == tuple(cells[k].astype(int).tolist())
+            case = ("past a limit" if not j.within_limits(qk, vk) else "moved" if want != ZERO
+                    else "growing" if depth[k] < DEFAULT_NAL else "static")
+        seen.add(case)
+        got = [name for name, mask in zip(("moved", "static", "growing"), masks) if mask[k]]
+        assert got == ([] if case in ("past a limit", "off the grid") else [case]), (qk, vk)
+    assert seen == cases
 
 
 def test_discovered_states_lie_on_the_counted_grid():
