@@ -2,8 +2,8 @@
 
 Trajectories here are graph walks: each hop is one recorded transition, so a
 hop can cover several control ticks. Enumeration streams every walk of an
-exact hop count, after counting them exactly, in pure Python, over the states
-its starts reach. The counter gets the same numbers for every state, exact at
+exact hop count, after counting them exactly, in pure Python, forward from
+its starts. The counter gets the same numbers for every state, exact at
 any size, by repeated adjacency application over the table's integer edge
 index in numpy. The planner greedily tracks a desired configuration path,
 matching transition durations to the time elapsed since it last moved.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import islice
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ConfigError, DomainError, NoFeasibleTransition
@@ -83,7 +82,7 @@ def enumerate_trajectories(
 
     Order is canonical: starts in the given order, hops in table transition
     order (depth-first, first transition first). The total count is checked
-    against the budget up front, exactly, over the states the starts reach
+    against the budget up front, exactly, pushed forward from the starts
     (see _count_walks), so a caller never receives a truncated stream.
     `starts` is read once, so an iterator serves as well as a list.
 
@@ -129,36 +128,34 @@ def enumerate_trajectories(
 def _count_walks(table: TransitionTable, ids: Sequence[int], n_steps: int) -> int:
     """Exact number of n_steps-hop walks out of the state ids `ids`; a repeated id counts again.
 
-    Pure Python, over the states within n_steps hops of a start only: a
-    breadth-first search numbers them by position in the order it first
-    reaches them, so the states within d hops are a prefix, and it does not
-    expand those it first reaches on the last hop, where every walk through
-    them ends. It counts backward as count_trajectories does: the walks of
-    0 hops out of each state are 1, and each hop sums each row's counts over
-    the prefix its result is read from. model.check_count_work admits the
-    work as it does for count_trajectories.
+    Pure Python, pushed forward from the starts: counts[i] walks so far end
+    at state i, one of the `live` states. Each hop but the last adds each
+    live count to its state's destinations, the last sums count * out-degree,
+    and the push stops once no walk is left. model.check_count_work admits
+    the work as it does for count_trajectories.
     """
     dests = table.destinations()
     check_count_work(f"counting {n_steps}-hop walks over {len(table)} transitions",
                      n_steps, len(table), table.max_out_degree)
-    pos: dict[int, int] = {}
+    if n_steps == 0:
+        return len(ids)
+    counts, nxt = [0] * len(dests), [0] * len(dests)
     for i in ids:
-        pos.setdefault(i, len(pos))
-    out: list[list[int]] = []    # per position, its destinations' positions
-    reach = [len(pos)]           # reach[d]: the positions within d hops, until none is new
-    for _ in range(n_steps):
-        level = list(islice(pos, len(out), None))
-        if not level:
+        counts[i] += 1
+    live = set(ids)
+    for _ in range(n_steps - 1):
+        if not live:
             break
-        out += [[pos.setdefault(d, len(pos)) for d in dests[i]] for i in level]
-        reach.append(len(pos))
-    # a walk of k hops from a start ends within k hops of it, and the walks of
-    # j hops out of a state are read only within n_steps - j hops
-    within = reach[:n_steps] + reach[-1:] * (n_steps - len(reach))
-    c = [1] * len(pos)
-    for m in reversed(within):
-        c = [sum(map(c.__getitem__, row)) for row in out[:m]]
-    return sum(c[pos[i]] for i in ids)
+        reached = []
+        for i in live:
+            # a count leaves its state, so counts is all 0 again when it becomes nxt
+            c, counts[i] = counts[i], 0
+            for d in dests[i]:
+                if not nxt[d]:
+                    reached.append(d)
+                nxt[d] += c
+        counts, nxt, live = nxt, counts, reached
+    return sum(counts[i] * len(dests[i]) for i in live)
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         return seqs.setdefault(seq, seq)
 
     def label_id(texts: tuple[str, str]) -> int:
-        seq = seq_of[texts[0]]
+        seq = seq_of[texts[0]]    # the sequence is checked before the duration is read
         pair = (seq, dur_of[texts[1], len(seq)])
         return labels.setdefault(pair, len(labels))
 
@@ -392,9 +392,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             if frm_width != n_joints or to_width != n_joints:
                 raise ValueError(f"states have {frm_width} and {to_width} "
                                  f"joints, expected {n_joints}")
-            seq_text = text[2]
-            seq_of[seq_text]    # the sequence is checked before the duration is read
-            k = label_of[seq_text, text[3]]
+            k = label_of[text[2], text[3]]
             if max(frm, to) >= listed:
                 raise ValueError(f"state {states[to if frm < listed else frm]} "
                                  "is not in the header")

@@ -8,10 +8,11 @@ are a valid robot config, transition table or desired path with one field
 replaced by such a value, or removed, and a table with no transitions. The
 robot config may also be a fine-cell one, whose cells are so small that a
 finite angle or separation is more cells from 0 than a float can hold, or a
-two-joint one, with its own table, desired path and two-wide states. Every
-subcommand that takes steps also runs a small valid input at each step count
-between 10^4 and 10^7, where a loop's cost, not the size of its answer, has
-to be capped. No run may raise a warning.
+two-joint one, with its own table, desired path and two-wide states. A plan
+may also draw the table of the other joint count, which must be refused
+with exit 2. Every subcommand that takes steps also runs a small valid input
+at each step count between 10^4 and 10^7, where a loop's cost, not the size
+of its answer, has to be capped. No run may raise a warning.
 """
 
 import contextlib
@@ -85,8 +86,8 @@ mutated_configs = st.sampled_from([CONFIG, TWO_JOINT]).flatmap(
     lambda config: one_field_mutation(config) | st.just(config))
 
 
-def run(argv) -> str:
-    """Run argv in-process under the contract; returns its stdout."""
+def run(argv) -> tuple[int, str, str]:
+    """Run argv in-process under the contract; returns its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -99,7 +100,7 @@ def run(argv) -> str:
     assert elapsed < WALL_CAP_S, (elapsed, argv)
     if rc:
         assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue(), argv
-    return out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def flags(**values) -> list[str]:
@@ -195,18 +196,24 @@ def test_enumerate_table_without_states(tmp_path_factory, steps, start, count_on
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=configs,
+@given(config=configs, table=st.sampled_from([TABLE, TWO_JOINT_TABLE]),
        desired=st.sampled_from([DESIRED, DESIRED_2J]).flatmap(one_cell_mutation))
-@example(config=FINE_CONFIG, desired=mutated(DESIRED, (1, 1), "1e308"))
-@example(config=TWO_JOINT, desired=DESIRED_2J)
-def test_plan(tmp_path_factory, config, desired):
+@example(config=FINE_CONFIG, table=TABLE, desired=mutated(DESIRED, (1, 1), "1e308"))
+@example(config=TWO_JOINT, table=TWO_JOINT_TABLE, desired=DESIRED_2J)
+@example(config=TWO_JOINT, table=TABLE, desired=DESIRED_2J)
+@example(config=CONFIG, table=TWO_JOINT_TABLE, desired=DESIRED)
+def test_plan(tmp_path_factory, config, table, desired):
+    # a table of the other config's joint count is refused before the desired path is read
     tmp = tmp_path_factory.mktemp("plan")
     path = tmp / "desired.csv"
     path.write_text("".join(",".join(row) + "\n" for row in desired))
-    table = TWO_JOINT_TABLE if config is TWO_JOINT else TABLE
-    out = run(["plan", "--transitions", write_table(tmp / "table.jsonl", table),
-               "--config", config_file(tmp_path_factory, config), "--desired", str(path)])
+    rc, out, err = run(["plan", "--transitions", write_table(tmp / "table.jsonl", table),
+                        "--config", config_file(tmp_path_factory, config), "--desired", str(path)])
     assert "NaN" not in out and "Infinity" not in out, out
+    width, joints = (2 if table is TWO_JOINT_TABLE else 1), len(config["joints"])
+    if width != joints:
+        assert (rc, err.splitlines()[0]) == (2, f"error: the transition table's joint count "
+                                                f"{width} is not the robot config's {joints}")
 
 
 # JSON that json parses only within Python's own limits: an integer of more

@@ -130,7 +130,7 @@ def demo_start_sets(states):
 
 
 class TestListingCount:
-    """The listing's pure-Python count over its starts' reach, against both counters."""
+    """The listing's pure-Python count, pushed forward from its starts, against both counters."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -167,6 +167,16 @@ class TestListingCount:
         counted = count_trajectories(loops, 5000)[mk_state(0)]
         assert counted == 10 ** 5000
         assert listing_count(loops, [mk_state(0)] * 2, 5000) == 2 * counted
+        # every walk dies long before the last hop: out of the demo's sinks at
+        # the deepest count the budget admits, and along a chain at its own
+        sinks = [s for s, row in zip(pendulum_table.states, pendulum_table.destinations())
+                 if not row]
+        assert len(sinks) == 6
+        assert listing_count(pendulum_table, sinks, 1727) == 0
+        chain = mk_table(3, [(0, 1), (1, 2)])
+        assert listing_count(chain, chain.states, 199_960) == 0
+        with pytest.raises(ResourceLimit):
+            listing_count(chain, chain.states, 199_961)
 
     def test_work_refusal_is_the_counters(self, pendulum_table):
         # 1,727 hops is the most the demo table's counts fit in the work budget
