@@ -2,9 +2,9 @@
 
 A table holds its transitions as id columns over its states and labels:
 discovery (`dtraj.discovery`) and the reader hand it ids, and the writers
-join each line from per-state and per-label texts. This module loads
-neither the dynamics nor discovery, so the commands that read a table
-do not either.
+join each line from per-state and per-label texts, themselves joined from
+`str` of each integer. This module loads neither the dynamics nor
+discovery, so the commands that read a table do not either.
 """
 
 from __future__ import annotations
@@ -279,10 +279,12 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     line (a start without transitions, say), and only then, so that state
     is kept and every other table's bytes stay as they were.
 
-    A line is json.dumps of the transition's dict. Each state and each label
-    (torque sequence and duration) is rendered by json.dumps once per call,
-    and a line joins the texts of its from-state, label and to-state ids with
-    json.dumps's default separators.
+    A line holds the bytes json.dumps gives the transition's dict, but only
+    the header and each label's duration, whose type can vary (True, 1 and
+    -0.0 stay true, 1 and -0.0), go through json.dumps. Each state's text and
+    each distinct action's is joined from `str` of its integers, and each
+    label's torque sequence from its actions' texts, once per call; a line
+    joins the texts of its ids. The lines are streamed to `fh`, not joined.
     """
     header = {
         "format": JSONL_FORMAT,
@@ -293,8 +295,10 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     if len(set(table._src).union(table._dst)) < len(table.states):
         header["states"] = [_state_to_json(s) for s in table.states]
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    states = [json.dumps(_state_to_json(s)) for s in table.states]
-    labels = [f'"torque_idx_seq": {json.dumps([list(a) for a in seq])}, '
+    states = [f'{{"pos": [{", ".join(map(str, s.pos_idx))}], '
+              f'"vel": [{", ".join(map(str, s.vel_idx))}]}}' for s in table.states]
+    actions = _Rendered(lambda a: f'[{", ".join(map(str, a))}]')
+    labels = [f'"torque_idx_seq": [{", ".join(map(actions.__getitem__, seq))}], '
               f'"duration_s": {json.dumps(d)}' for seq, d in table.labels]
     fh.writelines(f'{{"from": {states[a]}, {labels[k]}, "to": {states[b]}}}\n'
                   for a, k, b in zip(table._src, table._label, table._dst))
@@ -438,28 +442,31 @@ def check_torque_menu(table: TransitionTable, robot: RobotSpec) -> None:
 
 
 def state_label(s: QuantizedState) -> str:
-    return " ".join(str(p) for p in s.pos_idx) + "," + " ".join(str(v) for v in s.vel_idx)
+    return " ".join(map(str, s.pos_idx)) + "," + " ".join(map(str, s.vel_idx))
 
 
-def _rle_actions(seq: ActionSequence) -> str:
-    # run-length summary, e.g. torque-index vector (2,) held 25 ticks -> "2*25"
+def _rle_actions(seq: ActionSequence, names: dict) -> str:
+    # run-length text from the actions' a/b names: (2,) held 25 ticks -> "2*25"
     parts = []
-    for a, group in itertools.groupby(seq):
-        k = len(list(group))
-        name = "/".join(map(str, a))
-        parts.append(name if k == 1 else f"{name}*{k}")
+    for a, run in itertools.groupby(seq):
+        k = len(list(run))
+        parts.append(names[a] if k == 1 else f"{names[a]}*{k}")
     return " ".join(parts)
 
 
 def export_dot(table: TransitionTable) -> str:
     """The table as a DOT digraph: node n<i> is table.states[i], one edge per transition.
 
-    Each label's run-length text is rendered once per call.
+    An edge's label is its torque sequence's run-length text. Each distinct
+    action's a/b name, each label's text and each node's name are joined
+    once per call.
     """
-    labels = [_rle_actions(seq) for seq, _ in table.labels]
+    names = _Rendered(lambda a: "/".join(map(str, a)))
+    labels = [_rle_actions(seq, names) for seq, _ in table.labels]
+    nodes = [f"n{i}" for i in range(len(table.states))]
     lines = ["digraph transitions {"]
-    lines += [f'  n{i} [label="{state_label(s)}"];' for i, s in enumerate(table.states)]
-    lines += [f'  n{a} -> n{b} [label="{labels[k]}"];'
+    lines += [f'  {n} [label="{state_label(s)}"];' for n, s in zip(nodes, table.states)]
+    lines += [f'  {nodes[a]} -> {nodes[b]} [label="{labels[k]}"];'
               for a, k, b in zip(table._src, table._label, table._dst)]
     lines.append("}\n")  # ends the text with a newline without copying it
     return "\n".join(lines)

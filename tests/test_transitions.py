@@ -202,14 +202,31 @@ def reference_write_jsonl(table: TransitionTable, fh) -> None:
 
 
 def reference_export_dot(table: TransitionTable) -> str:
-    """The per-edge DOT writer `export_dot` replaced, kept as its oracle."""
+    """The per-edge DOT writer `export_dot` replaced, kept as its oracle.
+
+    It spells its own state label and run-length coding, so it shares no
+    rendering with the writer it checks.
+    """
+    def label(s: QuantizedState) -> str:
+        return ",".join(" ".join(str(x) for x in idx) for idx in (s.pos_idx, s.vel_idx))
+
+    def runs(seq: ActionSequence) -> str:
+        held = []    # [action, ticks] per maximal run of one action
+        for a in seq:
+            if held and held[-1][0] == a:
+                held[-1][1] += 1
+            else:
+                held.append([a, 1])
+        return " ".join("/".join(str(x) for x in a) + (f"*{k}" if k > 1 else "")
+                        for a, k in held)
+
     lines = ["digraph transitions {"]
     for i, s in enumerate(table.states):
-        lines.append(f'  n{i} [label="{state_label(s)}"];')
+        lines.append(f'  n{i} [label="{label(s)}"];')
     for t in table.transitions:
         a = table.state_index(t.from_state)
         b = table.state_index(t.to_state)
-        lines.append(f'  n{a} -> n{b} [label="{trn._rle_actions(t.actions)}"];')
+        lines.append(f'  n{a} -> n{b} [label="{runs(t.actions)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -1201,12 +1218,18 @@ def drawn_tables(draw):
     coded; a transition may be a static loop, may hold a fresh copy of its
     states rather than the table's objects, and has a duration from a pool
     whose texts differ in length and in type (1, 1.0 and True, 0.0 and -0.0).
+    State and torque indices take every sign and digit count, past 2^53 too,
+    since the writers join their texts from `str` of each integer.
     """
     n = draw(st.integers(1, 3))
-    idx = st.tuples(*[st.integers(-3, 3)] * n)
+    big = [2 ** 53 + 1, 2 ** 60]
+    index = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6),
+                      st.sampled_from(big + [-k for k in big]))
+    idx = st.tuples(*[index] * n)
     states = draw(st.lists(st.builds(QuantizedState, idx, idx), min_size=1, max_size=6,
                            unique_by=QuantizedState.key))
-    run = st.tuples(st.tuples(*[st.integers(0, 4)] * n), st.integers(1, 4))
+    torque = st.one_of(st.integers(0, 4), st.integers(10, 10 ** 6), st.sampled_from(big))
+    run = st.tuples(st.tuples(*[torque] * n), st.integers(1, 4))
     seqs = draw(st.lists(st.lists(run, min_size=1, max_size=3).map(
         lambda runs: sum(((a,) * k for a, k in runs), ())), min_size=1, max_size=4))
     durations = st.sampled_from([0.04, 0.08, 0.12000000000000001, 2.5e-05, 1e22,
@@ -1238,6 +1261,14 @@ class TestWritersAgainstReference:
     @given(drawn_tables())
     def test_drawn_tables(self, table):
         assert serialised(table) == reference_serialised(table)
+
+    # the writers read the id columns: no view of the transitions is built
+    def test_writers_build_no_transition(self, pendulum):
+        table = find_transitions(pendulum)
+        back = read_jsonl(io.StringIO(serialised(table)[0]))
+        for t in (table, back):
+            serialised(t)
+            assert (t._transitions, t._rows, t._dests) == (None, None, None)
 
     # a table is refused when it is built, so no writer meets a lost state
     def test_missing_to_state(self):
