@@ -177,7 +177,11 @@ def quantize(state: ContinuousState, robot: RobotSpec) -> QuantizedState:
 
 
 def check_on_grid(state: QuantizedState, robot: RobotSpec) -> QuantizedState:
-    """`state` itself; OutOfRange naming the first index outside its joint's grid_range."""
+    """`state` itself; DomainError if its width is not the robot's joint count, and
+    OutOfRange naming the first index outside its joint's grid_range."""
+    if not len(state.pos_idx) == len(state.vel_idx) == robot.n_joints:
+        raise DomainError(f"state has {len(state.pos_idx)} position / {len(state.vel_idx)} "
+                          f"velocity entries, robot has {robot.n_joints} joints")
     for i, j in enumerate(robot.joints):
         for k, grid, kind in zip((state.pos_idx[i], state.vel_idx[i]), robot.grids(i),
                                  ("position", "velocity")):

@@ -75,21 +75,20 @@ class TransitionTable:
     reached them, transitions in the order the search recorded them. Two runs
     over the same robot produce byte-identical tables, and tables are equal
     when their robot_hash, states and transitions are. A transition from or to
-    a state outside `states` raises UnknownState when the table is built.
+    a state outside `states` raises UnknownState when the table is built, and
+    a duration `read_jsonl` would refuse raises its ValueError.
 
     A table holds its transitions as three id columns, one entry per
     transition: the index in `states` of its from-state and of its to-state,
-    and the index in `labels` of its (torque sequence, duration) pair, each
-    distinct pair held once. `transitions`, `destinations()` and the
+    and the index in `labels` of its (torque sequence, float duration) pair,
+    each distinct pair held once. `transitions`, `destinations()` and the
     `outgoing()` rows are built from the columns on first use and kept.
     """
 
     def __init__(self, robot_hash: str, states: tuple[QuantizedState, ...],
                  transitions: tuple[Transition, ...]):
         index = {s: i for i, s in enumerate(states)}
-        # a label's key tells apart durations that are equal but written
-        # apart, such as 1 and 1.0, or 0.0 and -0.0
-        keys: dict = {}    # by label key: the label's id and the label
+        labels: dict = {}    # each distinct (sequence, duration), by value: its id
         src, label, dst = [], [], []
         for k, t in enumerate(transitions):
             try:
@@ -98,10 +97,9 @@ class TransitionTable:
             except KeyError:
                 lost = t.to_state if t.from_state in index else t.from_state
                 raise UnknownState(f"transition {k}: state {lost} not in table") from None
-            key = (t.actions, type(t.duration), repr(t.duration))
-            label.append(keys.setdefault(key, (len(keys), (t.actions, t.duration)))[0])
-        labels = tuple(pair for _, pair in keys.values())
-        self._adopt(robot_hash, tuple(states), labels, src, label, dst)
+            pair = (t.actions, _duration_from_json(t.duration, len(t.actions), None))
+            label.append(labels.setdefault(pair, len(labels)))
+        self._adopt(robot_hash, tuple(states), tuple(labels), src, label, dst)
         self._index = index
 
     @classmethod
@@ -280,11 +278,10 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     is kept and every other table's bytes stay as they were.
 
     A line holds the bytes json.dumps gives the transition's dict, but only
-    the header and each label's duration, whose type can vary (True, 1 and
-    -0.0 stay true, 1 and -0.0), go through json.dumps. Each state's text and
-    each distinct action's is joined from `str` of its integers, and each
-    label's torque sequence from its actions' texts, once per call; a line
-    joins the texts of its ids. The lines are streamed to `fh`, not joined.
+    the header and each label's duration go through json.dumps. Each state's
+    text and each distinct action's is joined from `str` of its integers, and
+    each label's torque sequence from its actions' texts, once per call; a
+    line joins the texts of its ids. The lines are streamed to `fh`, not joined.
     """
     header = {
         "format": JSONL_FORMAT,
@@ -320,11 +317,11 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     rule.
 
     A line's from-state, to-state, sequence and duration texts are checked in
-    that order, each distinct one (a duration's with its tick count) once:
-    `_LINE` finds them in write_jsonl's shape, and json.dumps renders any
-    other line's fields back. Each distinct state text maps to a state id and
-    each distinct (sequence, duration) text pair to a label id, and the table
-    is built from those ids. Equal states and sequences are one object each.
+    that order, each distinct state text, (sequence, duration) text pair and
+    (duration, tick count) once: `_LINE` finds them in write_jsonl's shape,
+    and json.dumps renders any other line's fields back. The table is built
+    from the ids those texts map to, a label's by value: equal states are one
+    object, as is each distinct label.
     """
     first = fh.readline()
     if not first:
@@ -356,7 +353,6 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     # gets an id past them, and its line is refused.
     listed = len(states) if "states" in header else math.inf
     index = {s: i for i, s in enumerate(states)}
-    seqs: dict = {}        # each distinct torque sequence
     labels: dict = {}      # each distinct (sequence, duration), by value
     src: list[int] = []
     label: list[int] = []
@@ -370,17 +366,13 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             states.append(s)
         return i
 
-    def sequence(text: str) -> ActionSequence:
-        seq = _sequence_from_json(json.loads(text), n_joints)
-        return seqs.setdefault(seq, seq)
-
     def label_id(texts: tuple[str, str]) -> int:
-        seq = seq_of[texts[0]]    # the sequence is checked before the duration is read
-        pair = (seq, dur_of[texts[1], len(seq)])
-        return labels.setdefault(pair, len(labels))
+        # the sequence is checked before the duration is read
+        seq = _sequence_from_json(json.loads(texts[0]), n_joints)
+        return labels.setdefault((seq, dur_of[texts[1], len(seq)]), len(labels))
 
     # each text parsed and checked on its first lookup; a refusal ends the read
-    state_of, seq_of, label_of = _Rendered(state), _Rendered(sequence), _Rendered(label_id)
+    state_of, label_of = _Rendered(state), _Rendered(label_id)
     dur_of = _Rendered(lambda key: _duration_from_json(json.loads(key[0]), key[1], tick))
     for lineno, raw in enumerate(fh, start=2):
         raw = raw.strip()

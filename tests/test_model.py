@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +86,15 @@ class TestQuantize:
                 check_on_grid(QuantizedState((pos,), (0,)), pendulum)
         with pytest.raises(OutOfRange, match="velocity grid point 4 outside limits"):
             check_on_grid(QuantizedState((0,), (4,)), pendulum)
+
+    def test_check_on_grid_refuses_another_width(self, pendulum):
+        # the width is checked first: (500, 500) is off the grid as well
+        for pos, vel in (((), ()), ((0, 0), (0, 0)), ((0,), (0, 0)), ((500, 500), (0,))):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"state has {len(pos)} position / {len(vel)} velocity entries, "
+                    "robot has 1 joints")) as caught:
+                check_on_grid(QuantizedState(pos, vel), pendulum)
+            assert caught.type is DomainError
 
     @given(pos=st.integers(-67, 67), vel=st.integers(-3, 3))
     def test_round_trip_on_grid(self, pos, vel):

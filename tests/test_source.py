@@ -53,19 +53,29 @@ def unread_imports(source: str) -> list[str]:
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Each "module: name" of a private function or class that no source reads.
+    """Each "module: name" of a private function, class or module-level name
+    that no source reads.
 
-    Private is one leading underscore and no trailing dunder; a read is a
-    loaded name or attribute anywhere in `sources` (module name -> text).
+    Private is one leading underscore and no trailing dunder; a module-level
+    name is one an assignment at the top of a module binds, `_X = ...` or
+    `_X: T = ...`. A read is a loaded name or attribute anywhere in `sources`
+    (module name -> text). Functions and classes come first in each module.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = {n.id if isinstance(n, ast.Name) else n.attr
             for tree in trees.values() for n in ast.walk(tree)
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
-    return [f"{module}: {node.name}" for module, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.endswith("__")
-            and node.name not in read]
+
+    def defined(tree: ast.Module) -> list[str]:
+        defs = [n.name for n in ast.walk(tree)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        bound = [t.id for n in tree.body
+                 if isinstance(n, ast.Assign) or isinstance(n, ast.AnnAssign) and n.value
+                 for t in (n.targets if isinstance(n, ast.Assign) else [n.target]) if isinstance(t, ast.Name)]
+        return defs + bound
+
+    return [f"{module}: {name}" for module, tree in trees.items() for name in defined(tree)
+            if name.startswith("_") and not name.endswith("__") and name not in read]
 
 
 def unpassed_defaults(defs: dict[str, str], callers: dict[str, str]) -> list[str]:
@@ -179,11 +189,20 @@ def test_the_check_sees_each_kind_of_private_definition():
             "    def __init__(self): self._method = None\n"
             "    def _method(self): pass\n"
             "    def _called(self): return self\n"
+            "    _ATTR = 1\n"
+            "_READ = 2\n"
+            "_LOST = _ALSO_LOST = 3\n"
+            "_TYPED: int = 4\n"
+            "_DECLARED: int\n"
+            "_PAIR, _UNPACKED = 5, 6\n"
+            "__dunder__ = 7\n"
         ),
-        "b.py": "from a import _used, K\n_used()\nK()._called()\n",
+        "b.py": "from a import _used, K\n_used()\nK()._called()\nprint(_READ)\n",
     }
+    # a class body's name, a bare annotation and a tuple target bind no module-level name
     assert unreferenced_private_definitions(sources) == [
-        "a.py: _unused", "a.py: _Gone", "a.py: _method"]
+        "a.py: _unused", "a.py: _Gone", "a.py: _method",
+        "a.py: _LOST", "a.py: _ALSO_LOST", "a.py: _TYPED"]
 
 
 def test_every_default_is_passed_somewhere():

@@ -473,6 +473,18 @@ class TestDegenerateRobots:
         with pytest.raises(OutOfRange):
             find_transitions(pendulum, start=QuantizedState((500,), (0,)))
 
+    @pytest.mark.parametrize("robot", ["demo", "two-joint"])
+    def test_start_of_another_width(self, pendulum, robot):
+        robot = pendulum if robot == "demo" else robot_from_dict(TWO_JOINT)
+        n = robot.n_joints
+        for pos, vel in (((0,) * (n - 1),) * 2, ((0,) * (n + 1),) * 2,
+                         ((0,) * n, (0,) * (n + 1)), ((0,) * (n - 1), (0,) * n)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"state has {len(pos)} position / {len(vel)} velocity entries, "
+                    f"robot has {n} joints")) as caught:
+                find_transitions(robot, start=QuantizedState(pos, vel))
+            assert caught.type is DomainError
+
     @pytest.mark.parametrize("pos", [10 ** 400, -10 ** 400, 99999999999999999999999],
                              ids=["10^400", "-10^400", "10^23-1"])
     def test_start_past_the_float_range(self, pendulum, pos):
@@ -1211,15 +1223,20 @@ def reference_serialised(table: TransitionTable) -> tuple[str, str]:
 
 
 @st.composite
-def drawn_tables(draw):
+def drawn_tables(draw, ticks=None):
     """Tables over 1-3 joints that repeat states and torque sequences.
 
     Sequences are runs of held actions, so their labels are run-length
     coded; a transition may be a static loop, may hold a fresh copy of its
     states rather than the table's objects, and has a duration from a pool
-    whose texts differ in length and in type (1, 1.0 and True, 0.0 and -0.0).
-    State and torque indices take every sign and digit count, past 2^53 too,
-    since the writers join their texts from `str` of each integer.
+    of positive finite numbers whose texts differ in length, the ints 1 and 3
+    among them beside 1.0. State and torque indices take every sign and digit count,
+    past 2^53 too, since the writers join their texts from `str` of each
+    integer.
+
+    With `ticks`, a transition's duration is its sequence's length times one
+    tick drawn from `ticks`, and the states come in the order the reader
+    gives them back, so that the table reads back equal.
     """
     n = draw(st.integers(1, 3))
     big = [2 ** 53 + 1, 2 ** 60]
@@ -1232,8 +1249,8 @@ def drawn_tables(draw):
     run = st.tuples(st.tuples(*[torque] * n), st.integers(1, 4))
     seqs = draw(st.lists(st.lists(run, min_size=1, max_size=3).map(
         lambda runs: sum(((a,) * k for a, k in runs), ())), min_size=1, max_size=4))
-    durations = st.sampled_from([0.04, 0.08, 0.12000000000000001, 2.5e-05, 1e22,
-                                 1, 1.0, True, 3, 0, 0.0, -0.0])
+    durations = st.sampled_from([0.04, 0.08, 0.12000000000000001, 2.5e-05, 1e22, 1, 1.0, 3])
+    tick = None if ticks is None else draw(ticks)
     edges = draw(st.lists(st.tuples(
         st.sampled_from(states), st.sampled_from(seqs), durations,
         st.one_of(st.none(), st.sampled_from(states)), st.booleans()), max_size=30))
@@ -1242,8 +1259,52 @@ def drawn_tables(draw):
         to = frm if to is None else to
         if copy:
             frm, to = QuantizedState(*frm.key()), QuantizedState(*to.key())
-        transitions.append(Transition(frm, tuple(seq), dur, to))
+        transitions.append(Transition(frm, tuple(seq),
+                                      dur if tick is None else len(seq) * tick, to))
+    # with every state on a line, the reader orders them by first appearance
+    on_lines = dict.fromkeys(s for t in transitions for s in (t.from_state, t.to_state))
+    if tick is not None and len(on_lines) == len(states):
+        states = list(on_lines)
     return TransitionTable("sha256:x", tuple(states), tuple(transitions))
+
+
+class TestOneLabelRule:
+    """A table built from transitions keeps its labels by the reader's rule."""
+
+    @pytest.mark.parametrize("dur", [True, 0, 0.0, -0.0, -0.04, math.nan, math.inf, -math.inf],
+                             ids=repr)
+    def test_the_constructor_refuses_what_the_reader_refuses(self, dur):
+        s = QuantizedState((0,), (0,))
+        message = f"duration_s must be a positive finite number, got {dur!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransitionTable("h", (s,), (Transition(s, ((0,),), dur, s),))
+        text = json.dumps(dur)    # true, 0, 0.0, -0.0, -0.04, NaN, Infinity, -Infinity
+        assert reads_as_reference(HEAD + jsonl_line(dur=text)) == (
+            f"bad transition on line 2: {message}")
+
+    def test_an_int_duration_is_held_and_written_as_a_float(self):
+        s = QuantizedState((0,), (0,))
+        table = TransitionTable("h", (s,), (Transition(s, ((0,),), 1, s),))
+        assert table.labels == ((((0,),), 1.0),)
+        assert type(table.labels[0][1]) is type(table.transitions[0].duration) is float
+        assert '"duration_s": 1.0, ' in serialised(table)[0]
+
+    def test_built_labels_are_the_read_labels(self):
+        # 1 and 1.0 are one label; [[2]] and [[2], [2]] two
+        lines = [jsonl_line(dur="1"), jsonl_line(("1", "0"), dur="1.0", to=("0", "0")),
+                 jsonl_line(seq="[[2], [2]]", dur="2"), jsonl_line(dur="1.0")]
+        read = read_jsonl(io.StringIO(HEAD + "".join(lines)))
+
+        def state(obj):
+            return QuantizedState(tuple(obj["pos"]), tuple(obj["vel"]))
+
+        built = TransitionTable("", read.states, tuple(
+            Transition(state(o["from"]), tuple(map(tuple, o["torque_idx_seq"])),
+                       o["duration_s"], state(o["to"])) for o in map(json.loads, lines)))
+        assert built.labels == read.labels == ((((2,),), 1.0), (((2,), (2,)), 2.0))
+        assert [type(d) for _, d in built.labels] == [float, float]
+        assert list(built._label) == list(read._label) == [0, 0, 1, 0]
+        assert built == read and serialised(built) == serialised(read)
 
 
 class TestWritersAgainstReference:
@@ -1261,6 +1322,14 @@ class TestWritersAgainstReference:
     @given(drawn_tables())
     def test_drawn_tables(self, table):
         assert serialised(table) == reference_serialised(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_tables(ticks=st.sampled_from([0.04, 0.032, 2.5e-05, 1e22, 1, 3])))
+    def test_drawn_tables_of_one_tick_read_back(self, table):
+        text = serialised(table)[0]
+        back = read_jsonl(io.StringIO(text))
+        assert back == table and back.labels == table.labels
+        assert serialised(back)[0] == text
 
     # the writers read the id columns: no view of the transitions is built
     def test_writers_build_no_transition(self, pendulum):
