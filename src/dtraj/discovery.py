@@ -153,7 +153,6 @@ def find_transitions(
     # grid steps per column: a cell's index row times these is its centre,
     # bitwise `representative`'s, as every index is below 2^53 in size
     steps = np.array([robot.grids(i)[k][2] for k in (0, 1) for i in range(n)])
-    durations = [k * robot.delta_t for k in range(nal + 1)]     # by sequence length
 
     # states by id in the order the frontier first reached them
     states: list[QuantizedState] = []
@@ -279,7 +278,7 @@ def find_transitions(
     columns = [array("q", c.astype(np.int64).tobytes())
                for c in (rank[frm[by_rank]], label, rank[to[by_rank]])]
     del settled_cols, nodes, frm, key, to, by_rank, label
-    labels = tuple((seq, durations[len(seq)]) for seq in sequences(used.tolist()))
+    labels = tuple((seq, len(seq) * robot.delta_t) for seq in sequences(used.tolist()))
     return TransitionTable._from_ids(robot.content_hash(), tuple(states[k] for k in order),
                                      labels, *columns)
 

@@ -75,8 +75,9 @@ class TransitionTable:
     reached them, transitions in the order the search recorded them. Two runs
     over the same robot produce byte-identical tables, and tables are equal
     when their robot_hash, states and transitions are. A transition from or to
-    a state outside `states` raises UnknownState when the table is built, and
-    a duration `read_jsonl` would refuse raises its ValueError.
+    a state outside `states` raises UnknownState when the table is built. A
+    duration the reader would refuse on a table's first line raises its
+    ValueError: each label is checked against its own tick, not the table's.
 
     A table holds its transitions as three id columns, one entry per
     transition: the index in `states` of its from-state and of its to-state,
@@ -238,11 +239,13 @@ def _sequence_from_json(obj: list, n: int) -> ActionSequence:
 
 
 def _duration_from_json(dur, ticks: int, tick: float | None) -> float:
-    """`dur` as seconds; with a tick, it must be `ticks` of them to a relative 1e-9."""
+    """`dur` as seconds, `ticks` ticks of `tick` to a relative 1e-9; with no tick,
+    of its own duration per tick, the tick a table's first label sets."""
     if not (_is_finite_number(dur) and dur > 0):
         raise ValueError(f"duration_s must be a positive finite number, got {dur!r}")
     dur = float(dur)
-    if tick is not None and abs(dur - ticks * tick) > 1e-9 * ticks * tick:
+    tick = dur / ticks if tick is None else tick
+    if abs(dur - ticks * tick) > 1e-9 * ticks * tick:
         raise ValueError(f"duration_s {dur} is not {ticks} ticks of {tick} s")
     return dur
 
@@ -311,10 +314,10 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
     the JSON integer 1, its robot_hash a string and its states distinct, of
     one width of at least one joint. A line needs a nonempty torque sequence
     of nonnegative indices, one per joint, a positive finite JSON number of
-    seconds, its length times the first line's per-action duration (to a
-    relative 1e-9), and states of the first line's width; every index is a
-    JSON integer. A ConfigError names the line or the header that breaks a
-    rule.
+    seconds, its length in ticks (to a relative 1e-9), and states of the
+    first line's width; every index is a JSON integer. The first line's
+    duration per action sets the tick, and that line meets it too. A
+    ConfigError names the line or the header that breaks a rule.
 
     A line's from-state, to-state, sequence and duration texts are checked in
     that order, each distinct state text, (sequence, duration) text pair and
@@ -399,12 +402,7 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
             except _JSON_ERRORS as whole:
                 e = whole
             raise ConfigError(f"bad transition on line {lineno}: {_json_message(e)}") from None
-        if tick is None:
-            seq, dur = next(iter(labels))    # the first line's, the one label so far
-            tick = dur / len(seq)
-            if dur != len(seq) * tick:    # checked with no tick: recheck it where it recurs
-                dur_of.clear()
-                label_of.clear()
+        tick = tick or next(d / len(s) for s, d in labels)    # the first line's label sets it
         src.append(frm)
         label.append(k)
         dst.append(to)

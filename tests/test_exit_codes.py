@@ -10,9 +10,12 @@ robot config may also be a fine-cell one, whose cells are so small that a
 finite angle or separation is more cells from 0 than a float can hold, or a
 two-joint one, with its own table, desired path and two-wide states. A plan
 may also draw the table of the other joint count, which must be refused
-with exit 2. Every subcommand that takes steps also runs a small valid input
-at each step count between 10^4 and 10^7, where a loop's cost, not the size
-of its answer, has to be capped. No run may raise a warning.
+with exit 2. Discovery draws its start, horizon (`--nal`), state budget and
+dedup mode, under a sequence budget of 20,000, and a horizon of 10^9 or
+10^400 must meet that budget, not be sized before it. Every subcommand that
+takes steps, or a horizon, also runs a small valid input at each count
+between 10^4 and 10^7, where a loop's cost, not the size of its answer, has
+to be capped. No run may raise a warning.
 """
 
 import contextlib
@@ -67,6 +70,7 @@ MID_RUNS = {
     "ndim": "count ndim --d=136,136,136 --from=68,68,68 --to=88,58,108 --steps={m}",
     "ndim-direct": "count ndim --d=6,6 --from=2,3 --to=3,3 --steps={m} --direct",
     "bounds": "count bounds --config={config} --steps={m}",
+    "transitions": "transitions --config={config} --nal={m} --max-sequences=20000",
     "scaling": "count scaling --config={config} --dof=1-6 --steps=1-{m} --separation-deg=20",
     "enumerate": "enumerate --transitions={table} --steps={m}",
     "enumerate-count": "enumerate --transitions={table} --steps={m} --count-only",
@@ -154,14 +158,21 @@ def test_count_scaling(tmp_path_factory, config, dof, steps, separation):
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=mutated_configs, start=st.none() | st.sampled_from(EDGE_STARTS))
-@example(config=CONFIG, start=f"{10 ** 400},0")
-@example(config=TWO_JOINT, start="2 -2,1 -1")
-@example(config=TWO_JOINT, start="0 x,0 0")
-@example(config=mutated(CONFIG, ("joints", 0, "delta_q_deg"), 1e-19), start=None)
-def test_transitions(tmp_path_factory, config, start):
+@given(config=mutated_configs, start=st.none() | st.sampled_from(EDGE_STARTS),
+       nal=st.none() | edge, max_states=st.none() | edge,
+       dedup=st.none() | st.sampled_from(["all", "shortest"]) | edge)
+@example(config=CONFIG, start=f"{10 ** 400},0", nal=None, max_states=None, dedup=None)
+@example(config=TWO_JOINT, start="2 -2,1 -1", nal=None, max_states=None, dedup=None)
+@example(config=TWO_JOINT, start="0 x,0 0", nal=None, max_states=None, dedup=None)
+@example(config=mutated(CONFIG, ("joints", 0, "delta_q_deg"), 1e-19), start=None, nal=None,
+         max_states=None, dedup=None)
+# a horizon far past the sequence budget is refused by the budget, not sized first
+@example(config=CONFIG, start=None, nal="1000000000", max_states=None, dedup=None)
+@example(config=CONFIG, start=None, nal=str(10 ** 400), max_states=None, dedup="shortest")
+def test_transitions(tmp_path_factory, config, start, nal, max_states, dedup):
+    drawn = {"start": start, "nal": nal, "max_states": max_states, "dedup": dedup}
     run(["transitions", "--config", config_file(tmp_path_factory, config),
-         "--max-sequences=20000"] + ([f"--start={start}"] if start else []))
+         "--max-sequences=20000"] + flags(**{k: v for k, v in drawn.items() if v is not None}))
 
 
 @st.composite

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from collections import deque
 from unittest import mock
@@ -266,7 +267,8 @@ def reference_transition_from_json(obj: dict, n_joints, tick) -> Transition:
     if not (type(dur) in (int, float) and abs(dur) <= sys.float_info.max and dur > 0):
         raise ValueError(f"duration_s must be a positive finite number, got {dur!r}")
     dur = float(dur)
-    if tick is not None and abs(dur - len(seq) * tick) > 1e-9 * len(seq) * tick:
+    tick = dur / len(seq) if tick is None else tick
+    if abs(dur - len(seq) * tick) > 1e-9 * len(seq) * tick:
         raise ValueError(f"duration_s {dur} is not {len(seq)} ticks of {tick} s")
     return Transition(frm, seq, dur, to)
 
@@ -515,6 +517,19 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded) as err:
             find_transitions(pendulum, dedup=dedup, max_states=budget)
         assert str(err.value) == f"discovered states exceeded budget {budget} ({progress})"
+
+    def test_nothing_scales_with_nal_before_the_budget(self, pendulum):
+        # a label's duration is its length in ticks, tabulated for no length up to nal
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                find_transitions(pendulum, nal=2 ** 63, max_sequences=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("simulated sequences would exceed budget 20000 "
+                                  "(19995 sequences simulated, 943 states found so far)")
+        assert peak < 5e6, peak
 
     # a tick meets its settled rows in order: with nal 1, four static rows
     # are replayed before the move that breaks budget 40, so an overflow in
@@ -993,10 +1008,15 @@ class TestReaderAgainstReference:
             "bad transition on line 4: duration_s 0.04 is not 2 ticks of 0.04 s")
 
     def test_a_first_duration_is_checked_again_where_it_recurs(self):
-        # 1e-320 s over 3 ticks is a subnormal tick, and 3 of them are not 1e-320 s
+        # 1e-320 s over 3 ticks is a subnormal tick, and 3 of them are not 1e-320 s:
+        # the first line meets the tick it sets, alone or before its repeat
         line = jsonl_line(seq="[[2], [2], [2]]", dur="1e-320")
-        assert reads_as_reference(HEAD + line + line) == (
-            "bad transition on line 3: duration_s 1e-320 is not 3 ticks of 3.335e-321 s")
+        message = "duration_s 1e-320 is not 3 ticks of 3.335e-321 s"
+        for text in (HEAD + line, HEAD + line + line):
+            assert reads_as_reference(text) == f"bad transition on line 2: {message}"
+        s = QuantizedState((0,), (0,))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransitionTable("h", (s,), (Transition(s, ((2,),) * 3, 1e-320, s),))
 
     @pytest.mark.parametrize(("frm", "to", "verdict"), [
         (("1", "-0"), ("-0", "0"), None),
