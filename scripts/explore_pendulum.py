@@ -47,6 +47,9 @@ def main():
           f"max {degs[-1]}")
     print("sequence lengths  " + ", ".join(
         f"{n}t x{c}" for n, c in sorted(lens.items())))
+    # states that share every walk count share a class (TransitionTable.quotient)
+    _, _, row_start = table.quotient()
+    print(f"quotient classes  {len(row_start) - 1}")
 
     zero = QuantizedState((0,) * robot.n_joints, (0,) * robot.n_joints)
     if zero in table.states:

@@ -4,9 +4,11 @@ Trajectories here are graph walks: each hop is one recorded transition, so a
 hop can cover several control ticks. Enumeration streams every walk of an
 exact hop count, after counting them exactly, in pure Python, forward from
 its starts. The counter gets the same numbers for every state, exact at
-any size, by repeated adjacency application over the table's integer edge
-index in numpy. The planner greedily tracks a desired configuration path,
-matching transition durations to the time elapsed since it last moved.
+any size, by repeated adjacency application in numpy over the table's
+quotient: one class per set of states that share every walk count, found
+by colour refinement once per table. The planner greedily tracks a desired
+configuration path, matching transition durations to the time elapsed since
+it last moved.
 """
 
 from __future__ import annotations
@@ -44,21 +46,26 @@ class Trajectory(tuple):
 def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedState, int]:
     """Exact number of n_steps-hop walks out of every state (multi-edges counted).
 
-    Each hop sums, per state, the counts at the destinations of its outgoing
-    transitions: in int64 while max(counts) * max out-degree, the most a sum
-    can reach, fits, then in Python integers, so counts stay exact at any
-    size. Work past model.check_count_work's budget, pricing each count at
-    max out-degree ** n_steps, is refused before it starts.
+    The hops run on the table's quotient (`TransitionTable.quotient()`): states
+    whose transitions lead to the same classes, counted with multiplicity,
+    share every walk count, so each class is counted once and its count given
+    to each member. Each hop sums, per class, the counts at its row's classes:
+    in int64 while max(counts) * max out-degree, the most a sum can reach,
+    fits, then in Python integers, so counts stay exact at any size. Work past
+    model.check_count_work's budget, pricing each count at max out-degree **
+    n_steps over every transition of the table, is refused before it starts.
     """
-    import numpy as np
-
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
-    dst, row_start = table.edge_index()
     max_degree = table.max_out_degree
-    check_count_work(f"counting {n_steps}-hop walks over {len(dst)} transitions",
-                     n_steps, len(dst), max_degree)
-    counts = np.ones(len(table.states), dtype=np.int64)
+    check_count_work(f"counting {n_steps}-hop walks over {len(table)} transitions",
+                     n_steps, len(table), max_degree)
+    if n_steps == 0:
+        return dict.fromkeys(table.states, 1)
+    import numpy as np
+
+    class_of, dst, row_start = table.quotient()
+    counts = np.ones(len(row_start) - 1, dtype=np.int64)
     # a row's segment of dst starts at its row start; reduceat needs the
     # nonempty rows only, and rows without transitions stay 0
     rows = np.flatnonzero(np.diff(row_start))
@@ -69,7 +76,7 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
         nxt = np.zeros_like(counts)
         nxt[rows] = np.add.reduceat(counts[dst], starts)
         counts = nxt
-    return dict(zip(table.states, counts.tolist()))
+    return dict(zip(table.states, counts[class_of].tolist()))
 
 
 def enumerate_trajectories(

@@ -55,6 +55,11 @@ def test_explore_pendulum_counts_sink_states():
                             str(degrees[len(degrees) // 2]), "max", str(degrees[-1])]
 
 
+def test_explore_pendulum_prints_the_quotient_class_count():
+    out = run_script("explore_pendulum.py").stdout
+    assert "quotient classes  470\n" in out
+
+
 def slopes(stdout: str) -> dict[str, float]:
     lines = [line.split(":") for line in stdout.splitlines() if line.startswith("  n=")]
     return {tag.strip(): float(value) for tag, value in lines}

@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,9 @@ from dtraj.errors import (
     ResourceLimit,
     UnknownState,
 )
-from dtraj.model import DEFAULT_ENUM_BUDGET, QuantizedState, format_count
+import dtraj.transitions as trn
+from dtraj.discovery import find_transitions
+from dtraj.model import DEFAULT_ENUM_BUDGET, QuantizedState, format_count, robot_from_dict
 from dtraj.trajectories import (
     DesiredTrajectory,
     PlanResult,
@@ -26,7 +30,7 @@ from dtraj.trajectories import (
     write_plan_json,
 )
 from dtraj.transitions import Transition, TransitionTable, read_jsonl
-from conftest import DEG, THREE_STATE_TABLE, table_text
+from conftest import DEG, THREE_STATE_TABLE, TWO_JOINT, table_text
 
 
 def mk_state(p: int, v: int = 0) -> QuantizedState:
@@ -116,6 +120,99 @@ class TestCountingMatchesReference:
     def test_demo_table(self, pendulum_table):
         for n in range(26):
             assert count_trajectories(pendulum_table, n) == reference_counts(pendulum_table, n)
+
+
+def quotient_rows(table: TransitionTable) -> tuple[list[int], list[list[int]]]:
+    """Each state's class, and each class's row, as lists."""
+    class_of, dst, row_start = table.quotient()
+    return class_of.tolist(), [dst[a:b].tolist() for a, b in zip(row_start, row_start[1:])]
+
+
+def assert_equitable(table: TransitionTable) -> int:
+    """The quotient's classes are equitable and its rows theirs; returns the class count."""
+    class_of, rows = quotient_rows(table)
+    assert len(class_of) == len(table.states)
+    assert set(class_of) == set(range(len(rows)))
+    refined = [(c, sorted(class_of[d] for d in dests))
+               for c, dests in zip(class_of, table.destinations())]
+    # every member's destination classes are its class's row, multiplicity kept
+    assert all(row == rows[c] for c, row in refined)
+    # so one more round of refinement splits nothing
+    assert len({(c, tuple(row)) for c, row in refined}) == len(rows)
+    return len(rows)
+
+
+def one_class_per_state(table: TransitionTable) -> TransitionTable:
+    """The same table, counted on its finest partition: refinement stops before its first round."""
+    fresh = TransitionTable(table.robot_hash, table.states, table.transitions)
+    rounds, trn._REFINE_ROUNDS = trn._REFINE_ROUNDS, 1
+    try:
+        assert quotient_rows(fresh)[0] == list(range(len(table.states)))
+    finally:
+        trn._REFINE_ROUNDS = rounds
+    return fresh
+
+
+def bench_robot(n_joints: int):
+    """The benchmark's two-joint robot, or that robot with a third joint like the others."""
+    cfg = copy.deepcopy(TWO_JOINT)
+    cfg["joints"] = [dict(cfg["joints"][0], name=f"j{i}") for i in range(1, n_joints + 1)]
+    return robot_from_dict(cfg)
+
+
+@pytest.fixture(scope="module")
+def bench_tables():
+    return {n: find_transitions(bench_robot(n)) for n in (2, 3)}
+
+
+class TestQuotient:
+    """Counts on the coarsest equitable partition against the counts on every state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        # multi-edges, self-loops, sinks, no transitions and no states
+        n_states = data.draw(st.integers(0, 6))
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n_states - 1), st.integers(0, n_states - 1)),
+            max_size=30)) if n_states else []
+        table = mk_table(n_states, edges)
+        assert_equitable(table)
+        n = data.draw(st.integers(0, 40))
+        got = count_trajectories(table, n)
+        assert got == reference_counts(table, n)
+        assert count_trajectories(one_class_per_state(table), n) == got
+
+    def test_demo_table(self, pendulum_table):
+        assert assert_equitable(pendulum_table) == 470
+        finest = one_class_per_state(pendulum_table)
+        for n in (1, 5, 20, 60):
+            got = count_trajectories(pendulum_table, n)
+            assert got == reference_counts(pendulum_table, n)
+            assert count_trajectories(finest, n) == got
+
+    @pytest.mark.parametrize(("n_joints", "states", "classes"), [(2, 225, 29), (3, 3375, 85)])
+    def test_bench_robots(self, bench_tables, n_joints, states, classes):
+        table = bench_tables[n_joints]
+        assert len(table.states) == states
+        assert assert_equitable(table) == classes
+        finest = one_class_per_state(table)
+        for n in (1, 5, 20):
+            got = count_trajectories(table, n)
+            assert got == reference_counts(table, n)
+            assert count_trajectories(finest, n) == got
+
+    def test_a_chain_past_the_round_cap(self):
+        # a chain of n states needs n rounds to settle; past the cap it gets one
+        # class per state, at the cost of the capped rounds only
+        n = 4000
+        assert n > trn._REFINE_ROUNDS
+        chain = mk_table(n, [(i, i + 1) for i in range(n - 1)])
+        t0 = time.perf_counter()
+        counts = count_trajectories(chain, 30)
+        assert time.perf_counter() - t0 < 0.5
+        assert [counts[s] for s in chain.states] == [1] * (n - 30) + [0] * 30
+        assert assert_equitable(chain) == n
 
 
 def listing_count(table: TransitionTable, starts, n_steps: int) -> int:

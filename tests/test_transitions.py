@@ -599,27 +599,44 @@ class TestTableApi:
             assert t.from_state.key() in keys and t.to_state.key() in keys
 
 
-    def test_edge_index(self):
+    def test_restrict_to_first_refuses_a_negative_k(self, pendulum_table):
+        with pytest.raises(DomainError, match="restrict_to_first needs k >= 0, got -1"):
+            pendulum_table.restrict_to_first(-1)
+
+    def test_quotient(self):
         s = [QuantizedState((i,), (0,)) for i in range(3)]
         edges = [(1, 0), (0, 2), (1, 1), (0, 0), (1, 0)]
         table = TransitionTable("sha256:x", tuple(s), tuple(
             Transition(s[a], ((0,),), 0.04, s[b]) for a, b in edges))
-        idx = table.edge_index()
-        assert idx is table.edge_index()
-        dst, row_start = idx
-        # grouped by source, table order kept inside each group; state 2 has none
-        assert dst.tolist() == [2, 0, 0, 1, 0]
+        idx = table.quotient()
+        assert idx is table.quotient()
+        class_of, dst, row_start = idx
+        # out-degrees 2, 3 and 0 tell every state apart; a row is its sorted
+        # destination classes, multiplicity kept, and state 2 has none
+        assert class_of.tolist() == [0, 1, 2]
+        assert dst.tolist() == [0, 2, 0, 0, 1]
         assert row_start.tolist() == [0, 2, 5, 5]
         assert max(np.diff(row_start)) == 3
 
+    def test_quotient_merges_states_whose_rows_lead_to_the_same_classes(self):
+        # 0 and 1 each have a loop and an edge to the sink 2; 3 reaches 0 twice
+        s = [QuantizedState((i,), (0,)) for i in range(4)]
+        edges = [(0, 0), (0, 2), (1, 2), (1, 1), (3, 0), (3, 0)]
+        table = TransitionTable("sha256:x", tuple(s), tuple(
+            Transition(s[a], ((0,),), 0.04, s[b]) for a, b in edges))
+        class_of, dst, row_start = table.quotient()
+        assert class_of.tolist() == [0, 0, 1, 2]
+        assert [dst[a:b].tolist() for a, b in zip(row_start, row_start[1:])] == [
+            [0, 1], [], [0, 0]]
+
     def test_constructor_takes_only_the_three_fields(self):
         # an index passed in would be trusted by the walk counter: a one-edge
-        # table with this edge index would count 3 walks, not 1
+        # table with this quotient would count 3 walks, not 1
         s = QuantizedState((0,), (0,))
         one_edge = (Transition(s, ((0,),), 0.04, s),)
         with pytest.raises(TypeError):
-            TransitionTable("h", (s,), one_edge,
-                            _edges=(np.zeros(3, dtype=np.int64), np.array([0, 3])))
+            TransitionTable("h", (s,), one_edge, _quotient=(
+                np.zeros(1, dtype=np.int64), np.zeros(3, dtype=np.int64), np.array([0, 3])))
         with pytest.raises(TypeError):
             TransitionTable("h", (s,), one_edge, _index={s: 0})
 
@@ -651,7 +668,7 @@ class TestTableApi:
         buf = io.StringIO()
         write_jsonl(pendulum_table, buf)
         back, again = (read_jsonl(io.StringIO(buf.getvalue())) for _ in range(2))
-        back.edge_index()
+        back.quotient()
         assert back == again and again == back
         assert back == pendulum_table
         renamed = TransitionTable("sha256:other", again.states, again.transitions)
@@ -1017,6 +1034,15 @@ class TestReaderAgainstReference:
         s = QuantizedState((0,), (0,))
         with pytest.raises(ValueError, match=re.escape(message)):
             TransitionTable("h", (s,), (Transition(s, ((2,),) * 3, 1e-320, s),))
+
+    def test_an_empty_sequence_is_refused_alike(self):
+        # before its duration is read: 0 ticks would give no tick to check it against
+        message = "torque_idx_seq is empty"
+        assert reads_as_reference(HEAD + jsonl_line(seq="[]")) == (
+            f"bad transition on line 2: {message}")
+        s = QuantizedState((0,), (0,))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransitionTable("h", (s,), (Transition(s, (), 0.04, s),))
 
     @pytest.mark.parametrize(("frm", "to", "verdict"), [
         (("1", "-0"), ("-0", "0"), None),
