@@ -31,6 +31,12 @@ if TYPE_CHECKING:
 # total replays a static candidate must survive before it is recorded
 STATIC_HOLD_REPS = 5
 
+# the most actions the kept transitions' torque sequences may hold, summed
+# over transitions, which bounds the JSONL to about 10^7 * (3 * joints + 2)
+# bytes. Labels grow as about 6 nal^2 actions: the demo admits --nal 1,250
+# (9.4e6 actions, a 49 MB JSONL, a 160 MB peak as a command) and refuses 1,290.
+MAX_TABLE_ACTIONS = 10_000_000
+
 
 def _static_hold(
     s: QuantizedState, seq: ActionSequence, cont: ContinuousState, robot: RobotSpec
@@ -131,7 +137,9 @@ def find_transitions(
     dropping each tick's rows whose pair a row before them already has.
     max_sequences bounds the sequences simulated (each tick of each one
     counts once) and is checked before a tick runs; max_states bounds the
-    states found. Either raises BudgetExceeded with the progress so far.
+    states found; MAX_TABLE_ACTIONS bounds the kept transitions' lengths,
+    summed after each tick, before any label is built. Each raises
+    BudgetExceeded with the progress so far.
     """
     import numpy as np
 
@@ -156,7 +164,7 @@ def find_transitions(
 
     # states by id in the order the frontier first reached them
     states: list[QuantizedState] = []
-    simulated = 0
+    simulated = kept_actions = 0
 
     def progress() -> str:
         return f"{simulated} sequences simulated, {len(states)} states found so far"
@@ -251,15 +259,20 @@ def find_transitions(
             held[k] = _static_hold(states[frm[k]], seq, cont, robot)
         if busted:
             raise busted
-        frm, row_key, to = frm[held], key[settled[held]], to[held]
+        recorded = settled[held]
+        frm, row_key, to, length = frm[held], key[recorded], to[held], depth[recorded]
         if dedup == "shortest":
             # per tree, rows settle breadth-first, so the first row of each
             # (from, to) pair is a shortest: keep it unless a tick before had the pair
             first = np.unique(frm * len(states) + to, return_index=True)[1]
             first = np.sort(first[[pair not in pairs for pair in zip(frm[first].tolist(),
                                                                       to[first].tolist())]])
-            frm, row_key, to = frm[first], row_key[first], to[first]
+            frm, row_key, to, length = frm[first], row_key[first], to[first], length[first]
             pairs.update(zip(frm.tolist(), to.tolist()))
+        kept_actions += int(length.sum())
+        if kept_actions > MAX_TABLE_ACTIONS:
+            raise BudgetExceeded(f"kept transitions' actions exceeded budget {MAX_TABLE_ACTIONS} "
+                                 f"({kept_actions} actions kept, {progress()})")
         settled_cols.append((frm, row_key, to))
 
         kept = np.flatnonzero(grow)

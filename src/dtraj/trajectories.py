@@ -46,14 +46,17 @@ class Trajectory(tuple):
 def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedState, int]:
     """Exact number of n_steps-hop walks out of every state (multi-edges counted).
 
-    The hops run on the table's quotient (`TransitionTable.quotient()`): states
-    whose transitions lead to the same classes, counted with multiplicity,
-    share every walk count, so each class is counted once and its count given
-    to each member. Each hop sums, per class, the counts at its row's classes:
-    in int64 while max(counts) * max out-degree, the most a sum can reach,
-    fits, then in Python integers, so counts stay exact at any size. Work past
-    model.check_count_work's budget, pricing each count at max out-degree **
-    n_steps over every transition of the table, is refused before it starts.
+    The hops run on the table's quotient, as `TransitionTable.count_index()`
+    lays it out once per table: states whose transitions lead to the same
+    classes, counted with multiplicity, share every walk count, so each class
+    is counted once and its count given to each member. Each hop sums, per
+    class, the counts at its row's classes, in place: in int64 while
+    max(counts) * max out-degree, the most a sum can reach, fits, then in
+    Python integers, so counts stay exact at any size. max(counts) is taken
+    only once a running bound on it, times max out-degree, could pass 2^63 - 1.
+    Work past model.check_count_work's budget, pricing each count at max
+    out-degree ** n_steps over every transition of the table, is refused
+    before it starts.
     """
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
@@ -64,19 +67,21 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
         return dict.fromkeys(table.states, 1)
     import numpy as np
 
-    class_of, dst, row_start = table.quotient()
-    counts = np.ones(len(row_start) - 1, dtype=np.int64)
-    # a row's segment of dst starts at its row start; reduceat needs the
-    # nonempty rows only, and rows without transitions stay 0
-    rows = np.flatnonzero(np.diff(row_start))
-    starts = row_start[rows]
+    class_of, dst, starts = table.count_index()
+    k = len(starts)
+    # counts[k] is the padding slot that the rows of classes without transitions sum
+    counts = np.ones(k + 1, dtype=np.int64)
+    counts[k] = 0
+    top, limit = 1, 2 ** 63 - 1    # top >= max(counts)
     for _ in range(n_steps):
-        if counts.dtype != object and int(counts.max(initial=0)) * max_degree > 2 ** 63 - 1:
-            counts = counts.astype(object)
-        nxt = np.zeros_like(counts)
-        nxt[rows] = np.add.reduceat(counts[dst], starts)
-        counts = nxt
-    return dict(zip(table.states, counts[class_of].tolist()))
+        if top * max_degree > limit and counts.dtype != object:
+            top = int(counts.max())
+            if top * max_degree > limit:
+                counts = counts.astype(object)
+        counts[:k] = np.add.reduceat(counts[dst], starts)
+        top *= max_degree
+    vals = counts.tolist()
+    return dict(zip(table.states, map(vals.__getitem__, class_of)))
 
 
 def enumerate_trajectories(

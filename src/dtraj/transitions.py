@@ -87,9 +87,9 @@ class TransitionTable:
     A table holds its transitions as three id columns, one entry per
     transition: the index in `states` of its from-state and of its to-state,
     and the index in `labels` of its (torque sequence, float duration) pair,
-    each distinct pair held once. `transitions`, `destinations()` and the
-    `outgoing()` rows and the walk counter's `quotient()` are built from the
-    columns on first use and kept.
+    each distinct pair held once. `transitions`, `destinations()`, the
+    `outgoing()` rows, the `quotient()` and the walk counter's `count_index()`
+    over it are built from the columns on first use and kept.
     """
 
     def __init__(self, robot_hash: str, states: tuple[QuantizedState, ...],
@@ -133,7 +133,8 @@ class TransitionTable:
         # discovery hands over such arrays, and they are kept, not copied
         self._src, self._label, self._dst = (
             c if isinstance(c, array) else array("q", c) for c in (src, label, dst))
-        self._index = self._transitions = self._rows = self._dests = self._quotient = None
+        self._index = self._transitions = self._rows = self._dests = None
+        self._quotient = self._count_index = None
 
     def __eq__(self, other):
         if not isinstance(other, TransitionTable):
@@ -224,6 +225,26 @@ class TransitionTable:
                 np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64),
                 np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64))
         return self._quotient
+
+    def count_index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """`quotient()` as the walk counter reads it, built on first use.
+
+        (class_of, dst, starts): class_of is `quotient()`'s as a list, and
+        class c's row is dst[starts[c]:starts[c + 1]], the last running to the
+        end. A class without transitions gets the row [k], k the class count:
+        a slot past the classes that the counter keeps at 0. So no row is
+        empty, and one np.add.reduceat over dst sums every row.
+        """
+        if self._count_index is None:
+            import numpy as np
+
+            class_of, dst, row_start = self.quotient()
+            sinks = np.flatnonzero(np.diff(row_start) == 0)
+            k = len(row_start) - 1
+            # a row moves on by one slot per padded row before it
+            self._count_index = (class_of.tolist(), np.insert(dst, row_start[sinks], k),
+                                 row_start[:-1] + np.searchsorted(sinks, np.arange(k)))
+        return self._count_index
 
     def restrict_to_first(self, k: int) -> "TransitionTable":
         """Subtable over the first k >= 0 states; only edges staying inside survive."""

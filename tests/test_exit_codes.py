@@ -12,7 +12,9 @@ two-joint one, with its own table, desired path and two-wide states. A plan
 may also draw the table of the other joint count, which must be refused
 with exit 2. Discovery draws its start, horizon (`--nal`), state budget and
 dedup mode, under a sequence budget of 20,000, and a horizon of 10^9 or
-10^400 must meet that budget, not be sized before it. Every subcommand that
+10^400 must meet that budget, not be sized before it; under the default
+budgets a horizon of 10^4 or 10^6 must meet the price of the table's
+actions. Every subcommand that
 takes steps, or a horizon, also runs a small valid input at each count
 between 10^4 and 10^7, where a loop's cost, not the size of its answer, has
 to be capped. No run may raise a warning.
@@ -173,6 +175,14 @@ def test_transitions(tmp_path_factory, config, start, nal, max_states, dedup):
     drawn = {"start": start, "nal": nal, "max_states": max_states, "dedup": dedup}
     run(["transitions", "--config", config_file(tmp_path_factory, config),
          "--max-sequences=20000"] + flags(**{k: v for k, v in drawn.items() if v is not None}))
+
+
+# horizons whose labels would pass discovery.MAX_TABLE_ACTIONS under the
+# default budgets, refused by that price before any label is built
+@pytest.mark.parametrize("nal", [10 ** 4, 10 ** 6])
+def test_transitions_priced_by_their_actions(nal):
+    rc, _, err = run(["transitions", f"--config={CONFIG_PATH}", f"--nal={nal}"])
+    assert rc == 4 and "actions exceeded budget 10000000" in err, err
 
 
 @st.composite

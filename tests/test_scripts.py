@@ -144,3 +144,32 @@ def test_explore_pendulum_refuses_a_malformed_config(tmp_path):
     assert done.stderr.splitlines() == ["error: robot: 'joints' must be a non-empty list"]
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def bench_pairs_verdict():
+    return runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))["verdict"]
+
+
+def test_bench_pairs_verdict_shows_a_clear_gain():
+    # ten alternated walks pairs, op_p50_ms: lower in 10/10, apart by 0.337
+    base = [1.648, 1.787, 1.713, 1.637, 1.663, 1.583, 1.684, 1.766, 1.748, 1.780]
+    head = [1.345, 1.341, 1.426, 1.376, 1.311, 1.264, 1.392, 1.344, 1.415, 1.403]
+    v = bench_pairs_verdict()(base, head)
+    assert (v.wins, v.pairs, v.shown) == (10, 10, True)
+    assert math.isclose(v.base_median, 1.6985) and math.isclose(v.head_median, 1.3605)
+    # exclusive quartiles 1.64525 and 1.7695
+    assert math.isclose(v.base_iqr, 0.12425)
+
+
+def test_bench_pairs_verdict_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
+    verdict = bench_pairs_verdict()
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    # 9 wins, and medians 14.5 and 5.0 apart by 9.5 against an interquartile range of 5.5
+    nine = [5.0] * 9 + [20.0]
+    assert verdict(base, nine)[:2] == (9, 10) and verdict(base, nine).shown
+    # 8 wins, however far apart
+    assert not verdict(base, [5.0] * 8 + [20.0] * 2).shown
+    # 10 wins, but medians 14.5 and 10.0 are apart by less than 5.5
+    assert not verdict(base, [b - 4.5 for b in base]).shown
+    # a loss in every pair
+    assert not verdict(base, [b + 1 for b in base]).shown

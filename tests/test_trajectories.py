@@ -142,15 +142,35 @@ def assert_equitable(table: TransitionTable) -> int:
     return len(rows)
 
 
+def fresh(table: TransitionTable) -> TransitionTable:
+    return TransitionTable(table.robot_hash, table.states, table.transitions)
+
+
 def one_class_per_state(table: TransitionTable) -> TransitionTable:
     """The same table, counted on its finest partition: refinement stops before its first round."""
-    fresh = TransitionTable(table.robot_hash, table.states, table.transitions)
+    finest = fresh(table)
     rounds, trn._REFINE_ROUNDS = trn._REFINE_ROUNDS, 1
     try:
-        assert quotient_rows(fresh)[0] == list(range(len(table.states)))
+        assert quotient_rows(finest)[0] == list(range(len(table.states)))
     finally:
         trn._REFINE_ROUNDS = rounds
-    return fresh
+    return finest
+
+
+def index_rows(table: TransitionTable) -> tuple[list[int], list[list[int]]]:
+    """count_index()'s class of each state, and each class's row, as lists."""
+    class_of, dst, starts = table.count_index()
+    ends = [*starts[1:].tolist(), len(dst)]
+    return class_of, [dst[a:b].tolist() for a, b in zip(starts.tolist(), ends)]
+
+
+def assert_index(table: TransitionTable) -> list[list[int]]:
+    """count_index() is quotient() with each empty row made [k]; returns its rows."""
+    class_of, rows = quotient_rows(table)
+    got_class_of, got_rows = index_rows(table)
+    assert type(got_class_of) is list and got_class_of == class_of
+    assert got_rows == [row or [len(rows)] for row in rows]
+    return got_rows
 
 
 def bench_robot(n_joints: int):
@@ -178,6 +198,7 @@ class TestQuotient:
             max_size=30)) if n_states else []
         table = mk_table(n_states, edges)
         assert_equitable(table)
+        assert_index(table)
         n = data.draw(st.integers(0, 40))
         got = count_trajectories(table, n)
         assert got == reference_counts(table, n)
@@ -213,6 +234,54 @@ class TestQuotient:
         assert time.perf_counter() - t0 < 0.5
         assert [counts[s] for s in chain.states] == [1] * (n - 30) + [0] * 30
         assert assert_equitable(chain) == n
+
+
+class TestCountIndex:
+    """The counter's padded rows: a class without transitions sums the slot past the classes."""
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2)],                    # a chain into the last state
+        [(0, 0), (0, 2), (1, 2)],            # two rows into one sink
+        [(0, 1), (0, 1), (1, 0), (0, 2)],    # a multi-edge beside the sink
+    ])
+    def test_the_last_class_is_a_sink(self, edges):
+        # the padding slot k is then the last entry of dst
+        table = mk_table(3, edges)
+        rows = assert_index(table)
+        assert rows[-1] == [len(rows)]
+        for n in range(1, 6):
+            assert count_trajectories(table, n) == reference_counts(table, n)
+
+    def test_every_state_a_sink(self):
+        table = mk_table(3, [])
+        assert assert_index(table) == [[1]]
+        for n in (1, 2, 70):
+            assert count_trajectories(table, n) == dict.fromkeys(table.states, 0)
+
+    def test_no_states(self):
+        table = mk_table(0, [])
+        assert index_rows(table) == ([], [])
+        for n in (1, 5):
+            assert count_trajectories(table, n) == {}
+
+    def test_mixed_hop_order_on_one_table(self, pendulum_table):
+        # past the int64 switch (hop 19 on the demo) and back: a count leaves
+        # nothing in the index that the next one reads
+        table = fresh(pendulum_table)
+        for n in (20, 3, 0, 40, 19, 1, 18, 15, 40):
+            assert count_trajectories(table, n) == count_trajectories(fresh(table), n)
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_bench_robot_around_its_switch(self, bench_tables, n):
+        # the two-joint robot's counts first pass what int64 may multiply by
+        # its max out-degree after 16 hops, so its 17th hop sums Python integers
+        table = bench_tables[2]
+        top = max(reference_counts(table, 16).values())
+        assert top * table.max_out_degree > 2 ** 63 - 1
+        assert max(reference_counts(table, 15).values()) * table.max_out_degree <= 2 ** 63 - 1
+        got = count_trajectories(table, n)
+        assert got == reference_counts(table, n)
+        assert all(type(c) is int for c in got.values())
 
 
 def listing_count(table: TransitionTable, starts, n_steps: int) -> int:

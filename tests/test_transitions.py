@@ -518,6 +518,23 @@ class TestBudgets:
             find_transitions(pendulum, dedup=dedup, max_states=budget)
         assert str(err.value) == f"discovered states exceeded budget {budget} ({progress})"
 
+    @pytest.mark.parametrize(("dedup", "total", "progress"), [
+        ("all", 20329, "8075 sequences simulated, 943 states found so far"),
+        ("shortest", 5227, "7925 sequences simulated, 943 states found so far"),
+    ])
+    def test_action_budget(self, pendulum, monkeypatch, dedup, total, progress):
+        # the price is the kept transitions' lengths, summed: a budget of the
+        # table's own total builds it, one action less refuses its last tick
+        table = find_transitions(pendulum, dedup=dedup)
+        assert sum(len(t.actions) for t in table.transitions) == total
+        monkeypatch.setattr(discovery, "MAX_TABLE_ACTIONS", total)
+        assert find_transitions(pendulum, dedup=dedup) == table
+        monkeypatch.setattr(discovery, "MAX_TABLE_ACTIONS", total - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            find_transitions(pendulum, dedup=dedup)
+        assert str(err.value) == (f"kept transitions' actions exceeded budget {total - 1} "
+                                  f"({total} actions kept, {progress})")
+
     def test_nothing_scales_with_nal_before_the_budget(self, pendulum):
         # a label's duration is its length in ticks, tabulated for no length up to nal
         tracemalloc.start()
