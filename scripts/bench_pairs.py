@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run alternated pairs of one benchmark workload on two checkouts and judge a claimed gain.
 
-    python3 scripts/bench_pairs.py BASE HEAD --workload walks [--pairs 10] [--seconds 20]
+    python3 scripts/bench_pairs.py BASE HEAD --workload walks [--pairs 10] [--seed 4101]
 
 BASE and HEAD are each a git revision of this repository or a directory
 holding a checkout. Each is copied into a fresh directory, `base` or `head`
@@ -9,19 +9,19 @@ under one new temporary directory, so the two paths have the same length
 (`peak_rss_mb` moves with the length of a checkout's path) and neither
 holds bytecode or benchmark output from an earlier run. Pair k runs
 `bench/run.py --workload W --seed SEED+k --seconds S` once in each, one
-process at a time; BASE goes first in even pairs and HEAD in odd ones, as
-a workload can read slower on whichever side runs first.
+process at a time, S being the `run_seconds` of that checkout's
+BENCHMARK.json; BASE goes first in even pairs and HEAD in odd ones, as a
+workload can read slower on whichever side runs first.
 
-It prints each pair's value of the claimed metric (`--metric`, `op_p50_ms`
-by default; every end-to-end metric is better lower), then each metric's
-medians, BASE's interquartile range of the claimed metric, and the verdict:
+It prints each pair's `op_p50_ms` (the claimed metric; every end-to-end
+metric is better lower), then each metric's medians, BASE's interquartile
+range of `op_p50_ms`, and the verdict:
 a gain is shown when HEAD is lower in at least 9 of every 10 pairs and the
 medians are apart by more than BASE's interquartile range. Quartiles are
 `statistics.quantiles`' (its exclusive method). Standard library only.
 """
 
 import argparse
-import io
 import json
 import math
 import os
@@ -29,11 +29,11 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from typing import NamedTuple
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+METRIC = "op_p50_ms"
 # what a copied directory leaves behind: history, bytecode, test and bench output
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".bench_out", ".benchmarks",
                                      ".hypothesis", ".pytest_cache")
@@ -65,14 +65,18 @@ def checkout(source: str, dest: str) -> None:
         shutil.copytree(source, dest, ignore=_NOT_COPIED)
         return
     os.makedirs(dest)
-    tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", source],
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", source],
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() or untar.returncode:
+        raise SystemExit(f"error: could not check out {source!r}")
 
 
-def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: str, workload: str, seed: int) -> dict:
     """The metric values of one untraced run of the workload in `tree`."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
     done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, capture_output=True, text=True)
@@ -90,9 +94,7 @@ def main(argv=None) -> int:
     ap.add_argument("head", help="git revision or checkout directory of the change")
     ap.add_argument("--workload", required=True, choices=["discover", "walks", "corridor", "cli"])
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=4101, help="the first pair's seed")
-    ap.add_argument("--metric", default="op_p50_ms")
     ap.add_argument("--dir", help="where to make the temporary directory (the system's by default)")
     args = ap.parse_args(argv)
 
@@ -104,16 +106,16 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             order = ("base", "head") if k % 2 == 0 else ("head", "base")
             for side in order:
-                runs[side].append(bench(trees[side], args.workload, args.seed + k, args.seconds))
-            b, h = (runs[side][-1][args.metric] for side in ("base", "head"))
+                runs[side].append(bench(trees[side], args.workload, args.seed + k))
+            b, h = (runs[side][-1][METRIC] for side in ("base", "head"))
             print(f"pair {k + 1:2d} seed {args.seed + k} {order[0]} first: "
-                  f"{args.metric} base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})", flush=True)
+                  f"{METRIC} base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})", flush=True)
 
     for name in runs["base"][0]:
         b, h = (statistics.median(r[name] for r in runs[side]) for side in ("base", "head"))
         print(f"median {name}: base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})")
-    v = verdict(*([r[args.metric] for r in runs[side]] for side in ("base", "head")))
-    print(f"{args.metric}: head lower in {v.wins}/{v.pairs} pairs (needs "
+    v = verdict(*([r[METRIC] for r in runs[side]] for side in ("base", "head")))
+    print(f"{METRIC}: head lower in {v.wins}/{v.pairs} pairs (needs "
           f"{math.ceil(0.9 * v.pairs)}); medians apart by {v.base_median - v.head_median:.4g}, "
           f"base interquartile range {v.base_iqr:.4g}")
     print("gain shown" if v.shown else "gain not shown")

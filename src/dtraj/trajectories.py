@@ -74,12 +74,13 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
     counts[k] = 0
     top, limit = 1, 2 ** 63 - 1    # top >= max(counts)
     for _ in range(n_steps):
-        if top * max_degree > limit and counts.dtype != object:
-            top = int(counts.max())
+        if counts.dtype != object:    # top is read, and grows, only while counts are int64
             if top * max_degree > limit:
-                counts = counts.astype(object)
+                top = int(counts.max())
+                if top * max_degree > limit:
+                    counts = counts.astype(object)
+            top *= max_degree
         counts[:k] = np.add.reduceat(counts[dst], starts)
-        top *= max_degree
     vals = counts.tolist()
     return dict(zip(table.states, map(vals.__getitem__, class_of)))
 
