@@ -14,7 +14,9 @@ BENCHMARK.json; BASE goes first in even pairs and HEAD in odd ones, as a
 workload can read slower on whichever side runs first.
 
 It prints each pair's `op_p50_ms` (the claimed metric; every end-to-end
-metric is better lower), then each metric's medians, BASE's interquartile
+metric is better lower), then each metric's medians, each end-to-end
+metric whose HEAD median is worse than BASE's by more than its `bound` in
+BASE's BENCHMARK.json (a fraction of BASE's median), BASE's interquartile
 range of `op_p50_ms`, and the verdict:
 a gain is shown when HEAD is lower in at least 9 of every 10 pairs and the
 medians are apart by more than BASE's interquartile range. Quartiles are
@@ -59,6 +61,27 @@ def verdict(base: list[float], head: list[float]) -> Verdict:
                    10 * wins >= 9 * len(base) and b - h > q3 - q1)
 
 
+def past_bounds(base: dict[str, float], head: dict[str, float],
+                end_to_end: list[dict]) -> list[tuple[str, float, float]]:
+    """(name, change, bound) of each metric whose HEAD median is worse than BASE's by
+    more than its bound.
+
+    `base` and `head` are medians by metric name, `end_to_end` is BENCHMARK.json's
+    list of metrics, each with its name, its `better` direction and its
+    `bound`, a fraction of BASE's median. The change is HEAD's median over
+    BASE's, less 1. A metric the runs lack is skipped.
+    """
+    out = []
+    for m in end_to_end:
+        name, bound = m["name"], m["bound"]
+        if name in base and name in head:
+            b, h = base[name], head[name]
+            worse = h - b if m["better"] == "lower" else b - h
+            if worse > bound * b:
+                out.append((name, h / b - 1, bound))
+    return out
+
+
 def checkout(source: str, dest: str) -> None:
     """A fresh copy of a directory, or of a git revision's committed files, at dest."""
     if os.path.isdir(source):
@@ -73,10 +96,15 @@ def checkout(source: str, dest: str) -> None:
         raise SystemExit(f"error: could not check out {source!r}")
 
 
+def declaration(tree: str) -> dict:
+    """The benchmark that `tree`'s BENCHMARK.json declares."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def bench(tree: str, workload: str, seed: int) -> dict:
     """The metric values of one untraced run of the workload in `tree`."""
-    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+    seconds = declaration(tree)["run_seconds"]
     done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, capture_output=True, text=True)
@@ -111,9 +139,18 @@ def main(argv=None) -> int:
             print(f"pair {k + 1:2d} seed {args.seed + k} {order[0]} first: "
                   f"{METRIC} base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})", flush=True)
 
-    for name in runs["base"][0]:
-        b, h = (statistics.median(r[name] for r in runs[side]) for side in ("base", "head"))
+        end_to_end = declaration(trees["base"])["end_to_end"]
+
+    medians = {side: {name: statistics.median(r[name] for r in runs[side])
+                      for name in runs["base"][0]} for side in ("base", "head")}
+    for name, b in medians["base"].items():
+        h = medians["head"][name]
         print(f"median {name}: base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})")
+    worse = past_bounds(medians["base"], medians["head"], end_to_end)
+    for name, change, bound in worse:
+        print(f"worse past its bound: {name} {change:+.1%} (bound {bound:.0%})")
+    if not worse:
+        print("no end-to-end metric worse past its bound")
     v = verdict(*([r[METRIC] for r in runs[side]] for side in ("base", "head")))
     print(f"{METRIC}: head lower in {v.wins}/{v.pairs} pairs (needs "
           f"{math.ceil(0.9 * v.pairs)}); medians apart by {v.base_median - v.head_median:.4g}, "

@@ -150,6 +150,28 @@ def bench_pairs_verdict():
     return runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))["verdict"]
 
 
+def test_bench_pairs_flags_each_metric_worse_past_its_bound():
+    past_bounds = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))["past_bounds"]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    base = {"setup_s": 0.1, "wall_s": 4.0, "op_p50_ms": 100.0, "op_tail_ms": 120.0,
+            "peak_rss_mb": 40.0}
+    # op_p50_ms 19% worse and op_tail_ms 25% worse sit within bounds of 20%
+    # and 25%; wall_s 25% worse is past its 20%, peak_rss_mb 16% past its 15%;
+    # setup_s, better by half, is no regression
+    head = {"setup_s": 0.05, "wall_s": 5.0, "op_p50_ms": 119.0, "op_tail_ms": 150.0,
+            "peak_rss_mb": 46.4}
+    got = past_bounds(base, head, end_to_end)
+    assert [(name, bound) for name, _, bound in got] == [("wall_s", 0.2), ("peak_rss_mb", 0.15)]
+    assert [round(change, 6) for _, change, _ in got] == [0.25, 0.16]
+    assert past_bounds(base, base, end_to_end) == []
+    # a higher-is-better metric is worse when it falls; one the runs lack is skipped
+    rate = [{"name": "ops_s", "better": "higher", "bound": 0.1},
+            {"name": "absent", "better": "lower", "bound": 0.1}]
+    assert [name for name, *_ in past_bounds({"ops_s": 10.0}, {"ops_s": 8.9}, rate)] == ["ops_s"]
+    assert past_bounds({"ops_s": 10.0}, {"ops_s": 9.5}, rate) == []
+
+
 def test_bench_pairs_verdict_shows_a_clear_gain():
     # ten alternated walks pairs, op_p50_ms: lower in 10/10, apart by 0.337
     base = [1.648, 1.787, 1.713, 1.637, 1.663, 1.583, 1.684, 1.766, 1.748, 1.780]

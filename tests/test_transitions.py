@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import struct
 import sys
 import tracemalloc
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dtraj.discovery as discovery
 import dtraj.dynamics as dynamics
+import dtraj.model as model
 import dtraj.transitions as trn
 from dtraj.discovery import find_transitions
 from dtraj.dynamics import act_sequence, integrate_step, validation_check
@@ -981,6 +983,14 @@ class TestAgainstOracle:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serialised(table))
         assert digests == self.PINNED[robot, dedup]
 
+    # one label per distinct (sequence, duration): the trees share one trie,
+    # so a sequence that settles in several trees is one label, which the
+    # bytes above would not show
+    @pytest.mark.parametrize(("robot", "count"), [("demo", 416), ("two-joint", 204)])
+    def test_each_label_is_held_once(self, pendulum, pendulum_table, robot, count):
+        labels = bench_table(pendulum, pendulum_table, robot, "all").labels
+        assert len(labels) == len(set(labels)) == count
+
     @settings(max_examples=60, deadline=None)
     @given(small_robots(), st.integers(1, 25), st.sampled_from(["all", "shortest"]))
     @example((CREEPING_HOLD, ZERO), 3, "all")
@@ -1001,6 +1011,7 @@ class TestAgainstOracle:
             assert found == outcome(reference_find_transitions, robot, **kw)
         if found is not BudgetExceeded:
             table, (text, _) = found
+            assert len(table.labels) == len(set(table.labels))
             assert reads_as_reference(text) == table
 
 
@@ -1171,6 +1182,92 @@ class TestBudgetUnit:
             find_transitions(pendulum, max_states=10)
 
 
+class TestRepeatedTick:
+    # on the two-joint robot, ticks 13 to 25 hold the same 9 rows: the rest
+    # state's all-zero prefix, which stays bitwise at (0, 0, 0, 0), and its
+    # children. Each such tick takes the tick before's outcome, and its rows
+    # count as simulated all the same
+    @pytest.fixture
+    def frontier_rows(self, monkeypatch):
+        rows = []
+        real = dynamics.integrate_frontier
+
+        def counted(q, *args, **kw):
+            rows.append(len(q))
+            return real(q, *args, **kw)
+
+        monkeypatch.setattr(dynamics, "integrate_frontier", counted)
+        return rows
+
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    def test_a_repeated_tick_is_not_integrated_again(self, frontier_rows, dedup):
+        robot = robot_from_dict(TWO_JOINT)
+        stats = {}
+        want = reference_find_transitions(robot, dedup=dedup, stats=stats)
+        assert find_transitions(robot, dedup=dedup, max_sequences=stats["simulated"]) == want
+        assert len(frontier_rows) == 12
+        assert sum(frontier_rows) + 13 * 9 == stats["simulated"] == 3537
+
+    # refused before a repeated tick, as the tick it repeats would have been
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize(("budget", "done"), [(3429, 3429), (3536, 3528)])
+    def test_refusals_among_repeated_ticks(self, frontier_rows, budget, done, dedup):
+        with pytest.raises(BudgetExceeded) as err:
+            find_transitions(robot_from_dict(TWO_JOINT), dedup=dedup, max_sequences=budget)
+        assert str(err.value) == (f"simulated sequences would exceed budget {budget} "
+                                  f"({done} sequences simulated, 225 states found so far)")
+        assert sum(frontier_rows) == 3420
+
+
+class TestFixedPointHold:
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        real = dynamics.integrate_step
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "integrate_step", counted)
+        return calls
+
+    # at rest, zero torque keeps every joint at 0.0 bit for bit: the first
+    # pass ends on the cell centre, and every replay would repeat it
+    @pytest.mark.parametrize("name", ["demo", "two-joint"])
+    def test_rest_holds_without_a_replay(self, pendulum, steps, name):
+        robot = pendulum if name == "demo" else robot_from_dict(TWO_JOINT)
+        rest = QuantizedState((0,) * robot.n_joints, (0,) * robot.n_joints)
+        seq = (tuple(j.torques.index(0.0) for j in robot.joints),) * DEFAULT_NAL
+        assert reference_static_hold(rest, seq, robot)
+        end = act_sequence(rest, seq, robot)[1][-1]
+        assert struct.pack(f"{2 * robot.n_joints}d", *end.q, *end.v) == bytes(16 * robot.n_joints)
+        steps.clear()
+        assert discovery._static_hold(rest, seq, end, robot) is True
+        assert steps == []
+
+    def test_only_a_fixed_point_skips_its_replay(self, steps, monkeypatch):
+        # CREEPING_HOLD's static candidates at nal 3, as the search meets
+        # them: rest's is a fixed point, while the one a cell up creeps off
+        # its centre, is replayed four passes and escapes on the fifth
+        met = []
+        hold = discovery._static_hold
+
+        def recorded(s, seq, cont, robot):
+            steps.clear()
+            held = hold(s, seq, cont, robot)
+            met.append((s, seq, cont == representative(s, robot), len(steps), held))
+            return held
+
+        monkeypatch.setattr(discovery, "_static_hold", recorded)
+        find_transitions(CREEPING_HOLD, nal=3)
+        zeros = ((1,),) * 3
+        assert met == [(ZERO, zeros, True, 0, True),
+                       (QuantizedState((1,), (0,)), zeros, False, 4 * 3, False)]
+        assert [reference_static_hold(s, seq, CREEPING_HOLD) for s, seq, *_ in met] == [
+            True, False]
+
+
 def test_the_table_module_serves_three_discovery_names():
     # the names its readers in bench/ take from it, each discovery's own; no other
     for name in ("find_transitions", "STATIC_HOLD_REPS", "DEFAULT_NAL"):
@@ -1195,16 +1292,26 @@ def off_grid_robot() -> RobotSpec:
     (off_grid_robot(), {"moved", "static", "growing", "past a limit", "off the grid"}),
 ], ids=["demo", "off_grid"])
 def test_column_quantize_matches_scalar(robot, cases, monkeypatch):
-    # per axis: grid points and half-cell points past both ends, the limits
-    # and points a fifth and 0.6 of a cell past them, and seeded points, each
-    # paired with a zero. Each probe is a tick's end state from home (0, 0),
-    # once at depth nal - 1 and once at nal, and its class is the scalar rule's
+    # per axis: grid points and half-cell points past both ends, points whose
+    # quotient by the step is exactly a half-cell, -0.0, the limits and points
+    # a fifth and 0.6 of a cell past them, and seeded points, each paired with
+    # a zero. Each probe is a tick's end state from home (0, 0), once at depth
+    # nal - 1 and once at nal, and its class is the scalar rule's
     j = robot.joints[0]
     rng = np.random.default_rng(7)
 
+    def exact_halves(k, step):
+        # the floats within 4 ulps of (k + 0.5) * step whose quotient is k + 0.5;
+        # no float's quotient is exactly some of these half-cells, but most
+        near = (k + 0.5) * step + np.outer(np.arange(-4, 5), np.spacing((k + 0.5) * step))
+        halves = near[near / step == k + 0.5]
+        assert 2 * len(np.unique(halves / step)) > len(k)
+        return halves
+
     def probes(lo, hi, step):
         k = np.arange(math.floor(lo / step) - 2, math.ceil(hi / step) + 3)
-        return np.concatenate([k * step, (k + 0.5) * step,
+        halves = exact_halves(k, step)
+        return np.concatenate([k * step, (k + 0.5) * step, halves, [-0.0],
                                [lo, hi, lo - 0.6 * step, hi + 0.6 * step],
                                rng.uniform(1.05 * lo, 1.05 * hi, 500),
                                [lo - 0.2 * step, hi + 0.2 * step]])
@@ -1217,8 +1324,13 @@ def test_column_quantize_matches_scalar(robot, cases, monkeypatch):
     depth = np.repeat([DEFAULT_NAL - 1, DEFAULT_NAL], len(q))
     # the tick's integration hands its starts back, so the probes are its end states
     monkeypatch.setattr(dynamics, "integrate_frontier", lambda q, v, *rest: (q, v))
-    _, cells, *masks = discovery._tick(robot, DEFAULT_NAL, ends, np.zeros((len(ends), 1)),
-                                       np.zeros_like(ends), depth)
+    _, cells, moved, stay = discovery._tick(discovery._Columns.of(robot), ends,
+                                            np.zeros((len(ends), 1)), np.zeros_like(ends))
+    masks = moved, stay & (depth == DEFAULT_NAL), stay & (depth < DEFAULT_NAL)
+    # every cell, on the grid or off it, is the scalar rounding of its quotient
+    steps = (j.delta_q, robot.delta_v(0))
+    assert cells.tolist() == [[model._round_half_away(x / step) for x, step in zip(row, steps)]
+                              for row in ends.tolist()]
     seen = set()
     for k, (qk, vk) in enumerate(ends.tolist()):
         try:
