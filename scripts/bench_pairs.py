@@ -16,7 +16,10 @@ workload can read slower on whichever side runs first.
 It prints each pair's `op_p50_ms` (the claimed metric; every end-to-end
 metric is better lower), then each metric's medians, each end-to-end
 metric whose HEAD median is worse than BASE's by more than its `bound` in
-BASE's BENCHMARK.json (a fraction of BASE's median), BASE's interquartile
+BASE's BENCHMARK.json (a fraction of BASE's median), each other one left
+unresolved (BASE's interquartile range is wider than its bound times BASE's
+median, so the pairs cannot tell a change within the bound from none, and
+not every HEAD run is better than every BASE run), BASE's interquartile
 range of `op_p50_ms`, and the verdict:
 a gain is shown when HEAD is lower in at least 9 of every 10 pairs and the
 medians are apart by more than BASE's interquartile range. Quartiles are
@@ -82,6 +85,28 @@ def past_bounds(base: dict[str, float], head: dict[str, float],
     return out
 
 
+def unresolved(base: dict[str, list[float]], head: dict[str, list[float]],
+               end_to_end: list[dict]) -> list[tuple[str, float, float]]:
+    """(name, BASE's interquartile range, bound times BASE's median) of each metric
+    whose BASE runs spread wider than its bound, unless every HEAD run is better
+    than every BASE run.
+
+    `base` and `head` are each metric's values by name, one per run; a metric
+    the runs lack is skipped.
+    """
+    out = []
+    for m in end_to_end:
+        name = m["name"]
+        if name in base and name in head:
+            q1, _, q3 = statistics.quantiles(base[name], n=4)
+            allowed = m["bound"] * statistics.median(base[name])
+            clear = (max(head[name]) < min(base[name]) if m["better"] == "lower"
+                     else min(head[name]) > max(base[name]))
+            if q3 - q1 > allowed and not clear:
+                out.append((name, q3 - q1, allowed))
+    return out
+
+
 def checkout(source: str, dest: str) -> None:
     """A fresh copy of a directory, or of a git revision's committed files, at dest."""
     if os.path.isdir(source):
@@ -141,8 +166,10 @@ def main(argv=None) -> int:
 
         end_to_end = declaration(trees["base"])["end_to_end"]
 
-    medians = {side: {name: statistics.median(r[name] for r in runs[side])
-                      for name in runs["base"][0]} for side in ("base", "head")}
+    values = {side: {name: [r[name] for r in runs[side]] for name in runs["base"][0]}
+              for side in ("base", "head")}
+    medians = {side: {name: statistics.median(v) for name, v in values[side].items()}
+               for side in ("base", "head")}
     for name, b in medians["base"].items():
         h = medians["head"][name]
         print(f"median {name}: base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})")
@@ -151,6 +178,11 @@ def main(argv=None) -> int:
         print(f"worse past its bound: {name} {change:+.1%} (bound {bound:.0%})")
     if not worse:
         print("no end-to-end metric worse past its bound")
+    flagged = {name for name, *_ in worse}
+    for name, iqr, allowed in unresolved(values["base"], values["head"], end_to_end):
+        if name not in flagged:
+            print(f"unresolved: {name} base interquartile range {iqr:.4g} is wider than "
+                  f"its bound times base's median, {allowed:.4g}")
     v = verdict(*([r[METRIC] for r in runs[side]] for side in ("base", "head")))
     print(f"{METRIC}: head lower in {v.wins}/{v.pairs} pairs (needs "
           f"{math.ceil(0.9 * v.pairs)}); medians apart by {v.base_median - v.head_median:.4g}, "

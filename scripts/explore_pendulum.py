@@ -42,7 +42,7 @@ def main():
     print(f"static self-loops {len(statics)} at "
           f"{[state_label(t.from_state) for t in statics]}")
     # every state's, sinks included
-    degs = sorted(len(table.outgoing(s)) for s in table.states)
+    degs = sorted(map(len, table.destinations()))
     print(f"out-degree        min {degs[0]}  median {degs[len(degs) // 2]}  "
           f"max {degs[-1]}")
     print("sequence lengths  " + ", ".join(

@@ -46,8 +46,8 @@ class Trajectory(tuple):
 def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedState, int]:
     """Exact number of n_steps-hop walks out of every state (multi-edges counted).
 
-    The hops run on the table's quotient, as `TransitionTable.count_index()`
-    lays it out once per table: states whose transitions lead to the same
+    The hops run on the table's quotient, as `TransitionTable.quotient()`
+    builds it once per table: states whose transitions lead to the same
     classes, counted with multiplicity, share every walk count, so each class
     is counted once and its count given to each member. Each hop sums, per
     class, the counts at its row's classes, in place: in int64 while
@@ -67,7 +67,8 @@ def count_trajectories(table: TransitionTable, n_steps: int) -> dict[QuantizedSt
         return dict.fromkeys(table.states, 1)
     import numpy as np
 
-    class_of, dst, starts = table.count_index()
+    class_of, dst, row_start = table.quotient()
+    starts = row_start[:-1]
     k = len(starts)
     # counts[k] is the padding slot that the rows of classes without transitions sum
     counts = np.ones(k + 1, dtype=np.int64)

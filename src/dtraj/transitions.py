@@ -88,8 +88,8 @@ class TransitionTable:
     transition: the index in `states` of its from-state and of its to-state,
     and the index in `labels` of its (torque sequence, float duration) pair,
     each distinct pair held once. `transitions`, `destinations()`, the
-    `outgoing()` rows, the `quotient()` and the walk counter's `count_index()`
-    over it are built from the columns on first use and kept.
+    `outgoing()` rows and the `quotient()` over it are built from the columns
+    on first use and kept.
     """
 
     def __init__(self, robot_hash: str, states: tuple[QuantizedState, ...],
@@ -133,8 +133,7 @@ class TransitionTable:
         # discovery hands over such arrays, and they are kept, not copied
         self._src, self._label, self._dst = (
             c if isinstance(c, array) else array("q", c) for c in (src, label, dst))
-        self._index = self._transitions = self._rows = self._dests = None
-        self._quotient = self._count_index = None
+        self._index = self._transitions = self._rows = self._dests = self._quotient = None
 
     def __eq__(self, other):
         if not isinstance(other, TransitionTable):
@@ -189,13 +188,17 @@ class TransitionTable:
         """The most transitions out of one state, which prices a walk count."""
         return max(map(len, self.destinations()), default=0)
 
-    def quotient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def quotient(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """The table's coarsest equitable partition and its graph, built on first use.
 
-        (class_of, dst, row_start): class_of[i] is state i's class, and
-        dst[row_start[c]:row_start[c + 1]] are the sorted classes of the
-        destinations of any one member of class c, with multiplicity. Every
-        member's are the same, so a state's walk counts are its class's.
+        (class_of, dst, row_start): class_of is a list, state i's class its
+        entry i, and dst[row_start[c]:row_start[c + 1]] are the sorted classes
+        of the destinations of any one member of class c, with multiplicity.
+        Every member's are the same, so a state's walk counts are its class's.
+        A class without transitions gets the row [k], k the class count: a
+        slot that names no class, kept at 0 by the walk counter. It reads the
+        rows, none empty, with one np.add.reduceat over dst;
+        scripts/explore_pendulum.py reads only the count, len(row_start) - 1.
         Colour refinement finds the classes: states are first told apart by
         out-degree, then each round by their class and their destinations'
         sorted classes, until a round splits nothing. A table that has not
@@ -219,32 +222,13 @@ class TransitionTable:
                 colour = list(range(len(dests)))
             # ids run in order of each class's first member; one member per class
             member = {c: i for i, c in enumerate(colour)}
-            rows = [sorted(map(colour.__getitem__, dests[i])) for i in member.values()]
+            rows = [sorted(map(colour.__getitem__, dests[i])) or [len(member)]
+                    for i in member.values()]
             self._quotient = (
-                np.array(colour, dtype=np.int64),
+                colour,
                 np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64),
                 np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64))
         return self._quotient
-
-    def count_index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """`quotient()` as the walk counter reads it, built on first use.
-
-        (class_of, dst, starts): class_of is `quotient()`'s as a list, and
-        class c's row is dst[starts[c]:starts[c + 1]], the last running to the
-        end. A class without transitions gets the row [k], k the class count:
-        a slot past the classes that the counter keeps at 0. So no row is
-        empty, and one np.add.reduceat over dst sums every row.
-        """
-        if self._count_index is None:
-            import numpy as np
-
-            class_of, dst, row_start = self.quotient()
-            sinks = np.flatnonzero(np.diff(row_start) == 0)
-            k = len(row_start) - 1
-            # a row moves on by one slot per padded row before it
-            self._count_index = (class_of.tolist(), np.insert(dst, row_start[sinks], k),
-                                 row_start[:-1] + np.searchsorted(sinks, np.arange(k)))
-        return self._count_index
 
     def restrict_to_first(self, k: int) -> "TransitionTable":
         """Subtable over the first k >= 0 states; only edges staying inside survive."""

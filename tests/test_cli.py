@@ -888,7 +888,7 @@ class TestImports:
                                          "dtraj.trajectories", "dtraj.transitions"}
 
     def test_array_routes_load_numpy_and_their_layer_only(self, table_file):
-        # the walk counter's quotient is numpy arrays
+        # the walk counter's quotient rows are numpy arrays
         loaded = cli_modules("enumerate", "--transitions", str(table_file), "--steps", "3",
                              "--count-only")
         assert "numpy" in loaded

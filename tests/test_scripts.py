@@ -172,6 +172,29 @@ def test_bench_pairs_flags_each_metric_worse_past_its_bound():
     assert past_bounds({"ops_s": 10.0}, {"ops_s": 9.5}, rate) == []
 
 
+def test_bench_pairs_calls_a_metric_spread_past_its_bound_unresolved():
+    unresolved = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))["unresolved"]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    # setup_s: BASE's exclusive quartiles 0.08 and 0.13 are 0.05 apart, past
+    # its 25% bound of the 0.1 median; op_p50_ms's 2 apart sit within 20% of 100
+    base = {"setup_s": [0.08, 0.08, 0.1, 0.13, 0.13],
+            "op_p50_ms": [99.0, 99.0, 100.0, 101.0, 101.0]}
+    head = {"setup_s": [0.1] * 5, "op_p50_ms": [100.0] * 5}
+    got = unresolved(base, head, end_to_end)
+    assert [name for name, *_ in got] == ["setup_s"]
+    assert [(round(iqr, 6), round(allowed, 6)) for _, iqr, allowed in got] == [(0.05, 0.025)]
+    # unless every HEAD run is better than every BASE run
+    assert unresolved(base, dict(head, setup_s=[0.07] * 5), end_to_end) == []
+    # a higher-is-better metric is clear when every HEAD run is higher; one
+    # the runs lack is skipped
+    rate = [{"name": "ops_s", "better": "higher", "bound": 0.1},
+            {"name": "absent", "better": "lower", "bound": 0.1}]
+    spread = {"ops_s": [8.0, 8.0, 10.0, 12.0, 12.0]}
+    assert [name for name, *_ in unresolved(spread, {"ops_s": [10.0] * 5}, rate)] == ["ops_s"]
+    assert unresolved(spread, {"ops_s": [13.0] * 5}, rate) == []
+
+
 def test_bench_pairs_verdict_shows_a_clear_gain():
     # ten alternated walks pairs, op_p50_ms: lower in 10/10, apart by 0.337
     base = [1.648, 1.787, 1.713, 1.637, 1.663, 1.583, 1.684, 1.766, 1.748, 1.780]

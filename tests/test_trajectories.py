@@ -123,9 +123,19 @@ class TestCountingMatchesReference:
 
 
 def quotient_rows(table: TransitionTable) -> tuple[list[int], list[list[int]]]:
-    """Each state's class, and each class's row, as lists."""
+    """Each state's class, and each class's row with its padding stripped, as lists.
+
+    A row is [k], k the class count, exactly when its class has no
+    transitions, and k appears in no other row.
+    """
     class_of, dst, row_start = table.quotient()
-    return class_of.tolist(), [dst[a:b].tolist() for a, b in zip(row_start, row_start[1:])]
+    assert type(class_of) is list
+    rows = [dst[a:b].tolist() for a, b in zip(row_start, row_start[1:])]
+    k, dests = len(rows), table.destinations()
+    sinks = {c for c, d in zip(class_of, dests) if not d}
+    assert [c for c, row in enumerate(rows) if k in row] == sorted(sinks)
+    assert all(rows[c] == [k] for c in sinks)
+    return class_of, [[] if c in sinks else row for c, row in enumerate(rows)]
 
 
 def assert_equitable(table: TransitionTable) -> int:
@@ -157,22 +167,6 @@ def one_class_per_state(table: TransitionTable) -> TransitionTable:
     return finest
 
 
-def index_rows(table: TransitionTable) -> tuple[list[int], list[list[int]]]:
-    """count_index()'s class of each state, and each class's row, as lists."""
-    class_of, dst, starts = table.count_index()
-    ends = [*starts[1:].tolist(), len(dst)]
-    return class_of, [dst[a:b].tolist() for a, b in zip(starts.tolist(), ends)]
-
-
-def assert_index(table: TransitionTable) -> list[list[int]]:
-    """count_index() is quotient() with each empty row made [k]; returns its rows."""
-    class_of, rows = quotient_rows(table)
-    got_class_of, got_rows = index_rows(table)
-    assert type(got_class_of) is list and got_class_of == class_of
-    assert got_rows == [row or [len(rows)] for row in rows]
-    return got_rows
-
-
 def bench_robot(n_joints: int):
     """The benchmark's two-joint robot, or that robot with a third joint like the others."""
     cfg = copy.deepcopy(TWO_JOINT)
@@ -198,7 +192,6 @@ class TestQuotient:
             max_size=30)) if n_states else []
         table = mk_table(n_states, edges)
         assert_equitable(table)
-        assert_index(table)
         n = data.draw(st.integers(0, 40))
         got = count_trajectories(table, n)
         assert got == reference_counts(table, n)
@@ -236,8 +229,8 @@ class TestQuotient:
         assert assert_equitable(chain) == n
 
 
-class TestCountIndex:
-    """The counter's padded rows: a class without transitions sums the slot past the classes."""
+class TestPaddedRows:
+    """The quotient's padded rows: a class without transitions sums the slot past the classes."""
 
     @pytest.mark.parametrize("edges", [
         [(0, 1), (1, 2)],                    # a chain into the last state
@@ -247,26 +240,27 @@ class TestCountIndex:
     def test_the_last_class_is_a_sink(self, edges):
         # the padding slot k is then the last entry of dst
         table = mk_table(3, edges)
-        rows = assert_index(table)
-        assert rows[-1] == [len(rows)]
+        _, rows = quotient_rows(table)
+        assert rows[-1] == [] and table.quotient()[1][-1] == len(rows)
         for n in range(1, 6):
             assert count_trajectories(table, n) == reference_counts(table, n)
 
     def test_every_state_a_sink(self):
         table = mk_table(3, [])
-        assert assert_index(table) == [[1]]
+        assert quotient_rows(table) == ([0, 0, 0], [[]])
+        assert table.quotient()[1].tolist() == [1]
         for n in (1, 2, 70):
             assert count_trajectories(table, n) == dict.fromkeys(table.states, 0)
 
     def test_no_states(self):
         table = mk_table(0, [])
-        assert index_rows(table) == ([], [])
+        assert quotient_rows(table) == ([], [])
         for n in (1, 5):
             assert count_trajectories(table, n) == {}
 
     def test_mixed_hop_order_on_one_table(self, pendulum_table):
         # past the int64 switch (hop 19 on the demo) and back: a count leaves
-        # nothing in the index that the next one reads
+        # nothing in the quotient that the next one reads
         table = fresh(pendulum_table)
         for n in (20, 3, 0, 40, 19, 1, 18, 15, 40):
             assert count_trajectories(table, n) == count_trajectories(fresh(table), n)

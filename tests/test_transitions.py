@@ -631,10 +631,11 @@ class TestTableApi:
         assert idx is table.quotient()
         class_of, dst, row_start = idx
         # out-degrees 2, 3 and 0 tell every state apart; a row is its sorted
-        # destination classes, multiplicity kept, and state 2 has none
-        assert class_of.tolist() == [0, 1, 2]
-        assert dst.tolist() == [0, 2, 0, 0, 1]
-        assert row_start.tolist() == [0, 2, 5, 5]
+        # destination classes, multiplicity kept, and state 2 has none, so its
+        # row is the padding [3], the class count
+        assert class_of == [0, 1, 2]
+        assert dst.tolist() == [0, 2, 0, 0, 1, 3]
+        assert row_start.tolist() == [0, 2, 5, 6]
         assert max(np.diff(row_start)) == 3
 
     def test_quotient_merges_states_whose_rows_lead_to_the_same_classes(self):
@@ -644,9 +645,10 @@ class TestTableApi:
         table = TransitionTable("sha256:x", tuple(s), tuple(
             Transition(s[a], ((0,),), 0.04, s[b]) for a, b in edges))
         class_of, dst, row_start = table.quotient()
-        assert class_of.tolist() == [0, 0, 1, 2]
+        assert class_of == [0, 0, 1, 2]
+        # the sink's class gets the padding row [3], the class count
         assert [dst[a:b].tolist() for a, b in zip(row_start, row_start[1:])] == [
-            [0, 1], [], [0, 0]]
+            [0, 1], [3], [0, 0]]
 
     def test_constructor_takes_only_the_three_fields(self):
         # an index passed in would be trusted by the walk counter: a one-edge
@@ -655,7 +657,7 @@ class TestTableApi:
         one_edge = (Transition(s, ((0,),), 0.04, s),)
         with pytest.raises(TypeError):
             TransitionTable("h", (s,), one_edge, _quotient=(
-                np.zeros(1, dtype=np.int64), np.zeros(3, dtype=np.int64), np.array([0, 3])))
+                [0], np.zeros(3, dtype=np.int64), np.array([0, 3])))
         with pytest.raises(TypeError):
             TransitionTable("h", (s,), one_edge, _index={s: 0})
 
