@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import settings, strategies as st
 
-from dtraj.model import JointSpec, RobotSpec
+from dtraj.model import JointSpec, RobotSpec, robot_from_dict
 
 # the same examples on every run, and no database replaying an earlier run's
 # failures, so two runs of one tree agree; each test keeps its max_examples
@@ -51,6 +51,14 @@ TWO_JOINT = {
         for i in (1, 2)
     ],
 }
+
+
+def bench_robot(n_joints: int) -> RobotSpec:
+    """The benchmark's two-joint robot, or that robot with a third joint like the others."""
+    cfg = copy.deepcopy(TWO_JOINT)
+    cfg["joints"] = [dict(cfg["joints"][0], name=f"j{i}") for i in range(1, n_joints + 1)]
+    return robot_from_dict(cfg)
+
 
 # field values at the edges of every rule; DELETE removes the field
 DELETE = object()

@@ -1,4 +1,3 @@
-import copy
 import io
 import json
 import math
@@ -17,7 +16,7 @@ from dtraj.errors import (
 )
 import dtraj.transitions as trn
 from dtraj.discovery import find_transitions
-from dtraj.model import DEFAULT_ENUM_BUDGET, QuantizedState, format_count, robot_from_dict
+from dtraj.model import DEFAULT_ENUM_BUDGET, QuantizedState, format_count
 from dtraj.trajectories import (
     DesiredTrajectory,
     PlanResult,
@@ -30,7 +29,7 @@ from dtraj.trajectories import (
     write_plan_json,
 )
 from dtraj.transitions import Transition, TransitionTable, read_jsonl
-from conftest import DEG, THREE_STATE_TABLE, TWO_JOINT, table_text
+from conftest import DEG, THREE_STATE_TABLE, bench_robot, table_text
 
 
 def mk_state(p: int, v: int = 0) -> QuantizedState:
@@ -165,13 +164,6 @@ def one_class_per_state(table: TransitionTable) -> TransitionTable:
     finally:
         trn._REFINE_ROUNDS = rounds
     return finest
-
-
-def bench_robot(n_joints: int):
-    """The benchmark's two-joint robot, or that robot with a third joint like the others."""
-    cfg = copy.deepcopy(TWO_JOINT)
-    cfg["joints"] = [dict(cfg["joints"][0], name=f"j{i}") for i in range(1, n_joints + 1)]
-    return robot_from_dict(cfg)
 
 
 @pytest.fixture(scope="module")

@@ -53,8 +53,8 @@ from dtraj.transitions import (
     state_label,
     write_jsonl,
 )
-from conftest import (DEG, THREE_STATE_TABLE, TWO_JOINT, TWO_JOINT_TABLE, demo_joint,
-                      one_field_mutation, table_text)
+from conftest import (DEG, THREE_STATE_TABLE, TWO_JOINT, TWO_JOINT_TABLE, bench_robot,
+                      demo_joint, one_field_mutation, table_text)
 
 
 ZERO = QuantizedState((0,), (0,))
@@ -369,10 +369,11 @@ def jsonl_line(frm=("0", "0"), seq="[[2]]", dur="0.04", to=("1", "0")) -> str:
 
 
 def bench_table(pendulum, pendulum_table, robot: str, dedup: str) -> TransitionTable:
-    """The demo, two-joint or 32 ms demo table, in dedup mode `dedup`."""
+    """The demo, two-joint, three-joint or 32 ms demo table, in dedup mode `dedup`."""
     if (robot, dedup) == ("demo", "all"):
         return pendulum_table
     return find_transitions({"demo": pendulum, "two-joint": robot_from_dict(TWO_JOINT),
+                             "three-joint": bench_robot(3),
                              "demo-32ms": pendulum._replace(delta_t=0.032)}[robot],
                             dedup=dedup)
 
@@ -960,7 +961,8 @@ class TestAgainstOracle:
     # alone, but one made to both integrators alike (SUBSTEPS, say) moves both
     # sides, and only a literal sees it. The 32 ms demo's ticks reach 5,090
     # rows and it replays 2,885 static-hold candidates; the 40 ms demo's never
-    # pass 385 rows and it has 5.
+    # pass 385 rows and it has 5. The three-joint robot's 3,375 states have
+    # 27 children a parent, the widest fan-out pinned here.
     PINNED = {
         ("demo", "all"): ("f471d6395df122cf37f2a6c994736dee69577c4cc0bc905f44f57c3ffe1ecd17",
                           "ecc9f352757d95e0ce348728f89309b8375bd80f0108d4edc08cf60afd7d3e2d"),
@@ -977,6 +979,12 @@ class TestAgainstOracle:
         ("demo-32ms", "shortest"): (
             "06e3e32500632a6bc4fc35b41ab8f9790ae82cbcbdca9fc32b5dfc84abfa8c42",
             "cb671c1b5447f1fed55b4835e8d2bf8a006c7047d8e7e86c32b8f77a4a551ad3"),
+        ("three-joint", "all"): (
+            "9a4733d65731adc1a68f2b5c2b5646d87d3872435aea01e0f3a3ad2c7637281a",
+            "6e65bce06b9ad43bd4d9ff49271aed9d1d30202c562893e6d3061f4fbbf4a825"),
+        ("three-joint", "shortest"): (
+            "b9266a1222f49655afae3f884d63c86b253d7cd525e2774528c57982c2d164b2",
+            "a51315bb6dd9d4c4ef96b98acc919b8d2e8a0cbc822d7790f2d3ff300350017c"),
     }
 
     @pytest.mark.parametrize(("robot", "dedup"), sorted(PINNED))
@@ -988,7 +996,8 @@ class TestAgainstOracle:
     # one label per distinct (sequence, duration): the trees share one trie,
     # so a sequence that settles in several trees is one label, which the
     # bytes above would not show
-    @pytest.mark.parametrize(("robot", "count"), [("demo", 416), ("two-joint", 204)])
+    @pytest.mark.parametrize(("robot", "count"),
+                             [("demo", 416), ("two-joint", 204), ("three-joint", 654)])
     def test_each_label_is_held_once(self, pendulum, pendulum_table, robot, count):
         labels = bench_table(pendulum, pendulum_table, robot, "all").labels
         assert len(labels) == len(set(labels)) == count
@@ -1219,6 +1228,15 @@ class TestRepeatedTick:
         assert str(err.value) == (f"simulated sequences would exceed budget {budget} "
                                   f"({done} sequences simulated, 225 states found so far)")
         assert sum(frontier_rows) == 3420
+
+    # the kernel calls and rows of each bench search, so that the child
+    # bookkeeping can neither integrate a row twice nor skip one
+    @pytest.mark.parametrize(("robot", "calls", "rows"),
+                             [("demo", 47, 8075), ("two-joint", 12, 3420)])
+    def test_each_bench_search_integrates_each_row_once(self, pendulum, frontier_rows,
+                                                        robot, calls, rows):
+        find_transitions(pendulum if robot == "demo" else robot_from_dict(TWO_JOINT))
+        assert (len(frontier_rows), sum(frontier_rows)) == (calls, rows)
 
 
 class TestFixedPointHold:
