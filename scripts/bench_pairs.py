@@ -14,7 +14,9 @@ BENCHMARK.json; BASE goes first in even pairs and HEAD in odd ones, as a
 workload can read slower on whichever side runs first.
 
 It prints each pair's `op_p50_ms` (the claimed metric; every end-to-end
-metric is better lower), then each metric's medians, each end-to-end
+metric is better lower), then each metric's medians, each side's `src/`
+line count (the lines of `src/dtraj/*.py`, summed as `bench/run.py`
+records them under `--trace 1`, which untraced runs do not), each end-to-end
 metric whose HEAD median is worse than BASE's by more than its `bound` in
 BASE's BENCHMARK.json (a fraction of BASE's median), each other one left
 unresolved (BASE's interquartile range is wider than its bound times BASE's
@@ -121,6 +123,17 @@ def checkout(source: str, dest: str) -> None:
         raise SystemExit(f"error: could not check out {source!r}")
 
 
+def src_lines(tree: str) -> int:
+    """The lines of the `src/dtraj/*.py` files in `tree`, summed."""
+    pkg = os.path.join(tree, "src", "dtraj")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                total += sum(1 for _ in fh)
+    return total
+
+
 def declaration(tree: str) -> dict:
     """The benchmark that `tree`'s BENCHMARK.json declares."""
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
@@ -165,6 +178,7 @@ def main(argv=None) -> int:
                   f"{METRIC} base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})", flush=True)
 
         end_to_end = declaration(trees["base"])["end_to_end"]
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
 
     values = {side: {name: [r[name] for r in runs[side]] for name in runs["base"][0]}
               for side in ("base", "head")}
@@ -173,6 +187,8 @@ def main(argv=None) -> int:
     for name, b in medians["base"].items():
         h = medians["head"][name]
         print(f"median {name}: base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})")
+    print(f"src/ lines: base {lines['base']} head {lines['head']} "
+          f"({lines['head'] - lines['base']:+d})")
     worse = past_bounds(medians["base"], medians["head"], end_to_end)
     for name, change, bound in worse:
         print(f"worse past its bound: {name} {change:+.1%} (bound {bound:.0%})")

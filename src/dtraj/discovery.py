@@ -101,21 +101,23 @@ def _tick(cols: _Columns, starts: np.ndarray, torque: np.ndarray,
     Row k starts at starts[k] (joint positions, then velocities) and is held
     at torque[k] for one tick by `dynamics.integrate_frontier`; home[k] is
     the index row of the state whose tree it grows. A non-finite end raises
-    NumericalOverflow. Its cell is its end's index row as floats,
-    `quantize`'s elementwise and meaningless off the grid: trunc(x +
-    copysign(0.5, x)) of each quotient x has `_round_half_away`'s value, a
-    -0.0 standing for its 0. The masks sort the rows: moved to another
-    state, or staying at home; a row in neither ends off the grid or past a
-    limit. The search splits the staying rows by depth: static at `nal`,
-    growing short of it.
+    NumericalOverflow: one check covers the whole array, and only a failed
+    one reduces the columns, to name the joint. A row's cell is its end's
+    index row as floats, `quantize`'s elementwise and meaningless off the
+    grid: trunc(x + copysign(0.5, x)) of each quotient x has
+    `_round_half_away`'s value, a -0.0 standing for its 0. The masks sort
+    the rows: moved to another state, or staying at home; a row in neither
+    ends off the grid or past a limit. The search splits the staying rows
+    by depth: static at `nal`, growing short of it.
     """
     import numpy as np
 
     n = cols.robot.n_joints
     with np.errstate(all="ignore"):
-        ends = np.hstack(dynamics.integrate_frontier(starts[:, :n], starts[:, n:], torque,
-                                                     cols.params, cols.robot.delta_t))
-    if not (finite := np.isfinite(ends).all(axis=0)).all():
+        ends = np.concatenate(dynamics.integrate_frontier(
+            starts[:, :n], starts[:, n:], torque, cols.params, cols.robot.delta_t), axis=1)
+    if not np.isfinite(ends).all():
+        finite = np.isfinite(ends).all(axis=0)
         j = cols.robot.joints[int(np.argmin(finite[:n] & finite[n:]))]
         raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
     x = ends / cols.steps
@@ -157,10 +159,15 @@ def find_transitions(
     row times the grid steps, appended to the rows of the states found
     before it. A pending sequence is a node of one prefix trie shared by
     every tree: its parent node and its last action, two integers however
-    many rows hold it. The rows a tick settles are kept as its (tree, key,
-    destination id) columns, a key being the parent node and last action
-    of the row's sequence, and a sequence becomes a tuple only where a
-    static candidate is replayed or a label of the table needs it. The
+    many rows hold it. A tick's keys are its parents' nodes times the
+    action count plus each action, one broadcast add. The rows a tick
+    settles are kept as its (tree, key, destination id) columns, a key
+    being the parent node and last action of the row's sequence, and a
+    sequence becomes a tuple only where a static candidate is replayed or
+    a label of the table needs it. A moved row's destination is its
+    cell's index row, read as int tuples off the cell columns and looked
+    up in one dict; a state is held as that row, which also starts its
+    tree, and becomes a `QuantizedState` when the table is built. The
     table is then put in the order a state-by-state search would give:
     states in order of first discovery when each state's tree is searched
     in turn, each state's transitions by sequence length, then
@@ -196,8 +203,8 @@ def find_transitions(
     # `representative`'s, as every index is below 2^53 in size
     cols = _Columns.of(robot)
 
-    # states by id in the order the frontier first reached them
-    states: list[QuantizedState] = []
+    # states by id, as their index rows, in the order the frontier first reached them
+    states: list[tuple[int, ...]] = []
     simulated = kept_actions = 0
 
     def progress() -> str:
@@ -206,7 +213,7 @@ def find_transitions(
     def add_state(row: tuple) -> int:
         if len(states) + 1 > max_states:
             raise BudgetExceeded(f"discovered states exceeded budget {max_states} ({progress()})")
-        states.append(QuantizedState(row[:n], row[n:]))
+        states.append(row)
         return len(states) - 1
 
     state_ids = _Rendered(add_state)    # by index row
@@ -244,6 +251,7 @@ def find_transitions(
     # on a tick join the next tick's parents with the empty sequence at their
     # cell centres, after the growing sequences. One row per parent and action.
     # The rows a tick settles are kept as its (tree, key, destination) columns.
+    act = np.arange(n_act)
     p_tree = p_node = p_depth = np.empty(0, dtype=np.int64)
     p_ends = np.empty((0, 2 * n))      # end states: joint positions, then velocities
     home = np.empty((0, 2 * n))        # index rows of the states by id
@@ -253,7 +261,7 @@ def find_transitions(
     last_parents, last_tick = None, None
     while True:
         if len(states) > len(home):
-            new = np.array([s.pos_idx + s.vel_idx for s in states[len(home):]], dtype=np.float64)
+            new = np.array(states[len(home):], dtype=np.float64)
             fresh = np.zeros(len(new), dtype=np.int64)
             p_tree = np.concatenate([p_tree, np.arange(len(home), len(states))])
             p_node, p_depth = np.concatenate([p_node, fresh]), np.concatenate([p_depth, fresh])
@@ -267,7 +275,7 @@ def find_transitions(
                                  f"({progress()})")
         simulated += rows
         tree = np.repeat(p_tree, n_act)
-        key = np.repeat(p_node * n_act, n_act) + np.tile(np.arange(n_act), len(p_tree))
+        key = ((p_node * n_act)[:, None] + act).ravel()
         depth = np.repeat(p_depth + 1, n_act)
         # parents bitwise the last tick's have its starts, torques and homes,
         # so the tick would repeat it: its outcome is taken as it stands
@@ -279,7 +287,7 @@ def find_transitions(
         ends, cells, moved, stay = last_tick
         short = depth < nal
         static, grow = stay & ~short, stay & short
-        settled = np.flatnonzero(moved | static)
+        settled = (moved | static).nonzero()[0]
 
         # a moved row ends in its cell's state; a static candidate stays
         # where it is if it holds, and is dropped if it does not. A search
@@ -290,17 +298,18 @@ def find_transitions(
         arrivals = cells[settled[is_move]].astype(np.int64)
         busted, stop = None, len(settled)
         try:
-            to[is_move] = list(map(state_ids.__getitem__, map(tuple, arrivals.tolist())))
+            to[is_move] = list(map(state_ids.__getitem__, zip(*arrivals.T.tolist())))
         except BudgetExceeded as e:
             busted = e
-            stop = np.flatnonzero(is_move)[
-                [tuple(r) in state_ids for r in arrivals.tolist()].index(False)]
+            stop = is_move.nonzero()[0][
+                [r in state_ids for r in zip(*arrivals.T.tolist())].index(False)]
         held = is_move.copy()
-        replays = np.flatnonzero(~is_move[:stop])
+        replays = (~is_move[:stop]).nonzero()[0]
         for k, seq in zip(replays.tolist(), sequences(key[settled[replays]].tolist())):
             p = settled[k]
             cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
-            held[k] = _static_hold(states[frm[k]], seq, cont, robot)
+            row = states[frm[k]]
+            held[k] = _static_hold(QuantizedState(row[:n], row[n:]), seq, cont, robot)
         if busted:
             raise busted
         recorded = settled[held]
@@ -319,9 +328,9 @@ def find_transitions(
                                  f"({kept_actions} actions kept, {progress()})")
         settled_cols.append((frm, row_key, to))
 
-        kept = np.flatnonzero(grow)
+        kept = grow.nonzero()[0]
         p_tree, p_depth, p_ends = tree[kept], depth[kept], ends[kept]
-        p_node = np.array(list(map(nodes.__getitem__, key[kept].tolist())), dtype=np.int64)
+        p_node = np.fromiter(map(nodes.__getitem__, key[kept].tolist()), np.int64, len(kept))
 
     frm, key, to = (np.concatenate(c) for c in zip(*settled_cols))
     order = _search_order(frm, to, len(states))
@@ -336,8 +345,8 @@ def find_transitions(
                for c in (rank[frm[by_rank]], label, rank[to[by_rank]])]
     del settled_cols, nodes, frm, key, to, by_rank, label
     labels = tuple((seq, len(seq) * robot.delta_t) for seq in sequences(used.tolist()))
-    return TransitionTable._from_ids(robot.content_hash(), tuple(states[k] for k in order),
-                                     labels, *columns)
+    found = tuple(QuantizedState(states[k][:n], states[k][n:]) for k in order)
+    return TransitionTable._from_ids(robot.content_hash(), found, labels, *columns)
 
 
 def _search_order(frm: np.ndarray, to: np.ndarray, n_states: int) -> list[int]:

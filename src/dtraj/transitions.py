@@ -318,8 +318,9 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     is kept and every other table's bytes stay as they were.
 
     A line holds the bytes json.dumps gives the transition's dict, but only
-    the header and each label's duration go through json.dumps. Each state's
-    text and each distinct action's is joined from `str` of its integers, and
+    the header goes through json.dumps. A label's duration is its `repr`,
+    which is json's text for an int or a finite float. Each state's text
+    and each distinct action's is joined from `str` of its integers, and
     each label's torque sequence from its actions' texts, once per call; a
     line joins the texts of its ids. The lines are streamed to `fh`, not joined.
     """
@@ -336,7 +337,7 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
               f'"vel": [{", ".join(map(str, s.vel_idx))}]}}' for s in table.states]
     actions = _Rendered(lambda a: f'[{", ".join(map(str, a))}]')
     labels = [f'"torque_idx_seq": [{", ".join(map(actions.__getitem__, seq))}], '
-              f'"duration_s": {json.dumps(d)}' for seq, d in table.labels]
+              f'"duration_s": {d!r}' for seq, d in table.labels]
     fh.writelines(f'{{"from": {states[a]}, {labels[k]}, "to": {states[b]}}}\n'
                   for a, k, b in zip(table._src, table._label, table._dst))
 
@@ -474,25 +475,30 @@ def state_label(s: QuantizedState) -> str:
 
 def _rle_actions(seq: ActionSequence, names: dict) -> str:
     # run-length text from the actions' a/b names: (2,) held 25 ticks -> "2*25"
-    parts = []
-    for a, run in itertools.groupby(seq):
-        k = len(list(run))
-        parts.append(names[a] if k == 1 else f"{names[a]}*{k}")
+    parts, run, k = [], seq[0], 0
+    for a in seq:
+        if a != run:
+            parts.append(names[run] if k == 1 else f"{names[run]}*{k}")
+            run, k = a, 0
+        k += 1
+    parts.append(names[run] if k == 1 else f"{names[run]}*{k}")
     return " ".join(parts)
 
 
 def export_dot(table: TransitionTable) -> str:
     """The table as a DOT digraph: node n<i> is table.states[i], one edge per transition.
 
-    An edge's label is its torque sequence's run-length text. Each distinct
-    action's a/b name, each label's text and each node's name are joined
-    once per call.
+    An edge's label is its torque sequence's run-length text, found in one
+    pass over the sequence. Each distinct action's a/b name, each label's
+    text and each node's name and label are joined once per call; an edge
+    line joins the texts of its ids.
     """
     names = _Rendered(lambda a: "/".join(map(str, a)))
     labels = [_rle_actions(seq, names) for seq, _ in table.labels]
     nodes = [f"n{i}" for i in range(len(table.states))]
     lines = ["digraph transitions {"]
-    lines += [f'  {n} [label="{state_label(s)}"];' for n, s in zip(nodes, table.states)]
+    lines += [f'  {n} [label="{" ".join(map(str, p))},{" ".join(map(str, v))}"];'
+              for n, (p, v) in zip(nodes, table.states)]
     lines += [f'  {nodes[a]} -> {nodes[b]} [label="{labels[k]}"];'
               for a, k, b in zip(table._src, table._label, table._dst)]
     lines.append("}\n")  # ends the text with a newline without copying it

@@ -195,6 +195,21 @@ def test_bench_pairs_calls_a_metric_spread_past_its_bound_unresolved():
     assert unresolved(spread, {"ops_s": [13.0] * 5}, rate) == []
 
 
+def test_bench_pairs_counts_the_package_lines(tmp_path):
+    src_lines = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))["src_lines"]
+    pkg = tmp_path / "src" / "dtraj"
+    pkg.mkdir(parents=True)
+    # a last line without a newline counts, as does an empty one; files
+    # that are not Python, and Python outside the package, do not
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\n\ny = 2")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("1\n2\n")
+    (pkg / "__pycache__").mkdir()
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert src_lines(str(tmp_path)) == 4
+
+
 def test_bench_pairs_verdict_shows_a_clear_gain():
     # ten alternated walks pairs, op_p50_ms: lower in 10/10, apart by 0.337
     base = [1.648, 1.787, 1.713, 1.637, 1.663, 1.583, 1.684, 1.766, 1.748, 1.780]
