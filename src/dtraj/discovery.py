@@ -159,19 +159,16 @@ def find_transitions(
     row times the grid steps, appended to the rows of the states found
     before it. A pending sequence is a node of one prefix trie shared by
     every tree: its parent node and its last action, two integers however
-    many rows hold it. A tick's keys are its parents' nodes times the
-    action count plus each action, one broadcast add. The rows a tick
-    settles are kept as its (tree, key, destination id) columns, a key
-    being the parent node and last action of the row's sequence, and a
-    sequence becomes a tuple only where a static candidate is replayed or
-    a label of the table needs it. A moved row's destination is its
-    cell's index row, read as int tuples off the cell columns and looked
-    up in one dict; a state is held as that row, which also starts its
-    tree, and becomes a `QuantizedState` when the table is built. The
-    table is then put in the order a state-by-state search would give:
-    states in order of first discovery when each state's tree is searched
-    in turn, each state's transitions by sequence length, then
-    breadth-first position.
+    many rows hold it. The rows a tick settles are kept as its (tree, key,
+    destination id) columns, a key being the parent node and last action
+    of the row's sequence, and a sequence becomes a tuple only where a
+    static candidate is replayed or a label of the table needs it. A moved
+    row's destination id is found by its cell's index row, read as int
+    tuples off the cell columns; a state is held as that row until the
+    table is built. The table is then put in the order a state-by-state
+    search would give: states in order of first discovery when each
+    state's tree is searched in turn, each state's transitions by sequence
+    length, then breadth-first position.
 
     dedup: "all" records every sequence per (from, to) outcome; "shortest"
     keeps only the first (breadth-first order makes it a shortest one),

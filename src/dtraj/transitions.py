@@ -319,10 +319,11 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
 
     A line holds the bytes json.dumps gives the transition's dict, but only
     the header goes through json.dumps. A label's duration is its `repr`,
-    which is json's text for an int or a finite float. Each state's text
-    and each distinct action's is joined from `str` of its integers, and
-    each label's torque sequence from its actions' texts, once per call; a
-    line joins the texts of its ids. The lines are streamed to `fh`, not joined.
+    which is json's text for an int or a finite float. Each distinct index
+    tuple (a state's positions or velocities, or an action) is joined from
+    `str` of its integers, and each state's text and each label's torque
+    sequence from those texts, once per call; a line joins the texts of its
+    ids. The lines are streamed to `fh`, not joined.
     """
     header = {
         "format": JSONL_FORMAT,
@@ -333,10 +334,9 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
     if len(set(table._src).union(table._dst)) < len(table.states):
         header["states"] = [_state_to_json(s) for s in table.states]
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    states = [f'{{"pos": [{", ".join(map(str, s.pos_idx))}], '
-              f'"vel": [{", ".join(map(str, s.vel_idx))}]}}' for s in table.states]
-    actions = _Rendered(lambda a: f'[{", ".join(map(str, a))}]')
-    labels = [f'"torque_idx_seq": [{", ".join(map(actions.__getitem__, seq))}], '
+    lists = _Rendered(lambda t: f'[{", ".join(map(str, t))}]')    # by index tuple
+    states = [f'{{"pos": {lists[p]}, "vel": {lists[v]}}}' for p, v in table.states]
+    labels = [f'"torque_idx_seq": [{", ".join(map(lists.__getitem__, seq))}], '
               f'"duration_s": {d!r}' for seq, d in table.labels]
     fh.writelines(f'{{"from": {states[a]}, {labels[k]}, "to": {states[b]}}}\n'
                   for a, k, b in zip(table._src, table._label, table._dst))
@@ -489,15 +489,17 @@ def export_dot(table: TransitionTable) -> str:
     """The table as a DOT digraph: node n<i> is table.states[i], one edge per transition.
 
     An edge's label is its torque sequence's run-length text, found in one
-    pass over the sequence. Each distinct action's a/b name, each label's
-    text and each node's name and label are joined once per call; an edge
-    line joins the texts of its ids.
+    pass over the sequence. Each distinct action's a/b name and each
+    distinct index tuple's text, each label's text and each node's name
+    and label are joined once per call; an edge line joins the texts of
+    its ids.
     """
     names = _Rendered(lambda a: "/".join(map(str, a)))
+    spaced = _Rendered(lambda t: " ".join(map(str, t)))    # by index tuple
     labels = [_rle_actions(seq, names) for seq, _ in table.labels]
     nodes = [f"n{i}" for i in range(len(table.states))]
     lines = ["digraph transitions {"]
-    lines += [f'  {n} [label="{" ".join(map(str, p))},{" ".join(map(str, v))}"];'
+    lines += [f'  {n} [label="{spaced[p]},{spaced[v]}"];'
               for n, (p, v) in zip(nodes, table.states)]
     lines += [f'  {nodes[a]} -> {nodes[b]} [label="{labels[k]}"];'
               for a, k, b in zip(table._src, table._label, table._dst)]
