@@ -16,7 +16,8 @@ workload can read slower on whichever side runs first.
 It prints each pair's `op_p50_ms` (the claimed metric; every end-to-end
 metric is better lower), then each metric's medians, each side's `src/`
 line count (the lines of `src/dtraj/*.py`, summed as `bench/run.py`
-records them under `--trace 1`, which untraced runs do not), each end-to-end
+records them under `--trace 1`, which untraced runs do not) and both counts
+of each of those files whose count differs between the sides, each end-to-end
 metric whose HEAD median is worse than BASE's by more than its `bound` in
 BASE's BENCHMARK.json (a fraction of BASE's median), each other one left
 unresolved (BASE's interquartile range is wider than its bound times BASE's
@@ -123,15 +124,23 @@ def checkout(source: str, dest: str) -> None:
         raise SystemExit(f"error: could not check out {source!r}")
 
 
-def src_lines(tree: str) -> int:
-    """The lines of the `src/dtraj/*.py` files in `tree`, summed."""
+def src_lines(tree: str) -> dict[str, int]:
+    """The lines of each `src/dtraj/*.py` file in `tree`, by file name."""
     pkg = os.path.join(tree, "src", "dtraj")
-    total = 0
+    lines = {}
     for name in os.listdir(pkg):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                total += sum(1 for _ in fh)
-    return total
+                lines[name] = sum(1 for _ in fh)
+    return lines
+
+
+def changed_modules(base: dict[str, int], head: dict[str, int]) -> list[tuple[str, int, int]]:
+    """(name, BASE's lines, HEAD's lines) of each file whose count differs, by name;
+    a file one side lacks has 0 lines there."""
+    counts = ((name, base.get(name, 0), head.get(name, 0))
+              for name in sorted(base.keys() | head.keys()))
+    return [c for c in counts if c[1] != c[2]]
 
 
 def declaration(tree: str) -> dict:
@@ -187,8 +196,10 @@ def main(argv=None) -> int:
     for name, b in medians["base"].items():
         h = medians["head"][name]
         print(f"median {name}: base {b:.4g} head {h:.4g} ({h / b - 1:+.1%})")
-    print(f"src/ lines: base {lines['base']} head {lines['head']} "
-          f"({lines['head'] - lines['base']:+d})")
+    b, h = (sum(lines[side].values()) for side in ("base", "head"))
+    print(f"src/ lines: base {b} head {h} ({h - b:+d})")
+    for name, b, h in changed_modules(lines["base"], lines["head"]):
+        print(f"  {name}: base {b} head {h} ({h - b:+d})")
     worse = past_bounds(medians["base"], medians["head"], end_to_end)
     for name, change, bound in worse:
         print(f"worse past its bound: {name} {change:+.1%} (bound {bound:.0%})")

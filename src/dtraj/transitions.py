@@ -109,25 +109,20 @@ class TransitionTable:
             pair = (t.actions, _duration_from_json(t.duration, len(t.actions), None))
             label.append(labels.setdefault(pair, len(labels)))
         self._adopt(robot_hash, tuple(states), tuple(labels), src, label, dst)
-        self._index = index
 
     @classmethod
     def _from_ids(cls, robot_hash: str, states: tuple[QuantizedState, ...],
                   labels: tuple[tuple[ActionSequence, float], ...],
                   src: Sequence[int], label: Sequence[int],
                   dst: Sequence[int]) -> "TransitionTable":
-        """A table over id columns, as `__init__` derives them; every id is range-checked."""
+        """A table over id columns, each id built in range by its maker: discovery over its
+        own states and labels, `read_jsonl` after its line checks, `__init__` by its index."""
         table = cls.__new__(cls)
         table._adopt(robot_hash, states, labels, src, label, dst)
         return table
 
     def _adopt(self, robot_hash, states, labels, src, label, dst) -> None:
-        """Take the columns, each id checked against its range, and no view of them yet."""
-        if not len(src) == len(label) == len(dst):
-            raise ValueError("id columns of unequal lengths")
-        for column, bound in ((src, len(states)), (label, len(labels)), (dst, len(states))):
-            if column and not (min(column) >= 0 and max(column) < bound):
-                raise ValueError(f"an id outside 0..{bound - 1}")
+        """Take the columns as their maker built them, and no view of them yet."""
         self.robot_hash, self.states, self.labels = robot_hash, states, labels
         # 8 bytes an id, where a list would hold an int object per entry;
         # discovery hands over such arrays, and they are kept, not copied

@@ -196,7 +196,8 @@ def test_bench_pairs_calls_a_metric_spread_past_its_bound_unresolved():
 
 
 def test_bench_pairs_counts_the_package_lines(tmp_path):
-    src_lines = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))["src_lines"]
+    script = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    src_lines, changed_modules = script["src_lines"], script["changed_modules"]
     pkg = tmp_path / "src" / "dtraj"
     pkg.mkdir(parents=True)
     # a last line without a newline counts, as does an empty one; files
@@ -207,7 +208,15 @@ def test_bench_pairs_counts_the_package_lines(tmp_path):
     (pkg / "notes.txt").write_text("1\n2\n")
     (pkg / "__pycache__").mkdir()
     (tmp_path / "src" / "other.py").write_text("w = 4\n")
-    assert src_lines(str(tmp_path)) == 4
+    base = src_lines(str(tmp_path))
+    assert base == {"__init__.py": 0, "a.py": 3, "b.py": 1}
+    # a file whose count moved, a new one and a gone one are named, in name
+    # order, with both counts; a file whose count stayed is not
+    (pkg / "a.py").write_text("x = 1\n")
+    (pkg / "b.py").unlink()
+    (pkg / "c.py").write_text("w = 5\nv = 6\n")
+    assert changed_modules(base, src_lines(str(tmp_path))) == [
+        ("a.py", 3, 1), ("b.py", 1, 0), ("c.py", 0, 2)]
 
 
 def test_bench_pairs_verdict_shows_a_clear_gain():

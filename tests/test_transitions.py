@@ -329,6 +329,15 @@ def serialised(table: TransitionTable) -> tuple[str, str]:
     return buf.getvalue(), export_dot(table)
 
 
+def assert_id_columns(table: TransitionTable) -> None:
+    """The id columns are of one length, each id names one of the table's states or
+    labels, and every label is used: what each maker builds, as the table takes them."""
+    assert len(table._src) == len(table._label) == len(table._dst)
+    states = set(range(len(table.states)))
+    assert set(table._src) <= states and set(table._dst) <= states
+    assert set(table._label) == set(range(len(table.labels)))
+
+
 def outcome(search, robot, **kw):
     """The table and its JSONL and DOT bytes, or BudgetExceeded if one was raised."""
     try:
@@ -676,13 +685,8 @@ class TestTableApi:
             assert len(walks) == sum(counts[s] for s in table.states[:5])
 
     # discovery and the reader hand a table id columns: (from, label, to)
-    @pytest.mark.parametrize("columns", [([1], [0], [0]), ([0], [1], [0]), ([0], [0], [-1]),
-                                         ([0, 0], [0], [0])],
-                             ids=["from", "label", "to", "lengths"])
-    def test_id_columns_are_range_checked(self, columns):
+    def test_ids_build_the_constructors_table(self):
         s = QuantizedState((0,), (0,))
-        with pytest.raises(ValueError):
-            TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), *columns)
         assert TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0]) == (
             TransitionTable("h", (s,), (Transition(s, ((0,),), 0.04, s),)))
 
@@ -999,8 +1003,9 @@ class TestAgainstOracle:
     @pytest.mark.parametrize(("robot", "count"),
                              [("demo", 416), ("two-joint", 204), ("three-joint", 654)])
     def test_each_label_is_held_once(self, pendulum, pendulum_table, robot, count):
-        labels = bench_table(pendulum, pendulum_table, robot, "all").labels
-        assert len(labels) == len(set(labels)) == count
+        table = bench_table(pendulum, pendulum_table, robot, "all")
+        assert len(table.labels) == len(set(table.labels)) == count
+        assert_id_columns(table)
 
     @settings(max_examples=60, deadline=None)
     @given(small_robots(), st.integers(1, 25), st.sampled_from(["all", "shortest"]))
@@ -1023,6 +1028,7 @@ class TestAgainstOracle:
         if found is not BudgetExceeded:
             table, (text, _) = found
             assert len(table.labels) == len(set(table.labels))
+            assert_id_columns(table)
             assert reads_as_reference(text) == table
 
 
@@ -1031,7 +1037,9 @@ class TestReaderAgainstReference:
     @pytest.mark.parametrize("dedup", ["all", "shortest"])
     def test_bench_tables(self, pendulum, pendulum_table, robot, dedup):
         table = bench_table(pendulum, pendulum_table, robot, dedup)
-        assert reads_as_reference(serialised(table)[0]) == table
+        back = reads_as_reference(serialised(table)[0])
+        assert back == table
+        assert_id_columns(back)
 
     # each table's lines twice, so a mutated line is read both before and
     # after the lines that share its texts
@@ -1517,6 +1525,7 @@ class TestWritersAgainstReference:
     @given(drawn_tables())
     def test_drawn_tables(self, table):
         assert serialised(table) == reference_serialised(table)
+        assert_id_columns(table)
 
     @settings(max_examples=200, deadline=None)
     @given(drawn_tables(ticks=st.sampled_from([0.04, 0.032, 2.5e-05, 1e22, 1, 3])))
@@ -1524,6 +1533,7 @@ class TestWritersAgainstReference:
         text = serialised(table)[0]
         back = read_jsonl(io.StringIO(text))
         assert back == table and back.labels == table.labels
+        assert_id_columns(back)
         assert serialised(back)[0] == text
 
     # the writers read the id columns: no view of the transitions is built
