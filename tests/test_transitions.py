@@ -684,7 +684,17 @@ class TestTableApi:
             counts = count_trajectories(table, 2)
             assert len(walks) == sum(counts[s] for s in table.states[:5])
 
-    # discovery and the reader hand a table id columns: (from, label, to)
+    # discovery and the reader hand a table id columns: (from, label, to); the table
+    # takes them unchecked, so assert_id_columns is what refuses a broken maker's ids
+    @pytest.mark.parametrize("columns", [([1], [0], [0]), ([0], [1], [0]), ([0], [0], [-1]),
+                                         ([0, 0], [0], [0])],
+                             ids=["from", "label", "to", "lengths"])
+    def test_id_columns_are_range_checked(self, columns):
+        s = QuantizedState((0,), (0,))
+        with pytest.raises(AssertionError):
+            assert_id_columns(TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), *columns))
+        assert_id_columns(TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0]))
+
     def test_ids_build_the_constructors_table(self):
         s = QuantizedState((0,), (0,))
         assert TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0]) == (
