@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import dynamics
@@ -37,17 +38,23 @@ STATIC_HOLD_REPS = 5
 # (9.4e6 actions, a 49 MB JSONL, a 160 MB peak as a command) and refuses 1,290.
 MAX_TABLE_ACTIONS = 10_000_000
 
+# the most frontier rows `_tick` runs through the kernel, rounding and masks
+# at once, which bounds the kernel workspace to 104 bytes a row-joint of this
+# (12 stage floats and a gravity term); 8,192 to 16,384-row chunks ran
+# fastest on wide ticks
+TICK_CHUNK_ROWS = 8_192
+
 
 class _Columns(NamedTuple):
     """A robot's constants per frontier column, joint positions then velocities.
 
-    Taken once per search: the kernel's per-joint `PendulumParams`, and per
-    column the grid step, `grid_range`'s first and last index as floats and
-    the limits.
+    Taken once per search: the kernel's workspace, over per-joint
+    `PendulumParams`, and per column the grid step, `grid_range`'s first
+    and last index as floats and the limits.
     """
 
     robot: RobotSpec
-    params: dynamics.PendulumParams
+    work: dynamics.Workspace
     steps: np.ndarray
     first: np.ndarray
     last: np.ndarray
@@ -63,7 +70,7 @@ class _Columns(NamedTuple):
         grids = [robot.grids(i)[k] for k in (0, 1) for i in range(robot.n_joints)]
         lo, hi, steps = np.array(grids).T
         first, last = np.array([grid_range(*g) for g in grids], dtype=np.float64).T
-        return cls(robot, params, steps, first, last, lo, hi)
+        return cls(robot, dynamics.Workspace(params, robot.delta_t), steps, first, last, lo, hi)
 
 
 def _static_hold(
@@ -100,32 +107,42 @@ def _tick(cols: _Columns, starts: np.ndarray, torque: np.ndarray,
 
     Row k starts at starts[k] (joint positions, then velocities) and is held
     at torque[k] for one tick by `dynamics.integrate_frontier`; home[k] is
-    the index row of the state whose tree it grows. A non-finite end raises
-    NumericalOverflow: one check covers the whole array, and only a failed
-    one reduces the columns, to name the joint. A row's cell is its end's
-    index row as floats, `quantize`'s elementwise and meaningless off the
-    grid: trunc(x + copysign(0.5, x)) of each quotient x has
-    `_round_half_away`'s value, a -0.0 standing for its 0. The masks sort
-    the rows: moved to another state, or staying at home; a row in neither
-    ends off the grid or past a limit. The search splits the staying rows
-    by depth: static at `nal`, growing short of it.
+    the index row of the state whose tree it grows. The rows run through the
+    kernel, the rounding and the masks TICK_CHUNK_ROWS at a time, on the
+    search's kernel workspace; every step is elementwise, so the chunks
+    change no value. A non-finite end raises NumericalOverflow once every
+    chunk has run: one check covers the whole tick, and only a failed one
+    reduces the columns, to name the joint. A row's cell is its end's index
+    row as floats, `quantize`'s elementwise and meaningless off the grid:
+    trunc(x + copysign(0.5, x)) of each quotient x has `_round_half_away`'s
+    value, a -0.0 standing for its 0. The masks sort the rows: moved to
+    another state, or staying at home; a row in neither ends off the grid
+    or past a limit. The search splits the staying rows by depth: static at
+    `nal`, growing short of it.
     """
     import numpy as np
 
     n = cols.robot.n_joints
+    ends, cells = np.empty_like(starts), np.empty_like(starts)
+    moved, stay = np.empty(len(starts), dtype=bool), np.empty(len(starts), dtype=bool)
     with np.errstate(all="ignore"):
-        ends = np.concatenate(dynamics.integrate_frontier(
-            starts[:, :n], starts[:, n:], torque, cols.params, cols.robot.delta_t), axis=1)
+        for lo in range(0, len(starts), TICK_CHUNK_ROWS):
+            part = slice(lo, lo + TICK_CHUNK_ROWS)
+            start, end, cell = starts[part], ends[part], cells[part]
+            end[:, :n], end[:, n:] = dynamics.integrate_frontier(
+                start[:, :n], start[:, n:], torque[part], cols.work)
+            np.divide(end, cols.steps, cell)
+            np.add(cell, np.copysign(0.5, cell), cell)
+            np.trunc(cell, cell)
+            ok = ((cols.first <= cell) & (cell <= cols.last)
+                  & (cols.lo <= end) & (end <= cols.hi)).all(axis=1)
+            np.logical_and(ok, (cell != home[part]).any(axis=1), moved[part])
+            np.greater(ok, moved[part], stay[part])
     if not np.isfinite(ends).all():
         finite = np.isfinite(ends).all(axis=0)
         j = cols.robot.joints[int(np.argmin(finite[:n] & finite[n:]))]
         raise NumericalOverflow(f"joint {j.name}: non-finite state after integration")
-    x = ends / cols.steps
-    cells = np.trunc(x + np.copysign(0.5, x))
-    ok = ((cols.first <= cells) & (cells <= cols.last)
-          & (cols.lo <= ends) & (ends <= cols.hi)).all(axis=1)
-    moved = ok & (cells != home).any(axis=1)
-    return ends, cells, moved, ok & ~moved
+    return ends, cells, moved, stay
 
 
 def find_transitions(
@@ -282,16 +299,22 @@ def find_transitions(
             last_tick = _tick(cols, np.repeat(p_ends, n_act, axis=0), torque[key % n_act],
                               home[tree])
         ends, cells, moved, stay = last_tick
-        short = depth < nal
-        static, grow = stay & ~short, stay & short
-        settled = (moved | static).nonzero()[0]
 
-        # a moved row ends in its cell's state; a static candidate stays
-        # where it is if it holds, and is dropped if it does not. A search
-        # row by row meets them in settled order: the static rows before
-        # the move that breaks the state budget are replayed, and an
-        # overflow in one of them is raised instead.
-        frm, to, is_move = tree[settled], tree[settled], moved[settled]
+        # a moved row ends in its cell's state; a static candidate (a row
+        # staying at home at `nal`) stays where it is if it holds, and is
+        # dropped if it does not. Depths fall along the rows, so a tick has
+        # none while its first row is short of `nal`, and skips the split
+        # and the replays. A search row by row meets them in settled order:
+        # the static rows before the move that breaks the state budget are
+        # replayed, and an overflow in one of them is raised instead.
+        static = depth[0] >= nal
+        grow, settles = stay, moved
+        if static:
+            short = depth < nal
+            grow, settles = stay & short, moved | (stay & ~short)
+        settled = settles.nonzero()[0]
+        frm, is_move = tree[settled], moved[settled]
+        to = frm.copy()
         arrivals = cells[settled[is_move]].astype(np.int64)
         busted, stop = None, len(settled)
         try:
@@ -300,17 +323,18 @@ def find_transitions(
             busted = e
             stop = is_move.nonzero()[0][
                 [r in state_ids for r in zip(*arrivals.T.tolist())].index(False)]
-        held = is_move.copy()
-        replays = (~is_move[:stop]).nonzero()[0]
-        for k, seq in zip(replays.tolist(), sequences(key[settled[replays]].tolist())):
-            p = settled[k]
-            cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
-            row = states[frm[k]]
-            held[k] = _static_hold(QuantizedState(row[:n], row[n:]), seq, cont, robot)
+        if static:
+            held = is_move.copy()
+            replays = (~is_move[:stop]).nonzero()[0]
+            for k, seq in zip(replays.tolist(), sequences(key[settled[replays]].tolist())):
+                p = settled[k]
+                cont = ContinuousState(tuple(ends[p, :n].tolist()), tuple(ends[p, n:].tolist()))
+                row = states[frm[k]]
+                held[k] = _static_hold(QuantizedState(row[:n], row[n:]), seq, cont, robot)
+            settled, frm, to = settled[held], frm[held], to[held]
         if busted:
             raise busted
-        recorded = settled[held]
-        frm, row_key, to, length = frm[held], key[recorded], to[held], depth[recorded]
+        row_key, length = key[settled], depth[settled]
         if dedup == "shortest":
             # per tree, rows settle breadth-first, so the first row of each
             # (from, to) pair is a shortest: keep it unless a tick before had the pair
@@ -342,8 +366,16 @@ def find_transitions(
                for c in (rank[frm[by_rank]], label, rank[to[by_rank]])]
     del settled_cols, nodes, frm, key, to, by_rank, label
     labels = tuple((seq, len(seq) * robot.delta_t) for seq in sequences(used.tolist()))
-    found = tuple(QuantizedState(states[k][:n], states[k][n:]) for k in order)
-    return TransitionTable._from_ids(robot.content_hash(), found, labels, *columns)
+    # each state a QuantizedState built in C: tuple.__new__ on its (positions,
+    # velocities), sliced off its index row
+    ordered = [states[k] for k in order]
+    found = tuple(map(tuple.__new__, itertools.repeat(QuantizedState),
+                      zip(map(itemgetter(slice(n)), ordered),
+                          map(itemgetter(slice(n, None)), ordered))))
+    # every state is on a line of a table with a transition: each but the start
+    # is reached by a kept one, and a start without any reaches no state
+    return TransitionTable._from_ids(robot.content_hash(), found, labels, *columns,
+                                     on_lines=len(columns[0]) > 0)
 
 
 def _search_order(frm: np.ndarray, to: np.ndarray, n_states: int) -> list[int]:

@@ -68,56 +68,89 @@ def integrate_joint(q: float, v: float, u: float, p: PendulumParams,
     return q, v
 
 
-def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray, p: PendulumParams,
-                       dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """`integrate_joint` over (rows, joints) float64 arrays, `p` holding per-joint arrays.
+class Workspace:
+    """`integrate_frontier`'s constants and stage buffer for one (p, dt), kept across calls.
 
-    It takes SUBSTEPS substeps, as `integrate_joint` does. One
-    preallocated buffer per RK4 stage k holds its state Y_k = (q, v)
-    stacked over its acceleration, so the stage's slope K_k = (v,
-    acceleration) is a view of the buffer's last two planes. Stage 1's
-    buffer holds the substep's state X itself. Each later stage is
+    Taken once: each joint's gravity term -(g / length) and inertia, and the
+    0-d h, h/2, h/6 and 2. The stage buffer holds 12 floats per row-joint, with
+    the gravity term tiled beside it; both are allocated at the first call's
+    frontier and grown to a wider one's, never shrunk, so they follow the
+    widest frontier integrated with them. A caller bounds them by the rows it
+    passes at once.
+    """
+
+    def __init__(self, p: PendulumParams, dt: float):
+        import numpy as np
+
+        self.gravity_row = np.asarray(-(p.gravity / p.length), dtype=np.float64)
+        self.inertia = p.mass * p.length * p.length
+        h = dt / SUBSTEPS
+        self.h, self.half, self.sixth, self.two = map(np.array, (h, 0.5 * h, h / 6, 2.0))
+        self.buffer = self.gravity = np.empty(0)
+
+    def views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(stages, gravity) for a frontier of this shape: (4, 3, *shape) and shape,
+        both C-contiguous prefixes of the workspace's buffers."""
+        import numpy as np
+
+        size = math.prod(shape)
+        if size > len(self.gravity):
+            self.buffer = np.empty(12 * size)
+            self.gravity = np.broadcast_to(self.gravity_row, shape).ravel()
+        return (self.buffer[:12 * size].reshape(4, 3, *shape),
+                self.gravity[:size].reshape(shape))
+
+
+def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray,
+                       work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """`integrate_joint` over (rows, joints) float64 arrays, by `work`'s (p, dt).
+
+    `work` lends its constants and stage buffer to every call given it, `p`
+    holding per-joint arrays. It takes SUBSTEPS substeps, as
+    `integrate_joint` does. The buffer holds one block per RK4 stage k: its
+    state Y_k = (q, v) stacked over its acceleration, so the stage's slope
+    K_k = (v, acceleration) is a view of the block's last two planes. Stage
+    1's block holds the substep's state X itself. Each later stage is
     Y_k = X + c * K_(k-1) and one acceleration, and the substep ends with
-    X += h/6 * (K1 + 2 K2 + 2 K3 + K4), summed left to right: 25 ufunc calls,
-    each writing in place. They are `integrate_joint`'s operations on its
-    operands in its order (Y_k's v is its k_k q), so each element is bitwise
-    its result wherever `np.sin` and `math.sin` agree, but for a NaN's sign.
-    A non-finite entry raises nothing and stays in its element; numpy's
-    warnings are the caller's to silence. Returns views of the buffer.
+    X += h/6 * (K1 + 2 K2 + 2 K3 + K4), summed left to right: 25 ufunc
+    calls, each writing in place on contiguous blocks (one call doubling K2
+    and K3 over their stacked view, which cannot be contiguous while each
+    Y_k and K_k is, ran slower than two). They are `integrate_joint`'s
+    operations on its operands in its order (Y_k's v is its k_k q), so each
+    element is bitwise its result wherever `np.sin` and `math.sin` agree,
+    but for a NaN's sign. A non-finite entry raises nothing and stays in
+    its element; numpy's warnings are the caller's to silence. Returns
+    views of the buffer, which the next call given `work` overwrites.
     """
     import numpy as np
 
-    torque = u / (p.mass * p.length * p.length)
-    h = dt / SUBSTEPS
-    # constants as arrays, gravity's in the frontier's shape: numpy takes
-    # these faster than a Python number or a broadcast, and they hold the
-    # same float64 values
-    gravity = np.broadcast_to(-(p.gravity / p.length), q.shape).copy()
-    h, half, sixth, two = map(np.array, (h, 0.5 * h, h / 6, 2.0))
-    stages = np.empty((4, 3, *q.shape))
+    stages, gravity = work.views(q.shape)
+    torque = u / work.inertia
+    h, half, sixth, two = work.h, work.half, work.sixth, work.two
     x, x_angle, a1 = stages[0, :2], stages[0, 0], stages[0, 2]
     k1, k2, k3, k4 = stages[:, 1:]
     # stages 2 to 4: the (c, K) each steps by, its state, its angle, its acceleration
     stepped = [(c, k, y[:2], y[0], y[2])
                for c, k, y in zip((half, half, h), (k1, k2, k3), stages[1:])]
     x[0], x[1] = q, v
+    sin, mul, add = np.sin, np.multiply, np.add
     for _ in range(SUBSTEPS):
-        np.sin(x_angle, out=a1)
-        np.multiply(gravity, a1, out=a1)
-        np.add(a1, torque, out=a1)
+        sin(x_angle, a1)
+        mul(gravity, a1, a1)
+        add(a1, torque, a1)
         for c, k, y, angle, a in stepped:
-            np.multiply(c, k, out=y)
-            np.add(x, y, out=y)
-            np.sin(angle, out=a)
-            np.multiply(gravity, a, out=a)
-            np.add(a, torque, out=a)
-        np.multiply(two, k2, out=k2)
-        np.add(k1, k2, out=k2)
-        np.multiply(two, k3, out=k3)
-        np.add(k2, k3, out=k2)
-        np.add(k2, k4, out=k2)
-        np.multiply(sixth, k2, out=k2)
-        np.add(x, k2, out=x)
+            mul(c, k, y)
+            add(x, y, y)
+            sin(angle, a)
+            mul(gravity, a, a)
+            add(a, torque, a)
+        mul(two, k2, k2)
+        add(k1, k2, k2)
+        mul(two, k3, k3)
+        add(k2, k3, k2)
+        add(k2, k4, k2)
+        mul(sixth, k2, k2)
+        add(x, k2, x)
     return x[0], x[1]
 
 

@@ -108,26 +108,32 @@ class TransitionTable:
                 raise ValueError("torque_idx_seq is empty")
             pair = (t.actions, _duration_from_json(t.duration, len(t.actions), None))
             label.append(labels.setdefault(pair, len(labels)))
-        self._adopt(robot_hash, tuple(states), tuple(labels), src, label, dst)
+        self._adopt(robot_hash, tuple(states), tuple(labels), src, label, dst,
+                    len(set(src).union(dst)) == len(states))
 
     @classmethod
     def _from_ids(cls, robot_hash: str, states: tuple[QuantizedState, ...],
                   labels: tuple[tuple[ActionSequence, float], ...],
-                  src: Sequence[int], label: Sequence[int],
-                  dst: Sequence[int]) -> "TransitionTable":
+                  src: Sequence[int], label: Sequence[int], dst: Sequence[int],
+                  on_lines: bool) -> "TransitionTable":
         """A table over id columns, each id built in range by its maker: discovery over its
-        own states and labels, `read_jsonl` after its line checks, `__init__` by its index."""
+        own states and labels, `read_jsonl` after its line checks, `__init__` by its index.
+        `on_lines` says whether every state is on a transition's line, as the maker
+        knows it."""
         table = cls.__new__(cls)
-        table._adopt(robot_hash, states, labels, src, label, dst)
+        table._adopt(robot_hash, states, labels, src, label, dst, on_lines)
         return table
 
-    def _adopt(self, robot_hash, states, labels, src, label, dst) -> None:
+    def _adopt(self, robot_hash, states, labels, src, label, dst, on_lines) -> None:
         """Take the columns as their maker built them, and no view of them yet."""
         self.robot_hash, self.states, self.labels = robot_hash, states, labels
         # 8 bytes an id, where a list would hold an int object per entry;
         # discovery hands over such arrays, and they are kept, not copied
         self._src, self._label, self._dst = (
             c if isinstance(c, array) else array("q", c) for c in (src, label, dst))
+        # whether every state has a transition or one arriving at it, which
+        # decides whether the JSONL header lists the states
+        self._on_lines = on_lines
         self._index = self._transitions = self._rows = self._dests = self._quotient = None
 
     def __eq__(self, other):
@@ -325,8 +331,7 @@ def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
         "version": JSONL_VERSION,
         "robot_hash": table.robot_hash,
     }
-    # a state is on a line when it has a transition or one arrives at it
-    if len(set(table._src).union(table._dst)) < len(table.states):
+    if not table._on_lines:
         header["states"] = [_state_to_json(s) for s in table.states]
     fh.write(json.dumps(header, sort_keys=True) + "\n")
     lists = _Rendered(lambda t: f'[{", ".join(map(str, t))}]')    # by index tuple
@@ -439,7 +444,10 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         src.append(frm)
         label.append(k)
         dst.append(to)
-    return TransitionTable._from_ids(robot_hash, tuple(states), tuple(labels), src, label, dst)
+    # without a header list, every state is found on a line
+    on_lines = "states" not in header or len(set(state_of.values())) == len(states)
+    return TransitionTable._from_ids(robot_hash, tuple(states), tuple(labels), src, label, dst,
+                                     on_lines)
 
 
 def check_torque_menu(table: TransitionTable, robot: RobotSpec) -> None:

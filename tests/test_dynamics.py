@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dtraj.dynamics import (
     SUBSTEPS,
     PendulumParams,
+    Workspace,
     act_sequence,
     integrate_frontier,
     integrate_joint,
@@ -122,10 +123,50 @@ def test_kernel_is_bitwise_its_oracle_on_arrays(joints):
     with_non_finite(rng, q, v, u)
     for rows in (slice(None), slice(1)):        # the frontier, then its first row alone
         with np.errstate(all="ignore"):
-            got = integrate_frontier(q[rows], v[rows], u[rows], params, 0.04)
+            got = integrate_frontier(q[rows], v[rows], u[rows], Workspace(params, 0.04))
             want = reference_integrate_joint(q[rows], v[rows], u[rows], params, 0.04, sin=np.sin)
         assert bits(got[0]) == bits(want[0])
         assert bits(got[1]) == bits(want[1])
+
+
+@pytest.mark.parametrize("joints", [1, 2, 3])
+def test_a_workspace_serves_frontiers_that_widen_and_narrow(joints):
+    # one workspace across a search's ticks, as discovery keeps it: each
+    # call is bitwise a fresh one-shot call and the oracle, non-finite
+    # entries included, and the buffer follows the widest frontier
+    rng = np.random.default_rng(24 + joints)
+    params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
+    work = Workspace(params, 0.04)
+    for rows in (3, 250, 1, 97, 250, 400, 12):
+        q, v = near_limit_states(rng, rows, joints)
+        u = menu_and_off_menu_torques(rng, (rows, joints))
+        with_non_finite(rng, q, v, u)
+        with np.errstate(all="ignore"):
+            got = integrate_frontier(q, v, u, work)
+            fresh = integrate_frontier(q, v, u, Workspace(params, 0.04))
+            want = reference_integrate_joint(q, v, u, params, 0.04, sin=np.sin)
+        for k in (0, 1):
+            assert bits(got[k]) == bits(fresh[k]) == bits(want[k]), (rows, k)
+    assert work.buffer.size == 12 * 400 * joints
+
+
+@pytest.mark.parametrize("joints", [1, 3])
+def test_a_frontier_split_at_any_row_is_bitwise_one_call(joints):
+    # a wide tick runs through the kernel in chunks of rows on one
+    # workspace: the pieces, integrated in turn, are the whole frontier
+    rng = np.random.default_rng(240 + joints)
+    params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
+    q, v = near_limit_states(rng, 300, joints)
+    u = menu_and_off_menu_torques(rng, (300, joints))
+    with_non_finite(rng, q, v, u)
+    work = Workspace(params, 0.04)
+    with np.errstate(all="ignore"):
+        whole = integrate_frontier(q, v, u, Workspace(params, 0.04))
+        for cut in (1, 128, 299):
+            parts = [[x.copy() for x in integrate_frontier(q[s], v[s], u[s], work)]
+                     for s in (slice(cut), slice(cut, None))]
+            for k in (0, 1):
+                assert bits(np.concatenate([p[k] for p in parts])) == bits(whole[k]), (cut, k)
 
 
 def test_integrator_matches_fine_reference():
@@ -209,7 +250,7 @@ def test_array_integration_is_bitwise_scalar():
             params = PendulumParams(np.array(mass), np.array(length), 9.81)
             per_joint = [PendulumParams(*ml, 9.81) for ml in zip(mass, length)]
         with np.errstate(all="ignore"):
-            qa, va = integrate_frontier(q, v, u, params, 0.04)
+            qa, va = integrate_frontier(q, v, u, Workspace(params, 0.04))
         for r, j in np.ndindex(rows, joints):
             got = qa[r, j], va[r, j]
             try:

@@ -127,6 +127,34 @@ def test_run_scaling_study_exits_with_the_cli_refusal(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_profile_discovery_counts_the_demo_and_restores_what_it_wraps(monkeypatch, capsys):
+    # run in this process, so a wrapper left on the library would show here
+    from dtraj import discovery, dynamics
+
+    names = dict(vars(discovery)), dict(vars(dynamics))
+    monkeypatch.setattr(sys, "argv", ["profile_discovery.py", CONFIG_PATH, "--reps", "2"])
+    runpy.run_path(os.path.join(ROOT, "scripts", "profile_discovery.py"), run_name="__main__")
+    assert (dict(vars(discovery)), dict(vars(dynamics))) == names
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{CONFIG_PATH}: 943 states, 6353 transitions, median of 2 builds"
+    parts = [line.split() for line in lines[1:]]
+    assert [p[:-2] for p in parts] == [
+        ["kernel", "47", "calls", "8075", "rows"], ["tick", "masks", "47", "calls"],
+        ["static", "holds", "5", "calls"], ["bookkeeping"], ["table", "assembly"], ["search"],
+        ["write_jsonl"], ["export_dot"]]
+    assert all(p[-1] == "ms" and float(p[-2]) > 0 for p in parts)
+
+
+def test_profile_discovery_refuses_a_missing_config(tmp_path):
+    # read through load_robot, so a missing file is one error line and the CLI's code
+    missing = str(tmp_path / "missing.json")
+    done = run_script("profile_discovery.py", missing, code=2)
+    assert done.stderr.splitlines() == [
+        f"error: cannot read robot config {missing!r}: "
+        f"[Errno 2] No such file or directory: {missing!r}"]
+    assert done.stdout == ""
+
+
 def test_explore_pendulum_refuses_a_missing_config(tmp_path):
     # read through load_robot, so a missing file is one error line and the CLI's code
     missing = str(tmp_path / "missing.json")

@@ -691,13 +691,14 @@ class TestTableApi:
                              ids=["from", "label", "to", "lengths"])
     def test_id_columns_are_range_checked(self, columns):
         s = QuantizedState((0,), (0,))
+        one_label = ((((0,),), 0.04),)
         with pytest.raises(AssertionError):
-            assert_id_columns(TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), *columns))
-        assert_id_columns(TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0]))
+            assert_id_columns(TransitionTable._from_ids("h", (s,), one_label, *columns, True))
+        assert_id_columns(TransitionTable._from_ids("h", (s,), one_label, [0], [0], [0], True))
 
     def test_ids_build_the_constructors_table(self):
         s = QuantizedState((0,), (0,))
-        assert TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0]) == (
+        assert TransitionTable._from_ids("h", (s,), ((((0,),), 0.04),), [0], [0], [0], True) == (
             TransitionTable("h", (s,), (Transition(s, ((0,),), 0.04, s),)))
 
     def test_equal_to_its_read_back_whatever_was_built(self, pendulum_table):
@@ -1423,6 +1424,76 @@ def test_overflow_names_the_first_non_finite_joint():
     robot = RobotSpec(delta_t=0.04, joints=(demo_joint(), tiny, demo_joint()))
     with pytest.raises(NumericalOverflow, match="^joint tiny: non-finite"):
         find_transitions(robot)
+
+
+class TestTicksInChunks:
+    """`_tick` runs a few rows at a time: no byte, count or refusal moves."""
+
+    # odd, so that chunk ends fall inside a parent's 5, 9 or 27 children
+    ROWS = 7
+
+    @pytest.fixture(autouse=True)
+    def chunked(self, monkeypatch):
+        monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", self.ROWS)
+
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize("robot", ["demo", "two-joint", "three-joint"])
+    def test_bytes_are_pinned(self, pendulum, robot, dedup):
+        table = find_transitions({"demo": pendulum, "two-joint": robot_from_dict(TWO_JOINT),
+                                  "three-joint": bench_robot(3)}[robot], dedup=dedup)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serialised(table))
+        assert digests == TestAgainstOracle.PINNED[robot, dedup]
+
+    def test_the_kernel_sees_every_chunk(self, pendulum, monkeypatch):
+        rows = []
+        real = dynamics.integrate_frontier
+
+        def counted(q, *args):
+            rows.append(len(q))
+            return real(q, *args)
+
+        monkeypatch.setattr(dynamics, "integrate_frontier", counted)
+        find_transitions(pendulum)
+        assert sum(rows) == 8075 and max(rows) == self.ROWS
+
+    def test_a_tick_in_chunks_is_bitwise_one_chunk(self, monkeypatch):
+        # seeded starts in and past the limits under menu torques: rows that
+        # move, stay and leave, each chunk's masks and cells are the whole's
+        robot = bench_robot(2)
+        cols = discovery._Columns.of(robot)
+        rng = np.random.default_rng(24)
+        starts = rng.uniform(-1.3, 1.3, (200, 4)) * np.concatenate([cols.hi[:2], cols.hi[2:]])
+        torque = rng.choice(robot.joints[0].torques, (200, 2))
+        home = np.trunc(starts / cols.steps)
+        chunked = discovery._tick(cols, starts, torque, home)
+        monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", len(starts))
+        whole = discovery._tick(discovery._Columns.of(robot), starts, torque, home)
+        assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+        _, _, moved, stay = whole
+        assert moved.any() and stay.any() and not (moved | stay).all()
+
+    def test_a_non_finite_end_in_a_later_chunk_names_the_joint(self, monkeypatch):
+        # j3 goes non-finite in the first chunk and j2 only in the third: the
+        # whole tick is checked, so the error names j2, as in one chunk
+        robot = bench_robot(3)
+        starts = np.zeros((20, 6))
+        starts[2, 2], starts[15, 4] = np.inf, np.nan
+        args = np.zeros((20, 3)), np.zeros((20, 6))
+        texts = []
+        for rows in (self.ROWS, len(starts)):
+            monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", rows)
+            with pytest.raises(NumericalOverflow) as err:
+                discovery._tick(discovery._Columns.of(robot), starts, *args)
+            texts.append(str(err.value))
+        assert texts == ["joint j2: non-finite state after integration"] * 2
+
+
+class TestBudgetsInChunks(TestBudgets):
+    """`TestBudgets`' refusal texts, with `_tick` running a few rows at a time."""
+
+    @pytest.fixture(autouse=True)
+    def chunked(self, monkeypatch):
+        monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", TestTicksInChunks.ROWS)
 
 
 # ---------------------------------------------------------------------------
