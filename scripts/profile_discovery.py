@@ -9,7 +9,9 @@ each writer, and the median over the builds is printed of:
 
 - the kernel, `dynamics.integrate_frontier`: its calls, rows and time;
 - `_tick`'s rounding and masks: `discovery._tick`'s time less the kernel's;
-- the static-hold replays, `discovery._static_hold`: calls and time;
+- the static-hold replays, `discovery._static_hold`: calls, time and the
+  scalar ticks they take, the calls of `dynamics.integrate_step` inside a
+  search (counted, not timed: their time is the holds');
 - table assembly: from the call of `discovery._search_order`, which
   orders the finished search's states, to the search's return;
 - the loop's bookkeeping: the search's time less the four above;
@@ -38,6 +40,8 @@ from dtraj.transitions import export_dot, write_jsonl
 PARTS = (("kernel", dynamics, "integrate_frontier"), ("tick", discovery, "_tick"),
          ("static holds", discovery, "_static_hold"),
          ("table assembly", discovery, "_search_order"))
+# the scalar step, whose calls inside a search are counted as the static holds' ticks
+STEP = (dynamics, "integrate_step")
 
 
 def wrapped(counts: dict, label: str, real):
@@ -56,21 +60,32 @@ def wrapped(counts: dict, label: str, real):
     return timed
 
 
+def counting(count: list, real):
+    """`real`, adding its calls to count[1]."""
+    def step(*args, **kw):
+        count[1] += 1
+        return real(*args, **kw)
+    return step
+
+
 def profile(robot, reps: int) -> tuple[dict, object]:
-    """Per part, the list over `reps` builds of its (calls, rows, seconds); and the last table."""
+    """Per part, the list over `reps` builds of its (calls, rows or ticks, seconds); and the
+    last table."""
     runs: dict[str, list] = {}
-    reals = [getattr(module, name) for _, module, name in PARTS]
+    wraps = [(module, name) for _, module, name in PARTS] + [STEP]
+    reals = [getattr(module, name) for module, name in wraps]
     try:
         for _ in range(reps):
             counts = {label: [0, 0, 0.0, 0.0] for label, *_ in PARTS}
             for (label, module, name), real in zip(PARTS, reals):
                 setattr(module, name, wrapped(counts, label, real))
+            setattr(*STEP, counting(counts["static holds"], reals[-1]))
             t0 = time.perf_counter()
             table = discovery.find_transitions(robot)
             t1 = time.perf_counter()
             counts["search"] = [1, 0, t1 - t0]
             counts["table assembly"][2] = t1 - counts["table assembly"][3]
-            for (_, module, name), real in zip(PARTS, reals):
+            for (module, name), real in zip(wraps, reals):
                 setattr(module, name, real)
             for label, write in (("write_jsonl", lambda t: write_jsonl(t, io.StringIO())),
                                  ("export_dot", export_dot)):
@@ -84,7 +99,7 @@ def profile(robot, reps: int) -> tuple[dict, object]:
             for label, c in counts.items():
                 runs.setdefault(label, []).append(c)
     finally:
-        for (_, module, name), real in zip(PARTS, reals):
+        for (module, name), real in zip(wraps, reals):
             setattr(module, name, real)
     return runs, table
 
@@ -111,8 +126,9 @@ def main():
             calls, rows, secs = (statistics.median(c[k] for c in runs[label]) for k in range(3))
             name = "tick masks" if label == "tick" else label
             counted = f"{calls:>6g} calls" if label in ("kernel", "tick", "static holds") else ""
-            counted += f" {rows:>9g} rows" if label == "kernel" else ""
-            print(f"  {name:<15}{counted:<27}{1e3 * secs:9.3f} ms")
+            unit = {"kernel": "rows", "static holds": "ticks"}.get(label)
+            counted += f" {rows:>9g} {unit}" if unit else ""
+            print(f"  {name:<15}{counted:<28}{1e3 * secs:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -48,9 +48,9 @@ TICK_CHUNK_ROWS = 8_192
 class _Columns(NamedTuple):
     """A robot's constants per frontier column, joint positions then velocities.
 
-    Taken once per search: the kernel's workspace, over per-joint
-    `PendulumParams`, and per column the grid step, `grid_range`'s first
-    and last index as floats and the limits.
+    Taken once per search: the workspace of `dynamics.integrate_frontier`,
+    `integrate_step`'s array twin, over the robot spec, and per column the
+    grid step, `grid_range`'s first and last index as floats and the limits.
     """
 
     robot: RobotSpec
@@ -65,12 +65,10 @@ class _Columns(NamedTuple):
     def of(cls, robot: RobotSpec) -> _Columns:
         import numpy as np
 
-        params = dynamics.PendulumParams(np.array([j.mass for j in robot.joints]),
-                                         np.array([j.length for j in robot.joints]), robot.gravity)
         grids = [robot.grids(i)[k] for k in (0, 1) for i in range(robot.n_joints)]
         lo, hi, steps = np.array(grids).T
         first, last = np.array([grid_range(*g) for g in grids], dtype=np.float64).T
-        return cls(robot, dynamics.Workspace(params, robot.delta_t), steps, first, last, lo, hi)
+        return cls(robot, dynamics.Workspace(robot), steps, first, last, lo, hi)
 
 
 def _static_hold(

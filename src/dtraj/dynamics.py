@@ -5,17 +5,18 @@ damping) driven by a torque held constant over one clock tick. Joints never
 couple. Integration is classical 4th-order Runge-Kutta with a fixed substep
 count chosen so the per-tick error stays far below the position resolution.
 
-Two integrators take the same RK4 step: `integrate_joint` on floats with
-`math.sin`, and `integrate_frontier`, discovery's in-place kernel, on arrays
-with `np.sin`. Both run the same IEEE operations on the same operands in the
-same order, so each array element is bitwise the scalar result wherever the
-two sines agree, but for a NaN's sign, which IEEE 754 leaves open.
+Two integrators take the same RK4 step: `integrate_step`, joint by joint
+on floats with `math.sin`, and its array twin `integrate_frontier`,
+discovery's in-place kernel, with `np.sin`. Both read each joint's constants
+from the robot spec and run the same IEEE operations on the same operands in
+the same order, so each array element is bitwise the scalar result wherever
+the two sines agree, but for a NaN's sign, which IEEE 754 leaves open.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import NumericalOverflow
 from .model import (
@@ -36,55 +37,26 @@ if TYPE_CHECKING:
 SUBSTEPS = 10
 
 
-class PendulumParams(NamedTuple):
-    """One joint's constants as floats, or every joint's as per-joint arrays."""
-
-    mass: float | np.ndarray
-    length: float | np.ndarray
-    gravity: float
-
-
-def integrate_joint(q: float, v: float, u: float, p: PendulumParams,
-                    dt: float) -> tuple[float, float]:
-    """Advance one joint by dt under constant torque u by SUBSTEPS classical RK4 substeps.
-
-    The acceleration is gravity's restoring term plus the torque's; undamped,
-    so a stage's acceleration needs only its angle. The torque term u / inertia
-    is the same at every stage, so it is taken once per call.
-    """
-    gravity, torque = -(p.gravity / p.length), u / (p.mass * p.length * p.length)
-    h = dt / SUBSTEPS
-    half, sixth = 0.5 * h, h / 6
-    for _ in range(SUBSTEPS):
-        k1v = gravity * math.sin(q) + torque
-        k2q = v + half * k1v
-        k2v = gravity * math.sin(q + half * v) + torque
-        k3q = v + half * k2v
-        k3v = gravity * math.sin(q + half * k2q) + torque
-        k4q = v + h * k3v
-        k4v = gravity * math.sin(q + h * k3q) + torque
-        q, v = (q + sixth * (v + 2 * k2q + 2 * k3q + k4q),
-                v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v))
-    return q, v
-
-
 class Workspace:
-    """`integrate_frontier`'s constants and stage buffer for one (p, dt), kept across calls.
+    """`integrate_frontier`'s constants and stage buffer for one robot, kept across calls.
 
-    Taken once: each joint's gravity term -(g / length) and inertia, and the
-    0-d h, h/2, h/6 and 2. The stage buffer holds 12 floats per row-joint, with
-    the gravity term tiled beside it; both are allocated at the first call's
-    frontier and grown to a wider one's, never shrunk, so they follow the
-    widest frontier integrated with them. A caller bounds them by the rows it
-    passes at once.
+    Taken once from the robot spec, as `integrate_step` takes them per call:
+    each joint's gravity term -(g / length) and inertia, and the 0-d h, h/2,
+    h/6 and 2 of its tick. The stage buffer holds 12 floats per row-joint,
+    with the gravity term tiled beside it; both are allocated at the first
+    call's frontier and grown to a wider one's, never shrunk, so they follow
+    the widest frontier integrated with them. A caller bounds them by the
+    rows it passes at once.
     """
 
-    def __init__(self, p: PendulumParams, dt: float):
+    def __init__(self, robot: RobotSpec):
         import numpy as np
 
-        self.gravity_row = np.asarray(-(p.gravity / p.length), dtype=np.float64)
-        self.inertia = p.mass * p.length * p.length
-        h = dt / SUBSTEPS
+        mass = np.array([j.mass for j in robot.joints])
+        length = np.array([j.length for j in robot.joints])
+        self.gravity_row = -(robot.gravity / length)
+        self.inertia = mass * length * length
+        h = robot.delta_t / SUBSTEPS
         self.h, self.half, self.sixth, self.two = map(np.array, (h, 0.5 * h, h / 6, 2.0))
         self.buffer = self.gravity = np.empty(0)
 
@@ -103,11 +75,11 @@ class Workspace:
 
 def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray,
                        work: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """`integrate_joint` over (rows, joints) float64 arrays, by `work`'s (p, dt).
+    """`integrate_step`'s array twin: one tick of (rows, joints) float64 arrays by `work`'s robot.
 
-    `work` lends its constants and stage buffer to every call given it, `p`
-    holding per-joint arrays. It takes SUBSTEPS substeps, as
-    `integrate_joint` does. The buffer holds one block per RK4 stage k: its
+    `work` lends its constants and stage buffer to every call given it; u
+    holds each element's torque. It takes SUBSTEPS substeps, as
+    `integrate_step` does. The buffer holds one block per RK4 stage k: its
     state Y_k = (q, v) stacked over its acceleration, so the stage's slope
     K_k = (v, acceleration) is a view of the block's last two planes. Stage
     1's block holds the substep's state X itself. Each later stage is
@@ -115,7 +87,7 @@ def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray,
     X += h/6 * (K1 + 2 K2 + 2 K3 + K4), summed left to right: 25 ufunc
     calls, each writing in place on contiguous blocks (one call doubling K2
     and K3 over their stacked view, which cannot be contiguous while each
-    Y_k and K_k is, ran slower than two). They are `integrate_joint`'s
+    Y_k and K_k is, ran slower than two). They are `integrate_step`'s
     operations on its operands in its order (Y_k's v is its k_k q), so each
     element is bitwise its result wherever `np.sin` and `math.sin` agree,
     but for a NaN's sign. A non-finite entry raises nothing and stays in
@@ -155,13 +127,31 @@ def integrate_frontier(q: np.ndarray, v: np.ndarray, u: np.ndarray,
 
 
 def integrate_step(s: ContinuousState, a: Action, robot: RobotSpec) -> ContinuousState:
-    """Advance every joint independently by one tick under the action's torques."""
+    """Advance every joint independently by one tick under the action's torques.
+
+    Each joint takes SUBSTEPS classical RK4 substeps. The acceleration is
+    gravity's restoring term plus the torque's; undamped, so a stage's
+    acceleration needs only its angle. The torque term u / inertia is the
+    same at every stage, so it is taken once per joint.
+    """
+    h = robot.delta_t / SUBSTEPS
+    half, sixth = 0.5 * h, h / 6
     qs = []
     vs = []
     for i, j in enumerate(robot.joints):
-        p = PendulumParams(j.mass, j.length, robot.gravity)
+        q, v, u = s.q[i], s.v[i], j.torques[a[i]]
         try:
-            q, v = integrate_joint(s.q[i], s.v[i], j.torques[a[i]], p, robot.delta_t)
+            gravity, torque = -(robot.gravity / j.length), u / (j.mass * j.length * j.length)
+            for _ in range(SUBSTEPS):
+                k1v = gravity * math.sin(q) + torque
+                k2q = v + half * k1v
+                k2v = gravity * math.sin(q + half * v) + torque
+                k3q = v + half * k2v
+                k3v = gravity * math.sin(q + half * k2q) + torque
+                k4q = v + h * k3v
+                k4v = gravity * math.sin(q + h * k3q) + torque
+                q, v = (q + sixth * (v + 2 * k2q + 2 * k3q + k4q),
+                        v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v))
         except (ValueError, OverflowError) as exc:
             # math.sin rejects non-finite arguments before the result check can
             raise NumericalOverflow(f"joint {j.name}: {exc}") from None

@@ -300,15 +300,8 @@ _LINE = re.compile(
     rf'\{{"from": {_STATE}, "torque_idx_seq": (\[(?:{_INTS}(?:, {_INTS})*)?\]), '
     rf'"duration_s": (-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), "to": {_STATE}\}}')
 
-
-class _FieldTexts:
-    """A parsed line's field texts by `_LINE` group number, each rendered on its lookup."""
-
-    def __init__(self, line):
-        self.line = line
-
-    def __getitem__(self, k: int) -> str:
-        return json.dumps(self.line[("from", "torque_idx_seq", "duration_s", "to")[k - 1]])
+# a line's keys in `_LINE`'s group order
+_FIELDS = ("from", "torque_idx_seq", "duration_s", "to")
 
 
 def write_jsonl(table: TransitionTable, fh: IO[str]) -> None:
@@ -420,7 +413,9 @@ def read_jsonl(fh: IO[str]) -> TransitionTable:
         if not raw:
             continue
         try:
-            text = _LINE.fullmatch(raw) or _FieldTexts(json.loads(raw))
+            # a line in another spelling: each field's text rendered on its lookup
+            text = _LINE.fullmatch(raw) or _Rendered(
+                lambda k, line=json.loads(raw): json.dumps(line[_FIELDS[k - 1]]))
             frm, to = state_of[text[1]], state_of[text[4]]
             frm_width, to_width = len(states[frm].pos_idx), len(states[to].pos_idx)
             n_joints = n_joints or frm_width

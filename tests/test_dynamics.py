@@ -1,4 +1,6 @@
 import math
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from dtraj.dynamics import (
     SUBSTEPS,
-    PendulumParams,
     Workspace,
     act_sequence,
     integrate_frontier,
-    integrate_joint,
     integrate_step,
     validation_check,
 )
@@ -26,16 +26,40 @@ from dtraj.model import (
 from conftest import DEG, demo_joint
 
 
-P = PendulumParams(mass=1.0, length=1.0, gravity=9.81)
+class Pendulum(NamedTuple):
+    """One joint's constants as floats, or every joint's as per-joint arrays: the oracle's."""
+
+    mass: float | np.ndarray
+    length: float | np.ndarray
+    gravity: float
 
 
-def pendulum_accel(q, u, p: PendulumParams, sin=math.sin):
-    """Gravity's restoring term plus torque, as `integrate_joint` once took it per stage."""
+P = Pendulum(mass=1.0, length=1.0, gravity=9.81)
+
+
+def robot_of(p: Pendulum, menus=None, dt: float = 0.04) -> RobotSpec:
+    """A robot of demo joints at p's masses and lengths under its gravity, joint i's
+    torque menu being menus[i] (the demo's when none is given)."""
+    mass, length = np.atleast_1d(p.mass).tolist(), np.atleast_1d(p.length).tolist()
+    menus = menus or [demo_joint().torques] * len(mass)
+    joints = tuple(demo_joint()._replace(name=f"j{i + 1}", mass=m, length=l, torques=tuple(t))
+                   for i, (m, l, t) in enumerate(zip(mass, length, menus)))
+    return RobotSpec(joints=joints, delta_t=dt, gravity=p.gravity)
+
+
+def step_joint(q: float, v: float, u: float, p: Pendulum, dt: float = 0.04):
+    """`integrate_step` of one joint at p's constants whose menu holds the torque u."""
+    end = integrate_step(ContinuousState((q,), (v,)), (0,), robot_of(p, [(u,)], dt))
+    return end.q[0], end.v[0]
+
+
+def pendulum_accel(q, u, p: Pendulum, sin=math.sin):
+    """Gravity's restoring term plus torque, as the integrators once took it per stage."""
     gravity, inertia = -(p.gravity / p.length), p.mass * p.length * p.length
     return gravity * sin(q) + u / inertia
 
 
-def reference_integrate_joint(q, v, u, p: PendulumParams, dt: float, substeps: int = SUBSTEPS,
+def reference_integrate_joint(q, v, u, p: Pendulum, dt: float, substeps: int = SUBSTEPS,
                               sin=math.sin):
     """The RK4 loop with one `pendulum_accel` call per stage, kept as the kernel's oracle."""
     h = dt / substeps
@@ -93,13 +117,13 @@ def test_acceleration_model():
     assert pendulum_accel(0.0, 0.0, P) == 0.0
     assert pendulum_accel(0.1, 0.0, P) < 0
     assert pendulum_accel(0.0, 5.0, P) == pytest.approx(5.0)
-    heavier = PendulumParams(mass=2.0, length=1.0, gravity=9.81)
+    heavier = Pendulum(mass=2.0, length=1.0, gravity=9.81)
     assert pendulum_accel(0.0, 5.0, heavier) == pytest.approx(2.5)
 
 
 @pytest.mark.parametrize("params", [
-    P, PendulumParams(mass=0.35, length=1.7, gravity=9.81),
-    PendulumParams(mass=4.0, length=0.2, gravity=3.7),
+    P, Pendulum(mass=0.35, length=1.7, gravity=9.81),
+    Pendulum(mass=4.0, length=0.2, gravity=3.7),
 ], ids=["demo", "long", "short"])
 def test_kernel_is_bitwise_its_oracle_on_floats(params):
     rng = np.random.default_rng(2022)
@@ -107,7 +131,7 @@ def test_kernel_is_bitwise_its_oracle_on_floats(params):
     u = menu_and_off_menu_torques(rng, 300)
     for dt in (0.04, 0.03, 0.05):
         for args in zip(q.ravel().tolist(), v.ravel().tolist(), u.tolist()):
-            got = integrate_joint(*args, params, dt)
+            got = step_joint(*args, params, dt)
             want = reference_integrate_joint(*args, params, dt, SUBSTEPS)
             assert bits(got) == bits(want), (args, dt)
 
@@ -117,13 +141,13 @@ def test_kernel_is_bitwise_its_oracle_on_arrays(joints):
     # (rows, joints) frontiers as discovery integrates them, per-joint
     # constants, and non-finite entries, which stay in their own element
     rng = np.random.default_rng(joints)
-    params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
+    params = Pendulum(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
     q, v = near_limit_states(rng, 400, joints)
     u = menu_and_off_menu_torques(rng, (400, joints))
     with_non_finite(rng, q, v, u)
     for rows in (slice(None), slice(1)):        # the frontier, then its first row alone
         with np.errstate(all="ignore"):
-            got = integrate_frontier(q[rows], v[rows], u[rows], Workspace(params, 0.04))
+            got = integrate_frontier(q[rows], v[rows], u[rows], Workspace(robot_of(params)))
             want = reference_integrate_joint(q[rows], v[rows], u[rows], params, 0.04, sin=np.sin)
         assert bits(got[0]) == bits(want[0])
         assert bits(got[1]) == bits(want[1])
@@ -135,15 +159,15 @@ def test_a_workspace_serves_frontiers_that_widen_and_narrow(joints):
     # call is bitwise a fresh one-shot call and the oracle, non-finite
     # entries included, and the buffer follows the widest frontier
     rng = np.random.default_rng(24 + joints)
-    params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
-    work = Workspace(params, 0.04)
+    params = Pendulum(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
+    work = Workspace(robot_of(params))
     for rows in (3, 250, 1, 97, 250, 400, 12):
         q, v = near_limit_states(rng, rows, joints)
         u = menu_and_off_menu_torques(rng, (rows, joints))
         with_non_finite(rng, q, v, u)
         with np.errstate(all="ignore"):
             got = integrate_frontier(q, v, u, work)
-            fresh = integrate_frontier(q, v, u, Workspace(params, 0.04))
+            fresh = integrate_frontier(q, v, u, Workspace(robot_of(params)))
             want = reference_integrate_joint(q, v, u, params, 0.04, sin=np.sin)
         for k in (0, 1):
             assert bits(got[k]) == bits(fresh[k]) == bits(want[k]), (rows, k)
@@ -155,13 +179,13 @@ def test_a_frontier_split_at_any_row_is_bitwise_one_call(joints):
     # a wide tick runs through the kernel in chunks of rows on one
     # workspace: the pieces, integrated in turn, are the whole frontier
     rng = np.random.default_rng(240 + joints)
-    params = PendulumParams(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
+    params = Pendulum(rng.uniform(0.2, 3.0, joints), rng.uniform(0.3, 2.0, joints), 9.81)
     q, v = near_limit_states(rng, 300, joints)
     u = menu_and_off_menu_torques(rng, (300, joints))
     with_non_finite(rng, q, v, u)
-    work = Workspace(params, 0.04)
+    work = Workspace(robot_of(params))
     with np.errstate(all="ignore"):
-        whole = integrate_frontier(q, v, u, Workspace(params, 0.04))
+        whole = integrate_frontier(q, v, u, Workspace(robot_of(params)))
         for cut in (1, 128, 299):
             parts = [[x.copy() for x in integrate_frontier(q[s], v[s], u[s], work)]
                      for s in (slice(cut), slice(cut, None))]
@@ -171,13 +195,13 @@ def test_a_frontier_split_at_any_row_is_bitwise_one_call(joints):
 
 def test_integrator_matches_fine_reference():
     # same physics at SUBSTEPS and 10000 substeps must agree to integrator order
-    q1, v1 = integrate_joint(0.5, 0.0, 3.0, P, 0.04)
+    q1, v1 = step_joint(0.5, 0.0, 3.0, P)
     q2, v2 = reference_integrate_joint(0.5, 0.0, 3.0, P, 0.04, substeps=10000)
     assert q1 == pytest.approx(q2, abs=1e-11)
     assert v1 == pytest.approx(v2, abs=1e-10)
 
 
-def total_energy(q: float, v: float, p: PendulumParams) -> float:
+def total_energy(q: float, v: float, p: Pendulum) -> float:
     """Kinetic plus potential energy; conserved exactly at zero torque."""
     return 0.5 * p.mass * p.length**2 * v**2 + p.mass * p.gravity * p.length * (1 - math.cos(q))
 
@@ -186,7 +210,7 @@ def test_energy_conservation_zero_torque():
     q, v = 1.0, 0.0
     e0 = total_energy(q, v, P)
     for _ in range(250):  # 10 s
-        q, v = integrate_joint(q, v, 0.0, P, 0.04)
+        q, v = step_joint(q, v, 0.0, P)
     assert abs(total_energy(q, v, P) - e0) / e0 < 1e-8
 
 
@@ -231,9 +255,11 @@ def test_overflow_on_the_last_substep_is_caught_after_integration():
 
 def test_array_integration_is_bitwise_scalar():
     # seeded states inside the demo limits under torques across its menu
-    # range, with infs and nans; one joint takes the demo's float constants,
-    # three take per-joint arrays. A NaN must face a NaN, of either sign;
-    # every other value, infinities and signed zeros included, bit for bit
+    # range, with infs and nans; one joint at the demo's constants, three
+    # at their own. Each element faces `integrate_step` of its joint with
+    # its torque on the menu: a NaN must face a NaN, of either sign; every
+    # other value, infinities and signed zeros included, bit for bit. Where
+    # a non-finite entry makes the step raise, the element faces the oracle
     rng = np.random.default_rng(20201)
     for rows, joints in ((4000, 1), (1, 1), (300, 3)):
         q = rng.uniform(-135 * DEG, 135 * DEG, (rows, joints))
@@ -247,20 +273,47 @@ def test_array_integration_is_bitwise_scalar():
         else:
             mass, length = (rng.uniform(0.2, 3.0, joints).tolist(),
                             rng.uniform(0.3, 2.0, joints).tolist())
-            params = PendulumParams(np.array(mass), np.array(length), 9.81)
-            per_joint = [PendulumParams(*ml, 9.81) for ml in zip(mass, length)]
+            params = Pendulum(np.array(mass), np.array(length), 9.81)
+            per_joint = [Pendulum(*ml, 9.81) for ml in zip(mass, length)]
         with np.errstate(all="ignore"):
-            qa, va = integrate_frontier(q, v, u, Workspace(params, 0.04))
+            qa, va = integrate_frontier(q, v, u, Workspace(robot_of(params)))
+            oracle = reference_integrate_joint(q, v, u, params, 0.04, sin=np.sin)
         for r, j in np.ndindex(rows, joints):
             got = qa[r, j], va[r, j]
             try:
-                want = integrate_joint(q[r, j].item(), v[r, j].item(), u[r, j].item(),
-                                       per_joint[j], 0.04)
-            except ValueError:
-                # math.sin refuses an infinite angle, where the kernel goes non-finite
+                want = step_joint(q[r, j].item(), v[r, j].item(), u[r, j].item(), per_joint[j])
+            except NumericalOverflow:
                 assert not np.isfinite(got).all(), (rows, joints, r, j)
-                continue
+                want = oracle[0][r, j], oracle[1][r, j]
             assert bits_any_nan(got) == bits_any_nan(want), (rows, joints, r, j)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_each_frontier_row_is_bitwise_integrate_step(data):
+    # 1-3 joints, each at its own mass, length and torque menu, under a
+    # drawn gravity and tick: one kernel call over rows of seeded states and
+    # actions gives, row by row, the scalar step of the robot, bit for bit
+    joint = st.tuples(st.floats(0.2, 3.0), st.floats(0.3, 2.0),
+                      st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=4,
+                               unique=True).map(sorted).map(tuple))
+    drawn = data.draw(st.lists(joint, min_size=1, max_size=3,
+                               unique_by=(itemgetter(0), itemgetter(1), itemgetter(2))))
+    mass, length, menus = (list(c) for c in zip(*drawn))
+    p = Pendulum(np.array(mass), np.array(length), data.draw(st.sampled_from([9.81, 3.7])))
+    robot = robot_of(p, menus, data.draw(st.sampled_from([0.04, 0.03, 0.05])))
+    action = st.tuples(*(st.integers(0, len(m) - 1) for m in menus))
+    angle, speed = st.floats(-135 * DEG, 135 * DEG), st.floats(-180 * DEG, 180 * DEG)
+    rows = data.draw(st.lists(st.tuples(st.lists(angle, min_size=len(mass), max_size=len(mass)),
+                                        st.lists(speed, min_size=len(mass), max_size=len(mass)),
+                                        action), min_size=1, max_size=12))
+    q, v = (np.array([r[k] for r in rows]) for k in (0, 1))
+    u = np.array([[m[k] for m, k in zip(menus, a)] for *_, a in rows])
+    qa, va = integrate_frontier(q, v, u, Workspace(robot))
+    for r, (qs, vs, a) in enumerate(rows):
+        want = integrate_step(ContinuousState(tuple(qs), tuple(vs)), a, robot)
+        assert bits(qa[r]) == bits(want.q), (r, a)
+        assert bits(va[r]) == bits(want.v), (r, a)
 
 
 def test_act_is_one_step_sequence(pendulum):
@@ -336,6 +389,6 @@ def test_integrate_step_takes_gravity_from_the_robot():
     got = integrate_step(s, action, robot)
     for i, j in enumerate(joints):
         want = reference_integrate_joint(s.q[i], s.v[i], j.torques[action[i]],
-                                         PendulumParams(j.mass, j.length, 3.7), 0.04)
+                                         Pendulum(j.mass, j.length, 3.7), 0.04)
         assert bits((got.q[i], got.v[i])) == bits(want)
     assert got != integrate_step(s, action, robot._replace(gravity=9.81))

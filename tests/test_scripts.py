@@ -140,8 +140,8 @@ def test_profile_discovery_counts_the_demo_and_restores_what_it_wraps(monkeypatc
     parts = [line.split() for line in lines[1:]]
     assert [p[:-2] for p in parts] == [
         ["kernel", "47", "calls", "8075", "rows"], ["tick", "masks", "47", "calls"],
-        ["static", "holds", "5", "calls"], ["bookkeeping"], ["table", "assembly"], ["search"],
-        ["write_jsonl"], ["export_dot"]]
+        ["static", "holds", "5", "calls", "100", "ticks"], ["bookkeeping"],
+        ["table", "assembly"], ["search"], ["write_jsonl"], ["export_dot"]]
     assert all(p[-1] == "ms" and float(p[-2]) > 0 for p in parts)
 
 
