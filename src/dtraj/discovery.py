@@ -7,7 +7,11 @@ replayed. Each state's sequences grow breadth-first, so the first recording
 per outcome is the shortest. Discovery runs every state's sequence tree at
 once as one frontier of numpy arrays, one tick per step, then orders the
 table as a state-by-state search would, so tables and their bytes do not
-depend on how the search was scheduled. It hands the table id columns.
+depend on how the search was scheduled. Where the grid is small, every
+grid state's tree starts on the first tick and the trees the start does
+not reach are dropped at the end (the seeded schedule); elsewhere, and
+where a seeded attempt is refused, a state's tree starts once the search
+reaches it (the reached schedule). It hands the table id columns.
 It is the one module that loads the dynamics, and calls them through the
 module, so a name patched there, as a tracer does, is the one called.
 """
@@ -22,8 +26,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import dynamics
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow
 from .model import (DEFAULT_MAX_SEQUENCES, DEFAULT_MAX_STATES, DEFAULT_NAL, ActionSequence,
-                    ContinuousState, QuantizedState, RobotSpec, check_on_grid, grid_range,
-                    representative)
+                    ContinuousState, QuantizedState, RobotSpec, action_space_size,
+                    check_on_grid, grid_range, representative, state_space_size)
 from .transitions import TransitionTable, _Rendered
 
 if TYPE_CHECKING:
@@ -168,11 +172,28 @@ def find_transitions(
     constants taken once per search. A tick whose pending sequences are
     bitwise the last tick's (the same trees, the same end states) would
     repeat it, so it takes the last tick's outcome and splits it by depth
-    alone: on the two-joint benchmark robot, 13 of 25 ticks hold only the
-    rest state's all-zero prefix and its children. A state's tree starts on the
-    tick after the state is first reached, from its cell centre: its index
-    row times the grid steps, appended to the rows of the states found
-    before it. A pending sequence is a node of one prefix trie shared by
+    alone, and a tick that does not lets go of it before it runs. A state's
+    tree starts from its cell centre, its index row times the grid steps,
+    on one of two schedules that differ only in when a tree starts:
+
+    - seeded: every grid state's tree, the start's first, on the first
+      tick, so the search takes about `nal` ticks; the settled rows of the
+      trees the start does not reach are dropped once the search is done.
+      It runs where the first tick, grid states times actions rows, fits
+      one TICK_CHUNK_ROWS chunk (the grid's size is a product of
+      `grid_range` sizes, so a grid too large to list is never listed),
+      the grid fits max_states, and max_sequences is at least grid states
+      times actions times `nal`. It grows every reachable tree in full and
+      its totals are at least the reached schedule's, so a seeded search
+      that finishes gives the reached schedule's table. If it exceeds a
+      budget or overflows, even in a tree the start never reaches, the
+      search runs again on the reached schedule, whose verdict and text
+      are returned: a refusal pays for both searches.
+    - reached: a state's tree starts on the tick after the state is first
+      reached, its rows appended to those of the states found before it.
+      The demo takes 47 ticks at `nal` 25 this way, and 25 seeded.
+
+    A pending sequence is a node of one prefix trie shared by
     every tree: its parent node and its last action, two integers however
     many rows hold it. The rows a tick settles are kept as its (tree, key,
     destination id) columns, a key being the parent node and last action
@@ -189,13 +210,13 @@ def find_transitions(
     keeps only the first (breadth-first order makes it a shortest one),
     dropping each tick's rows whose pair a row before them already has.
     max_sequences bounds the sequences simulated (each tick of each one
-    counts once, a repeated tick's too) and is checked before a tick runs;
-    max_states bounds the states found; MAX_TABLE_ACTIONS bounds the kept
-    transitions' lengths, summed after each tick, before any label is
-    built. Each raises BudgetExceeded with the progress so far.
+    counts once, a repeated tick's too) by each schedule, and is checked
+    before a tick runs, so a search whose seeded attempt is given up
+    simulates at most twice it in all; max_states bounds the states found;
+    MAX_TABLE_ACTIONS bounds the kept transitions' lengths, summed after
+    each tick, before any label is built. Each raises BudgetExceeded with
+    the reached schedule's progress so far.
     """
-    import numpy as np
-
     robot.validate()
     if nal < 1:
         raise ConfigError("nal must be >= 1")
@@ -205,6 +226,26 @@ def find_transitions(
         z = (0,) * robot.n_joints
         start = QuantizedState(z, z)
     check_on_grid(start, robot)
+    search = (robot, start, nal, dedup, max_states, max_sequences)
+    if _seeded(robot, nal, max_states, max_sequences):
+        try:
+            return _search(*search, seeded=True)
+        except (BudgetExceeded, NumericalOverflow):
+            pass    # the attempt's arrays and traceback go before the reached schedule runs
+    return _search(*search, seeded=False)
+
+
+def _seeded(robot: RobotSpec, nal: int, max_states: int, max_sequences: int) -> bool:
+    """Whether a search seeds every grid state's tree on its first tick (see find_transitions)."""
+    size = state_space_size(robot)
+    rows = size * action_space_size(robot)
+    return rows <= TICK_CHUNK_ROWS and size <= max_states and rows * nal <= max_sequences
+
+
+def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_states: int,
+            max_sequences: int, seeded: bool) -> TransitionTable:
+    """find_transitions' search on one schedule, its arguments checked."""
+    import numpy as np
 
     n = robot.n_joints
     actions = list(itertools.product(*(range(len(j.torques)) for j in robot.joints)))
@@ -230,6 +271,10 @@ def find_transitions(
 
     state_ids = _Rendered(add_state)    # by index row
     state_ids[start.pos_idx + start.vel_idx]
+    if seeded:    # every grid state, after the start, in index-row order
+        grids = [grid_range(*robot.grids(i)[k]) for k in (0, 1) for i in range(n)]
+        for row in itertools.product(*(range(first, last + 1) for first, last in grids)):
+            state_ids[row]
 
     # the prefix trie of the sequences that grow: node 0 is the empty
     # sequence, and a sequence's key is its parent node * n_act plus the
@@ -293,6 +338,8 @@ def find_transitions(
         # so the tick would repeat it: its outcome is taken as it stands
         parents = (p_tree.tobytes(), p_ends.tobytes())
         if parents != last_parents:
+            # the last tick's outcome goes before this tick's is made
+            last_tick = ends = cells = moved = stay = grow = settles = None
             last_parents = parents
             last_tick = _tick(cols, np.repeat(p_ends, n_act, axis=0), torque[key % n_act],
                               home[tree])
@@ -353,8 +400,14 @@ def find_transitions(
 
     frm, key, to = (np.concatenate(c) for c in zip(*settled_cols))
     order = _search_order(frm, to, len(states))
+    if len(order) < len(states):
+        # a seeded search's trees that the start does not reach
+        reached = np.zeros(len(states), dtype=bool)
+        reached[order] = True
+        keep = reached[frm]
+        frm, key, to = frm[keep], key[keep], to[keep]
     rank = np.empty(len(states), dtype=np.int64)
-    rank[order] = np.arange(len(states))
+    rank[order] = np.arange(len(order))
     # the table's rows: grouped by from-state in table order, each tree's in its
     # own. The columns are made, and the search's arrays let go, before the
     # labels are built: they are most of the table's memory.

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -139,7 +140,7 @@ def test_profile_discovery_counts_the_demo_and_restores_what_it_wraps(monkeypatc
     assert lines[0] == f"{CONFIG_PATH}: 943 states, 6353 transitions, median of 2 builds"
     parts = [line.split() for line in lines[1:]]
     assert [p[:-2] for p in parts] == [
-        ["kernel", "47", "calls", "8075", "rows"], ["tick", "masks", "47", "calls"],
+        ["kernel", "25", "calls", "8085", "rows"], ["tick", "masks", "25", "calls"],
         ["static", "holds", "5", "calls", "100", "ticks"], ["bookkeeping"],
         ["table", "assembly"], ["search"], ["write_jsonl"], ["export_dot"]]
     assert all(p[-1] == "ms" and float(p[-2]) > 0 for p in parts)
@@ -153,6 +154,29 @@ def test_profile_discovery_refuses_a_missing_config(tmp_path):
         f"error: cannot read robot config {missing!r}: "
         f"[Errno 2] No such file or directory: {missing!r}"]
     assert done.stdout == ""
+
+
+def test_refusal_cost_runs_each_side_in_alternated_children(tmp_path):
+    # the demo with a mass that overflows the dynamics: the search refuses
+    # on its first tick, here in the same checkout copied twice
+    with open(CONFIG_PATH) as fh:
+        cfg = json.load(fh)
+    cfg["joints"][0]["mass_kg"] = 1e-308
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(cfg))
+    done = run_script("refusal_cost.py", str(config), ROOT, ROOT, "--reps", "2",
+                      "--dir", str(tmp_path))
+    lines = done.stdout.splitlines()
+    runs = [re.fullmatch(r"run (\d) (base|head): (\S+) s, (\S+) MiB, (.*)", line).groups()
+            for line in lines[:4]]
+    assert [run[:2] for run in runs] == [("1", "base"), ("1", "head"), ("2", "head"),
+                                         ("2", "base")]
+    assert {run[4] for run in runs} == {
+        "NumericalOverflow: joint joint1: non-finite state after integration"}
+    # numpy alone takes more than 10 MiB
+    assert all(0 < float(run[2]) < 60 and float(run[3]) > 10 for run in runs)
+    assert [line.split(":")[0] for line in lines[4:]] == ["median base", "median head"]
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.json"]
 
 
 def test_explore_pendulum_refuses_a_missing_config(tmp_path):

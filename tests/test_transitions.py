@@ -1249,9 +1249,10 @@ class TestRepeatedTick:
         assert sum(frontier_rows) == 3420
 
     # the kernel calls and rows of each bench search, so that the child
-    # bookkeeping can neither integrate a row twice nor skip one
+    # bookkeeping can neither integrate a row twice nor skip one. Both are
+    # seeded: the demo's rows include its two unreached states' trees
     @pytest.mark.parametrize(("robot", "calls", "rows"),
-                             [("demo", 47, 8075), ("two-joint", 12, 3420)])
+                             [("demo", 25, 8085), ("two-joint", 10, 3402)])
     def test_each_bench_search_integrates_each_row_once(self, pendulum, frontier_rows,
                                                         robot, calls, rows):
         find_transitions(pendulum if robot == "demo" else robot_from_dict(TWO_JOINT))
@@ -1286,9 +1287,10 @@ class TestFixedPointHold:
         assert steps == []
 
     def test_only_a_fixed_point_skips_its_replay(self, steps, monkeypatch):
-        # CREEPING_HOLD's static candidates at nal 3, as the search meets
-        # them: rest's is a fixed point, while the one a cell up creeps off
-        # its centre, is replayed four passes and escapes on the fifth
+        # CREEPING_HOLD's static candidates at nal 3, as the seeded search
+        # meets them: rest's is a fixed point, while those a cell down and a
+        # cell up creep off their centres, are replayed four passes and
+        # escape on the fifth. The start never reaches the cell down
         met = []
         hold = discovery._static_hold
 
@@ -1299,12 +1301,14 @@ class TestFixedPointHold:
             return held
 
         monkeypatch.setattr(discovery, "_static_hold", recorded)
-        find_transitions(CREEPING_HOLD, nal=3)
+        table = find_transitions(CREEPING_HOLD, nal=3)
         zeros = ((1,),) * 3
-        assert met == [(ZERO, zeros, True, 0, True),
-                       (QuantizedState((1,), (0,)), zeros, False, 4 * 3, False)]
+        down, up = QuantizedState((-1,), (0,)), QuantizedState((1,), (0,))
+        assert met == [(ZERO, zeros, True, 0, True), (down, zeros, False, 4 * 3, False),
+                       (up, zeros, False, 4 * 3, False)]
+        assert down not in table.states and up in table.states
         assert [reference_static_hold(s, seq, CREEPING_HOLD) for s, seq, *_ in met] == [
-            True, False]
+            True, False, False]
 
 
 def test_the_table_module_serves_three_discovery_names():
@@ -1494,6 +1498,183 @@ class TestBudgetsInChunks(TestBudgets):
     @pytest.fixture(autouse=True)
     def chunked(self, monkeypatch):
         monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", TestTicksInChunks.ROWS)
+
+
+# ---------------------------------------------------------------------------
+# the seeded schedule against the reached one
+
+
+@contextlib.contextmanager
+def schedule(seeded: bool | None = None):
+    """Searches with the seeded schedule forced on or off (None: as its gates
+    say); yields a list of (seeded, error type or None), one per schedule a
+    search runs."""
+    runs = []
+    real = discovery._search
+
+    def search(*args, seeded):
+        try:
+            table = real(*args, seeded=seeded)
+        except Exception as e:
+            runs.append((seeded, type(e)))
+            raise
+        runs.append((seeded, None))
+        return table
+
+    gate = discovery._seeded if seeded is None else lambda *args: seeded
+    with mock.patch.object(discovery, "_seeded", gate), \
+            mock.patch.object(discovery, "_search", search):
+        yield runs
+
+
+def counted_rows(monkeypatch) -> list[int]:
+    """The rows of each kernel call from here on."""
+    rows = []
+    real = dynamics.integrate_frontier
+
+    def counted(q, *args):
+        rows.append(len(q))
+        return real(q, *args)
+
+    monkeypatch.setattr(dynamics, "integrate_frontier", counted)
+    return rows
+
+
+class TestSchedules:
+    """Either schedule gives every table, byte and refusal the other gives."""
+
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize("robot", ["demo", "demo-32ms", "two-joint", "three-joint"])
+    def test_bench_robots(self, pendulum, robot, dedup):
+        robot_spec = {"demo": pendulum, "demo-32ms": pendulum._replace(delta_t=0.032),
+                      "two-joint": robot_from_dict(TWO_JOINT),
+                      "three-joint": bench_robot(3)}[robot]
+        texts = []
+        for seeded in (True, False):
+            with schedule(seeded) as runs:
+                texts.append(serialised(find_transitions(robot_spec, dedup=dedup)))
+            assert runs == [(seeded, None)]
+        assert texts[0] == texts[1]
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts[0]) == (
+            TestAgainstOracle.PINNED[robot, dedup])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_robots(), st.integers(1, 25), st.sampled_from(["all", "shortest"]))
+    @example((CREEPING_HOLD, ZERO), 3, "all")
+    def test_small_robots(self, robot_and_start, nal, dedup):
+        robot, start = robot_and_start
+        kw = dict(start=start, nal=nal, dedup=dedup, max_sequences=20_000)
+        check = (contextlib.nullcontext() if all(0.0 in j.torques for j in robot.joints)
+                 else mock.patch.object(JointSpec, "validate", lambda self: None))
+        with check:
+            with schedule(True):
+                seeded = outcome(find_transitions, robot, **kw)
+            with schedule(False):
+                assert seeded == outcome(find_transitions, robot, **kw)
+
+    # in TestTicksInChunks' 7-row chunks, narrower than any seeded first
+    # tick: the first gate would refuse them, so the schedule is forced
+    @pytest.mark.parametrize("dedup", ["all", "shortest"])
+    @pytest.mark.parametrize("robot", ["demo", "two-joint", "three-joint"])
+    def test_bytes_are_pinned_in_chunks(self, pendulum, monkeypatch, robot, dedup):
+        monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", TestTicksInChunks.ROWS)
+        rows = counted_rows(monkeypatch)
+        with schedule(True) as runs:
+            table = find_transitions({"demo": pendulum, "two-joint": robot_from_dict(TWO_JOINT),
+                                      "three-joint": bench_robot(3)}[robot], dedup=dedup)
+        assert runs == [(True, None)]
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serialised(table))
+        assert digests == TestAgainstOracle.PINNED[robot, dedup]
+        assert max(rows) == TestTicksInChunks.ROWS
+        if robot == "demo":
+            assert sum(rows) == 8085
+
+
+class TestFallBack:
+    """A seeded attempt that is refused gives way to the reached schedule's verdict."""
+
+    @staticmethod
+    def verdict(robot, seeded=None, **kw):
+        """The JSONL and DOT of find_transitions' table, or its refusal's text, with
+        the schedule forced as `schedule` does; and each schedule run."""
+        with schedule(seeded) as runs:
+            try:
+                found = serialised(find_transitions(robot, **kw))
+            except BudgetExceeded as e:
+                found = str(e)
+        return found, runs
+
+    # the seeded attempt keeps the unreached trees' actions too, so at the
+    # table's own total it is refused and the reached schedule builds the
+    # table; one action less, the reached schedule refuses it in its words
+    @pytest.mark.parametrize(("dedup", "total"), [("all", 20329), ("shortest", 5227)])
+    def test_an_action_budget(self, pendulum, monkeypatch, dedup, total):
+        for budget, built in ((total, True), (total - 1, False)):
+            monkeypatch.setattr(discovery, "MAX_TABLE_ACTIONS", budget)
+            got, runs = self.verdict(pendulum, dedup=dedup)
+            assert (got, isinstance(got, tuple)) == (self.verdict(pendulum, False, dedup=dedup)[0],
+                                                     built)
+            assert runs == [(True, BudgetExceeded), (False, None if built else BudgetExceeded)]
+
+    def test_an_overflow_in_a_tree_the_start_never_reaches(self, pendulum, pendulum_table,
+                                                           monkeypatch):
+        # the demo's grid state (67, -3) is not in its table: its tree's
+        # first rows, at the state's cell centre, are made to overflow
+        assert QuantizedState((67,), (-3,)) not in pendulum_table.states
+        centre = representative(QuantizedState((67,), (-3,)), pendulum)
+        real = dynamics.integrate_frontier
+
+        def overflowing(q, v, *args):
+            q1, v1 = real(q, v, *args)
+            hit = (q[:, 0] == centre.q[0]) & (v[:, 0] == centre.v[0])
+            return np.where(hit[:, None], np.inf, q1), v1
+
+        monkeypatch.setattr(dynamics, "integrate_frontier", overflowing)
+        with schedule() as runs:
+            table = find_transitions(pendulum)
+        assert runs == [(True, NumericalOverflow), (False, None)]
+        assert table == pendulum_table
+        assert serialised(table) == serialised(pendulum_table)
+
+    # the 20 ms demo's trees branch on most ticks: a budget at the third
+    # gate, grid states x actions x nal, is passed by its seeded attempt.
+    # From rest the reached schedule refuses too; from the top of the grid
+    # moving up, every row leaves the limits and it builds a one-state table
+    @pytest.mark.parametrize(("start", "nal", "built"), [
+        (ZERO, 4, False), (QuantizedState((67,), (1,)), 3, True)])
+    def test_a_sequence_budget_at_the_gate(self, pendulum, monkeypatch, start, nal, built):
+        robot = pendulum._replace(delta_t=0.02)
+        budget = model.state_space_size(robot) * 5 * nal
+        kw = dict(start=start, nal=nal, max_sequences=budget)
+        want, _ = self.verdict(robot, False, **kw)
+        rows = counted_rows(monkeypatch)
+        got, runs = self.verdict(robot, **kw)
+        assert got == want and isinstance(got, tuple) is built
+        assert runs == [(True, BudgetExceeded), (False, None if built else BudgetExceeded)]
+        # each schedule stays within the budget, so the search within twice it
+        assert sum(rows) <= 2 * budget
+
+    def test_a_grid_too_large_to_list(self):
+        # about 6e34 grid states: gates 2 and 3 hold, and the first alone
+        # keeps the grid unlisted. The first tick is the start's n_act rows
+        joint = demo_joint()._replace(delta_q=1e-4 * DEG)
+        robot = RobotSpec(delta_t=0.04, joints=(joint,) * 3)
+        assert model.state_space_size(robot) > 10 ** 34
+
+        class Stop(Exception):
+            pass
+
+        rows = []
+
+        def first_call(q, *args):
+            rows.append(len(q))
+            raise Stop
+
+        with mock.patch.object(dynamics, "integrate_frontier", first_call), \
+                schedule() as runs, pytest.raises(Stop):
+            find_transitions(robot, max_states=10 ** 40, max_sequences=10 ** 40)
+        assert rows == [5 ** 3]
+        assert runs == [(False, Stop)]
 
 
 # ---------------------------------------------------------------------------
