@@ -256,7 +256,8 @@ def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_s
     # `representative`'s, as every index is below 2^53 in size
     cols = _Columns.of(robot)
 
-    # states by id, as their index rows, in the order the frontier first reached them
+    # states by id, as their index rows: the start, the grid's if seeded, then
+    # each other in the order the frontier first reached it
     states: list[tuple[int, ...]] = []
     simulated = kept_actions = 0
 
