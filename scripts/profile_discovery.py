@@ -18,6 +18,10 @@ each writer, and the median over the builds is printed of:
 - the search, `find_transitions`, whole;
 - each writer: `write_jsonl` into memory, and `export_dot`.
 
+The config's header line also names the schedule each build's search took,
+as `discovery._search` runs it: "seeded", "reached", or "seeded then
+reached" where a seeded attempt was refused and the reached schedule ran.
+
 Each function is wrapped through its module, as the tests patch them, so
 every call discovery makes through the module is seen, and each wrapper
 is taken off again before the script ends. The wrappers' own cost, under a
@@ -40,6 +44,8 @@ from dtraj.transitions import export_dot, write_jsonl
 PARTS = (("kernel", dynamics, "integrate_frontier"), ("tick", discovery, "_tick"),
          ("static holds", discovery, "_static_hold"),
          ("table assembly", discovery, "_search_order"))
+# the search on one schedule, whose calls name the schedules a build took
+SEARCH = (discovery, "_search")
 # the scalar step, whose calls inside a search are counted as the static holds' ticks
 STEP = (dynamics, "integrate_step")
 
@@ -60,6 +66,14 @@ def wrapped(counts: dict, label: str, real):
     return timed
 
 
+def scheduled(took: list, real):
+    """`real`, `discovery._search`, adding the schedule of each call to took."""
+    def search(*args, seeded):
+        took.append("seeded" if seeded else "reached")
+        return real(*args, seeded=seeded)
+    return search
+
+
 def counting(count: list, real):
     """`real`, adding its calls to count[1]."""
     def step(*args, **kw):
@@ -68,17 +82,20 @@ def counting(count: list, real):
     return step
 
 
-def profile(robot, reps: int) -> tuple[dict, object]:
-    """Per part, the list over `reps` builds of its (calls, rows or ticks, seconds); and the
-    last table."""
+def profile(robot, reps: int) -> tuple[dict, object, list]:
+    """Per part, the list over `reps` builds of its (calls, rows or ticks, seconds); the
+    last table; and the schedules the builds took, each distinct one once."""
     runs: dict[str, list] = {}
-    wraps = [(module, name) for _, module, name in PARTS] + [STEP]
+    schedules: dict[str, None] = {}
+    wraps = [(module, name) for _, module, name in PARTS] + [SEARCH, STEP]
     reals = [getattr(module, name) for module, name in wraps]
     try:
         for _ in range(reps):
             counts = {label: [0, 0, 0.0, 0.0] for label, *_ in PARTS}
             for (label, module, name), real in zip(PARTS, reals):
                 setattr(module, name, wrapped(counts, label, real))
+            took: list[str] = []
+            setattr(*SEARCH, scheduled(took, reals[-2]))
             setattr(*STEP, counting(counts["static holds"], reals[-1]))
             t0 = time.perf_counter()
             table = discovery.find_transitions(robot)
@@ -87,6 +104,7 @@ def profile(robot, reps: int) -> tuple[dict, object]:
             counts["table assembly"][2] = t1 - counts["table assembly"][3]
             for (module, name), real in zip(wraps, reals):
                 setattr(module, name, real)
+            schedules[" then ".join(took)] = None
             for label, write in (("write_jsonl", lambda t: write_jsonl(t, io.StringIO())),
                                  ("export_dot", export_dot)):
                 t0 = time.perf_counter()
@@ -101,7 +119,7 @@ def profile(robot, reps: int) -> tuple[dict, object]:
     finally:
         for (module, name), real in zip(wraps, reals):
             setattr(module, name, real)
-    return runs, table
+    return runs, table, list(schedules)
 
 
 def main():
@@ -115,12 +133,12 @@ def main():
     for path in args.configs:
         try:
             robot = load_robot(path)
-            runs, table = profile(robot, args.reps)
+            runs, table, schedules = profile(robot, args.reps)
         except DtrajError as e:
             print(f"error: {e}", file=sys.stderr)
             sys.exit(e.exit_code)
         print(f"{path}: {len(table.states)} states, {len(table)} transitions, "
-              f"median of {args.reps} builds")
+              f"median of {args.reps} builds, schedule {' or '.join(schedules)}")
         for label in ("kernel", "tick", "static holds", "bookkeeping", "table assembly",
                       "search", "write_jsonl", "export_dot"):
             calls, rows, secs = (statistics.median(c[k] for c in runs[label]) for k in range(3))

@@ -15,8 +15,12 @@ Each run prints the search's wall time (the call alone, not the child's
 start-up), the child's peak resident memory (its `ru_maxrss` as `os.wait4`
 reports it, in MiB) and its verdict: the refusal's error type and text, or
 the table's size if it was built. Then each side's medians. It is meant for
-refusals, whose cost a search that falls back pays twice. Standard library
-only.
+refusals, whose cost a search that falls back pays twice: a refusal pays
+for both searches, in memory too. The seeded attempt's freed arrays raise
+glibc's dynamic mmap threshold, so the reached search after it peaks at
+about 468 MiB on the 20 ms demo, against 431 MiB alone; refusing from the
+seeded search itself (ROADMAP item 35, Step 2) would remove that gap.
+Standard library only.
 """
 
 import argparse

@@ -9,7 +9,7 @@ once as one frontier of numpy arrays, one tick per step, then orders the
 table as a state-by-state search would, so tables and their bytes do not
 depend on how the search was scheduled. Where the grid is small, every
 grid state's tree starts on the first tick and the trees the start does
-not reach are dropped at the end (the seeded schedule); elsewhere, and
+not reach are left out of the table (the seeded schedule); elsewhere, and
 where a seeded attempt is refused, a state's tree starts once the search
 reaches it (the reached schedule). It hands the table id columns.
 It is the one module that loads the dynamics, and calls them through the
@@ -177,8 +177,8 @@ def find_transitions(
     on one of two schedules that differ only in when a tree starts:
 
     - seeded: every grid state's tree, the start's first, on the first
-      tick, so the search takes about `nal` ticks; the settled rows of the
-      trees the start does not reach are dropped once the search is done.
+      tick, so the search takes about `nal` ticks; the trees the start
+      does not reach are left out of the table.
       It runs where the first tick, grid states times actions rows, fits
       one TICK_CHUNK_ROWS chunk (the grid's size is a product of
       `grid_range` sizes, so a grid too large to list is never listed),
@@ -188,7 +188,9 @@ def find_transitions(
       that finishes gives the reached schedule's table. If it exceeds a
       budget or overflows, even in a tree the start never reaches, the
       search runs again on the reached schedule, whose verdict and text
-      are returned: a refusal pays for both searches.
+      are returned: a refusal pays for both searches, in memory too, as
+      the attempt's freed arrays raise glibc's dynamic mmap threshold (at
+      20 ms the demo's reached search peaks at 468 MiB after it, 431 alone).
     - reached: a state's tree starts on the tick after the state is first
       reached, its rows appended to those of the states found before it.
       The demo takes 47 ticks at `nal` 25 this way, and 25 seeded.
@@ -273,8 +275,7 @@ def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_s
     state_ids = _Rendered(add_state)    # by index row
     state_ids[start.pos_idx + start.vel_idx]
     if seeded:    # every grid state, after the start, in index-row order
-        grids = [grid_range(*robot.grids(i)[k]) for k in (0, 1) for i in range(n)]
-        for row in itertools.product(*(range(first, last + 1) for first, last in grids)):
+        for row in itertools.product(*map(range, map(int, cols.first), map(int, cols.last + 1))):
             state_ids[row]
 
     # the prefix trie of the sequences that grow: node 0 is the empty
@@ -400,23 +401,15 @@ def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_s
         p_node = np.fromiter(map(nodes.__getitem__, key[kept].tolist()), np.int64, len(kept))
 
     frm, key, to = (np.concatenate(c) for c in zip(*settled_cols))
-    order = _search_order(frm, to, len(states))
-    if len(order) < len(states):
-        # a seeded search's trees that the start does not reach
-        reached = np.zeros(len(states), dtype=bool)
-        reached[order] = True
-        keep = reached[frm]
-        frm, key, to = frm[keep], key[keep], to[keep]
-    rank = np.empty(len(states), dtype=np.int64)
+    order, rows = _search_order(frm, to, len(states))
+    rank = np.empty(len(states), dtype=np.int64)    # table id by state id, where reached
     rank[order] = np.arange(len(order))
-    # the table's rows: grouped by from-state in table order, each tree's in its
-    # own. The columns are made, and the search's arrays let go, before the
-    # labels are built: they are most of the table's memory.
-    by_rank = np.argsort(rank[frm], kind="stable")
-    used, label = np.unique(key[by_rank], return_inverse=True)
+    # the columns are made, and the search's arrays let go, before the labels
+    # are built: they are most of the table's memory
+    used, label = np.unique(key[rows], return_inverse=True)
     columns = [array("q", c.astype(np.int64).tobytes())
-               for c in (rank[frm[by_rank]], label, rank[to[by_rank]])]
-    del settled_cols, nodes, frm, key, to, by_rank, label
+               for c in (rank[frm[rows]], label, rank[to[rows]])]
+    del settled_cols, nodes, frm, key, to, rows, label
     labels = tuple((seq, len(seq) * robot.delta_t) for seq in sequences(used.tolist()))
     # each state a QuantizedState built in C: tuple.__new__ on its (positions,
     # velocities), sliced off its index row
@@ -430,24 +423,26 @@ def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_s
                                      on_lines=len(columns[0]) > 0)
 
 
-def _search_order(frm: np.ndarray, to: np.ndarray, n_states: int) -> list[int]:
-    """State ids in the order a state-by-state search reaches them.
+def _search_order(frm: np.ndarray, to: np.ndarray, n_states: int) -> tuple[list, np.ndarray]:
+    """State ids in the order a state-by-state search reaches them; the rows in table order.
 
     (frm[k], to[k]) are the settled rows, each tree's in its own order.
     Searching the trees in turn from state 0, a state joins when it is
-    first reached.
+    first reached. The table's rows go tree by tree in that order, each
+    tree's in its own; a tree the search never reaches has none there.
     """
     import numpy as np
 
     by_tree = np.argsort(frm, kind="stable")
-    row_start = np.searchsorted(frm[by_tree], np.arange(n_states + 1)).tolist()
-    dests = to[by_tree].tolist()
-    order = [0]
-    placed = [False] * n_states
-    placed[0] = True
+    row_start = np.searchsorted(frm[by_tree], np.arange(n_states + 1))
+    bounds, dests = row_start.tolist(), to[by_tree].tolist()
+    order, placed = [0], [True] + [False] * (n_states - 1)
     for f in order:
-        for t in dests[row_start[f]:row_start[f + 1]]:
+        for t in dests[bounds[f]:bounds[f + 1]]:
             if not placed[t]:
                 placed[t] = True
                 order.append(t)
-    return order
+    # each reached tree's run of by_tree, laid end to end in search order
+    lens = np.diff(row_start)[order]
+    ends = np.cumsum(lens)
+    return order, by_tree[np.arange(ends[-1]) + np.repeat(row_start[order] - ends + lens, lens)]

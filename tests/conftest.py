@@ -53,11 +53,16 @@ TWO_JOINT = {
 }
 
 
-def bench_robot(n_joints: int) -> RobotSpec:
-    """The benchmark's two-joint robot, or that robot with a third joint like the others."""
+def bench_config(n_joints: int) -> dict:
+    """The benchmark's two-joint robot config, or that robot with a third joint like the others."""
     cfg = copy.deepcopy(TWO_JOINT)
     cfg["joints"] = [dict(cfg["joints"][0], name=f"j{i}") for i in range(1, n_joints + 1)]
-    return robot_from_dict(cfg)
+    return cfg
+
+
+def bench_robot(n_joints: int) -> RobotSpec:
+    """`bench_config`'s robot."""
+    return robot_from_dict(bench_config(n_joints))
 
 
 # field values at the edges of every rule; DELETE removes the field

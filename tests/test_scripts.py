@@ -14,7 +14,7 @@ from dtraj.discovery import find_transitions
 from dtraj.lattice import scaling_table, write_scaling_csv
 from dtraj.model import robot_from_dict
 from dtraj.transitions import export_dot, write_jsonl
-from conftest import CONFIG_PATH
+from conftest import CONFIG_PATH, bench_config, bench_robot
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
@@ -137,13 +137,25 @@ def test_profile_discovery_counts_the_demo_and_restores_what_it_wraps(monkeypatc
     runpy.run_path(os.path.join(ROOT, "scripts", "profile_discovery.py"), run_name="__main__")
     assert (dict(vars(discovery)), dict(vars(dynamics))) == names
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"{CONFIG_PATH}: 943 states, 6353 transitions, median of 2 builds"
+    assert lines[0] == (f"{CONFIG_PATH}: 943 states, 6353 transitions, median of 2 builds, "
+                        f"schedule seeded")
     parts = [line.split() for line in lines[1:]]
     assert [p[:-2] for p in parts] == [
         ["kernel", "25", "calls", "8085", "rows"], ["tick", "masks", "25", "calls"],
         ["static", "holds", "5", "calls", "100", "ticks"], ["bookkeeping"],
         ["table", "assembly"], ["search"], ["write_jsonl"], ["export_dot"]]
     assert all(p[-1] == "ms" and float(p[-2]) > 0 for p in parts)
+
+
+def test_profile_discovery_names_the_reached_schedule(tmp_path):
+    # the bench robot with a third joint: its first tick would be wider than one chunk
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps(bench_config(3)))
+    table = find_transitions(bench_robot(3))
+    done = run_script("profile_discovery.py", str(config), "--reps", "1")
+    assert done.stdout.splitlines()[0] == (
+        f"{config}: {len(table.states)} states, {len(table)} transitions, "
+        f"median of 1 builds, schedule reached")
 
 
 def test_profile_discovery_refuses_a_missing_config(tmp_path):

@@ -1590,6 +1590,42 @@ class TestSchedules:
             assert sum(rows) == 8085
 
 
+def reference_table_order(frm: list, to: list, n_states: int) -> tuple[list, list]:
+    """The state order and the table's rows, step by step: the trees searched
+    in turn from state 0, then the rows of the trees that search never reaches
+    filtered out, then the rest sorted stably by their tree's table id."""
+    trees = [[t for f, t in zip(frm, to) if f == s] for s in range(n_states)]
+    order = [0]
+    for s in order:
+        order += [t for t in dict.fromkeys(trees[s]) if t not in order]
+    rank = {s: k for k, s in enumerate(order)}
+    kept = [k for k, f in enumerate(frm) if f in rank]
+    return order, sorted(kept, key=lambda k: rank[frm[k]])
+
+
+@st.composite
+def settled_rows(draw):
+    """(from, to) columns over 1-8 states, pairs repeating, in any order."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    return [f for f, _ in pairs], [t for _, t in pairs], n
+
+
+# the examples: a start without rows; trees 1 and 4 without rows, tree 3
+# never reached and (0, 2) and (3, 3) repeated; a start without rows among
+# trees that have them
+@settings(max_examples=300, deadline=None)
+@given(settled_rows())
+@example(([], [], 1))
+@example(([2, 0, 3, 2, 0, 3, 0], [0, 2, 3, 1, 2, 3, 4], 5))
+@example(([1, 2, 2], [2, 0, 1], 3))
+def test_search_order_against_filter_and_sort(columns):
+    frm, to, n = columns
+    order, rows = discovery._search_order(np.array(frm, dtype=np.int64),
+                                          np.array(to, dtype=np.int64), n)
+    assert (order, rows.tolist()) == reference_table_order(frm, to, n)
+
+
 class TestFallBack:
     """A seeded attempt that is refused gives way to the reached schedule's verdict."""
 
@@ -1653,6 +1689,24 @@ class TestFallBack:
         assert runs == [(True, BudgetExceeded), (False, None if built else BudgetExceeded)]
         # each schedule stays within the budget, so the search within twice it
         assert sum(rows) <= 2 * budget
+
+    # the demo's grid has 945 states and 5 actions: one state or one sequence
+    # short of gate 2 or gate 3, the reached schedule alone builds its table
+    @pytest.mark.parametrize(("budget", "seeded", "calls", "rows"), [
+        (dict(max_states=944), False, 47, 8075),
+        (dict(max_sequences=945 * 5 * 25 - 1), False, 47, 8075),
+        (dict(max_sequences=945 * 5 * 25), True, 25, 8085)],
+        ids=["max_states-944", "max_sequences-118124", "max_sequences-118125"])
+    def test_the_demo_at_gates_2_and_3(self, pendulum, pendulum_table, monkeypatch, budget,
+                                       seeded, calls, rows):
+        assert model.state_space_size(pendulum) == 945
+        counted = counted_rows(monkeypatch)
+        with schedule() as runs:
+            table = find_transitions(pendulum, **budget)
+        assert runs == [(seeded, None)]
+        assert (len(counted), sum(counted)) == (calls, rows)
+        assert table == pendulum_table
+        assert serialised(table) == serialised(pendulum_table)
 
     def test_a_grid_too_large_to_list(self):
         # about 6e34 grid states: gates 2 and 3 hold, and the first alone
