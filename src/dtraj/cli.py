@@ -120,7 +120,7 @@ def _parse_csv_ints(text: str, flag: str) -> tuple[int, ...]:
 
 def _cmd_transitions(args, robot) -> None:
     from .discovery import find_transitions
-    from .transitions import export_dot, write_jsonl
+    from .transitions import _dot_lines, write_jsonl
 
     start = _parse_state(args.start, robot.n_joints) if args.start else None
     table = find_transitions(
@@ -133,7 +133,7 @@ def _cmd_transitions(args, robot) -> None:
     )
     _write_output(args.out, lambda fh: write_jsonl(table, fh))
     if args.dot:
-        _write_output(args.dot, lambda fh: fh.write(export_dot(table)))
+        _write_output(args.dot, lambda fh: fh.writelines(_dot_lines(table)))
 
 
 def _cmd_enumerate(args, table) -> None:

@@ -19,19 +19,18 @@ module, so a name patched there, as a tracer does, is the one called.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from . import dynamics
 from .errors import BudgetExceeded, ConfigError, NumericalOverflow
 from .model import (DEFAULT_MAX_SEQUENCES, DEFAULT_MAX_STATES, DEFAULT_NAL, ActionSequence,
-                    ContinuousState, QuantizedState, RobotSpec, action_space_size,
-                    check_on_grid, grid_range, representative, state_space_size)
+                    ContinuousState, QuantizedState, RobotSpec, check_on_grid, grid_range,
+                    representative)
 from .transitions import TransitionTable, _Rendered
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # total replays a static candidate must survive before it is recorded
 STATIC_HOLD_REPS = 5
@@ -49,30 +48,22 @@ MAX_TABLE_ACTIONS = 10_000_000
 TICK_CHUNK_ROWS = 8_192
 
 
-class _Columns(NamedTuple):
-    """A robot's constants per frontier column, joint positions then velocities.
-
-    Taken once per search: the workspace of `dynamics.integrate_frontier`,
-    `integrate_step`'s array twin, over the robot spec, and per column the
-    grid step, `grid_range`'s first and last index as floats and the limits.
+class _Frontier(dynamics.Workspace):
+    """One find_transitions call's record of its robot, read by the gate, both schedules
+    and `_tick`: the kernel's workspace, the robot, its actions in lexicographic index
+    order and each one's torques, and per frontier column, joint positions then
+    velocities, the grid step, `grid_range`'s first and last index as floats and the limits.
     """
 
-    robot: RobotSpec
-    work: dynamics.Workspace
-    steps: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def of(cls, robot: RobotSpec) -> _Columns:
-        import numpy as np
-
+    def __init__(self, robot: RobotSpec):
+        super().__init__(robot)
+        self.robot = robot
+        self.actions = list(itertools.product(*(range(len(j.torques)) for j in robot.joints)))
+        self.torque = np.array([[j.torques[k] for j, k in zip(robot.joints, a)]
+                                for a in self.actions])
         grids = [robot.grids(i)[k] for k in (0, 1) for i in range(robot.n_joints)]
-        lo, hi, steps = np.array(grids).T
-        first, last = np.array([grid_range(*g) for g in grids], dtype=np.float64).T
-        return cls(robot, dynamics.Workspace(robot), steps, first, last, lo, hi)
+        self.lo, self.hi, self.steps = np.array(grids).T
+        self.first, self.last = np.array([grid_range(*g) for g in grids], dtype=np.float64).T
 
 
 def _static_hold(
@@ -103,15 +94,15 @@ def _static_hold(
     return True
 
 
-def _tick(cols: _Columns, starts: np.ndarray, torque: np.ndarray,
+def _tick(cols: _Frontier, starts: np.ndarray, torque: np.ndarray,
           home: np.ndarray) -> tuple[np.ndarray, ...]:
     """One tick of every frontier row: (ends, cells, moved, stay).
 
     Row k starts at starts[k] (joint positions, then velocities) and is held
     at torque[k] for one tick by `dynamics.integrate_frontier`; home[k] is
     the index row of the state whose tree it grows. The rows run through the
-    kernel, the rounding and the masks TICK_CHUNK_ROWS at a time, on the
-    search's kernel workspace; every step is elementwise, so the chunks
+    kernel, the rounding and the masks TICK_CHUNK_ROWS at a time, with
+    `cols` as the kernel's workspace; every step is elementwise, so the chunks
     change no value. A non-finite end raises NumericalOverflow once every
     chunk has run: one check covers the whole tick, and only a failed one
     reduces the columns, to name the joint. A row's cell is its end's index
@@ -122,8 +113,6 @@ def _tick(cols: _Columns, starts: np.ndarray, torque: np.ndarray,
     or past a limit. The search splits the staying rows by depth: static at
     `nal`, growing short of it.
     """
-    import numpy as np
-
     n = cols.robot.n_joints
     ends, cells = np.empty_like(starts), np.empty_like(starts)
     moved, stay = np.empty(len(starts), dtype=bool), np.empty(len(starts), dtype=bool)
@@ -132,7 +121,7 @@ def _tick(cols: _Columns, starts: np.ndarray, torque: np.ndarray,
             part = slice(lo, lo + TICK_CHUNK_ROWS)
             start, end, cell = starts[part], ends[part], cells[part]
             end[:, :n], end[:, n:] = dynamics.integrate_frontier(
-                start[:, :n], start[:, n:], torque[part], cols.work)
+                start[:, :n], start[:, n:], torque[part], cols)
             np.divide(end, cols.steps, cell)
             np.add(cell, np.copysign(0.5, cell), cell)
             np.trunc(cell, cell)
@@ -168,8 +157,10 @@ def find_transitions(
 
     Every state's sequence tree grows at once: one frontier holds the pending
     sequences of every state found so far, a (rows, 2 * joints) array, and
-    each tick runs all of them through `_tick`, with the robot's column
-    constants taken once per search. A tick whose pending sequences are
+    each tick runs all of them through `_tick`. The robot's column
+    constants, its actions and the kernel's workspace are taken once per
+    call, in one `_Frontier` that the gate and both schedules share, the
+    fall-back too. A tick whose pending sequences are
     bitwise the last tick's (the same trees, the same end states) would
     repeat it, so it takes the last tick's outcome and splits it by depth
     alone, and a tick that does not lets go of it before it runs. A state's
@@ -228,8 +219,9 @@ def find_transitions(
         z = (0,) * robot.n_joints
         start = QuantizedState(z, z)
     check_on_grid(start, robot)
-    search = (robot, start, nal, dedup, max_states, max_sequences)
-    if _seeded(robot, nal, max_states, max_sequences):
+    cols = _Frontier(robot)
+    search = (cols, start, nal, dedup, max_states, max_sequences)
+    if _seeded(cols, nal, max_states, max_sequences):
         try:
             return _search(*search, seeded=True)
         except (BudgetExceeded, NumericalOverflow):
@@ -237,26 +229,19 @@ def find_transitions(
     return _search(*search, seeded=False)
 
 
-def _seeded(robot: RobotSpec, nal: int, max_states: int, max_sequences: int) -> bool:
+def _seeded(cols: _Frontier, nal: int, max_states: int, max_sequences: int) -> bool:
     """Whether a search seeds every grid state's tree on its first tick (see find_transitions)."""
-    size = state_space_size(robot)
-    rows = size * action_space_size(robot)
+    size = math.prod(int(b) - int(a) + 1 for a, b in zip(cols.first, cols.last))
+    rows = size * len(cols.actions)
     return rows <= TICK_CHUNK_ROWS and size <= max_states and rows * nal <= max_sequences
 
 
-def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_states: int,
+def _search(cols: _Frontier, start: QuantizedState, nal: int, dedup: str, max_states: int,
             max_sequences: int, seeded: bool) -> TransitionTable:
-    """find_transitions' search on one schedule, its arguments checked."""
-    import numpy as np
-
-    n = robot.n_joints
-    actions = list(itertools.product(*(range(len(j.torques)) for j in robot.joints)))
-    n_act = len(actions)
-    torque = np.array([[j.torques[k] for j, k in zip(robot.joints, a)] for a in actions])
-
-    # a cell's index row times the grid steps is its centre, bitwise
-    # `representative`'s, as every index is below 2^53 in size
-    cols = _Columns.of(robot)
+    """find_transitions' search on one schedule, its arguments checked. A cell's index row
+    times the grid steps is its centre, bitwise `representative`'s (every index is below 2^53)."""
+    robot, actions = cols.robot, cols.actions
+    n, n_act = robot.n_joints, len(actions)
 
     # states by id, as their index rows: the start, the grid's if seeded, then
     # each other in the order the frontier first reached it
@@ -343,7 +328,7 @@ def _search(robot: RobotSpec, start: QuantizedState, nal: int, dedup: str, max_s
             # the last tick's outcome goes before this tick's is made
             last_tick = ends = cells = moved = stay = grow = settles = None
             last_parents = parents
-            last_tick = _tick(cols, np.repeat(p_ends, n_act, axis=0), torque[key % n_act],
+            last_tick = _tick(cols, np.repeat(p_ends, n_act, axis=0), cols.torque[key % n_act],
                               home[tree])
         ends, cells, moved, stay = last_tick
 
@@ -431,8 +416,6 @@ def _search_order(frm: np.ndarray, to: np.ndarray, n_states: int) -> tuple[list,
     first reached. The table's rows go tree by tree in that order, each
     tree's in its own; a tree the search never reaches has none there.
     """
-    import numpy as np
-
     by_tree = np.argsort(frm, kind="stable")
     row_start = np.searchsorted(frm[by_tree], np.arange(n_states + 1))
     bounds, dests = row_start.tolist(), to[by_tree].tolist()

@@ -15,7 +15,7 @@ import json
 import math
 import re
 from array import array
-from typing import IO, TYPE_CHECKING, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, DomainError, UnknownState
 from .model import (
@@ -492,14 +492,19 @@ def export_dot(table: TransitionTable) -> str:
     and label are joined once per call; an edge line joins the texts of
     its ids.
     """
+    return "".join(_dot_lines(table))
+
+
+def _dot_lines(table: TransitionTable) -> Iterator[str]:
+    """`export_dot`'s text one line at a time, each with its newline, so a writer
+    can stream it."""
     names = _Rendered(lambda a: "/".join(map(str, a)))
     spaced = _Rendered(lambda t: " ".join(map(str, t)))    # by index tuple
     labels = [_rle_actions(seq, names) for seq, _ in table.labels]
     nodes = [f"n{i}" for i in range(len(table.states))]
-    lines = ["digraph transitions {"]
-    lines += [f'  {n} [label="{spaced[p]},{spaced[v]}"];'
-              for n, (p, v) in zip(nodes, table.states)]
-    lines += [f'  {nodes[a]} -> {nodes[b]} [label="{labels[k]}"];'
-              for a, k, b in zip(table._src, table._label, table._dst)]
-    lines.append("}\n")  # ends the text with a newline without copying it
-    return "\n".join(lines)
+    yield "digraph transitions {\n"
+    yield from (f'  {n} [label="{spaced[p]},{spaced[v]}"];\n'
+                for n, (p, v) in zip(nodes, table.states))
+    yield from (f'  {nodes[a]} -> {nodes[b]} [label="{labels[k]}"];\n'
+                for a, k, b in zip(table._src, table._label, table._dst))
+    yield "}\n"

@@ -348,6 +348,36 @@ class TestTransitionsCommand:
         assert text.startswith("digraph transitions {")
         assert text.rstrip().endswith("}")
 
+    def test_dot_is_streamed_line_by_line(self, tmp_path, monkeypatch):
+        # `--dot` hands the DOT to its file one line at a time, never joined:
+        # the lines are export_dot's text, and each write is one of them
+        import dtraj.cli as cli
+        from dtraj.discovery import find_transitions
+        from dtraj.model import load_robot
+        from dtraj.transitions import export_dot
+
+        writes = []
+
+        class Lines:
+            def write(self, text):
+                writes.append(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        dot = str(tmp_path / "map.dot")
+        real = cli._write_output
+        monkeypatch.setattr(cli, "_write_output", lambda path, emit: (
+            emit(Lines()) if path == dot else real(path, emit)))
+        rc = main(["transitions", "--config", CFG, "--out", str(tmp_path / "t.jsonl"),
+                   "--dot", dot])
+        assert rc == 0
+        table = find_transitions(load_robot(CFG))
+        assert "".join(writes) == export_dot(table)
+        assert len(writes) == 2 + len(table.states) + len(table)
+        assert all(w.count("\n") == 1 and w.endswith("\n") for w in writes)
+
     def test_budget_exit_code(self, capsys, tmp_path):
         rc = main(["transitions", "--config", CFG, "--max-sequences", "50",
                    "--out", str(tmp_path / "x.jsonl")])

@@ -1367,7 +1367,7 @@ def test_column_quantize_matches_scalar(robot, cases, monkeypatch):
     depth = np.repeat([DEFAULT_NAL - 1, DEFAULT_NAL], len(q))
     # the tick's integration hands its starts back, so the probes are its end states
     monkeypatch.setattr(dynamics, "integrate_frontier", lambda q, v, *rest: (q, v))
-    _, cells, moved, stay = discovery._tick(discovery._Columns.of(robot), ends,
+    _, cells, moved, stay = discovery._tick(discovery._Frontier(robot), ends,
                                             np.zeros((len(ends), 1)), np.zeros_like(ends))
     masks = moved, stay & (depth == DEFAULT_NAL), stay & (depth < DEFAULT_NAL)
     # every cell, on the grid or off it, is the scalar rounding of its quotient
@@ -1464,14 +1464,14 @@ class TestTicksInChunks:
         # seeded starts in and past the limits under menu torques: rows that
         # move, stay and leave, each chunk's masks and cells are the whole's
         robot = bench_robot(2)
-        cols = discovery._Columns.of(robot)
+        cols = discovery._Frontier(robot)
         rng = np.random.default_rng(24)
         starts = rng.uniform(-1.3, 1.3, (200, 4)) * np.concatenate([cols.hi[:2], cols.hi[2:]])
         torque = rng.choice(robot.joints[0].torques, (200, 2))
         home = np.trunc(starts / cols.steps)
         chunked = discovery._tick(cols, starts, torque, home)
         monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", len(starts))
-        whole = discovery._tick(discovery._Columns.of(robot), starts, torque, home)
+        whole = discovery._tick(discovery._Frontier(robot), starts, torque, home)
         assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
         _, _, moved, stay = whole
         assert moved.any() and stay.any() and not (moved | stay).all()
@@ -1487,7 +1487,7 @@ class TestTicksInChunks:
         for rows in (self.ROWS, len(starts)):
             monkeypatch.setattr(discovery, "TICK_CHUNK_ROWS", rows)
             with pytest.raises(NumericalOverflow) as err:
-                discovery._tick(discovery._Columns.of(robot), starts, *args)
+                discovery._tick(discovery._Frontier(robot), starts, *args)
             texts.append(str(err.value))
         assert texts == ["joint j2: non-finite state after integration"] * 2
 
@@ -1729,6 +1729,106 @@ class TestFallBack:
             find_transitions(robot, max_states=10 ** 40, max_sequences=10 ** 40)
         assert rows == [5 ** 3]
         assert runs == [(False, Stop)]
+
+    # the gate, the seeded attempt and the fall-back share the call's one
+    # record, which is also the kernel's workspace: a fall-back builds no
+    # second. The demo's table is built plainly, after a seeded attempt is
+    # refused at the table's own action total, and after one overflows in
+    # the unreached state (67, -3)'s tree
+    @pytest.mark.parametrize(("case", "schedules"), [
+        ("plain", [(True, None)]),
+        ("action budget", [(True, BudgetExceeded), (False, None)]),
+        ("overflow", [(True, NumericalOverflow), (False, None)])],
+        ids=["plain", "action-budget", "overflow"])
+    def test_one_record_per_call(self, pendulum, monkeypatch, case, schedules):
+        records = []
+        real_init = dynamics.Workspace.__init__
+
+        def init(work, robot):
+            records.append(robot)
+            real_init(work, robot)
+
+        monkeypatch.setattr(dynamics.Workspace, "__init__", init)
+        if case == "action budget":
+            monkeypatch.setattr(discovery, "MAX_TABLE_ACTIONS", 20329)
+        if case == "overflow":
+            centre = representative(QuantizedState((67,), (-3,)), pendulum)
+            real = dynamics.integrate_frontier
+
+            def overflowing(q, v, *args):
+                q1, v1 = real(q, v, *args)
+                hit = (q[:, 0] == centre.q[0]) & (v[:, 0] == centre.v[0])
+                return np.where(hit[:, None], np.inf, q1), v1
+
+            monkeypatch.setattr(dynamics, "integrate_frontier", overflowing)
+        with schedule() as runs:
+            table = find_transitions(pendulum)
+        assert runs == schedules
+        assert records == [pendulum]
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in serialised(table))
+        assert digests == TestAgainstOracle.PINNED["demo", "all"]
+
+
+def reference_gate(robot: RobotSpec, nal: int, max_states: int, max_sequences: int) -> bool:
+    """The seeded schedule's gate from the robot's sizes, as `_seeded` took it before
+    the search record: `state_space_size` times `action_space_size`, then its three
+    comparisons."""
+    size = state_space_size(robot)
+    rows = size * model.action_space_size(robot)
+    return (rows <= discovery.TICK_CHUNK_ROWS and size <= max_states
+            and rows * nal <= max_sequences)
+
+
+class TestGate:
+    """`_seeded`, reading the call's record, decides as the robot's sizes do."""
+
+    @staticmethod
+    def agree(robot, nal, chunk, max_states, max_sequences):
+        with mock.patch.object(discovery, "TICK_CHUNK_ROWS", chunk):
+            got = discovery._seeded(discovery._Frontier(robot), nal, max_states, max_sequences)
+            assert got == reference_gate(robot, nal, max_states, max_sequences)
+        return got
+
+    def at_every_edge(self, robot, nal):
+        """Each gate one short of, at and one past its edge: every verdict of the 27."""
+        size = state_space_size(robot)
+        rows = size * model.action_space_size(robot)
+        verdicts = {self.agree(robot, nal, *args) for args in itertools.product(
+            *((x - 1, x, x + 1) for x in (rows, size, rows * nal)))}
+        assert verdicts == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_robots(), st.integers(1, 40), st.integers(-2, 2), st.integers(-2, 2),
+           st.integers(-2, 2))
+    def test_small_robots_near_the_edges(self, robot_start, nal, d_rows, d_size, d_seq):
+        robot, _ = robot_start
+        # the sizes validate the robot; a menu without a zero torque is
+        # compared with that check switched off, as the search is
+        check = (contextlib.nullcontext() if all(0.0 in j.torques for j in robot.joints)
+                 else mock.patch.object(JointSpec, "validate", lambda self: None))
+        with check:
+            size = state_space_size(robot)
+            rows = size * model.action_space_size(robot)
+            self.agree(robot, nal, rows + d_rows, size + d_size, rows * nal + d_seq)
+            self.agree(robot, nal, discovery.TICK_CHUNK_ROWS, size + d_size, rows * nal + d_seq)
+
+    def test_the_bench_robots(self, pendulum):
+        robots = [pendulum, robot_from_dict(TWO_JOINT), bench_robot(3)]
+        assert [self.agree(robot, DEFAULT_NAL, discovery.TICK_CHUNK_ROWS, DEFAULT_MAX_STATES,
+                           DEFAULT_MAX_SEQUENCES) for robot in robots] == [True, True, False]
+        for robot in robots:
+            self.at_every_edge(robot, DEFAULT_NAL)
+
+    # `test_a_grid_too_large_to_list`'s grid of about 6e34 states, and a
+    # column of 2^54 - 3 cells, whose size a float difference would round
+    @pytest.mark.parametrize("joint", [demo_joint()._replace(delta_q=1e-4 * DEG),
+                                       demo_joint()._replace(delta_q=demo_joint().q_max
+                                                             / (2 ** 53 - 1))])
+    def test_grids_too_large_to_list(self, joint):
+        robot = RobotSpec(delta_t=0.04, joints=(joint,) * 3)
+        assert state_space_size(robot) > 10 ** 34
+        for nal in (1, DEFAULT_NAL):
+            self.at_every_edge(robot, nal)
 
 
 # ---------------------------------------------------------------------------
